@@ -8,10 +8,8 @@
 // once, and importance-reweighted into every column). Reports the panel
 // wall-clock for both, the speedup, replay counts (per-rate vs unique +
 // fallback), the dedup ratio, ESS statistics, and the max per-point
-// success-rate delta between the two modes. Both modes are also timed with
-// the estimators' thread-local scratch reuse disabled
-// (set_estimator_scratch_reuse) for a before/after allocation-cost note.
-// Writes machine-readable BENCH_sweep.json.
+// success-rate delta between the two modes. Writes machine-readable
+// BENCH_sweep.json.
 #include <algorithm>
 #include <cmath>
 #include <sstream>
@@ -32,10 +30,9 @@ namespace {
 
 struct BenchRow {
   std::string mode;           // "stratified" | "shared"
-  bool scratch_reuse = true;
   double panel_ms = 0.0;      // one full panel (all depths x rates x inst)
   double replays = 0.0;       // trajectory replays spent on the panel
-  double speedup = 0.0;       // vs stratified at the same scratch setting
+  double speedup = 0.0;       // vs stratified
 };
 
 /// Median-of-reps wall time in milliseconds.
@@ -98,7 +95,6 @@ void write_json(const std::vector<BenchRow>& rows, const SweepConfig& config,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     out << "    {\"mode\": \"" << r.mode << "\""
-        << ", \"scratch_reuse\": " << (r.scratch_reuse ? "true" : "false")
         << ", \"panel_ms\": " << r.panel_ms
         << ", \"replays\": " << r.replays
         << ", \"speedup_vs_stratified\": " << r.speedup << "}"
@@ -155,32 +151,26 @@ int run(int argc, const char* const* argv) {
                      << success_delta);
 
   std::vector<BenchRow> rows;
-  for (bool reuse : {true, false}) {
-    set_estimator_scratch_reuse(reuse);
-    double strat_ms = 0.0;
-    for (bool shared : {false, true}) {
-      config.run.shared_trajectories = shared;
-      const double ms =
-          time_ms([&] { (void)run_sweep(config, instances); }, reps);
-      BenchRow row;
-      row.mode = shared ? "shared" : "stratified";
-      row.scratch_reuse = reuse;
-      row.replays = shared ? static_cast<double>(stats.unique_trajectories +
-                                                 stats.fallback_trajectories)
-                           : stratified_replays;
-      row.panel_ms = ms;
-      if (!shared) strat_ms = ms;
-      row.speedup = strat_ms / ms;
-      rows.push_back(row);
-    }
+  double strat_ms = 0.0;
+  for (bool shared : {false, true}) {
+    config.run.shared_trajectories = shared;
+    const double ms =
+        time_ms([&] { (void)run_sweep(config, instances); }, reps);
+    BenchRow row;
+    row.mode = shared ? "shared" : "stratified";
+    row.replays = shared ? static_cast<double>(stats.unique_trajectories +
+                                               stats.fallback_trajectories)
+                         : stratified_replays;
+    row.panel_ms = ms;
+    if (!shared) strat_ms = ms;
+    row.speedup = strat_ms / ms;
+    rows.push_back(row);
   }
-  set_estimator_scratch_reuse(true);
 
-  TextTable table({"mode", "scratch", "panel_ms", "replays", "speedup"});
+  TextTable table({"mode", "panel_ms", "replays", "speedup"});
   for (const BenchRow& r : rows)
-    table.add_row({r.mode, r.scratch_reuse ? "reuse" : "alloc",
-                   fmt_double(r.panel_ms, 1), fmt_double(r.replays, 0),
-                   fmt_double(r.speedup, 2)});
+    table.add_row({r.mode, fmt_double(r.panel_ms, 1),
+                   fmt_double(r.replays, 0), fmt_double(r.speedup, 2)});
   table.print(std::cout);
   const double dedup =
       stats.proposal_trajectories > 0

@@ -2,8 +2,6 @@
 
 #include <iostream>
 
-#include "exp/fabric.h"
-
 namespace qfab::bench {
 
 std::vector<double> default_rates_1q() {
@@ -58,7 +56,6 @@ bool parse_scale(const CliFlags& flags, FigureScale& scale,
   scale.resume = flags.get_bool("resume", scale.resume);
   scale.unit_deadline_seconds =
       flags.get_double("unit-deadline", scale.unit_deadline_seconds);
-  scale.workers = static_cast<int>(flags.get_int("workers", scale.workers));
   scale.noisy_rz = !flags.get_bool("rz-noiseless", !scale.noisy_rz);
   scale.measure_all = flags.get_bool("measure-all", scale.measure_all);
   scale.progress = !flags.get_bool("quiet", !scale.progress);
@@ -118,33 +115,19 @@ bool run_figure_row(const FigureScale& scale, const CircuitSpec& base,
 
   auto run_panel = [&](const char* axis) {
     const long fallbacks_before = precision_fallback_count();
-    SweepResult result;
-    if (scale.workers > 1) {
-      // Multi-process fabric: panel state lives in a sibling directory of
-      // the checkpoint journals ("qfab" prefix when --checkpoint is unset).
-      FabricOptions fabric;
-      const std::string prefix =
-          scale.checkpoint.empty() ? std::string("qfab") : scale.checkpoint;
-      fabric.dir = prefix + "_" + row_name + "_" + axis + ".fabric";
-      fabric.workers = scale.workers;
-      fabric.resume = scale.resume;
-      fabric.progress = scale.progress;
-      result = run_sweep_fabric(cfg, instances, fabric);
-    } else {
-      DurableOptions durable;
-      if (!scale.checkpoint.empty()) {
-        durable.journal_path =
-            scale.checkpoint + "_" + row_name + "_" + axis + ".journal";
-        durable.resume = scale.resume;
-      }
-      durable.unit_deadline_seconds = scale.unit_deadline_seconds;
-      result = run_sweep_durable(cfg, instances, durable);
+    DurableOptions durable;
+    if (!scale.checkpoint.empty()) {
+      durable.journal_path =
+          scale.checkpoint + "_" + row_name + "_" + axis + ".journal";
+      durable.resume = scale.resume;
     }
+    durable.unit_deadline_seconds = scale.unit_deadline_seconds;
+    const SweepResult result = run_sweep_durable(cfg, instances, durable);
     if (!result.complete) {
       std::cout << "panel " << row_name << " (" << axis << ") drained after "
                 << result.units_done << '/' << result.units_total
                 << " work units";
-      if (scale.workers > 1 || !scale.checkpoint.empty())
+      if (!scale.checkpoint.empty())
         std::cout << "; resume with --checkpoint=" << scale.checkpoint
                   << " --resume";
       std::cout << '\n';

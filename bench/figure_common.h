@@ -31,12 +31,6 @@ struct FigureScale {
   std::string checkpoint;
   bool resume = false;          // --resume: restore journaled units first
   double unit_deadline_seconds = 0.0;  // --unit-deadline: watchdog (s)
-  /// --workers=K (K >= 2): run every panel through the multi-process sweep
-  /// fabric (exp/fabric.h) with K worker processes. Panel state lives in
-  /// PREFIX_<row>_<axis>.fabric next to the checkpoint journals (PREFIX =
-  /// --checkpoint, or "qfab" when unset); --resume continues an
-  /// interrupted fabric run. 0/1 = single-process run_sweep_durable.
-  int workers = 1;
   /// --precision=double|float32|auto: batched replay precision
   /// (RunOptions::precision). Non-double panels report their drift-
   /// sentinel fallback count after the sweep table.
@@ -49,9 +43,9 @@ bool parse_precision_name(const std::string& name, Precision& out);
 
 /// Parse common flags (--instances, --shots, --traj, --per-shot,
 /// --shared-trajectories, --seed, --depths, --rates1q, --rates2q, --csv,
-/// --checkpoint, --resume, --unit-deadline, --workers, --precision,
-/// --paper-scale, --quiet) on top of the given defaults. Returns false
-/// (after printing usage) on bad flags.
+/// --checkpoint, --resume, --unit-deadline, --precision, --paper-scale,
+/// --quiet) on top of the given defaults. Returns false (after printing
+/// usage) on bad flags.
 bool parse_scale(const CliFlags& flags, FigureScale& scale,
                  int paper_instances);
 

@@ -26,72 +26,43 @@ run_preset() {
 # from the checkpoint journal, and require the CSVs to match an
 # uninterrupted reference run byte for byte (the durability contract;
 # DESIGN.md §10). Exit 86 is the fault injector's distinctive crash code.
+# Optional arguments: the instance count (default 3) and a pool thread
+# count for the crash and the resume (QFAB_THREADS; the reference then
+# runs on one thread). With more work units per panel than threads, the
+# crash lands while other threads still hold units.
 crash_resume_smoke() {
   local name="$1"
+  local instances="${2:-3}"
+  local threads="${3:-}"
   local builddir="build-ci-${name}"
-  local smokedir="${builddir}/crash_resume_smoke"
-  local flags=(--instances 3 --traj 3 --shots 64 --depths 1,2
+  local smokedir="${builddir}/crash_resume_smoke_${instances}${threads:+_t${threads}}"
+  local flags=(--instances "${instances}" --traj 3 --shots 64 --depths 1,2
                --rates1q 0.4 --rates2q 1.0 --quiet)
-  echo "== ${name}: crash-resume smoke =="
+  local ref_threads="${threads:+QFAB_THREADS=1}"
+  local run_threads="${threads:+QFAB_THREADS=${threads}}"
+  echo "== ${name}: crash-resume smoke (${instances} instances${threads:+, ${threads} threads}) =="
   rm -rf "${smokedir}"
   mkdir -p "${smokedir}"
   (
     cd "${smokedir}"
-    ../bench/fig1_qfa_sweep "${flags[@]}" --csv ref >/dev/null
+    env ${ref_threads} ../bench/fig1_qfa_sweep "${flags[@]}" --csv ref \
+      >/dev/null
     set +e
-    QFAB_FAULT=crash-after-unit=2 ../bench/fig1_qfa_sweep "${flags[@]}" \
-      --csv ckpt --checkpoint ckpt >/dev/null 2>&1
+    QFAB_FAULT=crash-after-unit=2 env ${run_threads} ../bench/fig1_qfa_sweep \
+      "${flags[@]}" --csv ckpt --checkpoint ckpt >/dev/null 2>&1
     local crash_rc=$?
     set -e
     if [[ "${crash_rc}" -ne 86 ]]; then
       echo "crash-resume smoke: expected injected-crash exit 86, got ${crash_rc}" >&2
       exit 1
     fi
-    ../bench/fig1_qfa_sweep "${flags[@]}" --csv ckpt --checkpoint ckpt \
-      --resume >/dev/null
+    env ${run_threads} ../bench/fig1_qfa_sweep "${flags[@]}" --csv ckpt \
+      --checkpoint ckpt --resume >/dev/null
     for ref in ref_*.csv; do
       cmp "${ref}" "ckpt${ref#ref}"
     done
   )
   echo "== ${name}: crash-resume smoke: resumed CSVs match reference =="
-}
-
-# Multi-process fabric smoke: crash the only worker of a 1-worker fabric
-# after its first journaled unit (respawn budget 0, so the run strands and
-# exits resumable), then resume with 2 workers while wedging the first of
-# them (hang-after-unit=0, so the coordinator must expire its lease,
-# SIGKILL it, and reassign the unit). The merged CSV must match a
-# single-process --workers=0 reference byte for byte (DESIGN.md §13).
-fabric_smoke() {
-  local name="$1"
-  local builddir="build-ci-${name}"
-  local smokedir="${builddir}/fabric_smoke"
-  local flags=(--n 5 --instances 4 --shots 64 --traj 4 --depths 1,2
-               --rates 0.5,1.0)
-  echo "== ${name}: fabric crash+stall resume smoke =="
-  rm -rf "${smokedir}"
-  mkdir -p "${smokedir}"
-  (
-    cd "${smokedir}"
-    ../tools/qfab_sweepd "${flags[@]}" --workers 0 --csv ref >/dev/null
-    set +e
-    QFAB_FAULT='crash-after-unit=1,fault-worker=0' ../tools/qfab_sweepd \
-      "${flags[@]}" --workers 1 --max-respawns 0 --lease 0.5 --dir fab \
-      --csv fab >/dev/null 2>&1
-    local crash_rc=$?
-    set -e
-    if [[ "${crash_rc}" -ne 75 ]]; then
-      echo "fabric smoke: expected stranded-fabric exit 75, got ${crash_rc}" >&2
-      exit 1
-    fi
-    # Resumed worker ids continue above the dead shard's, so the first new
-    # worker is id 1 — the one the hang directive targets.
-    QFAB_FAULT='hang-after-unit=0,fault-worker=1' ../tools/qfab_sweepd \
-      "${flags[@]}" --workers 2 --resume --lease 0.5 --dir fab \
-      --csv fab >/dev/null 2>&1
-    cmp ref.csv fab.csv
-  )
-  echo "== ${name}: fabric smoke: merged CSV matches single-process reference =="
 }
 
 # Bounded batched-throughput smoke against the checked-in baseline: rerun
@@ -145,15 +116,11 @@ echo "== plain: bench_sweep smoke (bounded) =="
   --reps 1 --out build-ci-plain/BENCH_sweep_smoke.json
 perf_smoke plain
 crash_resume_smoke plain
-fabric_smoke plain
+crash_resume_smoke plain 17 4
 QFAB_SIMD=scalar run_preset asan -DQFAB_SANITIZE=address
 QFAB_SIMD=scalar crash_resume_smoke asan
-QFAB_SIMD=scalar fabric_smoke asan
+QFAB_SIMD=scalar crash_resume_smoke asan 17 4
 QFAB_SIMD=scalar run_preset tsan -DQFAB_SANITIZE=thread
-# The fabric suite (worker fork, heartbeat threads, lease supervision) is
-# part of tier-1 above; re-run it alone under TSan so a data race in the
-# fabric fails loudly with its own name.
-echo "== tsan: fabric suite =="
-(cd build-ci-tsan && ctest -R '^test_fabric' --output-on-failure)
+QFAB_SIMD=scalar crash_resume_smoke tsan 17 4
 
 echo "CI: all presets green"

@@ -15,16 +15,12 @@ struct FaultState {
   long torn_write_unit = -1;
   long corrupt_crc_unit = -1;
   long drain_after_unit = -1;
-  long hang_after_unit = -1;
-  long lease_steal_unit = -1;
-  long fault_worker = -1;
   long nan_gate = -1;
   std::atomic<long> nan_charges{0};  // -1 = unlimited
 
   void parse(const std::string& spec) {
     crash_after_unit = torn_write_unit = corrupt_crc_unit =
-        drain_after_unit = hang_after_unit = lease_steal_unit = fault_worker =
-            nan_gate = -1;
+        drain_after_unit = nan_gate = -1;
     nan_charges.store(0, std::memory_order_relaxed);
     long nan_count = 1;
     std::size_t pos = 0;
@@ -41,9 +37,6 @@ struct FaultState {
       else if (key == "torn-write") torn_write_unit = value;
       else if (key == "corrupt-crc") corrupt_crc_unit = value;
       else if (key == "drain-after-unit") drain_after_unit = value;
-      else if (key == "hang-after-unit") hang_after_unit = value;
-      else if (key == "lease-steal") lease_steal_unit = value;
-      else if (key == "fault-worker") fault_worker = value;
       else if (key == "nan-at-gate") nan_gate = value;
       else if (key == "nan-count") nan_count = value;
     }
@@ -73,9 +66,6 @@ long crash_after_unit() { return state().crash_after_unit; }
 long torn_write_unit() { return state().torn_write_unit; }
 long corrupt_crc_unit() { return state().corrupt_crc_unit; }
 long drain_after_unit() { return state().drain_after_unit; }
-long hang_after_unit() { return state().hang_after_unit; }
-long lease_steal_unit() { return state().lease_steal_unit; }
-long fault_worker() { return state().fault_worker; }
 
 bool nan_fault_active() {
   const FaultState& s = state();

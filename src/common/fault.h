@@ -29,27 +29,6 @@
 //                        retried unit succeeds; -1 = every pass, so the
 //                        point is persistently poisoned).
 //
-// The multi-process fabric (exp/fabric.h) adds three directives consulted
-// by the worker loop rather than the journal writer:
-//
-//   hang-after-unit=K    after the worker has journaled K units, it claims
-//                        its next work unit and then wedges forever while
-//                        holding the lease (heartbeat stopped) — simulates
-//                        a stalled process the coordinator must expire,
-//                        kill, and reassign.
-//   lease-steal=K        while holding the lease of its K-th unit, the
-//                        worker stops heartbeating, journals the unit
-//                        *without* its done marker, and parks until the
-//                        coordinator expires and breaks the stale lease
-//                        (usually SIGKILLing the worker) — the unit is
-//                        reassigned and recomputed, forcing a duplicate
-//                        shard record the merge must deduplicate.
-//   fault-worker=W       gate every armed directive to fabric worker id W:
-//                        any worker with a different id disarms the whole
-//                        spec at startup. Lets a forked fleet (which
-//                        inherits QFAB_FAULT wholesale) fault exactly one
-//                        member.
-//
 // All queries are negligible when QFAB_FAULT is unset: one relaxed atomic
 // (or cached bool) load. Directives are parsed once per process; tests that
 // stay in-process can re-arm via set_fault_spec_for_tests.
@@ -75,14 +54,6 @@ long crash_after_unit();
 long torn_write_unit();
 long corrupt_crc_unit();
 long drain_after_unit();
-
-/// Fabric worker directives: units-journaled count after which the worker
-/// wedges (hang-after-unit), the 1-based unit ordinal whose lease the
-/// worker lets expire before journaling (lease-steal), and the worker id
-/// the whole spec is gated to (fault-worker); -1 when absent.
-long hang_after_unit();
-long lease_steal_unit();
-long fault_worker();
 
 /// Fast gate for the simulation hooks: true iff a nan-at-gate directive is
 /// armed with charges remaining.

@@ -50,8 +50,6 @@ void fsync_dir(const std::string& dir) {
 
 }  // namespace
 
-void fsync_parent_dir(const std::string& path) { fsync_dir(dir_of(path)); }
-
 void atomic_write_file(const std::string& path, const std::string& content) {
   // The temp file must live in the target directory: rename(2) is only
   // atomic within one filesystem. The pid suffix keeps concurrent writers

@@ -21,14 +21,6 @@ namespace qfab {
 /// temp file is removed on error).
 void atomic_write_file(const std::string& path, const std::string& content);
 
-/// fsync the directory containing `path`, so a file just created or renamed
-/// there survives power loss. Throws CheckError on real failures; tolerates
-/// filesystems that cannot fsync directories (EINVAL/ENOTSUP) and
-/// directories that grant create-but-not-read permission (EACCES). Used by
-/// the fabric's lease protocol, where the file itself is created with
-/// O_EXCL and cannot go through atomic_write_file.
-void fsync_parent_dir(const std::string& path);
-
 /// CRC-32 (IEEE 802.3 polynomial, the zlib convention). `seed` chains
 /// incremental computations: crc32(b, crc32(a)) == crc32(a+b).
 std::uint32_t crc32(const void* data, std::size_t size,

@@ -11,15 +11,8 @@ namespace qfab {
 namespace {
 
 std::atomic<int> g_signal_count{0};
-std::atomic<bool> g_soft_drain{false};
 static_assert(std::atomic<int>::is_always_lock_free,
               "signal handler requires a lock-free latch");
-
-extern "C" void soft_drain_handler(int) {
-  // Coordinator-propagated drain: latch only; never advance the hard-exit
-  // counter (the worker may already have latched a terminal SIGINT).
-  g_soft_drain.store(true, std::memory_order_relaxed);
-}
 
 extern "C" void latch_handler(int) {
   // First signal: request a drain. Second: hard-exit now. Everything here
@@ -45,17 +38,8 @@ void install_shutdown_latch() {
   (void)sigaction(SIGTERM, &sa, nullptr);
 }
 
-void install_soft_drain_handler() {
-  struct sigaction sa = {};
-  sa.sa_handler = soft_drain_handler;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;
-  (void)sigaction(SIGUSR1, &sa, nullptr);
-}
-
 bool shutdown_requested() {
-  return g_signal_count.load(std::memory_order_relaxed) > 0 ||
-         g_soft_drain.load(std::memory_order_relaxed);
+  return g_signal_count.load(std::memory_order_relaxed) > 0;
 }
 
 void request_shutdown() {
@@ -64,7 +48,6 @@ void request_shutdown() {
 
 void reset_shutdown_latch_for_tests() {
   g_signal_count.store(0, std::memory_order_relaxed);
-  g_soft_drain.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace qfab

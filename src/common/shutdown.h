@@ -11,15 +11,6 @@
 // The handler itself only touches a lock-free atomic — async-signal-safe by
 // construction. request_shutdown() latches the same flag programmatically
 // (used by the drain-after-unit fault directive and by tests).
-//
-// Multi-process sweeps (exp/fabric.h) add a second, *soft* drain channel:
-// the coordinator propagates a drain request to its worker processes with
-// SIGUSR1. A terminal Ctrl-C is delivered to the whole foreground process
-// group, so a worker may already have latched its first SIGINT when the
-// coordinator's propagation arrives — if the propagation also went through
-// the SIGINT/SIGTERM counter it would be the "second signal" and hard-exit
-// the worker mid-unit. SIGUSR1 therefore only sets the drain flag and never
-// advances the hard-exit counter.
 #pragma once
 
 namespace qfab {
@@ -33,13 +24,7 @@ inline constexpr int kResumableExitCode = 75;
 /// handlers on its own.
 void install_shutdown_latch();
 
-/// Install the SIGUSR1 soft-drain handler (idempotent). Fabric workers call
-/// this so a coordinator can request a drain without risking the
-/// second-signal hard exit (see file comment).
-void install_soft_drain_handler();
-
-/// True once a drain has been requested (signal, soft signal, or
-/// programmatic).
+/// True once a drain has been requested (signal or programmatic).
 bool shutdown_requested();
 
 /// Latch a drain request without a signal.

@@ -458,11 +458,6 @@ SweepAssembler::SweepAssembler(const SweepConfig& config,
       unit_error_(grid.n_units),
       unit_done_(grid.n_units, 0) {}
 
-std::size_t SweepAssembler::members_of(std::size_t u) const {
-  const SweepGrid::UnitKey k = grid_.key(u);
-  return k.block_end - k.block_begin;
-}
-
 SweepAssembler::Add SweepAssembler::add_record(
     std::size_t depth_index, std::size_t block_begin, std::size_t block_end,
     const std::vector<std::vector<InstanceOutcome>>& outcomes,
@@ -524,7 +519,7 @@ SweepResult SweepAssembler::finish(double seconds,
   if (result.complete) {
     // Deterministic stats aggregation: merge in unit order so the float
     // sums are identical run-to-run (and across interrupt/resume or any
-    // worker sharding), not dependent on execution scheduling.
+    // thread count), not dependent on execution scheduling.
     for (std::size_t u = 0; u < grid_.n_units; ++u)
       result.shared_stats.merge(unit_stats_[u]);
     for (std::size_t d = 0; d < grid_.n_depths; ++d)

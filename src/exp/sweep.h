@@ -94,8 +94,8 @@ struct DurableOptions {
 /// clusters and the batched engine advances whole instance groups. Unit
 /// u = group * n_depths + depth_index; the final block is ragged when
 /// n_instances % block != 0. The grid is pure arithmetic on the config, so
-/// every process working the same sweep (journal resume, fabric workers,
-/// the merge) derives the identical unit numbering independently.
+/// a resumed run derives the same unit numbering as the run that wrote its
+/// journal.
 struct SweepGrid {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -137,8 +137,7 @@ struct UnitResult {
 
 /// Compiled, immutable execution state for one sweep: transpiled circuits
 /// and fused plans per depth, rate clusters, the unit grid. Owns copies of
-/// the config and operand set, so it outlives the caller's arguments —
-/// fabric workers build one and keep it for their whole claim loop.
+/// the config and operand set, so it outlives the caller's arguments.
 /// run_unit is safe to call from multiple threads concurrently.
 class SweepExecution {
  public:
@@ -164,10 +163,10 @@ class SweepExecution {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Accumulates unit results — computed, restored from a journal, or merged
-/// from fabric shards — into a SweepResult. Deduplicates (first record for
-/// a unit wins; duplicates arise from crash-resume overlap and broken-lease
-/// steals) and validates shapes against the grid, so a merge can never mix
+/// Accumulates unit results — computed or restored from a journal — into a
+/// SweepResult. Records read from disk are validated: the first record for
+/// a unit wins and later duplicates are ignored, and coordinates and shapes
+/// must fit the grid, so a damaged journal can never mix duplicate or
 /// mis-shaped records into the outcome matrix. Feeding records for every
 /// unit in deterministic unit order produces a SweepResult bit-identical to
 /// a single uninterrupted run_sweep (stats merge in unit order; points are
@@ -182,7 +181,7 @@ class SweepAssembler {
 
   SweepAssembler(const SweepConfig& config, const SweepGrid& grid);
 
-  /// Absorb a journaled/shard record by coordinates. Not thread-safe.
+  /// Absorb a journaled record by coordinates. Not thread-safe.
   Add add_record(std::size_t depth_index, std::size_t block_begin,
                  std::size_t block_end,
                  const std::vector<std::vector<InstanceOutcome>>& outcomes,
@@ -194,7 +193,6 @@ class SweepAssembler {
   void add_computed(std::size_t u, UnitResult&& out);
 
   bool done(std::size_t u) const { return unit_done_[u] != 0; }
-  std::size_t members_of(std::size_t u) const;
   std::size_t units_done() const;
 
   /// Build the final SweepResult. `complete` (and points) only when every
@@ -234,8 +232,8 @@ TextTable sweep_table(const SweepResult& result);
 
 /// Machine-readable point dump, one row per sweep point (depth,
 /// rate_percent, success_rate, sigma, lower_flips, upper_flips, instances).
-/// The canonical CSV layout shared by the figure benches and the fabric's
-/// byte-identity checks.
+/// The canonical CSV layout of the figure benches, which the crash-resume
+/// checks compare byte for byte.
 TextTable sweep_csv_table(const SweepResult& result);
 
 /// Human-readable depth label ("1", "2", ..., "full").

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <unordered_map>
 
@@ -12,14 +11,11 @@ namespace qfab {
 
 namespace {
 
-std::atomic<bool> g_scratch_reuse{true};
 std::atomic<long> g_precision_fallbacks{0};
 
 /// Per-thread replay scratch: the batched state vectors (one per replay
 /// precision), the scalar trajectory state, and the marginal accumulation
 /// buffers that every estimate would otherwise allocate per replay group.
-/// With reuse disabled (bench ablation) each call gets a fresh local
-/// workspace instead.
 struct ReplayWorkspace {
   StateVector sv{1};
   BatchedStateVector bsv{1, 1};
@@ -30,13 +26,9 @@ struct ReplayWorkspace {
   std::vector<double> lane_sums;           // per-lane marginal sums (norm²)
 };
 
-ReplayWorkspace& replay_workspace(std::unique_ptr<ReplayWorkspace>& local) {
-  if (estimator_scratch_reuse()) {
-    thread_local ReplayWorkspace ws;
-    return ws;
-  }
-  local = std::make_unique<ReplayWorkspace>();
-  return *local;
+ReplayWorkspace& replay_workspace() {
+  thread_local ReplayWorkspace ws;
+  return ws;
 }
 
 /// Replay one trajectory group at the requested precision and leave the
@@ -104,8 +96,7 @@ std::vector<double> channel_marginal_batched_impl(
   QFAB_CHECK(options.error_trajectories >= 1);
   QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
   const int T = options.error_trajectories;
-  std::unique_ptr<ReplayWorkspace> local;
-  ReplayWorkspace& ws = replay_workspace(local);
+  ReplayWorkspace& ws = replay_workspace();
 
   // Pre-sample every trajectory's event list sequentially: the rng stream
   // is identical to the scalar estimator's and independent of lane packing.
@@ -290,14 +281,6 @@ std::vector<double> blend_weighted(const std::vector<double>& ideal, double w0,
 
 }  // namespace
 
-void set_estimator_scratch_reuse(bool on) {
-  g_scratch_reuse.store(on, std::memory_order_relaxed);
-}
-
-bool estimator_scratch_reuse() {
-  return g_scratch_reuse.load(std::memory_order_relaxed);
-}
-
 long precision_fallback_count() {
   return g_precision_fallbacks.load(std::memory_order_relaxed);
 }
@@ -326,8 +309,7 @@ std::vector<double> estimate_channel_marginal(
   if (errors.noisy_gate_count() == 0 || w0 >= 1.0) return ideal;
   QFAB_CHECK(options.error_trajectories >= 1);
 
-  std::unique_ptr<ReplayWorkspace> local;
-  ReplayWorkspace& ws = replay_workspace(local);
+  ReplayWorkspace& ws = replay_workspace();
   std::vector<double> err_mean(ideal.size(), 0.0);
   for (int t = 0; t < options.error_trajectories; ++t) {
     const std::vector<ErrorEvent> events = errors.sample_at_least_one(rng);
@@ -409,8 +391,7 @@ std::vector<std::vector<double>> estimate_channel_marginals_batched(
 
   std::vector<std::vector<std::vector<double>>> margs(
       L, std::vector<std::vector<double>>(T));
-  std::unique_ptr<ReplayWorkspace> local;
-  ReplayWorkspace& ws = replay_workspace(local);
+  ReplayWorkspace& ws = replay_workspace();
   for (std::size_t lo = 0; lo < pool.size(); lo += L) {
     const std::size_t lanes = std::min(L, pool.size() - lo);
     std::vector<int> lane_map(lanes);
@@ -504,8 +485,7 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return uniq.events[a].front().gate_index < uniq.events[b].front().gate_index;
   });
-  std::unique_ptr<ReplayWorkspace> local;
-  ReplayWorkspace& ws = replay_workspace(local);
+  ReplayWorkspace& ws = replay_workspace();
   std::vector<std::vector<double>> umargs(U);
   if (max_lanes > 1) {
     for (std::size_t lo = 0; lo < U; lo += static_cast<std::size_t>(max_lanes)) {
@@ -621,8 +601,7 @@ std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
   std::stable_sort(pool.begin(), pool.end(),
                    [](const Traj& a, const Traj& b) { return a.site < b.site; });
 
-  std::unique_ptr<ReplayWorkspace> local;
-  ReplayWorkspace& ws = replay_workspace(local);
+  ReplayWorkspace& ws = replay_workspace();
   std::vector<std::vector<std::vector<double>>> umargs(L);
   for (std::size_t m = 0; m < L; ++m) umargs[m].resize(uniq[m].events.size());
   for (std::size_t lo = 0; lo < pool.size(); lo += L) {

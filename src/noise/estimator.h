@@ -51,13 +51,6 @@ struct EstimatorOptions {
 long precision_fallback_count();
 void reset_precision_fallback_count();
 
-/// Toggle reuse of the estimators' thread-local replay workspaces (batched
-/// state vector, scalar trajectory state, marginal accumulation buffers).
-/// On by default; bench_sweep flips it off for a before/after allocation-
-/// cost note. Global: flip only from single-threaded regions.
-void set_estimator_scratch_reuse(bool on);
-bool estimator_scratch_reuse();
-
 struct SharedEstimatorOptions {
   /// Proposal trajectories (conditioned on >= 1 error) shared by the whole
   /// rate cluster.

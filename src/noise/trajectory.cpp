@@ -389,8 +389,8 @@ void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
 }
 
 // Batched counterpart of the QFAB_FAULT nan-at-gate hook in
-// apply_plan_range: the walk replaces the per-split passes, so it takes
-// the (single) charge for the whole replayed range itself.
+// apply_plan_range: the walk does not go through apply_plan_range, so it
+// takes the (single) charge for the whole replayed range itself.
 template <typename Real>
 void maybe_inject_nan(BatchedStateVectorT<Real>& bsv, std::size_t gate_begin,
                       std::size_t gate_end) {
@@ -415,9 +415,9 @@ void run_trajectories_batched(
   // gate segments, per-lane op slices, and the Paulis between them —
   // flattens into one step sequence, and apply_batch_walk loads each
   // L1-sized amplitude tile once per maximal run instead of once per
-  // injection site. Two properties remove the lane-scaling regression of
-  // the per-split driver (kept as run_trajectories_batched_split, whose
-  // full-vector traffic grew with the merged schedule length):
+  // injection site. Two properties keep the per-trajectory cost flat in
+  // the lane count, where one full-vector pass per injection site would
+  // grow with the merged schedule length:
   //
   //  * op-interior splits are priced per lane, not per batch: only the
   //    lane whose Pauli lands inside a fused op takes that op as subrange
@@ -427,8 +427,8 @@ void run_trajectories_batched(
   //    arithmetic is exactly the decomposition the scalar reference
   //    (run_trajectory) performs for that trajectory alone — independent
   //    of which trajectories share the batch (packing-invariant bitwise;
-  //    the split driver's merged decomposition deviates from this at the
-  //    re-association level, ~1e-15 in double).
+  //    the scalar and batched kernels round differently, so lanes match
+  //    run_trajectory itself to ~1e-15 in double, not bitwise).
   //  * tiles walk in XOR-groups (see apply_batch_walk), so high-qubit ops
   //    and Paulis never force full-width passes between runs.
   const int L = bsv.lanes();
@@ -537,40 +537,6 @@ template void run_trajectories_batched<double>(
     const FusedPlan&, BatchedStateVector&, std::size_t,
     const std::vector<std::vector<ErrorEvent>>&);
 template void run_trajectories_batched<float>(
-    const FusedPlan&, BatchedStateVectorF&, std::size_t,
-    const std::vector<std::vector<ErrorEvent>>&);
-
-template <typename Real>
-void run_trajectories_batched_split(
-    const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-    std::size_t start_gates,
-    const std::vector<std::vector<ErrorEvent>>& lane_events) {
-  QFAB_CHECK(lane_events.size() == static_cast<std::size_t>(bsv.lanes()));
-  const auto& gates = plan.circuit().gates();
-  const std::size_t total = plan.gate_count();
-  const std::vector<Injection> schedule =
-      merge_schedule(lane_events, start_gates, total);
-
-  std::size_t applied = start_gates;
-  for (const Injection& inj : schedule) {
-    if (inj.site > applied) {
-      apply_plan_range(plan, bsv, applied, inj.site);
-      applied = inj.site;
-    }
-    const Gate& g = gates[inj.gate_index];
-    if (inj.pauli0 != Pauli::kI) bsv.apply_pauli(inj.lane, inj.pauli0, g.qubits[0]);
-    if (inj.pauli1 != Pauli::kI) {
-      QFAB_CHECK(g.arity() >= 2);
-      bsv.apply_pauli(inj.lane, inj.pauli1, g.qubits[1]);
-    }
-  }
-  apply_plan_range(plan, bsv, applied, total);
-}
-
-template void run_trajectories_batched_split<double>(
-    const FusedPlan&, BatchedStateVector&, std::size_t,
-    const std::vector<std::vector<ErrorEvent>>&);
-template void run_trajectories_batched_split<float>(
     const FusedPlan&, BatchedStateVectorF&, std::size_t,
     const std::vector<std::vector<ErrorEvent>>&);
 

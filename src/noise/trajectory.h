@@ -221,28 +221,15 @@ class BatchedCleanRun {
 /// events/lane for a batched group). Op-interior sites decompose the host
 /// op per lane: each lane's arithmetic is exactly the scalar
 /// run_trajectory decomposition of its own trajectory, so a lane's replay
-/// is bitwise independent of which trajectories share the batch, and
-/// agreement with the per-split reference below is at re-association
-/// level (<= 1e-12 double) rather than bitwise. Raw-plane comparisons
-/// must fold each lane's pending phase (lane_pending_phase): fused tables
-/// carry absolute phases in the amplitudes while sliced application
-/// routes the same phase through the deferred accumulator.
+/// is bitwise independent of which trajectories share the batch. Against
+/// run_trajectory itself agreement is at rounding level (<= 1e-12 double)
+/// rather than bitwise: the batched kernels and the resume point differ
+/// from the scalar path's. Raw-plane comparisons must fold each lane's
+/// pending phase (lane_pending_phase): fused tables carry absolute phases
+/// in the amplitudes while sliced application routes the same phase
+/// through the deferred accumulator.
 template <typename Real>
 void run_trajectories_batched(
-    const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-    std::size_t start_gates,
-    const std::vector<std::vector<ErrorEvent>>& lane_events);
-
-/// The pre-walk reference driver: one apply_plan_range pass per distinct
-/// injection site, per-lane Paulis full-width between passes. Same
-/// contract; kept as the equivalence oracle for tests and the
-/// before/after bench comparison (states agree to re-association
-/// rounding — it slices every lane at the merged schedule's sites, the
-/// walk only at each lane's own). Its full-vector traffic scales with the
-/// merged schedule length, which is the lane-scaling regression the walk
-/// driver removes.
-template <typename Real>
-void run_trajectories_batched_split(
     const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
     std::size_t start_gates,
     const std::vector<std::vector<ErrorEvent>>& lane_events);
@@ -251,12 +238,6 @@ extern template void run_trajectories_batched<double>(
     const FusedPlan&, BatchedStateVector&, std::size_t,
     const std::vector<std::vector<ErrorEvent>>&);
 extern template void run_trajectories_batched<float>(
-    const FusedPlan&, BatchedStateVectorF&, std::size_t,
-    const std::vector<std::vector<ErrorEvent>>&);
-extern template void run_trajectories_batched_split<double>(
-    const FusedPlan&, BatchedStateVector&, std::size_t,
-    const std::vector<std::vector<ErrorEvent>>&);
-extern template void run_trajectories_batched_split<float>(
     const FusedPlan&, BatchedStateVectorF&, std::size_t,
     const std::vector<std::vector<ErrorEvent>>&);
 

@@ -552,23 +552,6 @@ TEST(Io, Crc32KnownVectors) {
 
 // ---------- shutdown ----------
 
-TEST(Shutdown, SoftDrainLatchesWithoutAdvancingHardExitCounter) {
-  install_shutdown_latch();
-  install_soft_drain_handler();
-  reset_shutdown_latch_for_tests();
-
-  ASSERT_EQ(std::raise(SIGUSR1), 0);
-  EXPECT_TRUE(shutdown_requested());
-  // The soft channel must not count toward the two-signal hard exit: after
-  // any number of SIGUSR1s, a first SIGINT still only latches a drain — if
-  // SIGUSR1 advanced the counter, this SIGINT would _Exit(130) right here.
-  ASSERT_EQ(std::raise(SIGUSR1), 0);
-  ASSERT_EQ(std::raise(SIGINT), 0);
-  EXPECT_TRUE(shutdown_requested());
-  reset_shutdown_latch_for_tests();
-  EXPECT_FALSE(shutdown_requested());
-}
-
 TEST(Shutdown, SecondCountedSignalHardExits130) {
   // The hard exit must be observed from outside: a fork raises SIGINT
   // twice, and the second signal's handler _Exit(130)s before the child

@@ -1,6 +1,7 @@
 // Durable-sweep validation: checkpoint journal round trips, crash-fault
-// resume determinism, torn/corrupt tail recovery, graceful drain, and the
-// numerical-health retry path.
+// resume determinism, results independent of the thread count, torn/corrupt
+// tail recovery, graceful drain, the numerical-health retry path, and the
+// grid/assembler invariants that journal resume relies on.
 //
 // This suite has its own main(): the crash-fault tests re-exec this binary
 // as a child process (`test_durable --durable-child <journal> ...`) with
@@ -84,12 +85,14 @@ std::string self_exe() {
   return buf;
 }
 
-/// Re-exec this binary in child mode with `fault` armed via QFAB_FAULT.
+/// Re-exec this binary in child mode with `fault` armed via QFAB_FAULT
+/// and, when `threads` > 0, the thread pool sized by QFAB_THREADS.
 /// Returns the child's exit code (-1 if it died on a signal).
 int spawn_child(const std::string& fault, const std::string& journal,
-                bool resume, std::uint64_t seed = 77) {
+                bool resume, std::uint64_t seed = 77, int threads = 0) {
   std::string cmd;
   if (!fault.empty()) cmd += "QFAB_FAULT='" + fault + "' ";
+  if (threads > 0) cmd += "QFAB_THREADS=" + std::to_string(threads) + " ";
   cmd += "'" + self_exe() + "' --durable-child '" + journal + "'";
   if (resume) cmd += " --resume";
   cmd += " --child-seed " + std::to_string(seed);
@@ -198,6 +201,31 @@ TEST(Durable, CrashResumeIsBitIdentical) {
     expect_same_stats(reference().shared_stats, r.shared_stats);
 
     EXPECT_EQ(read_journal(journal).records.size(), kUnits);
+  }
+}
+
+TEST(Durable, JournaledResultsIndependentOfThreadCount) {
+  // ThreadPool::shared() reads QFAB_THREADS once per process, so each
+  // thread count runs the whole sweep in its own child. Every child's
+  // journal must restore to the reference exactly: the units a thread pool
+  // of any size computes, and the order it journals them in, never change
+  // the assembled result.
+  const SweepConfig cfg = durable_test_config();
+  const auto insts = durable_test_instances(cfg);
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("QFAB_THREADS=" + std::to_string(threads));
+    const std::string journal =
+        tmp_path("threads" + std::to_string(threads) + ".journal");
+    ASSERT_EQ(spawn_child("", journal, /*resume=*/false, 77, threads), 0);
+
+    DurableOptions durable;
+    durable.journal_path = journal;
+    durable.resume = true;
+    const SweepResult r = run_sweep_durable(cfg, insts, durable);
+    EXPECT_TRUE(r.complete);
+    EXPECT_EQ(r.units_restored, kUnits);
+    expect_same_points(reference(), r);
+    expect_same_stats(reference().shared_stats, r.shared_stats);
   }
 }
 
@@ -468,6 +496,59 @@ TEST(Durable, MissingAndForeignFilesAreNotJournals) {
   const JournalContents foreign = read_journal(garbage);
   EXPECT_FALSE(foreign.header_ok);
   EXPECT_TRUE(foreign.records.empty());
+}
+
+TEST(Durable, GridGeometryRoundTrips) {
+  const SweepConfig cfg = durable_test_config();
+  const SweepGrid grid(cfg, 5);
+  EXPECT_EQ(grid.block, 2u);
+  EXPECT_EQ(grid.n_groups, 3u);
+  EXPECT_EQ(grid.n_depths, 2u);
+  EXPECT_EQ(grid.n_units, kUnits);
+  for (std::size_t u = 0; u < grid.n_units; ++u) {
+    const SweepGrid::UnitKey key = grid.key(u);
+    EXPECT_EQ(grid.unit_of(key.depth_index, key.block_begin, key.block_end),
+              u);
+  }
+  // The final block is ragged (5 % 2 != 0) and still on-grid.
+  EXPECT_EQ(grid.key(grid.n_units - 1).block_end, 5u);
+  // Off-grid coordinates are rejected, not aliased to a neighbour.
+  EXPECT_EQ(grid.unit_of(0, 1, 3), SweepGrid::npos);
+  EXPECT_EQ(grid.unit_of(0, 0, 1), SweepGrid::npos);
+  EXPECT_EQ(grid.unit_of(2, 0, 2), SweepGrid::npos);
+}
+
+TEST(Durable, AssemblerDeduplicatesAndRejectsMisfits) {
+  const SweepConfig cfg = durable_test_config();
+  SweepExecution exec(cfg, durable_test_instances(cfg));
+  const SweepGrid& grid = exec.grid();
+  const SweepGrid::UnitKey key = grid.key(0);
+  UnitResult out = exec.run_unit(0);
+  const auto outcomes = out.outcomes;  // keep a copy to replay
+
+  SweepAssembler assembler(cfg, grid);
+  EXPECT_EQ(assembler.add_record(key.depth_index, key.block_begin,
+                                 key.block_end, outcomes, out.stats, ""),
+            SweepAssembler::Add::kAdded);
+  EXPECT_TRUE(assembler.done(0));
+  EXPECT_EQ(assembler.units_done(), 1u);
+  // A second record for the same unit is ignored: the first one wins.
+  EXPECT_EQ(assembler.add_record(key.depth_index, key.block_begin,
+                                 key.block_end, outcomes, out.stats, ""),
+            SweepAssembler::Add::kDuplicate);
+  EXPECT_EQ(assembler.units_done(), 1u);
+  // Off-grid coordinates and mis-shaped outcomes never reach the matrix.
+  EXPECT_EQ(assembler.add_record(key.depth_index, 1, 3, outcomes, out.stats,
+                                 ""),
+            SweepAssembler::Add::kMisfit);
+  auto truncated = outcomes;
+  truncated.pop_back();
+  EXPECT_EQ(assembler.add_record(grid.key(1).depth_index,
+                                 grid.key(1).block_begin,
+                                 grid.key(1).block_end, truncated, out.stats,
+                                 ""),
+            SweepAssembler::Add::kMisfit);
+  EXPECT_FALSE(assembler.done(1));
 }
 
 TEST(Durable, SigintLatchesDrainRequest) {

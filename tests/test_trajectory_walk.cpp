@@ -1,18 +1,15 @@
-// Fused tile-walk driver validation: run_trajectories_batched (the walk)
-// against run_trajectories_batched_split (the per-split reference it
-// replaced). The walk decomposes op-interior splits PER LANE (only the
-// event lane slices the host op; bystanders take it fused), so against
-// the split driver's merged full-width decomposition it deviates at the
-// re-association level — compared with each lane's pending phase folded
-// in, since the two decompositions route scalar phase work differently
-// (fused tables carry absolute phases in the planes, per-gate slices
-// defer them to the pending accumulator). The double tier is pinned to
-// 1e-12 and float32 to the tier's replay drift bound; step patterns whose
-// per-lane decomposition provably matches the split driver's (boundary
-// sites, all-lanes-same-site schedules) stay bitwise on the raw planes.
-// What IS bitwise by construction is packing invariance: a lane's replay
-// is identical whatever trajectories share the batch (pinned below
-// against solo single-lane walks). Site classes the walk decomposes
+// Fused tile-walk driver validation: every lane of run_trajectories_batched
+// (the walk) against the scalar run_trajectory of that lane's own
+// trajectory, replayed from a CleanRun on the same initial state. The walk
+// decomposes op-interior splits PER LANE (only the event lane slices the
+// host op; bystanders take it fused), which is the decomposition
+// run_trajectory performs for that trajectory alone; the batched kernels
+// and the resume point still round differently from the scalar path, so
+// the double tier is pinned to 1e-12 and float32 to the tier's replay
+// drift bound (lane states are compared with each lane's pending phase
+// folded in). What IS bitwise by construction is packing invariance: a
+// lane's replay is identical whatever trajectories share the batch (pinned
+// below against solo single-lane walks). Site classes the walk decomposes
 // differently from a plain fused pass are each pinned: splits inside
 // collapsed diagonal ops, splits on op boundaries, runs broken by
 // non-tileable ops, and dense same-site multi-lane injections.
@@ -20,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -129,55 +127,57 @@ std::size_t random_lane_events(const QuantumCircuit& qc, int lanes,
   return min_site == total ? 0 : min_site;
 }
 
-/// Largest per-amplitude difference between two batched states with each
-/// lane's pending phase folded in (the raw planes alone are only defined
-/// up to that factor — see lane_pending_phase). When both sides hold
-/// bitwise-equal planes AND bitwise-equal pending phases, the folded
-/// difference is exactly zero, so EXPECT_EQ(…, 0.0) still asserts
-/// bitwise equality where the decompositions provably coincide.
+/// Largest per-amplitude difference between one lane of a batched state,
+/// with the lane's pending phase folded in (the raw planes alone are only
+/// defined up to that factor — see lane_pending_phase), and a scalar state.
+/// Reads the planes directly, so a float32 lane is compared as is instead
+/// of being renormalized into a StateVector.
 template <typename Real>
-double max_folded_diff(const BatchedStateVectorT<Real>& a,
-                       const BatchedStateVectorT<Real>& b) {
-  const int lanes = a.lanes();
+double lane_vs_state(const BatchedStateVectorT<Real>& bsv, int lane,
+                     const StateVector& sv) {
+  const cplx phase = std::polar(1.0, bsv.lane_pending_phase(lane));
+  const std::vector<cplx>& ref = sv.amplitudes();
+  const u64 lanes = static_cast<u64>(bsv.lanes());
   double d = 0.0;
-  for (int l = 0; l < lanes; ++l) {
-    const cplx pa = std::polar(1.0, a.lane_pending_phase(l));
-    const cplx pb = std::polar(1.0, b.lane_pending_phase(l));
-    for (u64 r = 0; r < a.dim(); ++r) {
-      const std::size_t i =
-          r * static_cast<u64>(lanes) + static_cast<u64>(l);
-      const cplx va = pa * cplx{static_cast<double>(a.re()[i]),
-                                static_cast<double>(a.im()[i])};
-      const cplx vb = pb * cplx{static_cast<double>(b.re()[i]),
-                                static_cast<double>(b.im()[i])};
-      d = std::max(d, std::abs(va - vb));
-    }
+  for (u64 r = 0; r < bsv.dim(); ++r) {
+    const std::size_t i = r * lanes + static_cast<u64>(lane);
+    const cplx v = phase * cplx{static_cast<double>(bsv.re()[i]),
+                                static_cast<double>(bsv.im()[i])};
+    d = std::max(d, std::abs(v - ref[r]));
   }
   return d;
 }
 
-/// Run the walk and the split reference from identical start states and
-/// return the largest pending-folded amplitude difference across lanes.
+/// Run the walk from the ideal state after `start_gates` gates of a
+/// CleanRun on `initial`, and return the largest amplitude difference
+/// between any walk lane and the scalar run_trajectory of that lane's own
+/// events from the same CleanRun.
 template <typename Real>
-double walk_vs_split(const FusedPlan& plan, const StateVector& start,
-                     int lanes, std::size_t start_gates,
-                     const std::vector<std::vector<ErrorEvent>>& lane_events) {
+double walk_vs_scalar(const FusedPlan& plan, const StateVector& initial,
+                      int lanes, std::size_t start_gates,
+                      const std::vector<std::vector<ErrorEvent>>& lane_events) {
+  // CleanRun shares a plan through a shared_ptr; this one aliases the
+  // caller's plan without owning it.
+  const CleanRun clean(plan.circuit(), initial, 64,
+                       std::shared_ptr<const FusedPlan>(
+                           std::shared_ptr<const FusedPlan>(), &plan));
   BatchedStateVectorT<Real> walk(plan.circuit().num_qubits(), lanes);
-  BatchedStateVectorT<Real> split(plan.circuit().num_qubits(), lanes);
-  walk.broadcast(start);
-  split.broadcast(start);
+  walk.broadcast(clean.state_at(start_gates));
   run_trajectories_batched(plan, walk, start_gates, lane_events);
-  run_trajectories_batched_split(plan, split, start_gates, lane_events);
-  return max_folded_diff(walk, split);
+  double d = 0.0;
+  for (int l = 0; l < lanes; ++l) {
+    const StateVector ref =
+        run_trajectory(clean, lane_events[static_cast<std::size_t>(l)]);
+    d = std::max(d, lane_vs_state(walk, l, ref));
+  }
+  return d;
 }
 
-TEST(TrajectoryWalk, DoubleMatchesSplitWithinReassociation) {
+TEST(TrajectoryWalk, DoubleLanesMatchScalarTrajectory) {
   // Random circuits over every gate kind, lane counts spanning the replay
-  // tiers, random schedules: the double walk must match the split
-  // reference to 1e-12 with pending phases folded in. The two drivers
-  // decompose op-interior splits differently (per-lane vs merged), so
-  // their fused products re-associate — the deviation is rounding-level,
-  // invisible to the marginal-based Fig. 1/2 CSVs.
+  // tiers, random schedules: every double walk lane must match its scalar
+  // run_trajectory to 1e-12 with pending phases folded in. The deviation
+  // is kernel rounding, invisible to the marginal-based Fig. 1/2 CSVs.
   for_each_simd_mode([](const char* mode) {
     Pcg64 rng(20260809, 1);
     for (const int lanes : {2, 8, 16}) {
@@ -188,21 +188,18 @@ TEST(TrajectoryWalk, DoubleMatchesSplitWithinReassociation) {
         std::vector<std::vector<ErrorEvent>> lane_events;
         const std::size_t g0 =
             random_lane_events(qc, lanes, 3, rng, lane_events);
-        StateVector start(n);
-        plan.apply_range(start, 0, g0);
-        EXPECT_LT(
-            walk_vs_split<double>(plan, start, lanes, g0, lane_events), 1e-12)
+        EXPECT_LT(walk_vs_scalar<double>(plan, StateVector(n), lanes, g0,
+                                         lane_events),
+                  1e-12)
             << mode << " lanes=" << lanes << " trial=" << trial;
       }
     }
   });
 }
 
-TEST(TrajectoryWalk, Float32StaysWithinReplayDrift) {
-  // Same comparison on the float32 tier. The walk is arithmetic-identical
-  // there too, but the pinned bound is the tier's documented drift budget
-  // rather than bitwise (keeps the test valid if either driver ever
-  // reassociates narrow-precision kernels).
+TEST(TrajectoryWalk, Float32LanesStayWithinReplayDrift) {
+  // Same comparison on the float32 tier against the double scalar
+  // reference: the pinned bound is the tier's documented drift budget.
   for_each_simd_mode([](const char* mode) {
     Pcg64 rng(20260809, 2);
     for (const int lanes : {2, 8, 16}) {
@@ -212,10 +209,9 @@ TEST(TrajectoryWalk, Float32StaysWithinReplayDrift) {
         std::vector<std::vector<ErrorEvent>> lane_events;
         const std::size_t g0 =
             random_lane_events(qc, lanes, 3, rng, lane_events);
-        StateVector start(5);
-        plan.apply_range(start, 0, g0);
-        EXPECT_LT(
-            walk_vs_split<float>(plan, start, lanes, g0, lane_events), 1e-4)
+        EXPECT_LT(walk_vs_scalar<float>(plan, StateVector(5), lanes, g0,
+                                        lane_events),
+                  1e-4)
             << mode << " lanes=" << lanes << " trial=" << trial;
       }
     }
@@ -257,8 +253,8 @@ TEST(TrajectoryWalk, SitesInsideCollapsedDiagonalOps) {
                 return a.gate_index < b.gate_index;
               });
   const StateVector start(qc.num_qubits());
-  EXPECT_LT(walk_vs_split<double>(plan, start, lanes, 0, lane_events), 1e-12);
-  EXPECT_LT(walk_vs_split<float>(plan, start, lanes, 0, lane_events), 1e-4);
+  EXPECT_LT(walk_vs_scalar<double>(plan, start, lanes, 0, lane_events), 1e-12);
+  EXPECT_LT(walk_vs_scalar<float>(plan, start, lanes, 0, lane_events), 1e-4);
 }
 
 TEST(TrajectoryWalk, SitesOnEveryOpBoundary) {
@@ -278,7 +274,7 @@ TEST(TrajectoryWalk, SitesOnEveryOpBoundary) {
     lane_events[k++ % lanes].push_back(ev);
   }
   const StateVector start = StateVector::from_amplitudes(random_state(4, rng));
-  EXPECT_EQ(walk_vs_split<double>(plan, start, lanes, 0, lane_events), 0.0);
+  EXPECT_LT(walk_vs_scalar<double>(plan, start, lanes, 0, lane_events), 1e-12);
 }
 
 TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
@@ -302,10 +298,9 @@ TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
       std::vector<std::vector<ErrorEvent>> lane_events;
       const std::size_t g0 =
           random_lane_events(qc, lanes, 4, rng, lane_events);
-      StateVector start(6);
-      plan.apply_range(start, 0, g0);
-      EXPECT_LT(
-          walk_vs_split<double>(plan, start, lanes, g0, lane_events), 1e-12)
+      EXPECT_LT(walk_vs_scalar<double>(plan, StateVector(6), lanes, g0,
+                                       lane_events),
+                1e-12)
           << "lanes=" << lanes << " trial=" << trial;
     }
   }
@@ -313,8 +308,7 @@ TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
 
 TEST(TrajectoryWalk, DenseSameSiteMultiLaneInjections) {
   // Every lane fires at the same few sites — the merged schedule has long
-  // same-site runs, which the old split driver handled as one pass per
-  // site but the walk folds into a single tile pass per run.
+  // same-site runs, which the walk folds into a single tile pass per run.
   Pcg64 rng(20260809, 6);
   const int lanes = 16;
   const QuantumCircuit qc = random_circuit(5, 40, rng);
@@ -334,8 +328,8 @@ TEST(TrajectoryWalk, DenseSameSiteMultiLaneInjections) {
     }
   }
   const StateVector start = StateVector::from_amplitudes(random_state(5, rng));
-  EXPECT_EQ(walk_vs_split<double>(plan, start, lanes, 0, lane_events), 0.0);
-  EXPECT_LT(walk_vs_split<float>(plan, start, lanes, 0, lane_events), 1e-4);
+  EXPECT_LT(walk_vs_scalar<double>(plan, start, lanes, 0, lane_events), 1e-12);
+  EXPECT_LT(walk_vs_scalar<float>(plan, start, lanes, 0, lane_events), 1e-4);
 }
 
 TEST(TrajectoryWalk, LaneReplayIsPackingInvariantBitwise) {

@@ -9,84 +9,22 @@
 //       rewrite the file to its valid prefix (atomic tmp+fsync+rename),
 //       reporting how many record frames the damaged tail stranded
 //       instead of silently truncating.
-//   tools/qfab_journal --fabric results/fabric1
-//       inspect a sweep-fabric directory (exp/fabric.h): manifest, done
-//       markers, live leases, and every shard journal's health.
-//   tools/qfab_journal --fabric results/fabric1 --repair
-//       additionally rewrite damaged shard journals to their valid
-//       prefixes and clear stale lease files. Only safe when no fabric
-//       coordinator is running on the directory.
 //
-// Exit codes: 0 = readable (possibly after --repair), 1 = journal or
-// manifest missing/unrecognizable, 2 = usage error.
+// Exit codes: 0 = readable (possibly after --repair), 1 = journal
+// missing/unrecognizable, 2 = usage error.
 //
-// See DESIGN.md §10 for the journal format and §13 for the fabric layout.
+// See DESIGN.md §10 for the journal format.
 #include <cstdio>
 #include <iostream>
 #include <string>
 
-#include "exp/fabric.h"
 #include "exp/journal.h"
 
 namespace {
 
 int usage() {
-  std::cerr << "usage: qfab_journal <journal> [--records] [--repair]\n"
-               "       qfab_journal --fabric <dir> [--repair]\n";
+  std::cerr << "usage: qfab_journal <journal> [--records] [--repair]\n";
   return 2;
-}
-
-int run_fabric_mode(const std::string& dir, bool repair) {
-  using namespace qfab;
-  const FabricStatus status = inspect_fabric(dir);
-  if (!status.manifest_ok) {
-    std::cout << dir << ": not a fabric directory (no readable MANIFEST)\n";
-    return 1;
-  }
-  char fp[32];
-  std::snprintf(fp, sizeof fp, "%016llx",
-                static_cast<unsigned long long>(status.fingerprint));
-  std::cout << dir << ":\n"
-            << "  fingerprint  " << fp << '\n'
-            << "  units        " << status.done_markers << '/'
-            << status.n_units << " done\n"
-            << "  leases       " << status.leases.size() << " live\n";
-  for (const FabricLeaseStatus& lease : status.leases)
-    std::cout << "    " << lease.file << "  " << lease.content << '\n';
-  std::cout << "  shards       " << status.shards.size() << '\n';
-  for (const FabricShardStatus& shard : status.shards) {
-    std::cout << "    " << shard.file << "  ";
-    if (!shard.header_ok) {
-      std::cout << "UNREADABLE";
-      if (!shard.note.empty()) std::cout << " (" << shard.note << ")";
-      std::cout << '\n';
-      continue;
-    }
-    std::cout << shard.records << " record(s)";
-    if (!shard.fingerprint_ok) std::cout << "  FINGERPRINT MISMATCH";
-    if (shard.dropped_tail)
-      std::cout << "  DAMAGED TAIL (" << shard.dropped_frames
-                << " stranded record frame(s), " << shard.dropped_bytes
-                << " byte(s))";
-    std::cout << '\n';
-  }
-
-  if (repair) {
-    const FabricRepair result = repair_fabric(dir);
-    std::cout << "  repaired: " << result.shards_rewritten
-              << " shard(s) rewritten, " << result.dropped_records
-              << " stranded record frame(s) dropped (" << result.dropped_bytes
-              << " byte(s)), " << result.leases_cleared
-              << " lease(s) cleared\n";
-  } else {
-    bool damaged = false;
-    for (const FabricShardStatus& shard : status.shards)
-      damaged = damaged || shard.dropped_tail;
-    if (damaged || !status.leases.empty())
-      std::cout << "  (run with --repair to rewrite damaged shards and "
-                   "clear stale leases; only with no fabric running)\n";
-  }
-  return 0;
 }
 
 }  // namespace
@@ -95,17 +33,13 @@ int main(int argc, char** argv) {
   using namespace qfab;
 
   std::string path;
-  std::string fabric;
   bool repair = false;
   bool records = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--repair") repair = true;
     else if (arg == "--records") records = true;
-    else if (arg == "--fabric") {
-      if (i + 1 >= argc) return usage();
-      fabric = argv[++i];
-    } else if (!arg.empty() && arg[0] == '-') {
+    else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag " << arg << '\n';
       return usage();
     } else if (path.empty()) {
@@ -113,10 +47,6 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-  }
-  if (!fabric.empty()) {
-    if (!path.empty() || records) return usage();
-    return run_fabric_mode(fabric, repair);
   }
   if (path.empty()) return usage();
 
