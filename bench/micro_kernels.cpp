@@ -244,4 +244,95 @@ int register_batched_benches() {
 
 const int kBatchedBenchesRegistered = register_batched_benches();
 
+// ---------------------------------------------------------------------------
+// Lane-span cost of one walk step: what a replay pays for a step that
+// touches `span` of the 8 double lanes (the fused walk's bystander spans and
+// single-lane slices, DESIGN.md §12). The steps come from the QFA n=8
+// full-depth plan (16 qubits, 65536 rows): its first 10-qubit diagonal, the
+// 2x2 on qubit 15, and a single-lane X on qubit 15. Each iteration is one
+// apply_batch_walk of a run of 16 copies of the step, so every L1-sized
+// tile is loaded once and takes all 16 — the step's cost inside a tile
+// run, which is how a replay meets it, rather than the memory traffic of a
+// lone full-vector pass. sec_per_row is the time per step per amplitude
+// row; the row count does not depend on the span.
+
+struct LaneSpanCase {
+  std::shared_ptr<const FusedPlan> plan;
+  std::size_t diag10 = 0;  // first 10-qubit kDiagonal op
+  std::size_t m1_q15 = 0;  // first kMatrix1 op on qubit 15
+};
+
+const LaneSpanCase& lane_span_case() {
+  static const LaneSpanCase c = [] {
+    CircuitSpec spec;
+    spec.op = Operation::kAdd;
+    spec.n = 8;
+    LaneSpanCase out;
+    out.plan =
+        std::make_shared<const FusedPlan>(build_transpiled_circuit(spec));
+    const auto& ops = out.plan->ops();
+    bool have_diag = false, have_m1 = false;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      if (!have_diag && ops[i].kind == FusedOp::Kind::kDiagonal &&
+          ops[i].qubits.size() == 10) {
+        out.diag10 = i;
+        have_diag = true;
+      }
+      if (!have_m1 && ops[i].kind == FusedOp::Kind::kMatrix1 &&
+          ops[i].q0 == 15) {
+        out.m1_q15 = i;
+        have_m1 = true;
+      }
+    }
+    QFAB_CHECK_MSG(have_diag && have_m1, "QFA n=8 plan lacks a bench op");
+    return out;
+  }();
+  return c;
+}
+
+void bm_lane_span(benchmark::State& state, const BatchWalkStep& step) {
+  constexpr std::size_t kRun = 16;
+  const LaneSpanCase& c = lane_span_case();
+  const int n = c.plan->circuit().num_qubits();
+  BatchedStateVector bsv(n, 8);
+  StateVector sv(n);
+  for (int q = 0; q < n; ++q) sv.apply_gate(make_gate1(GateKind::kH, q));
+  bsv.broadcast(sv);
+  const std::vector<BatchWalkStep> run(kRun, step);
+  for (auto _ : state) {
+    apply_batch_walk(*c.plan, bsv, run.data(), run.size());
+    benchmark::DoNotOptimize(bsv.re());
+    benchmark::ClobberMemory();
+  }
+  state.counters["sec_per_row"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * static_cast<double>(kRun) *
+          static_cast<double>(bsv.dim()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+int register_lane_span_benches() {
+  const LaneSpanCase& c = lane_span_case();
+  const FusedPlan* plan = c.plan.get();
+  for (int span : {8, 4, 1}) {
+    const std::string suffix = "/lanes:8/span:" + std::to_string(span);
+    const BatchWalkStep diag =
+        BatchWalkStep::op_span_step(plan, c.diag10, 0, span);
+    const BatchWalkStep m1 =
+        BatchWalkStep::op_span_step(plan, c.m1_q15, 0, span);
+    benchmark::RegisterBenchmark(
+        ("BM_LaneSpan/diag10" + suffix).c_str(),
+        [diag](benchmark::State& s) { bm_lane_span(s, diag); });
+    benchmark::RegisterBenchmark(
+        ("BM_LaneSpan/matrix1_q15" + suffix).c_str(),
+        [m1](benchmark::State& s) { bm_lane_span(s, m1); });
+  }
+  const BatchWalkStep x = BatchWalkStep::pauli_step(0, Pauli::kX, 15);
+  benchmark::RegisterBenchmark(
+      "BM_LaneSpan/pauli_x_q15/lanes:8/span:1",
+      [x](benchmark::State& s) { bm_lane_span(s, x); });
+  return 0;
+}
+
+const int kLaneSpanBenchesRegistered = register_lane_span_benches();
+
 }  // namespace

@@ -110,7 +110,23 @@ print("perf smoke: worst ratio %.2fx at %s" % worst)
 PY
 }
 
+# The figure-panel benchmark's own tests, then one short gated run of each
+# workload at the default seed, where every panel must match the scalar
+# reference and the golden CSV: a kernel change that moves a golden byte
+# fails here instead of in the benchmark pipeline. panelbench builds its
+# own tree (.bench_build/panelbench) from this checkout's sources.
+panelbench_smoke() {
+  echo "== plain: panelbench tests =="
+  python3 panelbench/tests/test_run.py
+  for workload in qfa8-1q qfm4-2q-auto qfa8-2to2-2cpu; do
+    echo "== plain: panelbench ${workload} (gated, 1 s) =="
+    python3 panelbench/run.py --workload "${workload}" --seed 211209349 \
+      --seconds 1 --trace 0 >/dev/null
+  done
+}
+
 run_preset plain
+panelbench_smoke
 echo "== plain: bench_sweep smoke (bounded) =="
 ./build-ci-plain/bench/bench_sweep --instances 4 --traj 6 --shots 256 \
   --reps 1 --out build-ci-plain/BENCH_sweep_smoke.json

@@ -231,6 +231,32 @@ void run_trajectory(const CleanRun& clean,
   clean.plan().apply_range(out, applied, total);
 }
 
+namespace {
+
+/// Per-thread spare checkpoint storage, like the estimator's replay
+/// workspace: a BatchedCleanRun takes its checkpoint vectors from here and
+/// hands them back when destroyed, so consecutive work units on a thread
+/// copy checkpoints into pages they already own instead of faulting in
+/// fresh multi-MiB allocations that the allocator returns to the OS after
+/// every unit. Bounded: a returning run trims the pool to its own
+/// checkpoint count, so the pool never holds more than one run had live.
+std::vector<BatchedStateVector>& spare_checkpoints() {
+  thread_local std::vector<BatchedStateVector> spares;
+  return spares;
+}
+
+/// A checkpoint vector of any shape: a spare when there is one (its
+/// contents are overwritten by the caller), else a fresh one.
+BatchedStateVector take_checkpoint(int num_qubits, int lanes) {
+  std::vector<BatchedStateVector>& spares = spare_checkpoints();
+  if (spares.empty()) return BatchedStateVector(num_qubits, lanes);
+  BatchedStateVector v = std::move(spares.back());
+  spares.pop_back();
+  return v;
+}
+
+}  // namespace
+
 BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
                                  const std::vector<StateVector>& initials,
                                  std::size_t checkpoint_interval)
@@ -241,15 +267,16 @@ BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
                  static_cast<std::size_t>(BatchedStateVector::kMaxLanes));
   QFAB_CHECK(interval_ >= 1);
   const int nq = plan_->circuit().num_qubits();
-  BatchedStateVector bsv(nq, static_cast<int>(initials.size()));
-  for (std::size_t l = 0; l < initials.size(); ++l) {
-    QFAB_CHECK(initials[l].num_qubits() == nq);
-    bsv.set_lane(static_cast<int>(l), initials[l]);
-  }
+  const int lanes = static_cast<int>(initials.size());
   const std::size_t total = plan_->gate_count();
   checkpoints_.reserve(total / interval_ + 2);
   boundaries_.reserve(total / interval_ + 2);
-  checkpoints_.push_back(bsv);
+  checkpoints_.push_back(take_checkpoint(nq, lanes));
+  checkpoints_.back().reset(nq, lanes);
+  for (std::size_t l = 0; l < initials.size(); ++l) {
+    QFAB_CHECK(initials[l].num_qubits() == nq);
+    checkpoints_.back().set_lane(static_cast<int>(l), initials[l]);
+  }
   boundaries_.push_back(0);
   std::size_t applied = 0;
   while (applied < total) {
@@ -261,11 +288,23 @@ BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
       const FusedOp& op = plan_->ops()[plan_->op_of_gate(next)];
       if (op.gate_begin != next) next = std::min(op.gate_end, total);
     }
-    apply_plan_range(*plan_, bsv, applied, next);
+    // Each checkpoint starts as a copy of the previous one and advances in
+    // place.
+    checkpoints_.push_back(take_checkpoint(nq, lanes));
+    BatchedStateVector& cur = checkpoints_.back();
+    cur = checkpoints_[checkpoints_.size() - 2];
+    apply_plan_range(*plan_, cur, applied, next);
     applied = next;
-    checkpoints_.push_back(bsv);
     boundaries_.push_back(applied);
   }
+}
+
+BatchedCleanRun::~BatchedCleanRun() {
+  if (checkpoints_.empty()) return;  // moved from
+  std::vector<BatchedStateVector>& spares = spare_checkpoints();
+  for (BatchedStateVector& cp : checkpoints_) spares.push_back(std::move(cp));
+  spares.erase(spares.begin(),
+               spares.end() - static_cast<std::ptrdiff_t>(checkpoints_.size()));
 }
 
 StateVector BatchedCleanRun::lane_final_state(int lane) const {
@@ -352,42 +391,6 @@ std::vector<Injection> merge_schedule(
   return schedule;
 }
 
-/// Append walk steps covering original gates [gate_begin, gate_end) for
-/// lanes [lane_begin, lane_begin + lane_count), decomposed exactly as
-/// apply_range does: maximal runs of fully covered ops come from the root
-/// plan, and op-interior slices come from its cached subrange plans (a
-/// 1-gate slice compiles to a demoted kGate op, the same per-gate kernel
-/// the per-gate fallback ran, so each lane's decomposition stays bitwise
-/// aligned with the scalar reference replay of its own trajectory). The
-/// subrange plans are owned by the root plan's cache, which outlives the
-/// walk.
-void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
-                        std::size_t gate_end, int lane_begin, int lane_count,
-                        std::vector<BatchWalkStep>& steps) {
-  const auto& ops = plan.ops();
-  std::size_t g = gate_begin;
-  while (g < gate_end) {
-    const std::size_t oi = plan.op_of_gate(g);
-    const FusedOp& op = ops[oi];
-    if (op.gate_begin == g && op.gate_end <= gate_end) {
-      std::size_t oj = oi;
-      while (oj < ops.size() && ops[oj].gate_end <= gate_end) {
-        steps.push_back(
-            BatchWalkStep::op_span_step(&plan, oj, lane_begin, lane_count));
-        ++oj;
-      }
-      g = ops[oj - 1].gate_end;
-    } else {
-      const std::size_t stop = std::min(gate_end, op.gate_end);
-      const FusedPlan& sub = plan.subrange_plan(g, stop);
-      for (std::size_t k = 0; k < sub.op_count(); ++k)
-        steps.push_back(
-            BatchWalkStep::op_span_step(&sub, k, lane_begin, lane_count));
-      g = stop;
-    }
-  }
-}
-
 // Batched counterpart of the QFAB_FAULT nan-at-gate hook in
 // apply_plan_range: the walk does not go through apply_plan_range, so it
 // takes the (single) charge for the whole replayed range itself.
@@ -421,14 +424,14 @@ void run_trajectories_batched(
   //
   //  * op-interior splits are priced per lane, not per batch: only the
   //    lane whose Pauli lands inside a fused op takes that op as subrange
-  //    slices (single-lane spans, 1/L of a pass each); every other lane
-  //    takes the fused op whole in bystander spans. The per-trajectory
-  //    replay cost is therefore flat in the lane count, and each lane's
-  //    arithmetic is exactly the decomposition the scalar reference
-  //    (run_trajectory) performs for that trajectory alone — independent
-  //    of which trajectories share the batch (packing-invariant bitwise;
-  //    the scalar and batched kernels round differently, so lanes match
-  //    run_trajectory itself to ~1e-15 in double, not bitwise).
+  //    slices (single-lane spans, run by the kernels' single-lane bodies);
+  //    every other lane takes the fused op whole in bystander spans. The
+  //    per-trajectory replay cost is therefore flat in the lane count, and
+  //    each lane's arithmetic is exactly the decomposition the scalar
+  //    reference (run_trajectory) performs for that trajectory alone —
+  //    independent of which trajectories share the batch (packing-invariant
+  //    bitwise; the scalar and batched kernels round differently, so lanes
+  //    match run_trajectory itself to ~1e-15 in double, not bitwise).
   //  * tiles walk in XOR-groups (see apply_batch_walk), so high-qubit ops
   //    and Paulis never force full-width passes between runs.
   const int L = bsv.lanes();

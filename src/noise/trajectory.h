@@ -158,6 +158,14 @@ class BatchedCleanRun {
   BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
                   const std::vector<StateVector>& initials,
                   std::size_t checkpoint_interval = 64);
+  /// Hands the checkpoint storage to this thread's spare pool (bounded by
+  /// this run's checkpoint count), where the next run on the thread picks
+  /// it up.
+  ~BatchedCleanRun();
+  BatchedCleanRun(const BatchedCleanRun&) = default;
+  BatchedCleanRun(BatchedCleanRun&&) = default;
+  BatchedCleanRun& operator=(const BatchedCleanRun&) = default;
+  BatchedCleanRun& operator=(BatchedCleanRun&&) = default;
 
   int lanes() const { return checkpoints_.front().lanes(); }
   const FusedPlan& plan() const { return *plan_; }

@@ -48,17 +48,33 @@ struct BatchKernelTable {
   void (*diag)(Real*, Real*, u64, u64, u64, u64, const FusedOp::DiagShift*,
                int, const cplx*);
   void (*phase_on_bit)(Real*, Real*, u64, u64, u64, u64, int, cplx);
-  void (*gate)(Real*, Real*, u64, u64, u64, u64, const Gate&);
+  // Per-gate kernel of a kGate op: the gate plus its operands decoded at
+  // plan compile (FusedOp::m).
+  void (*gate)(Real*, Real*, u64, u64, u64, u64, const Gate&, const cplx*);
   // Group-walk variants: correct at any qubit span relative to the chunk,
   // pairing with XOR-sibling tiles through absolute row offsets (the group
   // walk in apply_batch_walk keeps those tiles resident). Same row bodies
   // as the contiguous kernels, so results are bitwise identical.
   void (*matrix1g)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
   void (*matrix2g)(Real*, Real*, u64, u64, u64, u64, int, int, const cplx*);
-  void (*gateg)(Real*, Real*, u64, u64, u64, u64, const Gate&);
+  void (*gateg)(Real*, Real*, u64, u64, u64, u64, const Gate&,
+                const cplx*);
+  // Single-lane Pauli: planes offset to the chunk and the lane; base, len,
+  // L, Pauli, qubit.
+  void (*pauli)(Real*, Real*, u64, u64, u64, Pauli, int);
 };
 
 #define QFAB_RESTRICT __restrict__
+
+// Kernel bodies are templates on their lane count W (batch_kernels.inc):
+// 1, kWideLanes — the default batch width (RunOptions::batch_lanes), so a
+// full group's full-width steps also get a compile-time trip count — or 0
+// for the runtime G. Each table entry calls the instance matching G.
+constexpr int kWideLanes = 8;
+#define QFAB_BY_WIDTH(fn, ...)                             \
+  (G == 1 ? fn<1>(__VA_ARGS__)                             \
+          : G == kWideLanes ? fn<kWideLanes>(__VA_ARGS__) \
+                            : fn<0>(__VA_ARGS__))
 
 // Portable builds of the kernel bodies: plain C++, autovectorized for the
 // baseline ISA. These are the fallback CI pins with QFAB_SIMD=scalar.
@@ -344,46 +360,8 @@ template <typename Real>
 void BatchedStateVectorT<Real>::apply_pauli(int lane, Pauli p, int q) {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   QFAB_CHECK(q >= 0 && q < num_qubits_);
-  const u64 L = static_cast<u64>(lanes_);
-  const u64 col = static_cast<u64>(lane);
-  const u64 bit = u64{1} << q;
-  const u64 n = dim();
-  Real* r = re_.data();
-  Real* m = im_.data();
-  switch (p) {
-    case Pauli::kI:
-      return;
-    case Pauli::kX:
-      for (u64 base = 0; base < n; base += 2 * bit)
-        for (u64 off = 0; off < bit; ++off) {
-          const u64 i0 = (base + off) * L + col;
-          const u64 i1 = (base + off + bit) * L + col;
-          std::swap(r[i0], r[i1]);
-          std::swap(m[i0], m[i1]);
-        }
-      return;
-    case Pauli::kY:
-      for (u64 base = 0; base < n; base += 2 * bit)
-        for (u64 off = 0; off < bit; ++off) {
-          const u64 i0 = (base + off) * L + col;
-          const u64 i1 = (base + off + bit) * L + col;
-          const Real v0r = r[i0], v0i = m[i0];
-          const Real v1r = r[i1], v1i = m[i1];
-          r[i0] = v1i;   // -i * v1
-          m[i0] = -v1r;
-          r[i1] = -v0i;  //  i * v0
-          m[i1] = v0r;
-        }
-      return;
-    case Pauli::kZ:
-      for (u64 base = bit; base < n; base += 2 * bit)
-        for (u64 off = 0; off < bit; ++off) {
-          const u64 i = (base + off) * L + col;
-          r[i] = -r[i];
-          m[i] = -m[i];
-        }
-      return;
-  }
+  active_table<Real>().pauli(re_.data() + lane, im_.data() + lane, 0, dim(),
+                             static_cast<u64>(lanes_), p, q);
 }
 
 template <typename Real>
@@ -541,24 +519,10 @@ template void BatchedStateVectorT<float>::assign_permuted<float>(
 
 namespace {
 
-/// Scalar op work routed to the lanes' pending phases exactly once per op
-/// (never per tile): RZ prefactors of passthrough gates and k = 0 diagonal
-/// ops (identity-up-to-phase products).
-template <typename Real>
-void add_pending(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                 const FusedOp& op) {
-  if (op.kind == FusedOp::Kind::kGate) {
-    const Gate& gate = plan.circuit().gates()[op.gate_begin];
-    if (gate.kind == GateKind::kRZ)
-      bsv.apply_global_phase(-gate.params[0] / 2);
-  } else if (op.kind == FusedOp::Kind::kDiagonal && op.qubits.empty()) {
-    bsv.apply_global_phase(std::arg(op.phases[0]));
-  }
-}
-
-/// add_pending scoped to a contiguous lane span (walk op steps carry one):
-/// the same per-lane `+=` the full-width overload performs, restricted to
-/// lanes [lane_begin, lane_begin + lane_count).
+/// Scalar op work routed to the pending phases of lanes [lane_begin,
+/// lane_begin + lane_count) exactly once per op span (never per tile): RZ
+/// prefactors of passthrough gates and k = 0 diagonal ops
+/// (identity-up-to-phase products).
 template <typename Real>
 void add_pending_span(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       const FusedOp& op, int lane_begin, int lane_count) {
@@ -591,7 +555,7 @@ void apply_chunk(const BatchKernelTable<Real>& K, const FusedPlan& plan,
       K.matrix2(re, im, base, len, L, G, op.q0, op.q1, op.m.data());
       return;
     case FusedOp::Kind::kDiagonal:
-      if (op.qubits.empty()) return;  // handled by add_pending
+      if (op.qubits.empty()) return;  // handled by add_pending_span
       if (op.qubits.size() == 1)
         K.diag1(re, im, base, len, L, G, op.qubits[0], op.phases.data());
       else
@@ -599,7 +563,8 @@ void apply_chunk(const BatchKernelTable<Real>& K, const FusedPlan& plan,
                static_cast<int>(op.shifts.size()), op.phases.data());
       return;
     case FusedOp::Kind::kGate:
-      K.gate(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin]);
+      K.gate(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin],
+             op.m.data());
       return;
   }
 }
@@ -630,160 +595,8 @@ void apply_chunk_group(const BatchKernelTable<Real>& K, const FusedPlan& plan,
       apply_chunk(K, plan, re, im, base, len, L, G, op);
       return;
     case FusedOp::Kind::kGate:
-      K.gateg(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin]);
-      return;
-  }
-}
-
-/// Apply whole ops [op_lo, op_hi), cache-blocked lane-aware:
-///
-///  - Runs of tile-eligible ops execute as full-width amp-tile blocks, ops
-///    inner, with the tile height shrunk so 2^tb rows × L lanes × 2 planes
-///    stays on the scalar path's 2^tile_bits-amplitude (32 KiB) L1 budget
-///    at every (L, precision). One tile of rows takes the whole run before
-///    the next tile streams in.
-///
-///  - Wide (non-eligible) ops execute as plain full-width passes.
-///
-/// Both always cover all L lanes of a row at once: lanes are interleaved,
-/// so any lane-subset pass is strided (touch part of a row, skip the
-/// rest), and measurement showed that costs ~2x at batch=16 double — the
-/// adjacent-line prefetch pulls the skipped lanes anyway, doubling the
-/// effective traffic. Contiguous full-width streaming is what keeps
-/// ms/lane flat from batch=4 through batch=16.
-template <typename Real>
-void apply_ops_batched(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                       std::size_t op_lo, std::size_t op_hi) {
-  const BatchKernelTable<Real>& K = active_table<Real>();
-  const auto& ops = plan.ops();
-  Real* re = bsv.re();
-  Real* im = bsv.im();
-  const u64 L = static_cast<u64>(bsv.lanes());
-  const u64 n = bsv.dim();
-  const int tb = batched_tile_rows_log2(plan.options(), bsv.lanes(),
-                                        bsv.num_qubits(), sizeof(Real));
-  const u64 tile = u64{1} << tb;
-
-  std::size_t i = op_lo;
-  while (i < op_hi) {
-    if (plan.op_tile_eligible(i, tb)) {
-      std::size_t j = i;
-      while (j < op_hi && plan.op_tile_eligible(j, tb)) ++j;
-      for (std::size_t k = i; k < j; ++k) add_pending(plan, bsv, ops[k]);
-      for (u64 base = 0; base < n; base += tile)
-        for (std::size_t k = i; k < j; ++k)
-          apply_chunk(K, plan, re + base * L, im + base * L, base, tile, L, L,
-                      ops[k]);
-      i = j;
-    } else {
-      std::size_t j = i;
-      while (j < op_hi && !plan.op_tile_eligible(j, tb)) ++j;
-      for (std::size_t k = i; k < j; ++k) add_pending(plan, bsv, ops[k]);
-      for (std::size_t k = i; k < j; ++k)
-        apply_chunk(K, plan, re, im, 0, n, L, L, ops[k]);
-      i = j;
-    }
-  }
-}
-
-/// Batched per-gate fallback for partially covered ops.
-template <typename Real>
-void apply_gates_batched(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                         std::size_t gate_begin, std::size_t gate_end) {
-  const BatchKernelTable<Real>& K = active_table<Real>();
-  Real* re = bsv.re();
-  Real* im = bsv.im();
-  const u64 L = static_cast<u64>(bsv.lanes());
-  const u64 n = bsv.dim();
-  for (std::size_t g = gate_begin; g < gate_end; ++g) {
-    const Gate& gate = plan.circuit().gates()[g];
-    if (gate.kind == GateKind::kRZ)
-      bsv.apply_global_phase(-gate.params[0] / 2);
-    K.gate(re, im, 0, n, L, L, gate);
-  }
-}
-
-/// Single-lane Pauli on the amplitude rows [base, base + len) of the
-/// global vector, with re/im already offset to base * L (the tile walk's
-/// chunk contract). The arithmetic per amplitude is exactly
-/// BatchedStateVectorT::apply_pauli's — swaps, negations and sign flips,
-/// all exact — only restricted to the tile:
-///  - X/Y pair rows within the chunk when 2^q < len; at or above the
-///    chunk they pair with the XOR-sibling tile 2^q rows up (the group
-///    walk keeps it resident), the clear tile writing both sides;
-///  - Z keys off the GLOBAL row index, so a bit at or above the chunk
-///    negates the whole tile or leaves it untouched (base decides), which
-///    is what makes Z tile-eligible at any qubit span.
-template <typename Real>
-void apply_pauli_rows(Real* re, Real* im, u64 base, u64 len, u64 L, int lane,
-                      Pauli p, int q) {
-  const u64 col = static_cast<u64>(lane);
-  const u64 bit = u64{1} << q;
-  switch (p) {
-    case Pauli::kI:
-      return;
-    case Pauli::kX:
-      if (bit >= len) {
-        if (base & bit) return;  // partner side; the clear tile does both
-        for (u64 off = 0; off < len; ++off) {
-          const u64 i0 = off * L + col;
-          const u64 i1 = (off + bit) * L + col;
-          std::swap(re[i0], re[i1]);
-          std::swap(im[i0], im[i1]);
-        }
-        return;
-      }
-      for (u64 lo = 0; lo < len; lo += 2 * bit)
-        for (u64 off = 0; off < bit; ++off) {
-          const u64 i0 = (lo + off) * L + col;
-          const u64 i1 = (lo + off + bit) * L + col;
-          std::swap(re[i0], re[i1]);
-          std::swap(im[i0], im[i1]);
-        }
-      return;
-    case Pauli::kY:
-      if (bit >= len) {
-        if (base & bit) return;  // partner side; the clear tile does both
-        for (u64 off = 0; off < len; ++off) {
-          const u64 i0 = off * L + col;
-          const u64 i1 = (off + bit) * L + col;
-          const Real v0r = re[i0], v0i = im[i0];
-          const Real v1r = re[i1], v1i = im[i1];
-          re[i0] = v1i;   // -i * v1
-          im[i0] = -v1r;
-          re[i1] = -v0i;  //  i * v0
-          im[i1] = v0r;
-        }
-        return;
-      }
-      for (u64 lo = 0; lo < len; lo += 2 * bit)
-        for (u64 off = 0; off < bit; ++off) {
-          const u64 i0 = (lo + off) * L + col;
-          const u64 i1 = (lo + off + bit) * L + col;
-          const Real v0r = re[i0], v0i = im[i0];
-          const Real v1r = re[i1], v1i = im[i1];
-          re[i0] = v1i;   // -i * v1
-          im[i0] = -v1r;
-          re[i1] = -v0i;  //  i * v0
-          im[i1] = v0r;
-        }
-      return;
-    case Pauli::kZ:
-      if (bit >= len) {
-        if (!(base & bit)) return;
-        for (u64 i = 0; i < len; ++i) {
-          const u64 k = i * L + col;
-          re[k] = -re[k];
-          im[k] = -im[k];
-        }
-        return;
-      }
-      for (u64 lo = bit; lo < len; lo += 2 * bit)
-        for (u64 off = 0; off < bit; ++off) {
-          const u64 k = (lo + off) * L + col;
-          re[k] = -re[k];
-          im[k] = -im[k];
-        }
+      K.gateg(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin],
+              op.m.data());
       return;
   }
 }
@@ -798,12 +611,67 @@ void maybe_inject_nan(BatchedStateVectorT<Real>& bsv, std::size_t gate_begin,
     bsv.re()[0] = std::numeric_limits<Real>::quiet_NaN();
 }
 
+/// A walk step resolved once per walk for the tile loop.
+struct ResolvedStep {
+  const FusedPlan* plan;  // null = Pauli step
+  const FusedOp* op;
+  u64 lane;    // op steps: first lane of the span; Pauli steps: the lane
+  u64 width;   // op steps: lanes in the span
+  u64 high;    // coupling bits at or above the tile
+  bool group;  // op steps: route through the group kernel variants
+  Pauli pauli;
+  int qubit;
+};
+
+std::vector<ResolvedStep>& resolved_steps_scratch() {
+  thread_local std::vector<ResolvedStep> steps;
+  return steps;
+}
+
+/// Walk steps of a whole-batch range, reused per thread so a clean run or
+/// checkpoint load allocates no step list.
+std::vector<BatchWalkStep>& range_steps_scratch() {
+  thread_local std::vector<BatchWalkStep> steps;
+  return steps;
+}
+
 }  // namespace
+
+void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
+                        std::size_t gate_end, int lane_begin, int lane_count,
+                        std::vector<BatchWalkStep>& steps) {
+  QFAB_CHECK(gate_begin <= gate_end && gate_end <= plan.gate_count());
+  const auto& ops = plan.ops();
+  std::size_t g = gate_begin;
+  while (g < gate_end) {
+    const std::size_t oi = plan.op_of_gate(g);
+    const FusedOp& op = ops[oi];
+    if (op.gate_begin == g && op.gate_end <= gate_end) {
+      std::size_t oj = oi;
+      while (oj < ops.size() && ops[oj].gate_end <= gate_end) {
+        steps.push_back(
+            BatchWalkStep::op_span_step(&plan, oj, lane_begin, lane_count));
+        ++oj;
+      }
+      g = ops[oj - 1].gate_end;
+    } else {
+      const std::size_t stop = std::min(gate_end, op.gate_end);
+      const FusedPlan& sub = plan.subrange_plan(g, stop);
+      for (std::size_t k = 0; k < sub.op_count(); ++k)
+        steps.push_back(
+            BatchWalkStep::op_span_step(&sub, k, lane_begin, lane_count));
+      g = stop;
+    }
+  }
+}
 
 template <typename Real>
 void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv) {
   QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
-  apply_ops_batched(plan, bsv, 0, plan.op_count());
+  std::vector<BatchWalkStep>& steps = range_steps_scratch();
+  steps.clear();
+  append_range_steps(plan, 0, plan.gate_count(), 0, -1, steps);
+  apply_batch_walk(plan, bsv, steps.data(), steps.size());
   bsv.apply_global_phase(plan.circuit().global_phase());
   maybe_inject_nan(bsv, 0, plan.gate_count());
 }
@@ -812,34 +680,10 @@ template <typename Real>
 void apply_plan_range(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       std::size_t gate_begin, std::size_t gate_end) {
   QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
-  QFAB_CHECK(gate_begin <= gate_end && gate_end <= plan.gate_count());
-  const auto& ops = plan.ops();
-  std::size_t g = gate_begin;
-  while (g < gate_end) {
-    const std::size_t oi = plan.op_of_gate(g);
-    const FusedOp& op = ops[oi];
-    if (op.gate_begin == g && op.gate_end <= gate_end) {
-      // Maximal run of fully covered ops, executed fused (cache-blocked).
-      std::size_t oj = oi;
-      while (oj < ops.size() && ops[oj].gate_end <= gate_end) ++oj;
-      apply_ops_batched(plan, bsv, oi, oj);
-      g = ops[oj - 1].gate_end;
-    } else {
-      // The split lands inside this op (per-lane noise injection can split
-      // anywhere). Multi-gate slices run through a cached fused plan of
-      // the slice itself — a handful of passes instead of one full pass
-      // per gate, which dominates trajectory replay when a split lands in
-      // a big collapsed diagonal.
-      const std::size_t stop = std::min(gate_end, op.gate_end);
-      if (stop - g >= 2) {
-        const FusedPlan& sub = plan.subrange_plan(g, stop);
-        apply_ops_batched(sub, bsv, 0, sub.op_count());
-      } else {
-        apply_gates_batched(plan, bsv, g, stop);
-      }
-      g = stop;
-    }
-  }
+  std::vector<BatchWalkStep>& steps = range_steps_scratch();
+  steps.clear();
+  append_range_steps(plan, gate_begin, gate_end, 0, -1, steps);
+  apply_batch_walk(plan, bsv, steps.data(), steps.size());
   maybe_inject_nan(bsv, gate_begin, gate_end);
 }
 
@@ -889,11 +733,47 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
   // the walk into full-vector passes.
   constexpr int kGroupBitsCap = 3;
 
-  const auto coupling_high = [&](const BatchWalkStep& s) -> u64 {
-    if (s.plan != nullptr) return s.plan->op_coupling_mask(s.op) & ~low;
-    if (s.pauli == Pauli::kX || s.pauli == Pauli::kY)
-      return (u64{1} << s.qubit) & ~low;
-    return 0;
+  // Resolve every step once (op, lane span, high coupling bits, kernel
+  // variant), so the tile loop below does no per-tile decode.
+  std::vector<ResolvedStep>& rs = resolved_steps_scratch();
+  rs.resize(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const BatchWalkStep& s = steps[k];
+    ResolvedStep& r = rs[k];
+    r.plan = s.plan;
+    if (s.plan == nullptr) {
+      r.op = nullptr;
+      r.lane = static_cast<u64>(s.lane);
+      r.width = 1;
+      r.pauli = s.pauli;
+      r.qubit = s.qubit;
+      r.high = s.pauli == Pauli::kX || s.pauli == Pauli::kY
+                   ? (u64{1} << s.qubit) & ~low
+                   : 0;
+      r.group = false;
+      continue;
+    }
+    r.op = &s.plan->ops()[s.op];
+    r.lane = static_cast<u64>(s.lane_begin);
+    r.width = static_cast<u64>(s.lane_count < 0 ? bsv.lanes() - s.lane_begin
+                                                : s.lane_count);
+    r.high = s.plan->op_coupling_mask(s.op) & ~low;
+    // Group kernels whenever ANY op qubit is above the tile — not just
+    // coupled ones: a high CX control never pairs rows across tiles (so it
+    // adds nothing to B) but still overruns the plain in-chunk kernel's
+    // index space.
+    r.group = r.op->kind != FusedOp::Kind::kDiagonal && r.op->max_qubit >= tb;
+  }
+  // One resolved step on the tile at global row tbase.
+  const auto apply_tile = [&](const ResolvedStep& r, u64 tbase) {
+    Real* tre = re + tbase * L + r.lane;
+    Real* tim = im + tbase * L + r.lane;
+    if (r.plan == nullptr)
+      K.pauli(tre, tim, tbase, tile, L, r.pauli, r.qubit);
+    else if (r.group)
+      apply_chunk_group(K, *r.plan, tre, tim, tbase, tile, L, r.width, *r.op);
+    else
+      apply_chunk(K, *r.plan, tre, tim, tbase, tile, L, r.width, *r.op);
   };
 
   std::size_t i = 0;
@@ -902,29 +782,22 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
     u64 B = 0;
     std::size_t j = i;
     while (j < count) {
-      const u64 nb = B | coupling_high(steps[j]);
+      const u64 nb = B | rs[j].high;
       if (std::popcount(nb) > kGroupBitsCap) break;
       B = nb;
       ++j;
     }
-    // Lane span of an op step: [sb, sb + sc) columns of every row.
-    const auto span_of = [&](const BatchWalkStep& s, int& sb, int& sc) {
-      sb = s.lane_begin;
-      sc = s.lane_count < 0 ? bsv.lanes() - sb : s.lane_count;
-    };
     if (j == i) {
       // Lone step with more high coupling bits than the cap (cannot occur
       // with today's ops, which couple at most two qubits): full width.
-      const BatchWalkStep& s = steps[i];
-      if (s.plan != nullptr) {
-        int sb, sc;
-        span_of(s, sb, sc);
-        const FusedOp& op = s.plan->ops()[s.op];
-        add_pending_span(*s.plan, bsv, op, sb, sc);
-        apply_chunk(K, *s.plan, re + sb, im + sb, 0, n, L,
-                    static_cast<u64>(sc), op);
+      const ResolvedStep& r = rs[i];
+      if (r.plan != nullptr) {
+        add_pending_span(*r.plan, bsv, *r.op, static_cast<int>(r.lane),
+                         static_cast<int>(r.width));
+        apply_chunk(K, *r.plan, re + r.lane, im + r.lane, 0, n, L, r.width,
+                    *r.op);
       } else {
-        bsv.apply_pauli(s.lane, s.pauli, s.qubit);
+        bsv.apply_pauli(static_cast<int>(r.lane), r.pauli, r.qubit);
       }
       ++i;
       continue;
@@ -932,12 +805,10 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
     // Pending phases land once per op span in step order (never per
     // tile), matching the per-lane schedule's accumulation sequence.
     for (std::size_t k = i; k < j; ++k)
-      if (steps[k].plan != nullptr) {
-        int sb, sc;
-        span_of(steps[k], sb, sc);
-        add_pending_span(*steps[k].plan, bsv,
-                         steps[k].plan->ops()[steps[k].op], sb, sc);
-      }
+      if (rs[k].plan != nullptr)
+        add_pending_span(*rs[k].plan, bsv, *rs[k].op,
+                         static_cast<int>(rs[k].lane),
+                         static_cast<int>(rs[k].width));
     // Tile-base offsets of the group: every subset of B.
     u64 bits[kGroupBitsCap];
     int gbits = 0;
@@ -952,31 +823,26 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
     }
     for (u64 gb = 0; gb < n; gb += tile) {
       if (gb & B) continue;  // visited as a sibling of its clear base
-      for (std::size_t k = i; k < j; ++k) {
-        const BatchWalkStep& s = steps[k];
-        int sb, sc;
-        span_of(s, sb, sc);
-        for (int sub = 0; sub < nsub; ++sub) {
-          const u64 tbase = gb | suboff[sub];
-          Real* tre = re + tbase * L + sb;
-          Real* tim = im + tbase * L + sb;
-          if (s.plan != nullptr) {
-            const FusedOp& op = s.plan->ops()[s.op];
-            // Group kernels whenever ANY op qubit is above the tile — not
-            // just coupled ones: a high CX control never pairs rows across
-            // tiles (so it adds nothing to B) but still overruns the plain
-            // in-chunk kernel's index space.
-            if (op.kind != FusedOp::Kind::kDiagonal && op.max_qubit >= tb)
-              apply_chunk_group(K, *s.plan, tre, tim, tbase, tile, L,
-                                static_cast<u64>(sc), op);
-            else
-              apply_chunk(K, *s.plan, tre, tim, tbase, tile, L,
-                          static_cast<u64>(sc), op);
-          } else {
-            apply_pauli_rows(tre - sb, tim - sb, tbase, tile, L, s.lane,
-                             s.pauli, s.qubit);
-          }
+      // A step that couples across tiles runs on every tile of the group
+      // in turn. Between two such steps, the steps that stay inside their
+      // tile run tile by tile, each tile taking the whole segment while it
+      // is L1-resident, instead of streaming the group (2^|B| tiles, more
+      // than L1 holds) once per step. Every row still sees the same steps
+      // in the same order.
+      std::size_t k = i;
+      while (k < j) {
+        if (rs[k].high != 0) {
+          for (int sub = 0; sub < nsub; ++sub)
+            apply_tile(rs[k], gb | suboff[sub]);
+          ++k;
+          continue;
         }
+        std::size_t e = k;
+        while (e < j && rs[e].high == 0) ++e;
+        for (int sub = 0; sub < nsub; ++sub)
+          for (std::size_t t = k; t < e; ++t)
+            apply_tile(rs[t], gb | suboff[sub]);
+        k = e;
       }
     }
     i = j;

@@ -42,17 +42,18 @@
 // split-point protocol, then batched execution resumes. See
 // noise/trajectory.h for the batched trajectory driver built on top.
 //
-// Cache blocking: the fused-op apply loop executes runs of tile-eligible
-// ops as full-width amp-tile blocks whose height shrinks with lanes ×
-// sizeof(Real) so a tile is always L1-sized; wide ops stream plain
-// full-width passes (see apply_ops_batched in batch.cpp — lane-subset
-// passes measured slower, since the interleaved layout makes them
-// strided). Diagonal ops are tile-eligible at any qubit span because
-// their phase-key gather needs only the global row index, which the tile
-// walk supplies.
+// One execution loop: apply_plan, apply_plan_range and the noisy replay
+// driver (noise/trajectory.h) all compile their gate range into
+// BatchWalkStep sequences (append_range_steps) and run them through
+// apply_batch_walk, which applies runs of steps tile by tile with the tile
+// height shrunk by lanes × sizeof(Real) so a tile is always L1-sized.
+// Diagonal ops are tile-eligible at any qubit span because their phase-key
+// gather needs only the global row index, which the tile walk supplies;
+// high-qubit ops reach their partner rows in co-resident sibling tiles.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "sim/fusion.h"
@@ -103,6 +104,38 @@ namespace detail {
 void set_batch_fault_injection(bool on);
 bool batch_fault_injection();
 }  // namespace detail
+
+/// Cache-line-aligned storage for the amplitude planes. With 8 double (or
+/// 16 float) lanes a row is exactly one 64-byte line, so a full-width row
+/// op touches one line per plane instead of straddling two. The block
+/// comes from the plain allocator, one line (plus a pointer) larger, and
+/// the block's address is kept just below the aligned start: aligned
+/// operator new (memalign) fragmented the heap over repeated multi-MiB
+/// plane allocations and raised peak RSS by up to 18% on a QFM panel.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::uintptr_t kLine = 64;
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    void* block = ::operator new(n * sizeof(T) + kLine + sizeof(void*));
+    const std::uintptr_t start =
+        (reinterpret_cast<std::uintptr_t>(block) + sizeof(void*) + kLine -
+         1) &
+        ~(kLine - 1);
+    reinterpret_cast<void**>(start)[-1] = block;
+    return reinterpret_cast<T*>(start);
+  }
+  void deallocate(T* p, std::size_t) {
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
+  }
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) {
+    return true;
+  }
+};
 
 /// B state vectors advanced in lockstep through shared plan segments.
 /// `Real` is the amplitude scalar (double or float); the double
@@ -196,7 +229,7 @@ class BatchedStateVectorT {
 
   int num_qubits_ = 0;
   int lanes_ = 1;
-  std::vector<Real> re_, im_;
+  std::vector<Real, CacheLineAllocator<Real>> re_, im_;
   std::vector<double> pending_;  // per-lane lazy global phase (radians)
 };
 
@@ -216,8 +249,9 @@ void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv);
 
 /// Apply original gates [gate_begin, gate_end) to every lane; global phase
 /// NOT applied (mirrors FusedPlan::apply_range). Boundaries may fall inside
-/// fused ops — partially covered gates run on batched per-gate kernels — so
-/// per-lane noise injection can split anywhere.
+/// fused ops — a partially covered op runs as the cached subrange plan of
+/// its covered gates — so per-lane noise injection can split anywhere. Runs
+/// as one walk (append_range_steps + apply_batch_walk).
 template <typename Real>
 void apply_plan_range(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       std::size_t gate_begin, std::size_t gate_end);
@@ -234,8 +268,7 @@ extern template void apply_plan_range<float>(const FusedPlan&,
 /// Rows-per-tile exponent of the lane-aware cache blocking at `lanes`
 /// lanes of `real_size`-byte amplitudes: 2^result rows × lanes × 2 planes
 /// matches the scalar path's 2^tile_bits-amplitude L1 budget, clamped to
-/// [4, num_qubits]. Shared by apply_ops_batched and apply_batch_walk so
-/// walk-step eligibility agrees with the plan apply loop.
+/// [4, num_qubits]. apply_batch_walk tiles with it.
 int batched_tile_rows_log2(const FusionOptions& options, int lanes,
                            int num_qubits, std::size_t real_size);
 
@@ -249,9 +282,12 @@ int batched_tile_rows_log2(const FusionOptions& options, int lanes,
 /// The lane span is how the walk prices per-lane schedule divergence: in
 /// the amp-major lane-minor layout, "lanes [b, b+c) of every row" is just
 /// the kernel's unit-stride inner loop shortened to c entries at column
-/// offset b, so an op-interior split needed by ONE lane costs 1/L of a
-/// pass (its slices run with c = 1) while the uninvolved lanes take the
-/// fused op in bystander spans. lane_count = -1 means every lane.
+/// offset b, so an op-interior split needed by ONE lane runs its slices
+/// with c = 1 while the uninvolved lanes take the fused op in bystander
+/// spans. A c = 1 step does not cost 1/L of a pass: at 8 double lanes it
+/// loads and stores the same cache line per row and plane as a full-width
+/// step, so the two cost about the same per row (DESIGN.md §12, "Cost of
+/// a step"). lane_count = -1 means every lane.
 struct BatchWalkStep {
   const FusedPlan* plan = nullptr;  // null = Pauli step
   std::size_t op = 0;               // op index within *plan
@@ -284,6 +320,19 @@ struct BatchWalkStep {
     return s;
   }
 };
+
+/// Append the walk steps that apply original gates [gate_begin, gate_end)
+/// of `plan` to lanes [lane_begin, lane_begin + lane_count) (lane_count -1
+/// = every lane), decomposed exactly as the scalar FusedPlan::apply_range
+/// does: maximal runs of fully covered ops come from the plan itself, and
+/// op-interior slices from its cached subrange plans (a 1-gate slice
+/// compiles to a kGate op, the per-gate kernel). This is the one
+/// range-to-steps compiler: apply_plan_range and the noisy replay driver
+/// both build their walks with it. The subrange plans are owned by the
+/// plan's cache, so holding `plan` alive keeps every step valid.
+void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
+                        std::size_t gate_end, int lane_begin, int lane_count,
+                        std::vector<BatchWalkStep>& steps);
 
 /// Execute a fused trajectory walk: maximal runs of steps whose high
 /// coupling bits fit the XOR-group cap load each L1-sized amplitude tile

@@ -591,6 +591,27 @@ bool sandwich_pass(std::vector<FusedOp>& ops, const std::vector<Gate>& gates) {
   return changed;
 }
 
+/// A kGate op's batched-kernel operands (see FusedOp::m).
+std::vector<cplx> gate_kernel_operands(const Gate& g) {
+  switch (g.kind) {
+    case GateKind::kRZ:
+    case GateKind::kP:
+    case GateKind::kCP:
+    case GateKind::kCCP:
+      return {expi(g.params[0])};
+    case GateKind::kH:
+    case GateKind::kSX:
+    case GateKind::kSXdg:
+    case GateKind::kRY:
+    case GateKind::kRX:
+    case GateKind::kU:
+    case GateKind::kCH:
+      return to_flat(g.matrix());
+    default:
+      return {};
+  }
+}
+
 /// Compile a kDiagonal op's key-extraction plan: one DiagShift per
 /// contiguous run of its (sorted) qubits.
 void build_diag_shifts(FusedOp& op) {
@@ -661,13 +682,6 @@ const FusedPlan& FusedPlan::subrange_plan(std::size_t gate_begin,
   const auto [it, inserted] =
       subranges_->plans.try_emplace(key, std::move(built));
   return *it->second;
-}
-
-bool FusedPlan::op_tile_eligible(std::size_t op_index,
-                                 int tile_rows_log2) const {
-  QFAB_CHECK(op_index < ops_.size());
-  const FusedOp& op = ops_[op_index];
-  return op.kind == FusedOp::Kind::kDiagonal || op.max_qubit < tile_rows_log2;
 }
 
 u64 FusedPlan::op_coupling_mask(std::size_t op_index) const {
@@ -771,6 +785,9 @@ void FusedPlan::compile() {
       op.qubits.clear();
       op.phases.clear();
     }
+  for (FusedOp& op : ops_)
+    if (op.kind == FusedOp::Kind::kGate)
+      op.m = gate_kernel_operands(gates[op.gate_begin]);
 
   for (FusedOp& op : ops_)
     if (op.kind == FusedOp::Kind::kDiagonal && op.qubits.size() >= 2)

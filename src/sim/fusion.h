@@ -86,13 +86,51 @@ struct FusedOp {
   int q0 = -1;
   int q1 = -1;
   int max_qubit = -1;        // highest qubit touched (tiling eligibility)
-  std::vector<cplx> m;       // kMatrix1: 4 entries row-major; kMatrix2: 16
+  /// kMatrix1: 4 entries row-major; kMatrix2: 16. kGate: the gate's
+  /// operands for the batched per-gate kernel, decoded once at compile —
+  /// its matrix for matrix gates, e^{i.theta} for RZ/P/CP/CCP, empty
+  /// otherwise — so no tile recomputes a matrix or a cos/sin.
+  std::vector<cplx> m;
   std::vector<int> qubits;   // kDiagonal: sorted qubit list
   std::vector<cplx> phases;  // kDiagonal: 2^qubits.size() diagonal entries
   std::vector<DiagShift> shifts;  // kDiagonal k >= 2: key extraction plan
 
   std::size_t gate_count() const { return gate_end - gate_begin; }
 };
+
+/// Phase-table key of amplitude row `row` under a kDiagonal op's shift
+/// plan: the per-row gather.
+inline u64 diag_key(const FusedOp::DiagShift* ss, int ns, u64 row) {
+  u64 key = 0;
+  for (int s = 0; s < ns; ++s)
+    key |= ((row >> ss[s].shift) & ss[s].mask) << ss[s].out;
+  return key;
+}
+
+/// The phase-table keys of the amplitude tile [base, base + len) of a
+/// kDiagonal op, hoisted out of the row loop. `len` is a power of two and
+/// `base` a multiple of it, so key(base | i) = key(base) | key(i). The
+/// op's qubits inside the tile are its lowest ones, so key(i) is the rank
+/// of i & low among the submasks of `low`: walking each submask c of
+/// `rest`, then the submasks s of `low` in ascending order (next_submask),
+/// visits every row c | s once and reads the table at key0 + 0, 1, 2, ...
+/// for each c.
+struct DiagTile {
+  u64 key0;  // key of the tile's first row
+  u64 low;   // row bits that are op qubits
+  u64 rest;  // the tile's other row bits
+};
+
+inline DiagTile diag_tile(const FusedOp::DiagShift* ss, int ns, u64 base,
+                          u64 len) {
+  u64 qubits = 0;
+  for (int s = 0; s < ns; ++s) qubits |= ss[s].mask << ss[s].shift;
+  const u64 low = qubits & (len - 1);
+  return DiagTile{diag_key(ss, ns, base), low, (len - 1) & ~low};
+}
+
+/// The submask of `mask` after `s` in ascending order; 0 after the last.
+inline u64 next_submask(u64 s, u64 mask) { return (s - mask) & mask; }
 
 class FusedPlan {
  public:
@@ -109,15 +147,6 @@ class FusedPlan {
 
   /// Index of the op covering original gate `gate_index` (O(1)).
   std::size_t op_of_gate(std::size_t gate_index) const;
-
-  /// Whether op `op_index` may execute on an amplitude tile of
-  /// 2^tile_rows_log2 rows: diagonal ops tile at ANY qubit span (their
-  /// phase-key gather needs only the global row index, which every tiled
-  /// kernel receives as `base`), everything else must fit the tile. This is
-  /// the single eligibility rule shared by the batched tile loop
-  /// (apply_ops_batched) and the fused trajectory walk (apply_batch_walk),
-  /// so both block the cache identically.
-  bool op_tile_eligible(std::size_t op_index, int tile_rows_log2) const;
 
   /// Bitmask of qubits across which op `op_index` mixes amplitude rows:
   /// row r only ever combines with rows r ^ m for m in the span of this

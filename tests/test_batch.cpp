@@ -10,7 +10,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -675,6 +679,268 @@ TEST(PrecisionPolicy, TrippedBudgetFallsBackToDoubleBitForBit) {
   for (std::size_t i = 0; i < dbl.size(); ++i)
     EXPECT_EQ(fell[i], dbl[i]) << "bin " << i;  // bitwise
   EXPECT_EQ(rng_f(), rng_d());
+}
+
+// ---------- lane spans: single-lane and middle-span kernel bodies ----------
+
+constexpr int kSpanQubits = 12;  // 4096 rows: 8-16 tiles at 8 lanes
+constexpr int kSpanLanes = 8;
+
+/// One fused op of some plan, labelled for failure messages.
+struct SpanOp {
+  std::shared_ptr<const FusedPlan> plan;
+  std::size_t op;
+  std::string what;
+};
+
+/// Every kernel a walk op step can reach, on 12 qubits: each gate kind
+/// alone (a kGate op) on in-tile qubits and with qubits above the tile,
+/// fused 2x2 and 4x4 matrices in the tile and above it (the group
+/// variants), and diagonals: multi-run, single-run in the tile and across
+/// its top, single-qubit, wholly above the tile, and phase-only.
+std::vector<SpanOp> span_ops() {
+  std::vector<SpanOp> out;
+  const int hi = kSpanQubits - 1;  // above every tile height used here
+  const auto add = [&](const QuantumCircuit& qc, const std::string& what) {
+    const auto plan = std::make_shared<const FusedPlan>(qc);
+    for (std::size_t i = 0; i < plan->op_count(); ++i)
+      out.push_back({plan, i, what + " op " + std::to_string(i)});
+  };
+  static const GateKind kKinds[] = {
+      GateKind::kId, GateKind::kX,    GateKind::kY,  GateKind::kZ,
+      GateKind::kH,  GateKind::kSX,   GateKind::kSXdg, GateKind::kRZ,
+      GateKind::kRY, GateKind::kRX,   GateKind::kP,  GateKind::kU,
+      GateKind::kCX, GateKind::kCZ,   GateKind::kCP, GateKind::kCH,
+      GateKind::kSWAP, GateKind::kCCP, GateKind::kCCX};
+  for (GateKind kind : kKinds) {
+    const int arity = gate_arity(kind);
+    std::vector<std::vector<int>> places;
+    if (arity == 1) places = {{1}, {hi}};
+    else if (arity == 2) places = {{0, 3}, {hi, 2}, {1, hi}, {hi, hi - 1}};
+    else places = {{0, 2, 5}, {hi, 1, 3}, {1, hi, 4}, {2, 3, hi}};
+    for (const std::vector<int>& q : places) {
+      QuantumCircuit qc(kSpanQubits);
+      if (arity == 1) qc.append(make_gate1(kind, q[0], 0.7, -0.4, 1.1));
+      else if (arity == 2) qc.append(make_gate2(kind, q[0], q[1], 0.7));
+      else qc.append(make_gate3(kind, q[0], q[1], q[2], 0.7));
+      add(qc, qc.gates()[0].to_string());
+    }
+  }
+  const auto circuit = [](std::initializer_list<Gate> gates) {
+    QuantumCircuit qc(kSpanQubits);
+    for (const Gate& g : gates) qc.append(g);
+    return qc;
+  };
+  add(circuit({make_gate1(GateKind::kSX, 2),
+               make_gate1(GateKind::kRY, 2, 0.3)}), "2x2 in tile");
+  add(circuit({make_gate1(GateKind::kSX, hi),
+               make_gate1(GateKind::kRX, hi, 0.9)}), "2x2 above tile");
+  add(circuit({make_gate2(GateKind::kCH, 1, 3),
+               make_gate2(GateKind::kCH, 3, 1)}), "4x4 in tile");
+  add(circuit({make_gate2(GateKind::kCH, 1, hi),
+               make_gate2(GateKind::kCH, hi, 1)}), "4x4 one qubit above");
+  add(circuit({make_gate2(GateKind::kCH, hi - 1, hi),
+               make_gate2(GateKind::kCH, hi, hi - 1)}), "4x4 above tile");
+  // A phase on every qubit of a set and a CP on every pair of it: enough
+  // diagonal work for the cost model to fuse one phase table over the set.
+  const auto ladder = [&](const std::vector<int>& qs) {
+    QuantumCircuit qc(kSpanQubits);
+    double theta = 0.3;
+    for (std::size_t a = 0; a < qs.size(); ++a) {
+      qc.append(make_gate1(GateKind::kP, qs[a], theta += 0.17));
+      for (std::size_t b = a + 1; b < qs.size(); ++b)
+        qc.append(make_gate2(GateKind::kCP, qs[a], qs[b], theta += 0.11));
+    }
+    return qc;
+  };
+  add(ladder({0, 1, 5, 9, 10}), "multi-run diagonal");
+  add(ladder({2, 3, 4}), "in-tile diagonal");
+  add(ladder({6, 7, 8, 9}), "straddling diagonal");
+  add(ladder({hi - 1, hi}), "diagonal above tile");
+  add(circuit({make_gate1(GateKind::kRZ, 3, 0.4),
+               make_gate1(GateKind::kP, 3, 0.9)}), "1-qubit diagonal");
+  add(circuit({make_gate1(GateKind::kRZ, hi, 0.4),
+               make_gate1(GateKind::kP, hi, 0.9)}), "1-qubit high diagonal");
+  add(circuit({make_gate1(GateKind::kZ, 2), make_gate1(GateKind::kZ, 2)}),
+      "phase-only diagonal");
+  return out;
+}
+
+template <typename Real>
+bool lane_bitwise_equal(const BatchedStateVectorT<Real>& a,
+                        const BatchedStateVectorT<Real>& b, int lane) {
+  const u64 L = static_cast<u64>(a.lanes());
+  for (u64 i = 0; i < a.dim(); ++i) {
+    const u64 k = i * L + static_cast<u64>(lane);
+    if (std::memcmp(&a.re()[k], &b.re()[k], sizeof(Real)) != 0 ||
+        std::memcmp(&a.im()[k], &b.im()[k], sizeof(Real)) != 0)
+      return false;
+  }
+  return a.lane_pending_phase(lane) == b.lane_pending_phase(lane);
+}
+
+template <typename Real>
+BatchedStateVectorT<Real> span_initial_state(std::uint64_t seed) {
+  Pcg64 rng(20261017, seed);
+  BatchedStateVectorT<Real> bsv(kSpanQubits, kSpanLanes);
+  for (int l = 0; l < kSpanLanes; ++l) {
+    bsv.set_lane(l, StateVector::from_amplitudes(
+                        random_state(kSpanQubits, rng)));
+    bsv.apply_lane_global_phase(l, 0.1 * l);
+  }
+  return bsv;
+}
+
+/// Every op step on span (b, 1) and on middle spans leaves each touched
+/// lane bitwise equal to that lane under the full-width step, and every
+/// other lane untouched. One walk of one step covers every tile base of
+/// the 4096-row vector. The full-width step itself is held to an oracle
+/// lane by lane: in double, the scalar FusedPlan::apply_range of the op's
+/// gates; in float32 (a taller tile), the double step from the same start.
+template <typename Real>
+void expect_spans_match_full_width(const char* mode) {
+  const std::vector<std::pair<int, int>> spans = {
+      {0, 1}, {5, 1}, {7, 1}, {2, 4}, {1, 3}};
+  const std::vector<SpanOp> ops = span_ops();
+  std::uint64_t seed = 0;
+  for (const SpanOp& c : ops) {
+    const BatchedStateVectorT<Real> init = span_initial_state<Real>(++seed);
+    BatchedStateVectorT<Real> full = init;
+    const BatchWalkStep whole = BatchWalkStep::op_step(c.plan.get(), c.op);
+    apply_batch_walk(*c.plan, full, &whole, 1);
+    const FusedOp& op = c.plan->ops()[c.op];
+    if constexpr (std::is_same_v<Real, double>) {
+      for (int l = 0; l < kSpanLanes; ++l) {
+        StateVector ref = init.lane_state(l);
+        c.plan->apply_range(ref, op.gate_begin, op.gate_end);
+        EXPECT_LT(state_distance(full.lane_state(l).amplitudes(),
+                                 ref.amplitudes()),
+                  kTol)
+            << mode << " " << c.what << " lane " << l << " vs scalar";
+      }
+    } else {
+      std::vector<int> all(kSpanLanes);
+      std::iota(all.begin(), all.end(), 0);
+      BatchedStateVector ref(kSpanQubits, kSpanLanes);
+      ref.assign_permuted(init, all);
+      apply_batch_walk(*c.plan, ref, &whole, 1);
+      for (int l = 0; l < kSpanLanes; ++l)
+        EXPECT_LT(raw_lane_distance(full, ref, l), 1e-5)
+            << mode << " " << c.what << " lane " << l << " vs double";
+    }
+    for (const auto& [b, count] : spans) {
+      BatchedStateVectorT<Real> part = init;
+      const BatchWalkStep step =
+          BatchWalkStep::op_span_step(c.plan.get(), c.op, b, count);
+      apply_batch_walk(*c.plan, part, &step, 1);
+      for (int l = 0; l < kSpanLanes; ++l) {
+        const bool touched = l >= b && l < b + count;
+        EXPECT_TRUE(lane_bitwise_equal(part, touched ? full : init, l))
+            << mode << " " << c.what << " span (" << b << ", " << count
+            << ") lane " << l << (touched ? " differs from full width"
+                                          : " was modified");
+      }
+    }
+  }
+}
+
+/// Single-lane Pauli steps against an exact reference built from the raw
+/// lane values (X swaps rows, Y swaps with a +-i factor, Z negates).
+template <typename Real>
+void expect_pauli_steps_exact(const char* mode) {
+  const auto plan = std::make_shared<const FusedPlan>(
+      QuantumCircuit(kSpanQubits));
+  std::uint64_t seed = 100;
+  for (Pauli p : {Pauli::kX, Pauli::kY, Pauli::kZ})
+    for (int q : {0, 3, 9, kSpanQubits - 1})
+      for (int lane : {0, 5, 7}) {
+        const BatchedStateVectorT<Real> init =
+            span_initial_state<Real>(++seed);
+        BatchedStateVectorT<Real> want = init;
+        const u64 L = kSpanLanes, bit = u64{1} << q;
+        for (u64 r = 0; r < init.dim(); ++r) {
+          const u64 k = r * L + static_cast<u64>(lane);
+          const u64 src = (p == Pauli::kZ ? r : r ^ bit) * L +
+                          static_cast<u64>(lane);
+          const Real sr = init.re()[src], si = init.im()[src];
+          const bool set = (r & bit) != 0;
+          if (p == Pauli::kX) {
+            want.re()[k] = sr;
+            want.im()[k] = si;
+          } else if (p == Pauli::kY) {  // row clear: -i*v1; set: i*v0
+            want.re()[k] = set ? -si : si;
+            want.im()[k] = set ? sr : -sr;
+          } else {
+            want.re()[k] = set ? -sr : sr;
+            want.im()[k] = set ? -si : si;
+          }
+        }
+        BatchedStateVectorT<Real> got = init;
+        const BatchWalkStep step = BatchWalkStep::pauli_step(lane, p, q);
+        apply_batch_walk(*plan, got, &step, 1);
+        for (int l = 0; l < kSpanLanes; ++l)
+          EXPECT_TRUE(lane_bitwise_equal(got, want, l))
+              << mode << " Pauli " << static_cast<int>(p) << " q" << q
+              << " on lane " << lane << ", lane " << l << " differs";
+      }
+}
+
+TEST(LaneSpan, SpanOpsCoverEveryWalkKernel) {
+  // The span tests below are only as good as this op list: it must reach
+  // every kernel body, including the group variants and each diagonal
+  // shape at both tile heights (2^8 rows double, 2^9 float at 8 lanes).
+  int m1_low = 0, m1_high = 0, m2_low = 0, m2_high = 0, diag1 = 0,
+      diag_multi = 0, diag_one_run = 0, diag_above = 0, diag_phase = 0;
+  std::vector<GateKind> gate_kinds;
+  for (const SpanOp& c : span_ops()) {
+    const FusedOp& op = c.plan->ops()[c.op];
+    switch (op.kind) {
+      case FusedOp::Kind::kMatrix1:
+        ++(op.q0 >= 9 ? m1_high : m1_low);
+        break;
+      case FusedOp::Kind::kMatrix2:
+        ++(op.max_qubit >= 9 ? m2_high : m2_low);
+        break;
+      case FusedOp::Kind::kDiagonal:
+        if (op.qubits.empty()) ++diag_phase;
+        else if (op.qubits.size() == 1) ++diag1;
+        else if (op.qubits.front() >= 10) ++diag_above;
+        else if (op.shifts.size() >= 2) ++diag_multi;
+        else ++diag_one_run;
+        break;
+      case FusedOp::Kind::kGate:
+        gate_kinds.push_back(c.plan->circuit().gates()[op.gate_begin].kind);
+        break;
+    }
+  }
+  EXPECT_GT(m1_low, 0);
+  EXPECT_GT(m1_high, 0);
+  EXPECT_GT(m2_low, 0);
+  EXPECT_GE(m2_high, 2);
+  EXPECT_GE(diag1, 2);
+  EXPECT_GT(diag_multi, 0);
+  EXPECT_GE(diag_one_run, 2);
+  EXPECT_GT(diag_above, 0);
+  EXPECT_GT(diag_phase, 0);
+  for (int k = 0; k <= static_cast<int>(GateKind::kCCX); ++k)
+    EXPECT_NE(std::count(gate_kinds.begin(), gate_kinds.end(),
+                         static_cast<GateKind>(k)),
+              0)
+        << "no kGate op of kind " << k;
+}
+
+TEST(LaneSpan, OpStepsMatchFullWidthBitwise) {
+  for_each_simd_mode([](const char* mode) {
+    expect_spans_match_full_width<double>(mode);
+    expect_spans_match_full_width<float>(mode);
+  });
+}
+
+TEST(LaneSpan, PauliStepsAreExact) {
+  for_each_simd_mode([](const char* mode) {
+    expect_pauli_steps_exact<double>(mode);
+    expect_pauli_steps_exact<float>(mode);
+  });
 }
 
 TEST(CdfSampler, MatchesLinearScanSemantics) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -14,6 +15,7 @@
 #include <thread>
 
 #include "common/bits.h"
+#include "common/check.h"
 #include "common/cli.h"
 #include "common/io.h"
 #include "common/parallel.h"
@@ -552,24 +554,48 @@ TEST(Io, Crc32KnownVectors) {
 
 // ---------- shutdown ----------
 
+std::string self_exe() {
+  char buf[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  QFAB_CHECK(n > 0);
+  buf[n] = '\0';
+  return buf;
+}
+
 TEST(Shutdown, SecondCountedSignalHardExits130) {
-  // The hard exit must be observed from outside: a fork raises SIGINT
-  // twice, and the second signal's handler _Exit(130)s before the child
-  // can reach its fallback exit code.
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    install_shutdown_latch();
-    reset_shutdown_latch_for_tests();
-    (void)std::raise(SIGINT);
-    (void)std::raise(SIGINT);
-    std::_Exit(99);  // unreachable when the latch behaves
-  }
-  int status = 0;
-  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  // The hard exit must be observed from outside: this binary, re-executed
+  // in child mode (run_hard_exit_child), raises SIGINT twice, and the
+  // second signal's handler _Exit(130)s before the child can reach its
+  // fallback exit code. A fresh process rather than a fork of this one,
+  // whose thread pool is already running: ThreadSanitizer ignores its
+  // interceptors in a child forked from a multithreaded process, so a
+  // forked child's raised signals never reach the handler.
+  std::string cmd = "'";
+  cmd += self_exe();
+  cmd += "' --hard-exit-child >/dev/null 2>&1";
+  const int status = std::system(cmd.c_str());
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 130);
 }
 
+/// Child mode of Shutdown.SecondCountedSignalHardExits130.
+int run_hard_exit_child() {
+  install_shutdown_latch();
+  reset_shutdown_latch_for_tests();
+  (void)std::raise(SIGINT);
+  (void)std::raise(SIGINT);
+  std::_Exit(99);  // unreachable when the latch behaves
+}
+
 }  // namespace
 }  // namespace qfab
+
+// This suite has its own main(): the hard-exit test re-execs this binary as
+// a child (`test_common --hard-exit-child`).
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i)
+    if (std::string(argv[i]) == "--hard-exit-child")
+      return qfab::run_hard_exit_child();
+  ::testing::InitGoogleTest(&argc, argv);
+  return RUN_ALL_TESTS();
+}

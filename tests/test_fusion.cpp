@@ -291,5 +291,58 @@ TEST(FusedPlan, CleanRunSharesPlanAcrossInstances) {
   }
 }
 
+TEST(FusedPlan, HoistedDiagonalKeysMatchPerRowGather) {
+  // The batched diagonal kernel reads its phase table through DiagTile:
+  // the tile's base key once, then consecutive entries while it walks the
+  // rows in submask order. On every row of the QFA n=8 and QFM n=4
+  // full-depth plans, at every tile height the batched engine can use,
+  // that hoisted key must equal the per-row shift loop (diag_key) and the
+  // plain gather of the op's qubit bits, and the walk must visit each row
+  // of the tile exactly once.
+  for (const Operation opn : {Operation::kAdd, Operation::kMultiply}) {
+    CircuitSpec spec;
+    spec.op = opn;
+    spec.n = opn == Operation::kAdd ? 8 : 4;
+    const FusedPlan plan(build_transpiled_circuit(spec));
+    const int n = plan.circuit().num_qubits();
+    int diag_ops = 0;
+    for (const FusedOp& op : plan.ops()) {
+      if (op.kind != FusedOp::Kind::kDiagonal || op.shifts.empty()) continue;
+      ++diag_ops;
+      const auto* ss = op.shifts.data();
+      const int ns = static_cast<int>(op.shifts.size());
+      long mismatches = 0, bad_visits = 0;
+      for (int tb = 4; tb <= n; ++tb) {
+        const u64 len = u64{1} << tb;
+        std::vector<int> seen(len);
+        for (u64 base = 0; base < pow2(n); base += len) {
+          std::fill(seen.begin(), seen.end(), 0);
+          const DiagTile tile = diag_tile(ss, ns, base, len);
+          u64 c = 0;
+          do {
+            u64 s = 0, k = tile.key0;
+            do {
+              const u64 row = base | c | s;
+              u64 gather = 0;
+              for (std::size_t b = 0; b < op.qubits.size(); ++b)
+                gather |= ((row >> op.qubits[b]) & 1u) << b;
+              if (k != gather || diag_key(ss, ns, row) != gather) ++mismatches;
+              ++seen[c | s];
+              ++k;
+              s = next_submask(s, tile.low);
+            } while (s != 0);
+            c = next_submask(c, tile.rest);
+          } while (c != 0);
+          for (int v : seen) bad_visits += v != 1;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "op over gates [" << op.gate_begin << ", "
+                               << op.gate_end << ")";
+      EXPECT_EQ(bad_visits, 0);
+    }
+    EXPECT_GT(diag_ops, 2);
+  }
+}
+
 }  // namespace
 }  // namespace qfab

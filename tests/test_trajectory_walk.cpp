@@ -288,11 +288,13 @@ TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
     for (int trial = 0; trial < 4; ++trial) {
       const QuantumCircuit qc = random_circuit(6, 50, rng);
       const FusedPlan plan(qc, options);
-      // Sanity: the tiny tile actually renders some op non-tileable.
+      // Sanity: the tiny tile actually puts some non-diagonal op's
+      // qubits above the tile.
       const int tb = batched_tile_rows_log2(options, lanes, 6, sizeof(double));
       bool any_non_tileable = false;
-      for (std::size_t i = 0; i < plan.op_count(); ++i)
-        if (!plan.op_tile_eligible(i, tb)) any_non_tileable = true;
+      for (const FusedOp& op : plan.ops())
+        if (op.kind != FusedOp::Kind::kDiagonal && op.max_qubit >= tb)
+          any_non_tileable = true;
       ASSERT_TRUE(any_non_tileable);
 
       std::vector<std::vector<ErrorEvent>> lane_events;
