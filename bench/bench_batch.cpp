@@ -45,7 +45,7 @@ struct BenchRow {
   std::size_t gates = 0;
   int instances = 0;
   double point_ms = 0.0;       // one sweep point: all instances, one rate
-  double ms_per_lane = 0.0;    // point_ms / batch lanes
+  double ms_per_lane = 0.0;    // point_ms / instances
   double inst_per_sec = 0.0;
   double speedup_vs_single = 0.0;  // vs batch=1 of the same SIMD level
 };
@@ -263,7 +263,7 @@ int run(int argc, const char* const* argv) {
           row.gates = qc.gates().size();
           row.instances = n_inst;
           row.point_ms = ms;
-          row.ms_per_lane = ms / static_cast<double>(batch);
+          row.ms_per_lane = ms / static_cast<double>(n_inst);
           row.inst_per_sec = static_cast<double>(n_inst) / (ms / 1e3);
           if (precision == Precision::kDouble && batch == 1) single_ms = ms;
           row.speedup_vs_single = single_ms > 0.0 ? single_ms / ms : 0.0;

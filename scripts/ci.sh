@@ -65,6 +65,29 @@ crash_resume_smoke() {
   echo "== ${name}: crash-resume smoke: resumed CSVs match reference =="
 }
 
+# The figure CSVs at default flags must match the committed goldens in
+# results/golden/ byte for byte: Fig. 1 on the native kernel tier (every
+# tier writes the same bytes there), Fig. 2 on the portable tier (on the
+# vector tiers FMA contraction moves sigma in four Fig. 2 panels; ROADMAP
+# item 2). This is the behaviour contract every engine change keeps.
+figure_goldens() {
+  local name="$1"
+  local builddir="build-ci-${name}"
+  local outdir="${builddir}/figure_goldens"
+  echo "== ${name}: figure CSVs vs results/golden =="
+  rm -rf "${outdir}"
+  mkdir -p "${outdir}"
+  (
+    cd "${outdir}"
+    ../bench/fig1_qfa_sweep --csv fig1 --quiet >/dev/null
+    QFAB_SIMD=scalar ../bench/fig2_qfm_sweep --csv fig2 --quiet >/dev/null
+  )
+  for golden in results/golden/fig*.csv; do
+    cmp "${golden}" "${outdir}/$(basename "${golden}")"
+  done
+  echo "== ${name}: figure CSVs match the goldens =="
+}
+
 # Bounded batched-throughput smoke against the checked-in baseline: rerun
 # the batch={4,8,16} rows of bench_batch — the end-to-end sweep points AND
 # the "<case>_replay" lane-scaling rows — and fail if any (case, simd,
@@ -126,6 +149,7 @@ panelbench_smoke() {
 }
 
 run_preset plain
+figure_goldens plain
 panelbench_smoke
 echo "== plain: bench_sweep smoke (bounded) =="
 ./build-ci-plain/bench/bench_sweep --instances 4 --traj 6 --shots 256 \

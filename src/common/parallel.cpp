@@ -23,10 +23,12 @@ ThreadPool::ThreadPool(std::size_t threads) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-  // With a single hardware thread, keep zero workers: callers run inline.
+  // The thread that calls parallel_for_chunked drains chunks too, so T-way
+  // parallelism takes T - 1 workers (and T = 1 none: callers run inline).
+  parallelism_ = threads;
   if (threads <= 1) return;
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
+  workers_.reserve(threads - 1);
+  for (std::size_t i = 0; i + 1 < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
 }
 
@@ -146,8 +148,15 @@ void parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t chunk, std::size_t min_grain) {
+  parallel_for_chunked(ThreadPool::shared(), begin, end, body, chunk,
+                       min_grain);
+}
+
+void parallel_for_chunked(
+    ThreadPool& pool, std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body,
+    std::size_t chunk, std::size_t min_grain) {
   if (begin >= end) return;
-  ThreadPool& pool = ThreadPool::shared();
   const std::size_t n = end - begin;
   if (min_grain == 0) min_grain = 1;
   // Grain floor: a range this small is cheaper to run inline than to hand
@@ -156,7 +165,7 @@ void parallel_for_chunked(
     body(begin, end);
     return;
   }
-  if (pool.size() <= 1) {
+  if (pool.parallelism() <= 1) {
     // Serial host: keep the caller's chunk-size contract (bodies may size
     // per-chunk scratch from hi - lo) instead of one whole-range call.
     if (chunk == 0) {
@@ -169,9 +178,9 @@ void parallel_for_chunked(
     return;
   }
   if (chunk == 0) {
-    // Several chunks per worker: amortizes dispatch while leaving the
+    // Several chunks per thread: amortizes dispatch while leaving the
     // dynamic scheduler room to balance uneven chunk costs.
-    chunk = std::max<std::size_t>(1, n / (pool.size() * 8));
+    chunk = std::max<std::size_t>(1, n / (pool.parallelism() * 8));
   }
   chunk = std::max(chunk, min_grain);
   const std::size_t total_chunks = (n + chunk - 1) / chunk;

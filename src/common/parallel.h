@@ -29,15 +29,21 @@ namespace qfab {
 /// Fixed-size pool of worker threads executing submitted jobs FIFO.
 class ThreadPool {
  public:
-  /// `threads == 0` selects the QFAB_THREADS environment override when set,
-  /// else std::thread::hardware_concurrency().
+  /// Parallelism `threads`: `threads == 0` selects the QFAB_THREADS
+  /// environment override when set, else
+  /// std::thread::hardware_concurrency(). The pool starts threads - 1
+  /// workers; the calling thread is the last one.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Worker threads: parallelism() - 1, since callers drain chunks too.
   std::size_t size() const { return workers_.size(); }
+  /// Threads a parallel_for_chunked call runs on: the workers plus the
+  /// caller (T = QFAB_THREADS or the hardware count).
+  std::size_t parallelism() const { return parallelism_; }
 
   /// Enqueue a job. Raw jobs must not throw (exceptions terminate);
   /// parallel_for_chunked wraps its bodies so their exceptions are
@@ -56,6 +62,7 @@ class ThreadPool {
  private:
   void worker_loop();
 
+  std::size_t parallelism_ = 1;
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> jobs_;
   std::mutex mu_;
@@ -63,8 +70,9 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Run body(i) for i in [begin, end). Uses the shared pool when it has more
-/// than one worker and the range is non-trivial; otherwise runs serially.
+/// Run body(i) for i in [begin, end). Uses the shared pool when its
+/// parallelism exceeds one and the range is non-trivial; otherwise runs
+/// serially.
 /// body must be safe to invoke concurrently for distinct i. If body throws,
 /// the first exception is rethrown on the calling thread after the call's
 /// outstanding work has drained; remaining chunks are cancelled (each index
@@ -86,6 +94,11 @@ void parallel_for(std::size_t begin, std::size_t end,
 /// for less work than the dispatch costs.
 void parallel_for_chunked(
     std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& body,
+    std::size_t chunk = 0, std::size_t min_grain = 1);
+/// The same on a given pool instead of ThreadPool::shared().
+void parallel_for_chunked(
+    ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t chunk = 0, std::size_t min_grain = 1);
 

@@ -125,7 +125,8 @@ std::vector<double> channel_marginal_batched_impl(
     replay_group_marginals(plan, g0, lane_events, output_qubits,
                            options.precision, options.float_drift_budget, ws,
                            [&](auto& bsv) {
-                             bsv.reset(plan.circuit().num_qubits(), lanes);
+                             bsv.reset(plan.circuit().num_qubits(), lanes,
+                                       plan.row_layout());
                              bsv.broadcast(start);
                            });
     for (int l = 0; l < lanes; ++l)
@@ -499,7 +500,8 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
       replay_group_marginals(clean.plan(), g0, lane_events, output_qubits,
                              options.precision, options.float_drift_budget, ws,
                              [&](auto& bsv) {
-                               bsv.reset(clean.circuit().num_qubits(), lanes);
+                               bsv.reset(clean.circuit().num_qubits(), lanes,
+                                         clean.plan().row_layout());
                                bsv.broadcast(ws.sv);
                              });
       for (int l = 0; l < lanes; ++l)

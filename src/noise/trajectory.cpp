@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-
-#include "common/fault.h"
 
 namespace qfab {
 
@@ -231,32 +228,6 @@ void run_trajectory(const CleanRun& clean,
   clean.plan().apply_range(out, applied, total);
 }
 
-namespace {
-
-/// Per-thread spare checkpoint storage, like the estimator's replay
-/// workspace: a BatchedCleanRun takes its checkpoint vectors from here and
-/// hands them back when destroyed, so consecutive work units on a thread
-/// copy checkpoints into pages they already own instead of faulting in
-/// fresh multi-MiB allocations that the allocator returns to the OS after
-/// every unit. Bounded: a returning run trims the pool to its own
-/// checkpoint count, so the pool never holds more than one run had live.
-std::vector<BatchedStateVector>& spare_checkpoints() {
-  thread_local std::vector<BatchedStateVector> spares;
-  return spares;
-}
-
-/// A checkpoint vector of any shape: a spare when there is one (its
-/// contents are overwritten by the caller), else a fresh one.
-BatchedStateVector take_checkpoint(int num_qubits, int lanes) {
-  std::vector<BatchedStateVector>& spares = spare_checkpoints();
-  if (spares.empty()) return BatchedStateVector(num_qubits, lanes);
-  BatchedStateVector v = std::move(spares.back());
-  spares.pop_back();
-  return v;
-}
-
-}  // namespace
-
 BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
                                  const std::vector<StateVector>& initials,
                                  std::size_t checkpoint_interval)
@@ -271,11 +242,13 @@ BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
   const std::size_t total = plan_->gate_count();
   checkpoints_.reserve(total / interval_ + 2);
   boundaries_.reserve(total / interval_ + 2);
-  checkpoints_.push_back(take_checkpoint(nq, lanes));
-  checkpoints_.back().reset(nq, lanes);
+  // The ideal run advances one vector in the plan's row layout; each
+  // checkpoint keeps its live tiles only.
+  BatchedStateVector cur(nq, 1);
+  cur.reset(nq, lanes, plan_->row_layout());
   for (std::size_t l = 0; l < initials.size(); ++l) {
     QFAB_CHECK(initials[l].num_qubits() == nq);
-    checkpoints_.back().set_lane(static_cast<int>(l), initials[l]);
+    cur.set_lane(static_cast<int>(l), initials[l]);
   }
   boundaries_.push_back(0);
   std::size_t applied = 0;
@@ -288,23 +261,12 @@ BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
       const FusedOp& op = plan_->ops()[plan_->op_of_gate(next)];
       if (op.gate_begin != next) next = std::min(op.gate_end, total);
     }
-    // Each checkpoint starts as a copy of the previous one and advances in
-    // place.
-    checkpoints_.push_back(take_checkpoint(nq, lanes));
-    BatchedStateVector& cur = checkpoints_.back();
-    cur = checkpoints_[checkpoints_.size() - 2];
+    checkpoints_.push_back(cur.packed());
     apply_plan_range(*plan_, cur, applied, next);
     applied = next;
     boundaries_.push_back(applied);
   }
-}
-
-BatchedCleanRun::~BatchedCleanRun() {
-  if (checkpoints_.empty()) return;  // moved from
-  std::vector<BatchedStateVector>& spares = spare_checkpoints();
-  for (BatchedStateVector& cp : checkpoints_) spares.push_back(std::move(cp));
-  spares.erase(spares.begin(),
-               spares.end() - static_cast<std::ptrdiff_t>(checkpoints_.size()));
+  checkpoints_.push_back(std::move(cur));
 }
 
 StateVector BatchedCleanRun::lane_final_state(int lane) const {
@@ -332,10 +294,10 @@ StateVector BatchedCleanRun::lane_state_at(int lane,
 }
 
 BatchedStateVector BatchedCleanRun::states_at(std::size_t gate_count) const {
-  QFAB_CHECK(gate_count <= plan_->gate_count());
-  const std::size_t k = checkpoint_before(gate_count);
-  BatchedStateVector bsv = checkpoints_[k];
-  apply_plan_range(*plan_, bsv, boundaries_[k], gate_count);
+  std::vector<int> all(static_cast<std::size_t>(lanes()));
+  for (std::size_t l = 0; l < all.size(); ++l) all[l] = static_cast<int>(l);
+  BatchedStateVector bsv(1, 1);
+  load_states_at(gate_count, all, bsv);
   return bsv;
 }
 
@@ -391,24 +353,18 @@ std::vector<Injection> merge_schedule(
   return schedule;
 }
 
-// Batched counterpart of the QFAB_FAULT nan-at-gate hook in
-// apply_plan_range: the walk does not go through apply_plan_range, so it
-// takes the (single) charge for the whole replayed range itself.
-template <typename Real>
-void maybe_inject_nan(BatchedStateVectorT<Real>& bsv, std::size_t gate_begin,
-                      std::size_t gate_end) {
-  if (fault::nan_fault_active() && fault::take_nan_charge(gate_begin, gate_end))
-    bsv.re()[0] = std::numeric_limits<Real>::quiet_NaN();
-}
-
 }  // namespace
 
 template <typename Real>
 void run_trajectories_batched(
-    const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
+    const FusedPlan& logical_plan, BatchedStateVectorT<Real>& bsv,
     std::size_t start_gates,
     const std::vector<std::vector<ErrorEvent>>& lane_events) {
   QFAB_CHECK(lane_events.size() == static_cast<std::size_t>(bsv.lanes()));
+  // Steps address the vector's rows: a vector in the plan's row layout
+  // walks the relabelled twin, whose gates carry the physical qubits the
+  // Paulis land on.
+  const FusedPlan& plan = plan_for_layout(logical_plan, bsv.layout());
   const auto& gates = plan.circuit().gates();
   const std::size_t total = plan.gate_count();
   const std::vector<Injection> schedule =
@@ -432,8 +388,9 @@ void run_trajectories_batched(
   //    independent of which trajectories share the batch (packing-invariant
   //    bitwise; the scalar and batched kernels round differently, so lanes
   //    match run_trajectory itself to ~1e-15 in double, not bitwise).
-  //  * tiles walk in XOR-groups (see apply_batch_walk), so high-qubit ops
-  //    and Paulis never force full-width passes between runs.
+  //  * the walk visits only the tiles a lane's data occupies (see
+  //    apply_batch_walk), and in the plan's row layout the operand
+  //    registers select tiles, so a replay costs a few tiles, not 2^n rows.
   const int L = bsv.lanes();
   std::vector<BatchWalkStep> steps;
   steps.reserve(plan.op_count() + 4 * schedule.size());
@@ -533,7 +490,7 @@ void run_trajectories_batched(
     emit_paulis(schedule[si]);
   }
   apply_batch_walk(plan, bsv, steps.data(), steps.size());
-  maybe_inject_nan(bsv, start_gates, total);
+  detail::maybe_inject_nan(bsv, start_gates, total);
 }
 
 template void run_trajectories_batched<double>(

@@ -150,22 +150,16 @@ void run_trajectory(const CleanRun& clean,
 
 /// The ideal runs of one circuit from up to kMaxLanes *different* initial
 /// states (a group of operand instances), advanced in lockstep through one
-/// shared FusedPlan on the batched engine. Checkpoints are stored batched;
-/// per-lane queries extract a lane and (for state_at) replay the remainder
-/// on the scalar path.
+/// shared FusedPlan on the batched engine, in the plan's row layout (see
+/// sim/batch.h). Checkpoints are stored batched and packed to their live
+/// tiles — a few hundred KiB where the full planes take MiBs; per-lane
+/// queries extract a lane and (for state_at) replay the remainder on the
+/// scalar path.
 class BatchedCleanRun {
  public:
   BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
                   const std::vector<StateVector>& initials,
                   std::size_t checkpoint_interval = 64);
-  /// Hands the checkpoint storage to this thread's spare pool (bounded by
-  /// this run's checkpoint count), where the next run on the thread picks
-  /// it up.
-  ~BatchedCleanRun();
-  BatchedCleanRun(const BatchedCleanRun&) = default;
-  BatchedCleanRun(BatchedCleanRun&&) = default;
-  BatchedCleanRun& operator=(const BatchedCleanRun&) = default;
-  BatchedCleanRun& operator=(BatchedCleanRun&&) = default;
 
   int lanes() const { return checkpoints_.front().lanes(); }
   const FusedPlan& plan() const { return *plan_; }
@@ -185,8 +179,8 @@ class BatchedCleanRun {
   /// checkpoint, lane extracted, remainder replayed scalar).
   StateVector lane_state_at(int lane, std::size_t gate_count) const;
   /// Every lane's state after the first `gate_count` gates, as one batched
-  /// vector: nearest checkpoint copied, remainder replayed batched (fused
-  /// via subrange plans). Feeds group trajectory replays directly.
+  /// vector in the plan's row layout: nearest checkpoint copied, remainder
+  /// replayed batched (fused via subrange plans).
   BatchedStateVector states_at(std::size_t gate_count) const;
   /// Allocation-free, lane-permuted form of states_at: `out` lane j
   /// becomes member lane_map[j]'s state after `gate_count` gates (members
@@ -208,7 +202,7 @@ class BatchedCleanRun {
   /// Checkpoints land on fused-op boundaries at (or just past) every
   /// `interval_` gates, so building and resuming from them never splits an
   /// op. boundaries_[k] is the gate count of checkpoints_[k]; the last
-  /// checkpoint is the final state.
+  /// checkpoint is the final state, unpacked; the others are packed.
   std::vector<std::size_t> boundaries_;
   std::vector<BatchedStateVector> checkpoints_;
 };
@@ -223,10 +217,12 @@ class BatchedCleanRun {
 ///
 /// Execution is a fused tile walk (apply_batch_walk in sim/batch.h): the
 /// shared gate segments and the per-lane Paulis between them flatten into
-/// one step sequence, and every maximal run of tile-eligible steps takes a
-/// single pass over the amplitude tiles — so the replay cost no longer
-/// grows with the number of distinct injection sites (which is ~lanes ×
-/// events/lane for a batched group). Op-interior sites decompose the host
+/// one step sequence, and every maximal run of tile-local steps takes a
+/// single pass over the live amplitude tiles — so the replay cost no
+/// longer grows with the number of distinct injection sites (which is
+/// ~lanes × events/lane for a batched group). `plan` is the logical plan;
+/// a vector in its row layout (as BatchedCleanRun loads them) walks the
+/// relabelled twin. Op-interior sites decompose the host
 /// op per lane: each lane's arithmetic is exactly the scalar
 /// run_trajectory decomposition of its own trajectory, so a lane's replay
 /// is bitwise independent of which trajectories share the batch. Against

@@ -52,9 +52,10 @@ struct BatchKernelTable {
   // plan compile (FusedOp::m).
   void (*gate)(Real*, Real*, u64, u64, u64, u64, const Gate&, const cplx*);
   // Group-walk variants: correct at any qubit span relative to the chunk,
-  // pairing with XOR-sibling tiles through absolute row offsets (the group
-  // walk in apply_batch_walk keeps those tiles resident). Same row bodies
-  // as the contiguous kernels, so results are bitwise identical.
+  // pairing with XOR-sibling tiles through absolute row offsets (the walk
+  // in apply_batch_walk runs a cross-tile step on every tile of its
+  // group). Same row bodies as the contiguous kernels, so results are
+  // bitwise identical.
   void (*matrix1g)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
   void (*matrix2g)(Real*, Real*, u64, u64, u64, u64, int, int, const cplx*);
   void (*gateg)(Real*, Real*, u64, u64, u64, u64, const Gate&,
@@ -252,43 +253,156 @@ const char* precision_name(Precision p) {
 // BatchedStateVectorT
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Mask of lanes [first, first + count).
+u64 lane_bits(u64 first, u64 count) {
+  return (count >= 64 ? ~u64{0} : (u64{1} << count) - 1) << first;
+}
+
+u64 row_of(const RowLayout* layout, u64 index) {
+  return layout ? layout->to_row(index) : index;
+}
+
+u64 index_of_row(const RowLayout* layout, u64 row) {
+  return layout ? layout->to_logical(row) : row;
+}
+
+}  // namespace
+
 template <typename Real>
-BatchedStateVectorT<Real>::BatchedStateVectorT(int num_qubits, int lanes)
-    : num_qubits_(num_qubits), lanes_(lanes) {
-  QFAB_CHECK_MSG(num_qubits >= 1 && num_qubits <= 30,
-                 "unsupported qubit count " << num_qubits);
-  QFAB_CHECK_MSG(lanes >= 1 && lanes <= kMaxLanes,
-                 "unsupported lane count " << lanes);
-  const std::size_t total = dim() * static_cast<std::size_t>(lanes_);
-  re_.assign(total, Real{0});
-  im_.assign(total, Real{0});
-  pending_.assign(static_cast<std::size_t>(lanes_), 0.0);
+BatchedStateVectorT<Real>::BatchedStateVectorT(int num_qubits, int lanes) {
+  reset(num_qubits, lanes);
+  zero_tile(0);
   for (int l = 0; l < lanes_; ++l) re_[static_cast<std::size_t>(l)] = Real{1};
+  live_[0] = lane_bits(0, static_cast<u64>(lanes_));
 }
 
 template <typename Real>
-void BatchedStateVectorT<Real>::reset(int num_qubits, int lanes) {
+BatchedStateVectorT<Real>::BatchedStateVectorT(
+    const BatchedStateVectorT& other) {
+  *this = other;
+}
+
+template <typename Real>
+BatchedStateVectorT<Real>& BatchedStateVectorT<Real>::operator=(
+    const BatchedStateVectorT& other) {
+  if (this == &other) return *this;
+  num_qubits_ = other.num_qubits_;
+  lanes_ = other.lanes_;
+  tb_ = other.tb_;
+  packed_ = other.packed_;
+  pending_ = other.pending_;
+  live_ = other.live_;
+  slot_ = other.slot_;
+  layout_ = other.layout_;
+  size_planes(other.re_.size());
+  const u64 stride = tile_rows() * static_cast<u64>(lanes_);
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (live_[t] == 0) continue;
+    const u64 off = tile_offset(t);
+    std::copy_n(other.re_.data() + off, stride, re_.data() + off);
+    std::copy_n(other.im_.data() + off, stride, im_.data() + off);
+  }
+  return *this;
+}
+
+template <typename Real>
+void BatchedStateVectorT<Real>::reset(int num_qubits, int lanes,
+                                      std::shared_ptr<const RowLayout> layout) {
   QFAB_CHECK_MSG(num_qubits >= 1 && num_qubits <= 30,
                  "unsupported qubit count " << num_qubits);
   QFAB_CHECK_MSG(lanes >= 1 && lanes <= kMaxLanes,
                  "unsupported lane count " << lanes);
+  QFAB_CHECK(!layout || layout->num_qubits() == num_qubits);
   num_qubits_ = num_qubits;
   lanes_ = lanes;
-  const std::size_t total = dim() * static_cast<std::size_t>(lanes_);
+  tb_ = batched_tile_rows_log2(FusionOptions{}, lanes, num_qubits,
+                               sizeof(Real));
+  packed_ = false;
+  layout_ = std::move(layout);
+  size_planes(dim() * static_cast<std::size_t>(lanes_));
+  pending_.assign(static_cast<std::size_t>(lanes_), 0.0);
+  live_.assign(tile_count(), 0);
+  slot_.clear();
+}
+
+template <typename Real>
+void BatchedStateVectorT<Real>::size_planes(std::size_t total) {
+  // Clearing first: a reallocation then moves no stale rows.
+  re_.clear();
+  im_.clear();
   re_.resize(total);
   im_.resize(total);
-  pending_.resize(static_cast<std::size_t>(lanes_));
+}
+
+template <typename Real>
+void BatchedStateVectorT<Real>::zero_tile(u64 t) {
+  const u64 stride = tile_rows() * static_cast<u64>(lanes_);
+  std::fill_n(re_.data() + t * stride, stride, Real{0});
+  std::fill_n(im_.data() + t * stride, stride, Real{0});
+}
+
+template <typename Real>
+void BatchedStateVectorT<Real>::make_dense() {
+  QFAB_CHECK(!packed_);
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (live_[t] == 0) zero_tile(t);
+    live_[t] = lane_bits(0, static_cast<u64>(lanes_));
+  }
+}
+
+template <typename Real>
+void BatchedStateVectorT<Real>::retile(int tb) {
+  if (tb == tb_) return;
+  std::vector<u64> next(u64{1} << (num_qubits_ - tb), 0);
+  if (tb > tb_) {
+    const int d = tb - tb_;
+    for (u64 T = 0; T < next.size(); ++T) {
+      for (u64 s = 0; s < (u64{1} << d); ++s) next[T] |= live_[(T << d) + s];
+      if (next[T] == 0) continue;
+      for (u64 s = 0; s < (u64{1} << d); ++s)
+        if (live_[(T << d) + s] == 0) zero_tile((T << d) + s);
+    }
+  } else {
+    const int d = tb_ - tb;
+    for (u64 t = 0; t < live_.size(); ++t)
+      for (u64 s = 0; s < (u64{1} << d); ++s) next[(t << d) + s] = live_[t];
+  }
+  live_ = std::move(next);
+  tb_ = tb;
 }
 
 template <typename Real>
 void BatchedStateVectorT<Real>::set_lane(int lane, const StateVector& sv) {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   QFAB_CHECK(sv.num_qubits() == num_qubits_);
-  const std::vector<cplx>& a = sv.amplitudes();
+  QFAB_CHECK(!packed_);
   const u64 L = static_cast<u64>(lanes_);
+  const u64 col = static_cast<u64>(lane);
+  const u64 bit = u64{1} << lane;
+  // Drop the lane's old data: its column goes to exact zeros wherever the
+  // tile stays live for other lanes.
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (!(live_[t] & bit)) continue;
+    live_[t] &= ~bit;
+    if (live_[t] == 0) continue;
+    for (u64 row = t << tb_; row < (t + 1) << tb_; ++row) {
+      re_[row * L + col] = Real{0};
+      im_[row * L + col] = Real{0};
+    }
+  }
+  const std::vector<cplx>& a = sv.amplitudes();
   for (u64 i = 0; i < a.size(); ++i) {
-    re_[i * L + static_cast<u64>(lane)] = static_cast<Real>(a[i].real());
-    im_[i * L + static_cast<u64>(lane)] = static_cast<Real>(a[i].imag());
+    if (a[i] == cplx{0.0, 0.0}) continue;
+    const u64 row = row_of(layout_.get(), i);
+    const u64 t = row >> tb_;
+    if (!(live_[t] & bit)) {
+      if (live_[t] == 0) zero_tile(t);
+      live_[t] |= bit;
+    }
+    re_[row * L + col] = static_cast<Real>(a[i].real());
+    im_[row * L + col] = static_cast<Real>(a[i].imag());
   }
   pending_[static_cast<std::size_t>(lane)] = 0.0;
 }
@@ -296,16 +410,26 @@ void BatchedStateVectorT<Real>::set_lane(int lane, const StateVector& sv) {
 template <typename Real>
 void BatchedStateVectorT<Real>::broadcast(const StateVector& sv) {
   QFAB_CHECK(sv.num_qubits() == num_qubits_);
+  QFAB_CHECK(!packed_);
   const std::vector<cplx>& a = sv.amplitudes();
+  const RowLayout* layout = layout_.get();
+  const u64 all = lane_bits(0, static_cast<u64>(lanes_));
+  std::fill(live_.begin(), live_.end(), 0);
+  for (u64 i = 0; i < a.size(); ++i)
+    if (!(a[i] == cplx{0.0, 0.0})) live_[row_of(layout, i) >> tb_] = all;
   const u64 L = static_cast<u64>(lanes_);
-  for (u64 i = 0; i < a.size(); ++i) {
-    const Real ar = static_cast<Real>(a[i].real());
-    const Real ai = static_cast<Real>(a[i].imag());
-    Real* r = re_.data() + i * L;
-    Real* m = im_.data() + i * L;
-    for (u64 l = 0; l < L; ++l) {
-      r[l] = ar;
-      m[l] = ai;
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (live_[t] == 0) continue;
+    for (u64 row = t << tb_; row < (t + 1) << tb_; ++row) {
+      const cplx v = a[index_of_row(layout, row)];
+      const Real ar = static_cast<Real>(v.real());
+      const Real ai = static_cast<Real>(v.imag());
+      Real* r = re_.data() + row * L;
+      Real* m = im_.data() + row * L;
+      for (u64 l = 0; l < L; ++l) {
+        r[l] = ar;
+        m[l] = ai;
+      }
     }
   }
   std::fill(pending_.begin(), pending_.end(), 0.0);
@@ -315,13 +439,18 @@ template <typename Real>
 StateVector BatchedStateVectorT<Real>::lane_state(int lane) const {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   const u64 L = static_cast<u64>(lanes_);
+  const u64 bit = u64{1} << lane;
   const cplx ph = expi(pending_[static_cast<std::size_t>(lane)]);
   std::vector<cplx> amps(dim());
-  for (u64 i = 0; i < amps.size(); ++i)
-    amps[i] =
-        cplx{static_cast<double>(re_[i * L + static_cast<u64>(lane)]),
-             static_cast<double>(im_[i * L + static_cast<u64>(lane)])} *
-        ph;
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (!(live_[t] & bit)) continue;
+    const Real* r = re_.data() + tile_offset(t) + lane;
+    const Real* m = im_.data() + tile_offset(t) + lane;
+    for (u64 k = 0; k < tile_rows(); ++k)
+      amps[index_of_row(layout_.get(), (t << tb_) | k)] =
+          cplx{static_cast<double>(r[k * L]), static_cast<double>(m[k * L])} *
+          ph;
+  }
   return StateVector::from_amplitudes(std::move(amps));
 }
 
@@ -333,35 +462,89 @@ void BatchedStateVectorT<Real>::assign_permuted(
   QFAB_CHECK(!lane_map.empty() &&
              lane_map.size() <= static_cast<std::size_t>(kMaxLanes));
   for (int l : lane_map) QFAB_CHECK(l >= 0 && l < src.lanes_);
-  num_qubits_ = src.num_qubits_;
-  lanes_ = static_cast<int>(lane_map.size());
+  reset(src.num_qubits_, static_cast<int>(lane_map.size()), src.layout_);
   const u64 L = static_cast<u64>(lanes_);
   const u64 S = static_cast<u64>(src.lanes_);
-  const u64 n = dim();
-  re_.resize(n * L);
-  im_.resize(n * L);
-  pending_.resize(L);
   for (u64 j = 0; j < L; ++j)
     pending_[j] = src.pending_[static_cast<std::size_t>(lane_map[j])];
-  for (u64 i = 0; i < n; ++i) {
-    const SrcReal* sr = src.re_.data() + i * S;
-    const SrcReal* sm = src.im_.data() + i * S;
-    Real* dr = re_.data() + i * L;
-    Real* dm = im_.data() + i * L;
-    for (u64 j = 0; j < L; ++j) {
-      const u64 s = static_cast<u64>(lane_map[j]);
-      dr[j] = static_cast<Real>(sr[s]);
-      dm[j] = static_cast<Real>(sm[s]);
+  // Masks through the lane map, then across tile heights (a float tile is
+  // twice as tall as a double tile of the same lane count; more lanes make
+  // tiles shorter).
+  const int d = tb_ - src.tb_;
+  for (u64 t = 0; t < src.live_.size(); ++t) {
+    if (src.live_[t] == 0) continue;
+    u64 m = 0;
+    for (u64 j = 0; j < L; ++j)
+      m |= ((src.live_[t] >> lane_map[j]) & 1) << j;
+    if (m == 0) continue;
+    if (d >= 0) {
+      live_[t >> d] |= m;
+    } else {
+      for (u64 s = 0; s < (u64{1} << -d); ++s) live_[(t << -d) + s] |= m;
     }
   }
+  // Rows of every live tile, from src's tiles or exact zeros where src
+  // holds no data.
+  const u64 chunk = u64{1} << std::min(tb_, src.tb_);
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (live_[t] == 0) continue;
+    for (u64 r0 = t << tb_; r0 < (t + 1) << tb_; r0 += chunk) {
+      const u64 st = r0 >> src.tb_;
+      Real* dr = re_.data() + r0 * L;
+      Real* dm = im_.data() + r0 * L;
+      if (src.live_[st] == 0) {
+        std::fill_n(dr, chunk * L, Real{0});
+        std::fill_n(dm, chunk * L, Real{0});
+        continue;
+      }
+      const u64 soff =
+          src.tile_offset(st) + (r0 & (src.tile_rows() - 1)) * S;
+      const SrcReal* sr = src.re_.data() + soff;
+      const SrcReal* sm = src.im_.data() + soff;
+      for (u64 k = 0; k < chunk; ++k, sr += S, sm += S, dr += L, dm += L)
+        for (u64 j = 0; j < L; ++j) {
+          const u64 s = static_cast<u64>(lane_map[j]);
+          dr[j] = static_cast<Real>(sr[s]);
+          dm[j] = static_cast<Real>(sm[s]);
+        }
+    }
+  }
+}
+
+template <typename Real>
+BatchedStateVectorT<Real> BatchedStateVectorT<Real>::packed() const {
+  if (packed_) return *this;
+  BatchedStateVectorT out(1, 1);
+  out.num_qubits_ = num_qubits_;
+  out.lanes_ = lanes_;
+  out.tb_ = tb_;
+  out.packed_ = true;
+  out.pending_ = pending_;
+  out.live_ = live_;
+  out.layout_ = layout_;
+  out.slot_.assign(live_.size(), 0);
+  std::uint32_t n = 0;
+  for (u64 t = 0; t < live_.size(); ++t)
+    if (live_[t] != 0) out.slot_[t] = n++;
+  const u64 stride = tile_rows() * static_cast<u64>(lanes_);
+  out.size_planes(n * stride);
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (live_[t] == 0) continue;
+    std::copy_n(re_.data() + tile_offset(t), stride,
+                out.re_.data() + out.tile_offset(t));
+    std::copy_n(im_.data() + tile_offset(t), stride,
+                out.im_.data() + out.tile_offset(t));
+  }
+  return out;
 }
 
 template <typename Real>
 void BatchedStateVectorT<Real>::apply_pauli(int lane, Pauli p, int q) {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   QFAB_CHECK(q >= 0 && q < num_qubits_);
-  active_table<Real>().pauli(re_.data() + lane, im_.data() + lane, 0, dim(),
-                             static_cast<u64>(lanes_), p, q);
+  const BatchWalkStep step =
+      BatchWalkStep::pauli_step(lane, p, layout_ ? layout_->phys(q) : q);
+  walk(tb_, &step, 1);
 }
 
 template <typename Real>
@@ -381,13 +564,83 @@ std::vector<double> BatchedStateVectorT<Real>::lane_probabilities(
     int lane) const {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   const u64 L = static_cast<u64>(lanes_);
-  const u64 col = static_cast<u64>(lane);
-  std::vector<double> p(dim());
-  for (u64 i = 0; i < p.size(); ++i) {
-    const double ar = re_[i * L + col], ai = im_[i * L + col];
-    p[i] = ar * ar + ai * ai;
+  const u64 bit = u64{1} << lane;
+  std::vector<double> p(dim(), 0.0);
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (!(live_[t] & bit)) continue;
+    const Real* r = re_.data() + tile_offset(t) + lane;
+    const Real* m = im_.data() + tile_offset(t) + lane;
+    for (u64 k = 0; k < tile_rows(); ++k) {
+      const double ar = r[k * L], ai = m[k * L];
+      p[index_of_row(layout_.get(), (t << tb_) | k)] = ar * ar + ai * ai;
+    }
   }
   return p;
+}
+
+template <typename Real>
+void BatchedStateVectorT<Real>::accumulate_marginals(
+    const std::vector<int>& qubits, int lane_lo, int width,
+    double* acc) const {
+  QFAB_CHECK(!qubits.empty() &&
+             qubits.size() <= static_cast<std::size_t>(num_qubits_));
+  for (int q : qubits) QFAB_CHECK(q >= 0 && q < num_qubits_);
+  const RowLayout* layout = layout_.get();
+  const std::size_t k = qubits.size();
+  std::vector<int> pos(k);  // row bit of each key bit
+  for (std::size_t b = 0; b < k; ++b)
+    pos[b] = layout ? layout->phys(qubits[b]) : qubits[b];
+  // A key's rows add in ascending row order. That is ascending logical
+  // order — the identity layout's, so the sums are bitwise equal — iff the
+  // qubits outside the key keep their relative order in the layout.
+  bool ordered = true;
+  if (layout) {
+    int last = -1;
+    for (int q = 0; q < num_qubits_ && ordered; ++q) {
+      if (std::find(qubits.begin(), qubits.end(), q) != qubits.end()) continue;
+      ordered = layout->phys(q) > last;
+      last = layout->phys(q);
+    }
+  }
+  bool contiguous = true;
+  for (std::size_t b = 0; b < k; ++b)
+    contiguous &= pos[b] == pos[0] + static_cast<int>(b);
+  const u64 key_mask = pow2(static_cast<int>(k)) - 1;
+  const auto gather = [&](u64 x, const auto& bits) {
+    u64 key = 0;
+    for (std::size_t b = 0; b < k; ++b)
+      key |= static_cast<u64>(get_bit(x, bits[b])) << b;
+    return key;
+  };
+  const u64 L = static_cast<u64>(lanes_);
+  const u64 W = static_cast<u64>(width);
+  const u64 lanes = lane_bits(static_cast<u64>(lane_lo), W);
+  const auto add_row = [&](const Real* r, const Real* m, u64 key) {
+    double* a = acc + key * W;
+    for (u64 l = 0; l < W; ++l) {
+      const double ar = r[l], ai = m[l];
+      a[l] += ar * ar + ai * ai;
+    }
+  };
+  if (!ordered) {
+    // Visit rows in logical order instead.
+    for (u64 i = 0; i < dim(); ++i) {
+      const u64 row = layout->to_row(i);
+      const u64 t = row >> tb_;
+      if (!(live_[t] & lanes)) continue;
+      const u64 off = tile_offset(t) + (row & (tile_rows() - 1)) * L +
+                      static_cast<u64>(lane_lo);
+      add_row(re_.data() + off, im_.data() + off, gather(i, qubits));
+    }
+    return;
+  }
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (!(live_[t] & lanes)) continue;
+    const Real* r = re_.data() + tile_offset(t) + lane_lo;
+    const Real* m = im_.data() + tile_offset(t) + lane_lo;
+    for (u64 row = t << tb_; row < (t + 1) << tb_; ++row, r += L, m += L)
+      add_row(r, m, contiguous ? (row >> pos[0]) & key_mask : gather(row, pos));
+  }
 }
 
 template <typename Real>
@@ -396,35 +649,8 @@ std::vector<double> BatchedStateVectorT<Real>::lane_marginal_probabilities(
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   QFAB_CHECK(!qubits.empty() &&
              qubits.size() <= static_cast<std::size_t>(num_qubits_));
-  for (int q : qubits) QFAB_CHECK(q >= 0 && q < num_qubits_);
   std::vector<double> out(pow2(static_cast<int>(qubits.size())), 0.0);
-  const u64 L = static_cast<u64>(lanes_);
-  const u64 col = static_cast<u64>(lane);
-  const u64 n = dim();
-  bool contiguous = true;
-  for (std::size_t b = 0; b < qubits.size(); ++b)
-    if (qubits[b] != qubits[0] + static_cast<int>(b)) {
-      contiguous = false;
-      break;
-    }
-  if (contiguous) {
-    const int shift = qubits[0];
-    const u64 mask = static_cast<u64>(out.size()) - 1;
-    for (u64 i = 0; i < n; ++i) {
-      const double ar = re_[i * L + col], ai = im_[i * L + col];
-      out[(i >> shift) & mask] += ar * ar + ai * ai;
-    }
-    return out;
-  }
-  for (u64 i = 0; i < n; ++i) {
-    const double ar = re_[i * L + col], ai = im_[i * L + col];
-    const double pr = ar * ar + ai * ai;
-    if (pr == 0.0) continue;
-    u64 key = 0;
-    for (std::size_t b = 0; b < qubits.size(); ++b)
-      key |= static_cast<u64>(get_bit(i, qubits[b])) << b;
-    out[key] += pr;
-  }
+  accumulate_marginals(qubits, lane, 1, out.data());
   return out;
 }
 
@@ -444,43 +670,17 @@ void BatchedStateVectorT<Real>::all_lane_marginal_probabilities(
     std::vector<double>& scratch) const {
   QFAB_CHECK(!qubits.empty() &&
              qubits.size() <= static_cast<std::size_t>(num_qubits_));
-  for (int q : qubits) QFAB_CHECK(q >= 0 && q < num_qubits_);
   const u64 L = static_cast<u64>(lanes_);
-  const u64 n = dim();
   const u64 out_size = pow2(static_cast<int>(qubits.size()));
-  bool contiguous = true;
-  for (std::size_t b = 0; b < qubits.size(); ++b)
-    if (qubits[b] != qubits[0] + static_cast<int>(b)) {
-      contiguous = false;
-      break;
-    }
   // acc[key * L + lane]: per amplitude row the accumulation is one
   // unit-stride fused multiply-add over the lanes (always in double, so
   // the float tier loses precision only in the amplitudes themselves, not
-  // the reduction). Additions land per (lane, key) in ascending amplitude
+  // the reduction). Additions land per (lane, key) in ascending logical
   // order — exactly the order lane_marginal_probabilities uses — so the
-  // results are bitwise equal.
+  // results are bitwise equal; lanes clear in a live tile add exact zeros.
   scratch.assign(out_size * L, 0.0);
-  double* acc = scratch.data();
-  const int shift = qubits[0];
-  const u64 mask = out_size - 1;
-  for (u64 i = 0; i < n; ++i) {
-    u64 key;
-    if (contiguous) {
-      key = (i >> shift) & mask;
-    } else {
-      key = 0;
-      for (std::size_t b = 0; b < qubits.size(); ++b)
-        key |= static_cast<u64>(get_bit(i, qubits[b])) << b;
-    }
-    const Real* r = re_.data() + i * L;
-    const Real* m = im_.data() + i * L;
-    double* a = acc + key * L;
-    for (u64 l = 0; l < L; ++l) {
-      const double ar = r[l], ai = m[l];
-      a[l] += ar * ar + ai * ai;
-    }
-  }
+  accumulate_marginals(qubits, 0, lanes_, scratch.data());
+  const double* acc = scratch.data();
   out.resize(static_cast<std::size_t>(lanes_));
   for (u64 l = 0; l < L; ++l) {
     out[l].resize(out_size);
@@ -492,26 +692,19 @@ template <typename Real>
 double BatchedStateVectorT<Real>::lane_norm(int lane) const {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
   const u64 L = static_cast<u64>(lanes_);
-  const u64 col = static_cast<u64>(lane);
+  const u64 bit = u64{1} << lane;
   double s = 0.0;
-  for (u64 i = 0; i < dim(); ++i) {
-    const double ar = re_[i * L + col], ai = im_[i * L + col];
-    s += ar * ar + ai * ai;
+  for (u64 t = 0; t < live_.size(); ++t) {
+    if (!(live_[t] & bit)) continue;
+    const Real* r = re_.data() + tile_offset(t) + lane;
+    const Real* m = im_.data() + tile_offset(t) + lane;
+    for (u64 k = 0; k < tile_rows(); ++k) {
+      const double ar = r[k * L], ai = m[k * L];
+      s += ar * ar + ai * ai;
+    }
   }
   return std::sqrt(s);
 }
-
-template class BatchedStateVectorT<double>;
-template class BatchedStateVectorT<float>;
-
-template void BatchedStateVectorT<double>::assign_permuted<double>(
-    const BatchedStateVectorT<double>&, const std::vector<int>&);
-template void BatchedStateVectorT<double>::assign_permuted<float>(
-    const BatchedStateVectorT<float>&, const std::vector<int>&);
-template void BatchedStateVectorT<float>::assign_permuted<double>(
-    const BatchedStateVectorT<double>&, const std::vector<int>&);
-template void BatchedStateVectorT<float>::assign_permuted<float>(
-    const BatchedStateVectorT<float>&, const std::vector<int>&);
 
 // ---------------------------------------------------------------------------
 // Batched plan execution
@@ -571,9 +764,9 @@ void apply_chunk(const BatchKernelTable<Real>& K, const FusedPlan& plan,
 
 /// Group-walk chunk dispatch for ops whose coupling mask reaches at or
 /// above the tile: routes through the *g kernel variants, which address
-/// the XOR-partner rows absolutely in the sibling tiles the group walk
-/// keeps resident. Diagonal ops never couple rows and stay on the
-/// ordinary global-keyed kernels.
+/// the XOR-partner rows absolutely in the sibling tiles of the step's
+/// group. Diagonal ops never couple rows and stay on the ordinary
+/// global-keyed kernels.
 template <typename Real>
 void apply_chunk_group(const BatchKernelTable<Real>& K, const FusedPlan& plan,
                        Real* re, Real* im, u64 base, u64 len, u64 L, u64 G,
@@ -601,22 +794,13 @@ void apply_chunk_group(const BatchKernelTable<Real>& K, const FusedPlan& plan,
   }
 }
 
-// QFAB_FAULT nan-at-gate hook, batched counterpart of the one in
-// fusion.cpp: after a pass that executed the targeted gate, poison lane 0's
-// first amplitude with a quiet NaN. Inert without the env directive.
-template <typename Real>
-void maybe_inject_nan(BatchedStateVectorT<Real>& bsv, std::size_t gate_begin,
-                      std::size_t gate_end) {
-  if (fault::nan_fault_active() && fault::take_nan_charge(gate_begin, gate_end))
-    bsv.re()[0] = std::numeric_limits<Real>::quiet_NaN();
-}
-
 /// A walk step resolved once per walk for the tile loop.
 struct ResolvedStep {
   const FusedPlan* plan;  // null = Pauli step
   const FusedOp* op;
   u64 lane;    // op steps: first lane of the span; Pauli steps: the lane
   u64 width;   // op steps: lanes in the span
+  u64 lanes;   // mask of the lanes the step touches
   u64 high;    // coupling bits at or above the tile
   bool group;  // op steps: route through the group kernel variants
   Pauli pauli;
@@ -635,7 +819,49 @@ std::vector<BatchWalkStep>& range_steps_scratch() {
   return steps;
 }
 
+bool same_layout(const RowLayout* a, const RowLayout* b) {
+  if (a == b) return true;
+  if (a == nullptr || b == nullptr || a->num_qubits() != b->num_qubits())
+    return false;
+  for (int q = 0; q < a->num_qubits(); ++q)
+    if (a->phys(q) != b->phys(q)) return false;
+  return true;
+}
+
 }  // namespace
+
+const FusedPlan& plan_for_layout(
+    const FusedPlan& plan, const std::shared_ptr<const RowLayout>& layout) {
+  if (!layout) return plan;
+  const FusedPlan& twin = plan.relabelled();
+  QFAB_CHECK_MSG(same_layout(twin.row_layout().get(), layout.get()),
+                 "batched vector is not in the plan's row layout");
+  return twin;
+}
+
+namespace detail {
+
+template <typename Real>
+void maybe_inject_nan(BatchedStateVectorT<Real>& bsv, std::size_t gate_begin,
+                      std::size_t gate_end) {
+  if (!fault::nan_fault_active() ||
+      !fault::take_nan_charge(gate_begin, gate_end))
+    return;
+  const std::vector<u64>& live = bsv.live_masks();
+  for (u64 t = 0; t < live.size(); ++t)
+    if (live[t] & 1) {
+      bsv.re()[(t << bsv.tile_log2()) * static_cast<u64>(bsv.lanes())] =
+          std::numeric_limits<Real>::quiet_NaN();
+      return;
+    }
+}
+
+template void maybe_inject_nan<double>(BatchedStateVector&, std::size_t,
+                                       std::size_t);
+template void maybe_inject_nan<float>(BatchedStateVectorF&, std::size_t,
+                                      std::size_t);
+
+}  // namespace detail
 
 void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
                         std::size_t gate_end, int lane_begin, int lane_count,
@@ -668,23 +894,25 @@ void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
 template <typename Real>
 void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv) {
   QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
+  const FusedPlan& p = plan_for_layout(plan, bsv.layout());
   std::vector<BatchWalkStep>& steps = range_steps_scratch();
   steps.clear();
-  append_range_steps(plan, 0, plan.gate_count(), 0, -1, steps);
-  apply_batch_walk(plan, bsv, steps.data(), steps.size());
-  bsv.apply_global_phase(plan.circuit().global_phase());
-  maybe_inject_nan(bsv, 0, plan.gate_count());
+  append_range_steps(p, 0, p.gate_count(), 0, -1, steps);
+  apply_batch_walk(p, bsv, steps.data(), steps.size());
+  bsv.apply_global_phase(p.circuit().global_phase());
+  detail::maybe_inject_nan(bsv, 0, p.gate_count());
 }
 
 template <typename Real>
 void apply_plan_range(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       std::size_t gate_begin, std::size_t gate_end) {
   QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
+  const FusedPlan& p = plan_for_layout(plan, bsv.layout());
   std::vector<BatchWalkStep>& steps = range_steps_scratch();
   steps.clear();
-  append_range_steps(plan, gate_begin, gate_end, 0, -1, steps);
-  apply_batch_walk(plan, bsv, steps.data(), steps.size());
-  maybe_inject_nan(bsv, gate_begin, gate_end);
+  append_range_steps(p, gate_begin, gate_end, 0, -1, steps);
+  apply_batch_walk(p, bsv, steps.data(), steps.size());
+  detail::maybe_inject_nan(bsv, gate_begin, gate_end);
 }
 
 template void apply_plan<double>(const FusedPlan&, BatchedStateVector&);
@@ -706,35 +934,21 @@ int batched_tile_rows_log2(const FusionOptions& options, int lanes,
 }
 
 template <typename Real>
-void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
-                      const BatchWalkStep* steps, std::size_t count) {
-  QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
+void BatchedStateVectorT<Real>::walk(int tb, const BatchWalkStep* steps,
+                                     std::size_t count) {
+  QFAB_CHECK(!packed_);
+  retile(tb);
   const BatchKernelTable<Real>& K = active_table<Real>();
-  Real* re = bsv.re();
-  Real* im = bsv.im();
-  const u64 L = static_cast<u64>(bsv.lanes());
-  const u64 n = bsv.dim();
-  const int tb = batched_tile_rows_log2(plan.options(), bsv.lanes(),
-                                        bsv.num_qubits(), sizeof(Real));
-  const u64 tile = u64{1} << tb;
-  const u64 low = tile - 1;
-
-  // Every step couples row r only with rows r ^ m for m in the span of its
-  // coupling mask (ops: FusedPlan::op_coupling_mask; lane X/Y: their
-  // qubit; Z/I and diagonals: nothing). A run therefore never needs a
-  // full-width pass: tiles walk in XOR-groups — the 2^|B| sibling tiles
-  // reached by the run's high coupling bits B stay resident together, and
-  // high-coupling steps address their partner rows absolutely in those
-  // siblings. The cap bounds the co-resident set to 8 tiles (L2-sized at
-  // the L1 tile budget); a run ends only when admitting the next step
-  // would push |B| past it, which replaces the old per-step full-width
-  // fallback — the measured cause of the batch=16 lane-scaling inversion,
-  // since every injection split used to shed high-qubit sub-ops that broke
-  // the walk into full-vector passes.
-  constexpr int kGroupBitsCap = 3;
+  Real* re = re_.data();
+  Real* im = im_.data();
+  const u64 L = static_cast<u64>(lanes_);
+  const u64 low = tile_rows() - 1;
 
   // Resolve every step once (op, lane span, high coupling bits, kernel
-  // variant), so the tile loop below does no per-tile decode.
+  // variant), so the tile loop below does no per-tile decode. A step
+  // couples row r only with rows r ^ m for m in the span of its coupling
+  // mask (ops: FusedPlan::op_coupling_mask; lane X/Y: their qubit; Z/I
+  // and diagonals: nothing); its bits at or above the tile are `high`.
   std::vector<ResolvedStep>& rs = resolved_steps_scratch();
   rs.resize(count);
   for (std::size_t k = 0; k < count; ++k) {
@@ -751,107 +965,116 @@ void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                    ? (u64{1} << s.qubit) & ~low
                    : 0;
       r.group = false;
-      continue;
+    } else {
+      r.op = &s.plan->ops()[s.op];
+      r.lane = static_cast<u64>(s.lane_begin);
+      r.width = static_cast<u64>(
+          s.lane_count < 0 ? lanes_ - s.lane_begin : s.lane_count);
+      r.high = s.plan->op_coupling_mask(s.op) & ~low;
+      // Group kernels whenever ANY op qubit is above the tile — not just
+      // coupled ones: a high CX control never pairs rows across tiles but
+      // still overruns the plain in-chunk kernel's index space.
+      r.group = r.op->kind != FusedOp::Kind::kDiagonal && r.op->max_qubit >= tb;
     }
-    r.op = &s.plan->ops()[s.op];
-    r.lane = static_cast<u64>(s.lane_begin);
-    r.width = static_cast<u64>(s.lane_count < 0 ? bsv.lanes() - s.lane_begin
-                                                : s.lane_count);
-    r.high = s.plan->op_coupling_mask(s.op) & ~low;
-    // Group kernels whenever ANY op qubit is above the tile — not just
-    // coupled ones: a high CX control never pairs rows across tiles (so it
-    // adds nothing to B) but still overruns the plain in-chunk kernel's
-    // index space.
-    r.group = r.op->kind != FusedOp::Kind::kDiagonal && r.op->max_qubit >= tb;
+    r.lanes = lane_bits(r.lane, r.width);
   }
+  // Pending phases land once per op span in step order (never per tile),
+  // matching the per-lane schedule's accumulation sequence.
+  for (const ResolvedStep& r : rs)
+    if (r.plan != nullptr)
+      add_pending_span(*r.plan, *this, *r.op, static_cast<int>(r.lane),
+                       static_cast<int>(r.width));
   // One resolved step on the tile at global row tbase.
   const auto apply_tile = [&](const ResolvedStep& r, u64 tbase) {
     Real* tre = re + tbase * L + r.lane;
     Real* tim = im + tbase * L + r.lane;
     if (r.plan == nullptr)
-      K.pauli(tre, tim, tbase, tile, L, r.pauli, r.qubit);
+      K.pauli(tre, tim, tbase, tile_rows(), L, r.pauli, r.qubit);
     else if (r.group)
-      apply_chunk_group(K, *r.plan, tre, tim, tbase, tile, L, r.width, *r.op);
+      apply_chunk_group(K, *r.plan, tre, tim, tbase, tile_rows(), L, r.width,
+                        *r.op);
     else
-      apply_chunk(K, *r.plan, tre, tim, tbase, tile, L, r.width, *r.op);
+      apply_chunk(K, *r.plan, tre, tim, tbase, tile_rows(), L, r.width,
+                  *r.op);
   };
 
   std::size_t i = 0;
   while (i < count) {
-    // Maximal run whose union of high coupling bits fits the group cap.
-    u64 B = 0;
-    std::size_t j = i;
-    while (j < count) {
-      const u64 nb = B | rs[j].high;
-      if (std::popcount(nb) > kGroupBitsCap) break;
-      B = nb;
-      ++j;
-    }
-    if (j == i) {
-      // Lone step with more high coupling bits than the cap (cannot occur
-      // with today's ops, which couple at most two qubits): full width.
-      const ResolvedStep& r = rs[i];
-      if (r.plan != nullptr) {
-        add_pending_span(*r.plan, bsv, *r.op, static_cast<int>(r.lane),
-                         static_cast<int>(r.width));
-        apply_chunk(K, *r.plan, re + r.lane, im + r.lane, 0, n, L, r.width,
-                    *r.op);
-      } else {
-        bsv.apply_pauli(static_cast<int>(r.lane), r.pauli, r.qubit);
+    if (rs[i].high == 0) {
+      // A maximal run of in-tile steps: each live tile takes the whole run
+      // while it is L1-resident, skipping steps whose lanes are all clear.
+      std::size_t j = i + 1;
+      while (j < count && rs[j].high == 0) ++j;
+      for (u64 t = 0; t < live_.size(); ++t) {
+        const u64 m = live_[t];
+        if (m == 0) continue;
+        for (std::size_t k = i; k < j; ++k)
+          if (m & rs[k].lanes) apply_tile(rs[k], t << tb_);
       }
-      ++i;
+      i = j;
       continue;
     }
-    // Pending phases land once per op span in step order (never per
-    // tile), matching the per-lane schedule's accumulation sequence.
-    for (std::size_t k = i; k < j; ++k)
-      if (rs[k].plan != nullptr)
-        add_pending_span(*rs[k].plan, bsv, *rs[k].op,
-                         static_cast<int>(rs[k].lane),
-                         static_cast<int>(rs[k].width));
-    // Tile-base offsets of the group: every subset of B.
-    u64 bits[kGroupBitsCap];
-    int gbits = 0;
-    for (u64 m = B; m != 0; m &= m - 1) bits[gbits++] = m & (0 - m);
-    const int nsub = 1 << gbits;
-    u64 suboff[std::size_t{1} << kGroupBitsCap];
-    for (int sub = 0; sub < nsub; ++sub) {
-      u64 off = 0;
-      for (int b = 0; b < gbits; ++b)
-        if (sub & (1 << b)) off |= bits[b];
-      suboff[sub] = off;
-    }
-    for (u64 gb = 0; gb < n; gb += tile) {
-      if (gb & B) continue;  // visited as a sibling of its clear base
-      // A step that couples across tiles runs on every tile of the group
-      // in turn. Between two such steps, the steps that stay inside their
-      // tile run tile by tile, each tile taking the whole segment while it
-      // is L1-resident, instead of streaming the group (2^|B| tiles, more
-      // than L1 holds) once per step. Every row still sees the same steps
-      // in the same order.
-      std::size_t k = i;
-      while (k < j) {
-        if (rs[k].high != 0) {
-          for (int sub = 0; sub < nsub; ++sub)
-            apply_tile(rs[k], gb | suboff[sub]);
-          ++k;
-          continue;
-        }
-        std::size_t e = k;
-        while (e < j && rs[e].high == 0) ++e;
-        for (int sub = 0; sub < nsub; ++sub)
-          for (std::size_t t = k; t < e; ++t)
-            apply_tile(rs[t], gb | suboff[sub]);
-        k = e;
+    // A cross-tile step runs alone, on every group of tiles it pairs (the
+    // subsets of its high bits) that holds data in its lanes. The group
+    // kernels write both sides of a pair from the clear tile.
+    const ResolvedStep& r = rs[i];
+    const u64 hb = r.high >> tb_;
+    QFAB_CHECK(std::popcount(hb) <= 2);
+    u64 subs[4];
+    int ns = 0;
+    u64 sub = 0;
+    do {
+      subs[ns++] = sub;
+      sub = next_submask(sub, hb);
+    } while (sub != 0);
+    for (u64 t0 = 0; t0 < live_.size(); ++t0) {
+      if (t0 & hb) continue;
+      u64 any = 0;
+      for (int s = 0; s < ns; ++s) any |= live_[t0 | subs[s]];
+      if (!(any & r.lanes)) continue;
+      for (int s = 0; s < ns; ++s)
+        if (live_[t0 | subs[s]] == 0) zero_tile(t0 | subs[s]);
+      for (int s = 0; s < ns; ++s) apply_tile(r, (t0 | subs[s]) << tb_);
+      if (r.plan == nullptr) {
+        // A lane X/Y swaps its lane between the two tiles: so do its bits.
+        const u64 t1 = t0 | hb;
+        const u64 a = live_[t0] & r.lanes, b = live_[t1] & r.lanes;
+        live_[t0] = (live_[t0] & ~r.lanes) | b;
+        live_[t1] = (live_[t1] & ~r.lanes) | a;
+      } else {
+        // Any other cross-tile step may mix its lanes across the group.
+        for (int s = 0; s < ns; ++s) live_[t0 | subs[s]] |= any & r.lanes;
       }
     }
-    i = j;
+    ++i;
   }
+}
+
+template <typename Real>
+void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
+                      const BatchWalkStep* steps, std::size_t count) {
+  QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
+  bsv.walk(batched_tile_rows_log2(plan.options(), bsv.lanes(),
+                                  bsv.num_qubits(), sizeof(Real)),
+           steps, count);
 }
 
 template void apply_batch_walk<double>(const FusedPlan&, BatchedStateVector&,
                                        const BatchWalkStep*, std::size_t);
 template void apply_batch_walk<float>(const FusedPlan&, BatchedStateVectorF&,
                                       const BatchWalkStep*, std::size_t);
+
+template class BatchedStateVectorT<double>;
+template class BatchedStateVectorT<float>;
+
+template void BatchedStateVectorT<double>::assign_permuted<double>(
+    const BatchedStateVectorT<double>&, const std::vector<int>&);
+template void BatchedStateVectorT<double>::assign_permuted<float>(
+    const BatchedStateVectorT<float>&, const std::vector<int>&);
+template void BatchedStateVectorT<float>::assign_permuted<double>(
+    const BatchedStateVectorT<double>&, const std::vector<int>&);
+template void BatchedStateVectorT<float>::assign_permuted<float>(
+    const BatchedStateVectorT<float>&, const std::vector<int>&);
+
 
 }  // namespace qfab

@@ -42,18 +42,31 @@
 // split-point protocol, then batched execution resumes. See
 // noise/trajectory.h for the batched trajectory driver built on top.
 //
+// Row layout and live tiles (DESIGN.md §14): a vector stores its rows in a
+// RowLayout (sim/fusion.h) — identity for vectors built here directly, the
+// plan's layout for vectors BatchedCleanRun loads — and keeps one lane
+// mask per tile of 2^tile_log2() rows: bit l clear means lane l is exactly
+// zero in that tile, and a tile with mask 0 holds no data and is never
+// read. Operand registers are classical qubits in the paper's circuits, so
+// in the plan's layout a lane's data sits in a handful of tiles, and every
+// load, walk, copy and reduction touches those tiles only. Methods taking
+// qubits or StateVectors speak logical qubits and translate.
+//
 // One execution loop: apply_plan, apply_plan_range and the noisy replay
 // driver (noise/trajectory.h) all compile their gate range into
 // BatchWalkStep sequences (append_range_steps) and run them through
-// apply_batch_walk, which applies runs of steps tile by tile with the tile
-// height shrunk by lanes × sizeof(Real) so a tile is always L1-sized.
-// Diagonal ops are tile-eligible at any qubit span because their phase-key
-// gather needs only the global row index, which the tile walk supplies;
-// high-qubit ops reach their partner rows in co-resident sibling tiles.
+// apply_batch_walk over the live tiles, with the tile height shrunk by
+// lanes × sizeof(Real) so a tile is always L1-sized. Diagonal ops are
+// tile-local at any qubit span because their phase-key gather needs only
+// the global row index, which the tile walk supplies; ops and Paulis that
+// couple rows across tiles run alone, on the groups of tiles they pair.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/fusion.h"
@@ -112,6 +125,8 @@ bool batch_fault_injection();
 /// the block's address is kept just below the aligned start: aligned
 /// operator new (memalign) fragmented the heap over repeated multi-MiB
 /// plane allocations and raised peak RSS by up to 18% on a QFM panel.
+/// resize() default-initializes: planes are written tile by tile as tiles
+/// come alive, so pages of tiles that never hold data are never touched.
 template <typename T>
 struct CacheLineAllocator {
   using value_type = T;
@@ -131,11 +146,21 @@ struct CacheLineAllocator {
   void deallocate(T* p, std::size_t) {
     ::operator delete(reinterpret_cast<void**>(p)[-1]);
   }
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
   friend bool operator==(const CacheLineAllocator&,
                          const CacheLineAllocator&) {
     return true;
   }
 };
+
+struct BatchWalkStep;
 
 /// B state vectors advanced in lockstep through shared plan segments.
 /// `Real` is the amplitude scalar (double or float); the double
@@ -145,9 +170,15 @@ struct CacheLineAllocator {
 template <typename Real>
 class BatchedStateVectorT {
  public:
-  /// Lanes start as |0...0>. 1 <= lanes <= kMaxLanes; ragged final batches
-  /// of a sweep simply construct with fewer lanes.
+  /// Lanes start as |0...0>, in the identity row layout. 1 <= lanes <=
+  /// kMaxLanes; ragged final batches of a sweep simply construct with
+  /// fewer lanes.
   BatchedStateVectorT(int num_qubits, int lanes);
+  /// Copies hold the source's live tiles only.
+  BatchedStateVectorT(const BatchedStateVectorT& other);
+  BatchedStateVectorT& operator=(const BatchedStateVectorT& other);
+  BatchedStateVectorT(BatchedStateVectorT&&) noexcept = default;
+  BatchedStateVectorT& operator=(BatchedStateVectorT&&) noexcept = default;
 
   static constexpr int kMaxLanes = 64;
 
@@ -155,17 +186,23 @@ class BatchedStateVectorT {
   int lanes() const { return lanes_; }
   u64 dim() const { return pow2(num_qubits_); }
 
-  /// Re-dimension to (num_qubits, lanes) reusing the existing heap
-  /// storage; lane contents are unspecified until set via broadcast /
-  /// set_lane / assign_permuted. This is the trajectory estimators'
-  /// per-group workspace path: one BatchedStateVectorT per thread instead
-  /// of one allocation per replay group.
-  void reset(int num_qubits, int lanes);
+  /// Re-dimension to (num_qubits, lanes) in row layout `layout` (null =
+  /// identity) reusing the existing heap storage; every tile is dead and
+  /// lane contents are unspecified until set via broadcast / set_lane /
+  /// assign_permuted. This is the trajectory estimators' per-group
+  /// workspace path: one BatchedStateVectorT per thread instead of one
+  /// allocation per replay group.
+  void reset(int num_qubits, int lanes,
+             std::shared_ptr<const RowLayout> layout = nullptr);
+
+  /// Row layout of the planes (null = identity).
+  const std::shared_ptr<const RowLayout>& layout() const { return layout_; }
 
   /// Copy a state into one lane (pending phase folded in; amplitudes
-  /// rounded to Real).
+  /// rounded to Real). Writes only the state's nonzero tiles.
   void set_lane(int lane, const StateVector& sv);
   /// Copy one state into every lane (trajectory batches of one instance).
+  /// Writes only the state's nonzero tiles.
   void broadcast(const StateVector& sv);
   /// Extract one lane as a StateVector (lane pending phase folded in).
   StateVector lane_state(int lane) const;
@@ -173,11 +210,19 @@ class BatchedStateVectorT {
   /// src lane lane_map[j] (repeats allowed, so several trajectories of one
   /// member can occupy their own lanes). Reuses this vector's storage —
   /// the allocation-free way to seed a trajectory group from a batched
-  /// checkpoint. `src` may be of a different precision (the float replay
-  /// tier seeds from double checkpoints; amplitudes are rounded once here).
+  /// checkpoint — and copies only src's live tiles, taking src's layout.
+  /// `src` may be of a different precision (the float replay tier seeds
+  /// from double checkpoints; amplitudes are rounded once here) and may be
+  /// packed.
   template <typename SrcReal>
   void assign_permuted(const BatchedStateVectorT<SrcReal>& src,
                        const std::vector<int>& lane_map);
+
+  /// A copy holding only the live tiles, packed (BatchedCleanRun's
+  /// checkpoints). A packed vector serves every read and is a source for
+  /// assign_permuted, but walks and writes refuse it.
+  BatchedStateVectorT packed() const;
+  bool is_packed() const { return packed_; }
 
   /// Per-lane divergence: apply a Pauli to one lane only (noise injection
   /// between batched segments).
@@ -204,9 +249,11 @@ class BatchedStateVectorT {
   std::vector<double> lane_marginal_probabilities(
       int lane, const std::vector<int>& qubits) const;
   /// Marginal distribution of `qubits` for every lane in one pass over the
-  /// planes (one key decode per amplitude row, unit-stride accumulation
-  /// across lanes). Per lane, the sums are bitwise equal to
-  /// lane_marginal_probabilities.
+  /// live tiles (one key decode per amplitude row, unit-stride
+  /// accumulation across lanes). Per lane, the sums are bitwise equal to
+  /// lane_marginal_probabilities, and each key adds its rows in ascending
+  /// logical order in every layout, so they are bitwise those of the
+  /// identity layout.
   std::vector<std::vector<double>> all_lane_marginal_probabilities(
       const std::vector<int>& qubits) const;
   /// Allocation-reusing form: `out` is resized to lanes() (inner vectors
@@ -217,7 +264,19 @@ class BatchedStateVectorT {
                                        std::vector<double>& scratch) const;
   double lane_norm(int lane) const;
 
-  /// Raw planes for the batched kernels (amp-major, lane-minor).
+  /// Live-tile masks: tile t covers rows [t, t + 1) << tile_log2(); bit l
+  /// of live_masks()[t] clear means lane l is exactly zero there, and a
+  /// zero mask means the tile holds no data (its raw planes are
+  /// unspecified).
+  int tile_log2() const { return tb_; }
+  const std::vector<u64>& live_masks() const { return live_; }
+  /// Mark every lane of every tile live, zero-filling tiles that held no
+  /// data: walks then touch every row, as an unmasked engine would — the
+  /// reference tests hold the masked walk to.
+  void make_dense();
+
+  /// Raw planes for the batched kernels (amp-major, lane-minor, rows in
+  /// layout() order). Only live tiles hold data.
   Real* re() { return re_.data(); }
   Real* im() { return im_.data(); }
   const Real* re() const { return re_.data(); }
@@ -226,11 +285,42 @@ class BatchedStateVectorT {
  private:
   template <typename OtherReal>
   friend class BatchedStateVectorT;
+  template <typename R>
+  friend void apply_batch_walk(const FusedPlan&, BatchedStateVectorT<R>&,
+                               const BatchWalkStep*, std::size_t);
+
+  using Plane = std::vector<Real, CacheLineAllocator<Real>>;
+
+  u64 tile_rows() const { return u64{1} << tb_; }
+  u64 tile_count() const { return u64{1} << (num_qubits_ - tb_); }
+  /// Plane offset of live tile t (packed vectors look it up in slot_).
+  u64 tile_offset(u64 t) const {
+    return (packed_ ? slot_[t] : t) * tile_rows() * static_cast<u64>(lanes_);
+  }
+  /// Size the planes for the current shape without touching them.
+  void size_planes(std::size_t total);
+  /// Write exact zeros over every lane of tile t.
+  void zero_tile(u64 t);
+  /// Re-cut the masks to tiles of 2^tb rows (a walk's tile height);
+  /// merging tiles zero-fills the dead parts of newly live ones.
+  void retile(int tb);
+  /// The walk loop behind apply_batch_walk and apply_pauli: steps address
+  /// row bits, tiles are 2^tb rows.
+  void walk(int tb, const BatchWalkStep* steps, std::size_t count);
+  /// Marginal sums of lanes [lane_lo, lane_lo + width) into acc[key *
+  /// width + lane - lane_lo] (see all_lane_marginal_probabilities).
+  void accumulate_marginals(const std::vector<int>& qubits, int lane_lo,
+                            int width, double* acc) const;
 
   int num_qubits_ = 0;
   int lanes_ = 1;
-  std::vector<Real, CacheLineAllocator<Real>> re_, im_;
+  int tb_ = 0;           // rows per tile, log2
+  bool packed_ = false;  // planes hold the live tiles only, ascending
+  Plane re_, im_;
   std::vector<double> pending_;  // per-lane lazy global phase (radians)
+  std::vector<u64> live_;        // per-tile lane masks
+  std::vector<std::uint32_t> slot_;  // packed: tile -> position in planes
+  std::shared_ptr<const RowLayout> layout_;  // null = identity
 };
 
 /// The bitwise-reference double tier (the pre-existing engine name; all
@@ -243,7 +333,8 @@ extern template class BatchedStateVectorT<double>;
 extern template class BatchedStateVectorT<float>;
 
 /// Apply the full plan to every lane, including the circuit's global phase
-/// (mirrors FusedPlan::apply).
+/// (mirrors FusedPlan::apply). A vector in a non-identity layout runs the
+/// plan's relabelled twin (plan_for_layout), here and below.
 template <typename Real>
 void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv);
 
@@ -265,10 +356,31 @@ extern template void apply_plan_range<float>(const FusedPlan&,
                                              BatchedStateVectorF&, std::size_t,
                                              std::size_t);
 
+/// The plan whose qubit fields address the rows of a vector in `layout`:
+/// `plan` itself for the identity layout (null), else its relabelled twin
+/// — the vector must then be in plan.row_layout().
+const FusedPlan& plan_for_layout(
+    const FusedPlan& plan, const std::shared_ptr<const RowLayout>& layout);
+
+namespace detail {
+/// QFAB_FAULT nan-at-gate hook of the batched engine, counterpart of the
+/// one in fusion.cpp: after a pass that executed the targeted gate, poison
+/// lane 0's first live row with a quiet NaN — a row the health sentinels
+/// read. Inert without the env directive.
+template <typename Real>
+void maybe_inject_nan(BatchedStateVectorT<Real>& bsv, std::size_t gate_begin,
+                      std::size_t gate_end);
+extern template void maybe_inject_nan<double>(BatchedStateVector&,
+                                              std::size_t, std::size_t);
+extern template void maybe_inject_nan<float>(BatchedStateVectorF&,
+                                             std::size_t, std::size_t);
+}  // namespace detail
+
 /// Rows-per-tile exponent of the lane-aware cache blocking at `lanes`
 /// lanes of `real_size`-byte amplitudes: 2^result rows × lanes × 2 planes
 /// matches the scalar path's 2^tile_bits-amplitude L1 budget, clamped to
-/// [4, num_qubits]. apply_batch_walk tiles with it.
+/// [4, num_qubits]. apply_batch_walk tiles with it, and a vector's live
+/// masks start at its value for the default FusionOptions.
 int batched_tile_rows_log2(const FusionOptions& options, int lanes,
                            int num_qubits, std::size_t real_size);
 
@@ -277,17 +389,17 @@ int batched_tile_rows_log2(const FusionOptions& options, int lanes,
 /// subrange plans — applied to a contiguous lane span, or a single-lane
 /// Pauli injection. Op steps keep `plan` non-null; the plan must outlive
 /// the walk (subrange plans are owned by their root plan's cache, so
-/// holding the root alive suffices).
+/// holding the root alive suffices). Qubits are row bits of the vector the
+/// walk runs on: steps on a vector in a non-identity layout reference
+/// relabelled plans (FusedPlan::relabelled) and physical Pauli qubits.
 ///
 /// The lane span is how the walk prices per-lane schedule divergence: in
 /// the amp-major lane-minor layout, "lanes [b, b+c) of every row" is just
 /// the kernel's unit-stride inner loop shortened to c entries at column
 /// offset b, so an op-interior split needed by ONE lane runs its slices
 /// with c = 1 while the uninvolved lanes take the fused op in bystander
-/// spans. A c = 1 step does not cost 1/L of a pass: at 8 double lanes it
-/// loads and stores the same cache line per row and plane as a full-width
-/// step, so the two cost about the same per row (DESIGN.md §12, "Cost of
-/// a step"). lane_count = -1 means every lane.
+/// spans, and a step is skipped on every tile where all of its lanes are
+/// zero. lane_count = -1 means every lane.
 struct BatchWalkStep {
   const FusedPlan* plan = nullptr;  // null = Pauli step
   std::size_t op = 0;               // op index within *plan
@@ -334,23 +446,26 @@ void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
                         std::size_t gate_end, int lane_begin, int lane_count,
                         std::vector<BatchWalkStep>& steps);
 
-/// Execute a fused trajectory walk: maximal runs of steps whose high
-/// coupling bits fit the XOR-group cap load each L1-sized amplitude tile
-/// (plus its coupled sibling tiles) once and apply the whole interleaved
-/// sequence — op spans and lane Paulis alike — to it before the next
-/// group streams in, so a replay's memory traffic no longer multiplies
-/// with the number of injection sites. High-qubit ops run through the
-/// group kernel variants, which address partner rows absolutely in the
-/// co-resident siblings instead of forcing a full-width pass.
+/// Execute a fused trajectory walk over the vector's live tiles. A maximal
+/// run of steps that stay inside their tile visits the live tiles one by
+/// one, applying the whole run to each while it is L1-resident and
+/// skipping a step on a tile where all of its lanes are clear. A step that
+/// couples rows across tiles runs alone, on the groups of tiles that hold
+/// its lanes, through the group kernel variants (dead group tiles are
+/// zero-filled first); a single-lane X/Y then moves its lane's mask bit to
+/// the partner tile, and any other such op ORs its lanes' bits across the
+/// group.
 ///
-/// Within one lane, per-amplitude arithmetic, kernel selection, and
-/// pending-phase accumulation order are exactly those of the step
-/// sequence scoped to that lane's spans — a lane's amplitudes never
-/// depend on which other lanes share the batch (the walk's determinism
-/// contract; see run_trajectories_batched for the per-lane schedule it
-/// builds on top). `plan` supplies the tiling options and qubit count;
-/// op steps may reference it or any plan compiled with the same options.
-/// Global phase is NOT applied (mirrors apply_plan_range).
+/// Within one lane, per-amplitude arithmetic, kernel row bodies, and
+/// pending-phase accumulation order (once per op span, in step order) are
+/// exactly those of the step sequence scoped to that lane's spans — a
+/// lane's amplitudes never depend on which other lanes share the batch,
+/// nor on the row layout: skipped work only multiplies and adds exact
+/// zeros (the walk's determinism contract; see run_trajectories_batched
+/// for the per-lane schedule it builds on top). `plan` supplies the tiling
+/// options and qubit count; op steps may reference it or any plan compiled
+/// with the same options. Global phase is NOT applied (mirrors
+/// apply_plan_range).
 template <typename Real>
 void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       const BatchWalkStep* steps, std::size_t count);

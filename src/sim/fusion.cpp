@@ -642,7 +642,130 @@ bool simplify_pass(std::vector<FusedOp>& ops) {
   return changed;
 }
 
+/// Whether each qubit is superposed: some gate may put it into
+/// superposition. Every gate on a classical qubit is diagonal, uses it as
+/// a control, or is an X/Y/CX/CCX whose controls are all classical (a SWAP
+/// with a classical partner). Marking a control superposed can unclassify
+/// an earlier target, so the pass runs to a fixpoint.
+std::vector<bool> superposed_qubits(const QuantumCircuit& qc) {
+  std::vector<bool> sup(static_cast<std::size_t>(qc.num_qubits()), false);
+  bool changed = true;
+  const auto mark = [&](int q) {
+    if (sup[static_cast<std::size_t>(q)]) return;
+    sup[static_cast<std::size_t>(q)] = true;
+    changed = true;
+  };
+  const auto is_sup = [&](int q) { return sup[static_cast<std::size_t>(q)]; };
+  while (changed) {
+    changed = false;
+    for (const Gate& g : qc.gates()) {
+      if (gate_is_diagonal(g.kind)) continue;
+      switch (g.kind) {
+        case GateKind::kX:
+        case GateKind::kY:
+          break;
+        case GateKind::kCX:
+          if (is_sup(g.qubits[1])) mark(g.qubits[0]);
+          break;
+        case GateKind::kCCX:
+          if (is_sup(g.qubits[1]) || is_sup(g.qubits[2])) mark(g.qubits[0]);
+          break;
+        case GateKind::kSWAP:
+          if (is_sup(g.qubits[0]) || is_sup(g.qubits[1])) {
+            mark(g.qubits[0]);
+            mark(g.qubits[1]);
+          }
+          break;
+        case GateKind::kCH:
+          mark(g.qubits[0]);
+          break;
+        default:
+          for (int b = 0; b < g.arity(); ++b) mark(g.qubits[b]);
+      }
+    }
+  }
+  return sup;
+}
+
+/// Superposed qubits low, classical high, each in logical order; null when
+/// that is the identity.
+std::shared_ptr<const RowLayout> derive_row_layout(const QuantumCircuit& qc) {
+  const std::vector<bool> sup = superposed_qubits(qc);
+  const int n = qc.num_qubits();
+  std::vector<int> phys(static_cast<std::size_t>(n));
+  int next = 0;
+  for (int pass = 0; pass < 2; ++pass)
+    for (int q = 0; q < n; ++q)
+      if (sup[static_cast<std::size_t>(q)] == (pass == 0))
+        phys[static_cast<std::size_t>(q)] = next++;
+  bool identity = true;
+  for (int q = 0; q < n; ++q)
+    identity &= phys[static_cast<std::size_t>(q)] == q;
+  if (identity) return nullptr;
+  return std::make_shared<const RowLayout>(std::move(phys));
+}
+
+/// `op` with its qubit fields mapped through `layout`; `gate` is the op's
+/// (already mapped) gate for kGate ops. Matrices keep their gate-local
+/// basis; a diagonal table keeps its values, re-indexed to the sorted
+/// mapped qubits, with its shift plan rebuilt.
+FusedOp relabel_op(const FusedOp& op, const RowLayout& layout,
+                   const Gate& gate) {
+  FusedOp out = op;
+  switch (op.kind) {
+    case FusedOp::Kind::kMatrix1:
+      out.q0 = layout.phys(op.q0);
+      out.max_qubit = out.q0;
+      break;
+    case FusedOp::Kind::kMatrix2:
+      out.q0 = layout.phys(op.q0);
+      out.q1 = layout.phys(op.q1);
+      out.max_qubit = std::max(out.q0, out.q1);
+      break;
+    case FusedOp::Kind::kDiagonal: {
+      if (op.qubits.empty()) break;
+      std::vector<int> mapped;
+      for (int q : op.qubits) mapped.push_back(layout.phys(q));
+      out.qubits = mapped;
+      std::sort(out.qubits.begin(), out.qubits.end());
+      std::vector<int> pos(mapped.size());  // old key bit -> new key bit
+      for (std::size_t b = 0; b < mapped.size(); ++b)
+        pos[b] = index_of(out.qubits, mapped[b]);
+      for (u64 key = 0; key < op.phases.size(); ++key) {
+        u64 nkey = 0;
+        for (std::size_t b = 0; b < pos.size(); ++b)
+          nkey |= ((key >> b) & u64{1}) << pos[b];
+        out.phases[nkey] = op.phases[key];
+      }
+      out.max_qubit = out.qubits.back();
+      if (out.qubits.size() >= 2) build_diag_shifts(out);
+      break;
+    }
+    case FusedOp::Kind::kGate:
+      out.max_qubit = gate_max_qubit(gate);
+      break;
+  }
+  return out;
+}
+
 }  // namespace
+
+RowLayout::RowLayout(std::vector<int> phys)
+    : phys_(std::move(phys)), logical_(phys_.size()) {
+  const std::size_t n = phys_.size();
+  for (std::size_t q = 0; q < n; ++q)
+    logical_[static_cast<std::size_t>(phys_[q])] = static_cast<int>(q);
+  const std::size_t bytes = (n + 7) / 8;
+  to_row_.assign(bytes * 256, 0);
+  to_logical_.assign(bytes * 256, 0);
+  for (std::size_t b = 0; b < bytes; ++b)
+    for (u64 v = 0; v < 256; ++v)
+      for (std::size_t k = 0; k < 8 && 8 * b + k < n; ++k)
+        if ((v >> k) & 1) {
+          to_row_[b * 256 + v] |= u64{1} << phys_[8 * b + k];
+          to_logical_[b * 256 + v] |= u64{1} << logical_[8 * b + k];
+        }
+}
 
 /// Read-mostly: a sweep's worker threads look up the same few split keys
 /// over and over, so hits take only the shared lock (concurrent, no
@@ -664,6 +787,41 @@ FusedPlan::FusedPlan(const QuantumCircuit& qc, const FusionOptions& options)
   compile();
 }
 
+FusedPlan::FusedPlan(const FusedPlan& logical,
+                     std::shared_ptr<const RowLayout> layout, RelabelTag)
+    : circuit_(QuantumCircuit::same_shape(logical.circuit_)),
+      options_(logical.options_),
+      op_of_gate_(logical.op_of_gate_),
+      subranges_(std::make_shared<SubrangeCache>()),
+      layout_(std::move(layout)),
+      logical_(&logical) {
+  circuit_.add_global_phase(logical.circuit_.global_phase());
+  for (Gate g : logical.circuit_.gates()) {
+    for (int b = 0; b < g.arity(); ++b)
+      g.qubits[b] = layout_->phys(g.qubits[b]);
+    circuit_.append(g);
+  }
+  ops_.reserve(logical.ops_.size());
+  for (const FusedOp& op : logical.ops_)
+    ops_.push_back(
+        relabel_op(op, *layout_, circuit_.gates()[op.gate_begin]));
+}
+
+const FusedPlan& FusedPlan::relabelled() const {
+  if (logical_ != nullptr) return *this;
+  std::call_once(relabel_once_, [this] {
+    layout_ = derive_row_layout(circuit_);
+    if (layout_)
+      twin_.reset(new FusedPlan(*this, layout_, RelabelTag{}));
+  });
+  return twin_ ? *twin_ : *this;
+}
+
+const std::shared_ptr<const RowLayout>& FusedPlan::row_layout() const {
+  relabelled();
+  return layout_;
+}
+
 const FusedPlan& FusedPlan::subrange_plan(std::size_t gate_begin,
                                           std::size_t gate_end) const {
   QFAB_CHECK(gate_begin <= gate_end && gate_end <= gate_count());
@@ -674,10 +832,16 @@ const FusedPlan& FusedPlan::subrange_plan(std::size_t gate_begin,
     const auto it = subranges_->plans.find(key);
     if (it != subranges_->plans.end()) return *it->second;
   }
-  QuantumCircuit sub = QuantumCircuit::same_shape(circuit_);
-  for (std::size_t g = gate_begin; g < gate_end; ++g)
-    sub.append(circuit_.gates()[g]);
-  auto built = std::make_unique<const FusedPlan>(sub, options_);
+  std::unique_ptr<const FusedPlan> built;
+  if (logical_ != nullptr) {
+    built.reset(new FusedPlan(logical_->subrange_plan(gate_begin, gate_end),
+                              layout_, RelabelTag{}));
+  } else {
+    QuantumCircuit sub = QuantumCircuit::same_shape(circuit_);
+    for (std::size_t g = gate_begin; g < gate_end; ++g)
+      sub.append(circuit_.gates()[g]);
+    built = std::make_unique<const FusedPlan>(sub, options_);
+  }
   std::unique_lock<std::shared_mutex> lock(subranges_->mutex);
   const auto [it, inserted] =
       subranges_->plans.try_emplace(key, std::move(built));

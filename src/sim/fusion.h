@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -132,10 +133,43 @@ inline DiagTile diag_tile(const FusedOp::DiagShift* ss, int ns, u64 base,
 /// The submask of `mask` after `s` in ascending order; 0 after the last.
 inline u64 next_submask(u64 s, u64 mask) { return (s - mask) & mask; }
 
+/// Row order of the batched engine's amplitude planes: logical qubit q is
+/// row bit phys[q]. A plan derives it from its circuit (row_layout): the
+/// superposed qubits take the low row bits and the classical ones — those
+/// no gate puts into superposition — the high bits, each group in logical
+/// order. Operand registers then select whole tiles, so a lane's data sits
+/// in a few tiles (DESIGN.md §14).
+class RowLayout {
+ public:
+  explicit RowLayout(std::vector<int> phys);
+
+  int num_qubits() const { return static_cast<int>(phys_.size()); }
+  int phys(int logical_qubit) const { return phys_[logical_qubit]; }
+  int logical(int row_bit) const { return logical_[row_bit]; }
+  /// Row of logical basis index `index`, and back (byte-table lookups).
+  u64 to_row(u64 index) const { return permute(to_row_, index); }
+  u64 to_logical(u64 row) const { return permute(to_logical_, row); }
+
+ private:
+  static u64 permute(const std::vector<u64>& table, u64 x) {
+    u64 out = 0;
+    for (std::size_t b = 0; x != 0; ++b, x >>= 8)
+      out |= table[b * 256 + (x & 255)];
+    return out;
+  }
+
+  std::vector<int> phys_, logical_;
+  std::vector<u64> to_row_, to_logical_;  // 256 entries per index byte
+};
+
 class FusedPlan {
  public:
   explicit FusedPlan(const QuantumCircuit& qc,
                      const FusionOptions& options = {});
+  /// Plans are held in place (shared_ptr or locals): a relabelled twin
+  /// points back at the plan it was built from.
+  FusedPlan(const FusedPlan&) = delete;
+  FusedPlan& operator=(const FusedPlan&) = delete;
 
   /// The compiled circuit (the plan owns a copy).
   const QuantumCircuit& circuit() const { return circuit_; }
@@ -153,9 +187,8 @@ class FusedPlan {
   /// mask. Diagonal ops (and diagonal kGates) couple nothing; a fused 2x2
   /// couples its qubit; CX/CCX couple only their target (controls gate
   /// participation but never pair rows across themselves); SWAP and kCH
-  /// couple both qubits. The batched group walk uses this to co-schedule
-  /// the XOR-partner tiles of high-qubit ops instead of dropping to a
-  /// full-width pass.
+  /// couple both qubits. The batched walk uses this to tell steps that stay
+  /// inside their tile from those that pair tiles, and which tiles.
   u64 op_coupling_mask(std::size_t op_index) const;
 
   /// Apply the full circuit, including its global phase (mirrors
@@ -170,15 +203,32 @@ class FusedPlan {
                    std::size_t gate_end) const;
 
   /// Lazily compiled fused plan for the original-gate subrange
-  /// [gate_begin, gate_end), cached (thread-safe) for the plan's lifetime
-  /// and shared across copies. Noise injection splits the same few sites
-  /// over and over across a sweep's trajectories; compiling the partial
+  /// [gate_begin, gate_end), cached (thread-safe) for the plan's
+  /// lifetime. Noise injection splits the same few sites over and over
+  /// across a sweep's trajectories; compiling the partial
   /// slice of a big fused op once turns its per-gate fallback (one full
   /// amplitude pass per gate) back into a handful of fused passes.
   const FusedPlan& subrange_plan(std::size_t gate_begin,
                                  std::size_t gate_end) const;
 
+  /// The batched engine's row layout for this plan's states (see
+  /// RowLayout); null when it is the identity. Derived on first use.
+  const std::shared_ptr<const RowLayout>& row_layout() const;
+
+  /// This plan with every qubit field mapped into row_layout(): the same
+  /// ops, matrices and phase values, diagonal tables re-indexed into the
+  /// mapped key order. Its subrange plans are the relabelled subrange
+  /// plans of this one — never a re-fusion of the relabelled circuit,
+  /// whose merge order would follow the new labels — so a batched lane
+  /// computes the same numbers in either layout. Built on first use and
+  /// cached (thread-safe); `*this` for identity layouts and for twins.
+  const FusedPlan& relabelled() const;
+
  private:
+  struct RelabelTag {};
+  /// The relabelled twin of `logical` in `layout`.
+  FusedPlan(const FusedPlan& logical, std::shared_ptr<const RowLayout> layout,
+            RelabelTag);
   void compile();
   /// Apply whole ops [op_lo, op_hi), cache-blocked.
   void apply_ops(StateVector& sv, std::size_t op_lo, std::size_t op_hi) const;
@@ -192,6 +242,11 @@ class FusedPlan {
   std::vector<std::uint32_t> op_of_gate_;   // gate index -> op index
   struct SubrangeCache;                     // lazily compiled subrange plans
   std::shared_ptr<SubrangeCache> subranges_;
+  // Row layout and relabelled twin, derived together on first use.
+  mutable std::once_flag relabel_once_;
+  mutable std::shared_ptr<const RowLayout> layout_;
+  mutable std::unique_ptr<const FusedPlan> twin_;
+  const FusedPlan* logical_ = nullptr;  // twins: the plan they relabel
 };
 
 }  // namespace qfab

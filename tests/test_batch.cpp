@@ -14,6 +14,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -940,6 +941,333 @@ TEST(LaneSpan, PauliStepsAreExact) {
   for_each_simd_mode([](const char* mode) {
     expect_pauli_steps_exact<double>(mode);
     expect_pauli_steps_exact<float>(mode);
+  });
+}
+
+// ---------- row layout and live tiles ----------
+
+/// Lane `lane` of `bsv` in logical basis order, raw (pending phase not
+/// folded in), read through the layout and the live masks: rows where the
+/// lane's mask bit is clear read as zero.
+template <typename Real>
+std::vector<cplx> raw_logical_lane(const BatchedStateVectorT<Real>& bsv,
+                                   int lane) {
+  const RowLayout* layout = bsv.layout().get();
+  const u64 L = static_cast<u64>(bsv.lanes());
+  std::vector<cplx> out(bsv.dim());
+  for (u64 i = 0; i < out.size(); ++i) {
+    const u64 row = layout ? layout->to_row(i) : i;
+    if (!((bsv.live_masks()[row >> bsv.tile_log2()] >> lane) & 1)) continue;
+    const u64 k = row * L + static_cast<u64>(lane);
+    out[i] = cplx{static_cast<double>(bsv.re()[k]),
+                  static_cast<double>(bsv.im()[k])};
+  }
+  return out;
+}
+
+/// The unmasked reference of `a`: an identity-layout vector with every
+/// tile live in every lane, holding a's lanes' logical amplitudes and
+/// pending phases.
+template <typename Real>
+BatchedStateVectorT<Real> dense_reference(const BatchedStateVectorT<Real>& a) {
+  BatchedStateVectorT<Real> b(a.num_qubits(), a.lanes());
+  b.make_dense();
+  const u64 L = static_cast<u64>(a.lanes());
+  for (int j = 0; j < a.lanes(); ++j) {
+    const std::vector<cplx> v = raw_logical_lane(a, j);
+    for (u64 i = 0; i < v.size(); ++i) {
+      b.re()[i * L + static_cast<u64>(j)] = static_cast<Real>(v[i].real());
+      b.im()[i * L + static_cast<u64>(j)] = static_cast<Real>(v[i].imag());
+    }
+    b.apply_lane_global_phase(j, a.lane_pending_phase(j));
+  }
+  return b;
+}
+
+/// `got` (masked, in a plan's layout) against `want` (its dense identity
+/// reference) after the same trajectories: per lane, the same pending
+/// phase, equal raw amplitudes and lane_state (zeros up to their sign: the
+/// masked walk never computes a dead row), bitwise-equal marginals, and
+/// every clear mask bit of `got` covering exact zeros of `want`.
+template <typename Real>
+void expect_walks_agree(const BatchedStateVectorT<Real>& got,
+                        const BatchedStateVectorT<Real>& want,
+                        const std::vector<int>& out_q,
+                        const std::string& what) {
+  ASSERT_EQ(got.lanes(), want.lanes()) << what;
+  const u64 L = static_cast<u64>(got.lanes());
+  for (int j = 0; j < got.lanes(); ++j) {
+    EXPECT_EQ(got.lane_pending_phase(j), want.lane_pending_phase(j))
+        << what << " lane " << j;
+    const std::vector<cplx> g = raw_logical_lane(got, j);
+    const std::vector<cplx> w = raw_logical_lane(want, j);
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < g.size(); ++i) differ += !(g[i] == w[i]);
+    EXPECT_EQ(differ, 0u) << what << " lane " << j << " raw amplitudes";
+    if constexpr (std::is_same_v<Real, double>) {
+      const auto gs = got.lane_state(j).amplitudes();
+      const auto ws = want.lane_state(j).amplitudes();
+      std::size_t states_differ = 0;
+      for (std::size_t i = 0; i < gs.size(); ++i)
+        states_differ += !(gs[i] == ws[i]);
+      EXPECT_EQ(states_differ, 0u) << what << " lane " << j << " lane_state";
+    }
+  }
+  const auto gm = got.all_lane_marginal_probabilities(out_q);
+  const auto wm = want.all_lane_marginal_probabilities(out_q);
+  for (std::size_t j = 0; j < gm.size(); ++j)
+    EXPECT_EQ(std::memcmp(gm[j].data(), wm[j].data(),
+                          gm[j].size() * sizeof(double)),
+              0)
+        << what << " lane " << j << " marginal";
+  // Mask soundness: a clear bit claims exact zeros.
+  const RowLayout* layout = got.layout().get();
+  std::size_t unsound = 0;
+  for (u64 t = 0; t < got.live_masks().size(); ++t)
+    for (u64 j = 0; j < L; ++j) {
+      if ((got.live_masks()[t] >> j) & 1) continue;
+      for (u64 row = t << got.tile_log2(); row < (t + 1) << got.tile_log2();
+           ++row) {
+        const u64 i = layout ? layout->to_logical(row) : row;
+        unsound += want.re()[i * L + j] != Real{0} ||
+                   want.im()[i * L + j] != Real{0};
+      }
+    }
+  EXPECT_EQ(unsound, 0u) << what << ": clear mask bits over nonzero rows";
+}
+
+/// The group's resume gate: its earliest first-error site.
+std::size_t group_start(const BatchedCleanRun& clean,
+                        const std::vector<std::vector<ErrorEvent>>& events) {
+  std::size_t g0 = clean.plan().gate_count();
+  for (const auto& ev : events)
+    if (!ev.empty()) g0 = std::min(g0, ev.front().gate_index + 1);
+  return g0;
+}
+
+/// One trajectory group loaded from `clean` into the plan's layout, and
+/// its dense identity reference, through the same trajectories.
+template <typename Real>
+void expect_group_agrees(const BatchedCleanRun& clean,
+                         const std::vector<int>& lane_map,
+                         const std::vector<std::vector<ErrorEvent>>& events,
+                         const std::vector<int>& out_q,
+                         const std::string& what) {
+  const std::size_t g0 = group_start(clean, events);
+  BatchedStateVectorT<Real> got(1, 1);
+  clean.load_states_at(g0, lane_map, got);
+  ASSERT_TRUE(got.layout() != nullptr) << what;
+  const double load_tol = std::is_same_v<Real, double> ? 1e-12 : 1e-5;
+  for (std::size_t j = 0; j < lane_map.size(); ++j) {
+    // The load itself: each lane is its member's state after g0 gates.
+    const cplx ph =
+        std::polar(1.0, got.lane_pending_phase(static_cast<int>(j)));
+    const std::vector<cplx> v = raw_logical_lane(got, static_cast<int>(j));
+    const StateVector ref = clean.lane_state_at(lane_map[j], g0);
+    double d = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i)
+      d = std::max(d, std::abs(v[i] * ph - ref.amplitudes()[i]));
+    EXPECT_LT(d, load_tol) << what << " load lane " << j;
+  }
+  BatchedStateVectorT<Real> want = dense_reference(got);
+  run_trajectories_batched(clean.plan(), got, g0, events);
+  run_trajectories_batched(clean.plan(), want, g0, events);
+  expect_walks_agree(got, want, out_q, what);
+}
+
+/// The per-rate fallback's seed: one member's ideal state broadcast into
+/// the plan's layout (lane_state_at + broadcast).
+template <typename Real>
+void expect_fallback_agrees(const BatchedCleanRun& clean, int member,
+                            const std::vector<std::vector<ErrorEvent>>& events,
+                            const std::vector<int>& out_q,
+                            const std::string& what) {
+  const std::size_t g0 = group_start(clean, events);
+  BatchedStateVectorT<Real> got(1, 1);
+  got.reset(clean.circuit().num_qubits(), static_cast<int>(events.size()),
+            clean.plan().row_layout());
+  got.broadcast(clean.lane_state_at(member, g0));
+  BatchedStateVectorT<Real> want = dense_reference(got);
+  run_trajectories_batched(clean.plan(), got, g0, events);
+  run_trajectories_batched(clean.plan(), want, g0, events);
+  expect_walks_agree(got, want, out_q, what);
+}
+
+/// Gate indices of `qc` satisfying `pred`.
+template <typename Pred>
+std::vector<std::size_t> gates_where(const QuantumCircuit& qc, Pred pred) {
+  std::vector<std::size_t> out;
+  for (std::size_t g = 0; g < qc.gates().size(); ++g)
+    if (pred(qc.gates()[g])) out.push_back(g);
+  return out;
+}
+
+ErrorEvent event_at(std::size_t gate, Pauli p0, Pauli p1 = Pauli::kI) {
+  ErrorEvent ev;
+  ev.gate_index = gate;
+  ev.pauli0 = p0;
+  ev.pauli1 = p1;
+  return ev;
+}
+
+BatchedCleanRun clean_run_for(const CircuitSpec& spec, OperandOrders orders,
+                              int members, std::uint64_t seed) {
+  const auto plan =
+      std::make_shared<const FusedPlan>(build_transpiled_circuit(spec));
+  Pcg64 rng(seed, 3);
+  std::vector<StateVector> initials;
+  for (const ArithInstance& inst :
+       generate_instances(members, spec.n, spec.n, orders, rng))
+    initials.push_back(make_initial_state(spec, inst));
+  return BatchedCleanRun(plan, initials, 64);
+}
+
+TEST(RowLayout, OperandRegistersTakeTheHighRowBits) {
+  // QFA's x and QFM's x and y registers are classical; the result registers
+  // are not. For QFA n=8 and QFM n=4 the layout is a rotation by 8 bits.
+  CircuitSpec qfa;
+  qfa.n = 8;
+  CircuitSpec qfm;
+  qfm.op = Operation::kMultiply;
+  qfm.n = 4;
+  for (const CircuitSpec& spec : {qfa, qfm}) {
+    const FusedPlan plan(build_transpiled_circuit(spec));
+    const auto& layout = plan.row_layout();
+    ASSERT_TRUE(layout != nullptr);
+    ASSERT_EQ(layout->num_qubits(), 16);
+    for (int q = 0; q < 16; ++q) EXPECT_EQ(layout->phys(q), (q + 8) % 16);
+    const FusedPlan& twin = plan.relabelled();
+    EXPECT_EQ(&twin.relabelled(), &twin);
+    EXPECT_EQ(twin.row_layout(), layout);
+    ASSERT_EQ(twin.op_count(), plan.op_count());
+  }
+  // A circuit with no classical qubits keeps the identity layout.
+  QuantumCircuit qc(3);
+  for (int q = 0; q < 3; ++q) qc.h(q);
+  const FusedPlan plain(qc);
+  EXPECT_EQ(plain.row_layout(), nullptr);
+  EXPECT_EQ(&plain.relabelled(), &plain);
+}
+
+TEST(RowLayout, TwinIsBuiltOnceUnderConcurrentFirstUse) {
+  // Eight threads race to the first relabelled() call of one plan: every
+  // one must get the same twin (the TSan preset checks the cache).
+  CircuitSpec spec;
+  spec.n = 8;
+  const FusedPlan plan(build_transpiled_circuit(spec));
+  std::vector<const FusedPlan*> got(8, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < got.size(); ++k)
+    threads.emplace_back([&plan, &got, k] {
+      got[k] = &plan.relabelled();
+      (void)plan.row_layout();
+      (void)got[k]->subrange_plan(3, 9);
+    });
+  for (std::thread& t : threads) t.join();
+  for (const FusedPlan* p : got) EXPECT_EQ(p, got[0]);
+  EXPECT_NE(got[0], &plan);
+}
+
+TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
+  // QFA n=8: Paulis on the x register (controls of the CP blocks' CX) move
+  // lanes across tiles — lanes 0 and 1 carry one member and move to
+  // different tiles — alongside in-register errors, an interior split, an
+  // error on the last gate, and a clean lane.
+  CircuitSpec spec;
+  spec.n = 8;
+  const std::vector<int> out_q = output_qubits(spec);
+  for_each_simd_mode([&](const char* mode) {
+    for (const OperandOrders orders :
+         {OperandOrders{1, 1}, OperandOrders{2, 2}}) {
+      const BatchedCleanRun clean = clean_run_for(spec, orders, 4, 17);
+      const QuantumCircuit& qc = clean.circuit();
+      const std::size_t total = qc.gates().size();
+      const auto x_cx = gates_where(qc, [&](const Gate& g) {
+        return g.kind == GateKind::kCX && g.qubits[1] < spec.n;
+      });
+      const auto y_1q = gates_where(qc, [&](const Gate& g) {
+        return g.arity() == 1 && g.qubits[0] >= spec.n;
+      });
+      ASSERT_GE(x_cx.size(), 8u);
+      ASSERT_GE(y_1q.size(), 4u);
+      const FusedPlan& plan = clean.plan();
+      std::size_t interior = total;
+      for (std::size_t g = total / 3; g + 1 < total && interior == total; ++g)
+        if (plan.ops()[plan.op_of_gate(g + 1)].gate_begin <= g)
+          interior = g;
+      ASSERT_LT(interior, total);
+      std::vector<std::vector<ErrorEvent>> events(8);
+      events[0] = {event_at(x_cx[1], Pauli::kI, Pauli::kX)};
+      events[1] = {event_at(x_cx[6], Pauli::kZ, Pauli::kY)};
+      events[2] = {event_at(x_cx[2], Pauli::kX, Pauli::kX),
+                   event_at(y_1q[y_1q.size() / 2], Pauli::kY)};
+      events[3] = {event_at(y_1q[1], Pauli::kX)};
+      events[4] = {event_at(x_cx[3], Pauli::kI, Pauli::kX),
+                   event_at(x_cx[x_cx.size() - 2], Pauli::kI, Pauli::kX)};
+      events[6] = {event_at(interior, Pauli::kY)};
+      events[7] = {event_at(x_cx[4], Pauli::kI, Pauli::kY),
+                   event_at(total - 1, Pauli::kX)};
+      const std::string what = std::string(mode) + " qfa8 " +
+                               std::to_string(orders.order_x) + ":" +
+                               std::to_string(orders.order_y);
+      const std::vector<int> map = {0, 0, 1, 2, 3, 1, 2, 0};
+      expect_group_agrees<double>(clean, map, events, out_q, what);
+      expect_group_agrees<float>(clean, map, events, out_q, what + " f32");
+      // A ragged group: 3 lanes of a 4-member run.
+      const std::vector<std::vector<ErrorEvent>> ragged = {
+          events[1], events[0], events[4]};
+      expect_group_agrees<double>(clean, {3, 1, 3}, ragged, out_q,
+                                  what + " ragged");
+      // The per-rate fallback seed.
+      expect_fallback_agrees<double>(clean, 2, events, out_q,
+                                     what + " fallback");
+      expect_fallback_agrees<float>(clean, 1, events, out_q,
+                                    what + " fallback f32");
+    }
+  });
+}
+
+TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
+  // QFM n=4: an error inside a CCP block leaves a slice whose CX couples
+  // two classical qubits (x and y): a cross-tile op step.
+  CircuitSpec spec;
+  spec.op = Operation::kMultiply;
+  spec.n = 4;
+  const std::vector<int> out_q = output_qubits(spec);
+  for_each_simd_mode([&](const char* mode) {
+    const BatchedCleanRun clean = clean_run_for(spec, {1, 2}, 4, 23);
+    const QuantumCircuit& qc = clean.circuit();
+    const FusedPlan& plan = clean.plan();
+    const int classical = 2 * spec.n;
+    const auto xy_cx = gates_where(qc, [&](const Gate& g) {
+      return g.kind == GateKind::kCX && g.qubits[0] < classical &&
+             g.qubits[1] < classical;
+    });
+    ASSERT_GE(xy_cx.size(), 4u);
+    // Sites inside the op that holds a classical CX, before the CX.
+    std::vector<std::size_t> inside;
+    for (std::size_t g : xy_cx) {
+      const FusedOp& op = plan.ops()[plan.op_of_gate(g)];
+      if (op.gate_begin < g) inside.push_back(g - 1);
+    }
+    ASSERT_GE(inside.size(), 2u);
+    const auto x_cx = gates_where(qc, [&](const Gate& g) {
+      return g.kind == GateKind::kCX && g.qubits[1] < spec.n;
+    });
+    ASSERT_FALSE(x_cx.empty());
+    std::vector<std::vector<ErrorEvent>> events(6);
+    events[0] = {event_at(inside[0], Pauli::kZ)};
+    events[1] = {event_at(inside[inside.size() / 2], Pauli::kX)};
+    events[2] = {event_at(inside[1], Pauli::kY),
+                 event_at(xy_cx.back(), Pauli::kX, Pauli::kX)};
+    events[3] = {event_at(x_cx[x_cx.size() / 2], Pauli::kI, Pauli::kY)};
+    events[5] = {event_at(inside.back(), Pauli::kX)};
+    const std::string what = std::string(mode) + " qfm4";
+    const std::vector<int> map = {0, 1, 1, 3, 2, 0};
+    expect_group_agrees<double>(clean, map, events, out_q, what);
+    expect_group_agrees<float>(clean, map, events, out_q, what + " f32");
+    expect_fallback_agrees<float>(clean, 3, events, out_q,
+                                  what + " fallback f32");
   });
 }
 

@@ -3,11 +3,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -220,6 +222,31 @@ TEST(Parallel, CoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
   parallel_for(0, 1000, [&](std::size_t i) { ++hits[i]; });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Parallel, PoolRunsOnItsParallelismCount) {
+  // A pool of parallelism T starts T - 1 workers, and the caller drains
+  // chunks beside them: one call's chunks run on at most T distinct
+  // threads, and on more than one.
+  for (const std::size_t T : {std::size_t{2}, std::size_t{4}}) {
+    ThreadPool pool(T);
+    EXPECT_EQ(pool.parallelism(), T);
+    EXPECT_EQ(pool.size(), T - 1);
+    std::mutex mu;
+    std::set<std::thread::id> seen;
+    parallel_for_chunked(
+        pool, 0, 64,
+        [&](std::size_t, std::size_t) {
+          {
+            std::lock_guard lock(mu);
+            seen.insert(std::this_thread::get_id());
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        },
+        1);
+    EXPECT_LE(seen.size(), T) << "T=" << T;
+    EXPECT_GT(seen.size(), 1u) << "T=" << T;
+  }
 }
 
 TEST(Parallel, EmptyRangeIsNoop) {

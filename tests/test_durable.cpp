@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -363,6 +364,73 @@ TEST(Durable, PersistentNanPoisonsUnitsAndResumeRestoresThem) {
   EXPECT_EQ(r.unit_errors.size(), kUnits);
   expect_same_points(poisoned, r);
   expect_same_stats(poisoned.shared_stats, r.shared_stats);
+}
+
+/// QFA n=8 units whose every x operand value is nonzero: in the plan's row
+/// layout x selects the tile, so tile 0 — row 0 — holds no data in any
+/// lane, and a NaN planted there would never be read.
+SweepConfig dead_tile0_config() {
+  SweepConfig cfg;
+  cfg.base.op = Operation::kAdd;
+  cfg.base.n = 8;
+  cfg.depths = {kFullDepth};
+  cfg.rates_percent = {1.0};
+  cfg.vary_2q = true;
+  cfg.orders = {2, 1};
+  cfg.instances = 4;
+  cfg.run.shots = 32;
+  cfg.run.error_trajectories = 2;
+  cfg.run.batch_lanes = 2;
+  cfg.seed = 91;
+  cfg.progress = false;
+  return cfg;
+}
+
+std::vector<ArithInstance> nonzero_x_instances(const SweepConfig& cfg) {
+  Pcg64 rng(cfg.seed);
+  std::vector<ArithInstance> out;
+  while (out.size() < static_cast<std::size_t>(cfg.instances)) {
+    const ArithInstance inst = generate_instances(
+        1, cfg.base.n, cfg.base.n, cfg.orders, rng)[0];
+    const std::vector<u64> xs = inst.x.support();
+    if (std::find(xs.begin(), xs.end(), u64{0}) == xs.end())
+      out.push_back(inst);
+  }
+  return out;
+}
+
+TEST(Durable, NanFaultTripsWhenTileZeroIsDead) {
+  // The batched hooks poison lane 0's first live row, so the sentinel
+  // trips even when no lane holds data in row 0: one charge, one retry.
+  const SweepConfig cfg = dead_tile0_config();
+  const auto insts = nonzero_x_instances(cfg);
+  fault::set_fault_spec_for_tests("nan-at-gate=3");
+  DurableOptions durable;
+  durable.journal_path = tmp_path("nan_dead_tile0.journal");
+  const SweepResult r = run_sweep_durable(cfg, insts, durable);
+  fault::set_fault_spec_for_tests("");
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.units_retried, 1u);
+  EXPECT_TRUE(r.unit_errors.empty());
+  const JournalContents contents = read_journal(durable.journal_path);
+  EXPECT_EQ(count_type(contents, JournalRecord::Type::kPoisoned), 0u);
+}
+
+TEST(Durable, PersistentNanPoisonsUnitsWhenTileZeroIsDead) {
+  const SweepConfig cfg = dead_tile0_config();
+  const auto insts = nonzero_x_instances(cfg);
+  const std::size_t units = static_cast<std::size_t>(cfg.instances) /
+                            static_cast<std::size_t>(cfg.run.batch_lanes);
+  fault::set_fault_spec_for_tests("nan-at-gate=3,nan-count=-1");
+  DurableOptions durable;
+  durable.journal_path = tmp_path("poison_dead_tile0.journal");
+  const SweepResult r = run_sweep_durable(cfg, insts, durable);
+  fault::set_fault_spec_for_tests("");
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.unit_errors.size(), units);
+  for (const SweepPoint& p : r.points) EXPECT_EQ(p.stats.successes, 0);
+  const JournalContents contents = read_journal(durable.journal_path);
+  EXPECT_EQ(count_type(contents, JournalRecord::Type::kPoisoned), units);
 }
 
 TEST(Durable, FingerprintMismatchRefusesResume) {

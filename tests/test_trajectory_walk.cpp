@@ -131,7 +131,8 @@ std::size_t random_lane_events(const QuantumCircuit& qc, int lanes,
 /// with the lane's pending phase folded in (the raw planes alone are only
 /// defined up to that factor — see lane_pending_phase), and a scalar state.
 /// Reads the planes directly, so a float32 lane is compared as is instead
-/// of being renormalized into a StateVector.
+/// of being renormalized into a StateVector; rows whose live-mask bit is
+/// clear are exact zeros (the vectors here are in the identity layout).
 template <typename Real>
 double lane_vs_state(const BatchedStateVectorT<Real>& bsv, int lane,
                      const StateVector& sv) {
@@ -141,8 +142,10 @@ double lane_vs_state(const BatchedStateVectorT<Real>& bsv, int lane,
   double d = 0.0;
   for (u64 r = 0; r < bsv.dim(); ++r) {
     const std::size_t i = r * lanes + static_cast<u64>(lane);
-    const cplx v = phase * cplx{static_cast<double>(bsv.re()[i]),
-                                static_cast<double>(bsv.im()[i])};
+    const bool live = (bsv.live_masks()[r >> bsv.tile_log2()] >> lane) & 1;
+    const cplx v = live ? phase * cplx{static_cast<double>(bsv.re()[i]),
+                                       static_cast<double>(bsv.im()[i])}
+                        : cplx{0.0, 0.0};
     d = std::max(d, std::abs(v - ref[r]));
   }
   return d;
@@ -278,9 +281,10 @@ TEST(TrajectoryWalk, SitesOnEveryOpBoundary) {
 }
 
 TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
-  // A small tile forces non-diagonal ops on high qubits (and X/Y Paulis
-  // there) through the full-width fallback mid-walk. tile_bits=3 with
-  // 6 qubits puts the tile well under the state size at every lane count.
+  // A small tile puts non-diagonal ops on high qubits (and X/Y Paulis
+  // there) across tiles mid-walk, and cuts a sparse start state into live
+  // and dead tiles. tile_bits=3 with 6 qubits puts the tile well under the
+  // state size at every lane count.
   FusionOptions options;
   options.tile_bits = 3;
   Pcg64 rng(20260809, 5);
