@@ -2,9 +2,15 @@
 //
 // Times the per-gate reference path (StateVector::apply_circuit) against
 // FusedPlan::apply on the transpiled QFA(n=8, d in 1..7 and full) and
-// QFM(n=4) circuits, and writes a machine-readable BENCH_fusion.json so
-// the perf trajectory is tracked from this PR onward. Each measurement
-// also cross-checks the two paths' final amplitudes (<= 1e-12).
+// QFM(n=4) circuits, and writes a machine-readable BENCH_fusion.json. Each
+// measurement also cross-checks the two paths' final amplitudes
+// (<= 1e-12). Each row also prices the compiler: compile_ms is one cold
+// compile of the plan, and slice_compile_us the mean cost of one slice
+// compile when every prefix [b, k) and suffix [k, e) slice of every op
+// [b, e) is asked of subrange_plan — the slices that injection sites
+// inside ops need — from an empty slice store; `slices` counts those
+// compiles (repeats of an earlier slice's gates are store hits). Both are
+// medians over reps.
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
@@ -35,6 +41,8 @@ struct BenchRow {
   double speedup = 0.0;
   double max_deviation = 0.0;
   double compile_ms = 0.0;
+  double slice_compile_us = 0.0;
+  std::size_t slices = 0;
 };
 
 double max_amp_deviation(const StateVector& a, const StateVector& b) {
@@ -46,34 +54,65 @@ double max_amp_deviation(const StateVector& a, const StateVector& b) {
   return mx;
 }
 
-/// Median-of-reps wall time in milliseconds for one full replay.
+/// Median-of-reps wall time in milliseconds of `fn`.
 template <typename Fn>
-double time_replay_ms(Fn&& replay, int reps) {
+double time_median_ms(Fn&& fn, int reps) {
   std::vector<double> ms;
   ms.reserve(reps);
   for (int r = 0; r < reps; ++r) {
     Stopwatch watch;
-    replay();
+    fn();
     ms.push_back(watch.seconds() * 1e3);
   }
   std::sort(ms.begin(), ms.end());
   return ms[ms.size() / 2];
 }
 
+/// Median over reps of the mean microseconds one slice compile takes,
+/// asking for every prefix and suffix slice of every op of a plan of `qc`.
+/// Each rep builds the plan afresh, so its private slice store starts
+/// empty; a slice whose gates repeat an earlier one's is a store hit, not
+/// a compile, and counts only in the time. Sets `slices` to the number of
+/// compiles (the distinct slice plans returned).
+double time_slice_compiles_us(const QuantumCircuit& qc, int reps,
+                              std::size_t& slices) {
+  std::vector<double> us;
+  us.reserve(reps);
+  std::vector<const FusedPlan*> returned;
+  for (int r = 0; r < reps; ++r) {
+    const FusedPlan plan(qc);
+    returned.clear();
+    Stopwatch watch;
+    for (const FusedOp& op : plan.ops())
+      for (std::size_t k = op.gate_begin + 1; k < op.gate_end; ++k) {
+        returned.push_back(&plan.subrange_plan(op.gate_begin, k));
+        returned.push_back(&plan.subrange_plan(k, op.gate_end));
+      }
+    const double seconds = watch.seconds();
+    std::sort(returned.begin(), returned.end());
+    slices = static_cast<std::size_t>(
+        std::unique(returned.begin(), returned.end()) - returned.begin());
+    us.push_back(slices == 0 ? 0.0
+                             : seconds * 1e6 / static_cast<double>(slices));
+  }
+  std::sort(us.begin(), us.end());
+  return us[us.size() / 2];
+}
+
 BenchRow run_case(const std::string& name, const CircuitSpec& spec,
                   int reps) {
   const QuantumCircuit qc = build_transpiled_circuit(spec);
-  Stopwatch compile_watch;
   const FusedPlan plan(qc);
   BenchRow row;
-  row.compile_ms = compile_watch.seconds() * 1e3;
+  row.compile_ms = time_median_ms([&] { const FusedPlan cold(qc); }, reps);
+  row.slice_compile_us = time_slice_compiles_us(qc, reps, row.slices);
   row.name = name;
   row.num_qubits = qc.num_qubits();
   row.gates = qc.gates().size();
   row.fused_ops = plan.op_count();
 
   StateVector sv(qc.num_qubits());
-  row.unfused_ms = time_replay_ms(
+  row.unfused_ms = time_median_ms(
       [&] {
         sv.reset();
         sv.apply_circuit(qc);
@@ -81,7 +120,7 @@ BenchRow run_case(const std::string& name, const CircuitSpec& spec,
       reps);
   StateVector ref_final = sv;  // last unfused replay's final state
 
-  row.fused_ms = time_replay_ms(
+  row.fused_ms = time_median_ms(
       [&] {
         sv.reset();
         plan.apply(sv);
@@ -112,6 +151,8 @@ void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
         << ", \"fused_ns_per_gate\": " << r.fused_ns_per_gate
         << ", \"speedup\": " << r.speedup
         << ", \"compile_ms\": " << r.compile_ms
+        << ", \"slice_compile_us\": " << r.slice_compile_us
+        << ", \"slices\": " << r.slices
         << ", \"max_deviation\": " << r.max_deviation << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -150,7 +191,8 @@ int run(int argc, const char* const* argv) {
   }
 
   TextTable table({"case", "qubits", "gates", "fused_ops", "unfused_ms",
-                   "fused_ms", "ns/gate", "speedup", "max_dev"});
+                   "fused_ms", "ns/gate", "speedup", "max_dev", "compile_ms",
+                   "slices", "slice_us"});
   for (const BenchRow& r : rows) {
     QFAB_CHECK_MSG(r.max_deviation < 1e-12,
                    r.name << ": fused path deviates " << r.max_deviation);
@@ -160,7 +202,9 @@ int run(int argc, const char* const* argv) {
                    std::to_string(r.gates), std::to_string(r.fused_ops),
                    fmt_double(r.unfused_ms, 3), fmt_double(r.fused_ms, 3),
                    fmt_double(r.fused_ns_per_gate, 1),
-                   fmt_double(r.speedup, 2), dev});
+                   fmt_double(r.speedup, 2), dev, fmt_double(r.compile_ms, 3),
+                   std::to_string(r.slices),
+                   fmt_double(r.slice_compile_us, 1)});
   }
   table.print(std::cout);
   write_json(rows, out_path);

@@ -75,14 +75,18 @@ struct SweepContext {
     use_shared = config.run.shared_trajectories && !config.run.per_shot &&
                  !cluster.empty();
     // Transpile and compile the execution plan once per depth (cheap next
-    // to simulation, but shared by every instance and trajectory).
+    // to simulation, but shared by every instance and trajectory). The
+    // depth plans share one slice store, so a slice the AQFT depths have
+    // in common compiles once per sweep; the plans keep it alive.
     circuits.reserve(config.depths.size());
     plans.reserve(config.depths.size());
+    const auto slices = std::make_shared<SliceStore>();
     for (int depth : config.depths) {
       CircuitSpec spec = config.base;
       spec.depth = depth;
       circuits.push_back(build_transpiled_circuit(spec));
-      plans.push_back(std::make_shared<const FusedPlan>(circuits.back()));
+      plans.push_back(std::make_shared<const FusedPlan>(
+          circuits.back(), FusionOptions{}, slices));
     }
     nonfused.assign(config.depths.size(), nullptr);
   }

@@ -820,12 +820,7 @@ std::vector<BatchWalkStep>& range_steps_scratch() {
 }
 
 bool same_layout(const RowLayout* a, const RowLayout* b) {
-  if (a == b) return true;
-  if (a == nullptr || b == nullptr || a->num_qubits() != b->num_qubits())
-    return false;
-  for (int q = 0; q < a->num_qubits(); ++q)
-    if (a->phys(q) != b->phys(q)) return false;
-  return true;
+  return a == b || (a != nullptr && b != nullptr && *a == *b);
 }
 
 }  // namespace

@@ -340,9 +340,10 @@ void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv);
 
 /// Apply original gates [gate_begin, gate_end) to every lane; global phase
 /// NOT applied (mirrors FusedPlan::apply_range). Boundaries may fall inside
-/// fused ops — a partially covered op runs as the cached subrange plan of
-/// its covered gates — so per-lane noise injection can split anywhere. Runs
-/// as one walk (append_range_steps + apply_batch_walk).
+/// fused ops — a partially covered op runs as the subrange plan of its
+/// covered gates, from the plan's slice store — so per-lane noise injection
+/// can split anywhere. Runs as one walk (append_range_steps +
+/// apply_batch_walk).
 template <typename Real>
 void apply_plan_range(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       std::size_t gate_begin, std::size_t gate_end);
@@ -437,11 +438,13 @@ struct BatchWalkStep {
 /// of `plan` to lanes [lane_begin, lane_begin + lane_count) (lane_count -1
 /// = every lane), decomposed exactly as the scalar FusedPlan::apply_range
 /// does: maximal runs of fully covered ops come from the plan itself, and
-/// op-interior slices from its cached subrange plans (a 1-gate slice
-/// compiles to a kGate op, the per-gate kernel). This is the one
-/// range-to-steps compiler: apply_plan_range and the noisy replay driver
-/// both build their walks with it. The subrange plans are owned by the
-/// plan's cache, so holding `plan` alive keeps every step valid.
+/// op-interior slices from its subrange plans (a 1-gate slice compiles to
+/// a kGate op, the per-gate kernel). This is the one range-to-steps
+/// compiler: apply_plan_range and the batched noisy replay
+/// (noise/trajectory.cpp) both build their walks with it. The subrange
+/// plans live in the plan's SliceStore, and holding `plan` alive keeps the
+/// store, so every step, valid: a root plan holds its store, and a twin's
+/// store is held by the plan it relabels.
 void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
                         std::size_t gate_end, int lane_begin, int lane_count,
                         std::vector<BatchWalkStep>& steps);

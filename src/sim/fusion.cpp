@@ -1,6 +1,8 @@
 #include "sim/fusion.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -30,16 +32,18 @@ std::vector<cplx> to_flat(const Matrix& m) {
   return out;
 }
 
-/// Row-major product a*b of two d x d flats (b applied first).
-std::vector<cplx> matmul_flat(const std::vector<cplx>& a,
-                              const std::vector<cplx>& b, std::size_t d) {
-  std::vector<cplx> out(d * d, cplx{0.0, 0.0});
+/// Row-major product out = a*b of two d x d flats (b applied first).
+/// Zero entries of `a` are skipped: each entry of `out` starts at +0, and
+/// in round-to-nearest a sum that starts at +0 never becomes -0, so adding
+/// the signed-zero product of a zero entry would not change it.
+void matmul_flat(const cplx* a, const cplx* b, std::size_t d, cplx* out) {
+  std::fill(out, out + d * d, cplx{0.0, 0.0});
   for (std::size_t r = 0; r < d; ++r)
     for (std::size_t k = 0; k < d; ++k) {
       const cplx ark = a[r * d + k];
+      if (ark == cplx{0.0, 0.0}) continue;
       for (std::size_t c = 0; c < d; ++c) out[r * d + c] += ark * b[k * d + c];
     }
-  return out;
 }
 
 /// Diagonal entries of a diagonal gate over its local bits.
@@ -135,8 +139,10 @@ void k_diag(cplx* a, u64 len, const FusedOp::DiagShift* ss, int ns,
 /// Per-gate chunk kernel mirroring StateVector::apply_gate, with one
 /// deliberate difference: RZ applies only diag(1, e^{i.theta}) — the
 /// e^{-i.theta/2} scalar is accumulated by the *caller* into the state's
-/// pending global phase, once per gate (not once per tile).
-void k_gate(cplx* a, u64 len, const Gate& g) {
+/// pending global phase, once per gate (not once per tile). `m` holds the
+/// gate's decoded operands (gate_kernel_operands; FusedOp::m for a kGate
+/// op), so no tile rebuilds a matrix or a cos/sin.
+void k_gate(cplx* a, u64 len, const Gate& g, const cplx* m) {
   switch (g.kind) {
     case GateKind::kId:
       return;
@@ -163,10 +169,8 @@ void k_gate(cplx* a, u64 len, const Gate& g) {
       k_phase_on_bit(a, len, g.qubits[0], cplx{-1.0, 0.0});
       return;
     case GateKind::kRZ:
-      k_phase_on_bit(a, len, g.qubits[0], expi(g.params[0]));
-      return;
     case GateKind::kP:
-      k_phase_on_bit(a, len, g.qubits[0], expi(g.params[0]));
+      k_phase_on_bit(a, len, g.qubits[0], m[0]);
       return;
     case GateKind::kCX: {
       const u64 cbit = u64{1} << g.qubits[1];
@@ -182,8 +186,7 @@ void k_gate(cplx* a, u64 len, const Gate& g) {
     }
     case GateKind::kCZ:
     case GateKind::kCP: {
-      const cplx ph =
-          g.kind == GateKind::kCZ ? cplx{-1.0, 0.0} : expi(g.params[0]);
+      const cplx ph = g.kind == GateKind::kCZ ? cplx{-1.0, 0.0} : m[0];
       const int lo = std::min(g.qubits[0], g.qubits[1]);
       const int hi = std::max(g.qubits[0], g.qubits[1]);
       const u64 mask = (u64{1} << g.qubits[0]) | (u64{1} << g.qubits[1]);
@@ -193,7 +196,7 @@ void k_gate(cplx* a, u64 len, const Gate& g) {
       return;
     }
     case GateKind::kCCP: {
-      const cplx ph = expi(g.params[0]);
+      const cplx ph = m[0];
       int qs[3] = {g.qubits[0], g.qubits[1], g.qubits[2]};
       std::sort(qs, qs + 3);
       const u64 mask =
@@ -229,16 +232,12 @@ void k_gate(cplx* a, u64 len, const Gate& g) {
     case GateKind::kSXdg:
     case GateKind::kRY:
     case GateKind::kRX:
-    case GateKind::kU: {
-      const std::vector<cplx> m = to_flat(g.matrix());
-      k_matrix1(a, len, g.qubits[0], m.data());
+    case GateKind::kU:
+      k_matrix1(a, len, g.qubits[0], m);
       return;
-    }
-    case GateKind::kCH: {
-      const std::vector<cplx> m = to_flat(g.matrix());
-      k_matrix2(a, len, g.qubits[0], g.qubits[1], m.data());
+    case GateKind::kCH:
+      k_matrix2(a, len, g.qubits[0], g.qubits[1], m);
       return;
-    }
   }
   QFAB_CHECK_MSG(false, "unhandled gate " << g.to_string());
 }
@@ -264,6 +263,11 @@ void k_gate(cplx* a, u64 len, const Gate& g) {
 // All rewrites are exact: off-diagonals are dropped only when they are
 // IEEE zeros (products of permutation and diagonal factors), so fused
 // execution stays bit-compatible with the reference path.
+//
+// Compile time matters: a noisy sweep compiles a plan for every distinct
+// op slice its injection sites leave (SliceStore). Making the passes
+// cheaper must not move a bit of any op, or the figure CSVs move;
+// FusedPlan.CompiledOpsMatchPinnedDigest (tests/test_fusion.cpp) pins them.
 // ---------------------------------------------------------------------------
 
 /// Relative kernel cost per amplitude of a fused op of the given kind
@@ -310,21 +314,6 @@ double op_cost(const FusedOp& op, const std::vector<Gate>& gates) {
   return kind_cost(op.kind, op.qubits.size());
 }
 
-/// The qubits an op acts on (empty for scalar diagonals).
-std::vector<int> op_qubits(const FusedOp& op) {
-  switch (op.kind) {
-    case FusedOp::Kind::kMatrix1:
-      return {op.q0};
-    case FusedOp::Kind::kMatrix2:
-      return {op.q0, op.q1};
-    case FusedOp::Kind::kDiagonal:
-      return op.qubits;
-    case FusedOp::Kind::kGate:
-      return {};  // treated as unmergeable by callers
-  }
-  return {};
-}
-
 /// Extend a diagonal table from `qubits` to the sorted superset
 /// `new_qubits`.
 void extend_diagonal(std::vector<int>& qubits, std::vector<cplx>& phases,
@@ -354,43 +343,101 @@ std::vector<int> qubit_union(const std::vector<int>& a,
   return u;
 }
 
+/// The largest qubit set the rewrite passes multiply dense matrices over,
+/// and a fixed buffer for one such matrix.
+constexpr std::size_t kMaxDenseQubits = 3;
+using Dense = std::array<cplx, 64>;
+
+/// At most kMaxDenseQubits distinct qubits; bit b of a dense matrix over
+/// the set is qubit q[b]. absorb() keeps the set sorted.
+struct QubitSet {
+  int q[kMaxDenseQubits] = {};
+  std::size_t size = 0;
+
+  int index(int x) const {
+    for (std::size_t i = 0; i < size; ++i)
+      if (q[i] == x) return static_cast<int>(i);
+    return -1;
+  }
+  /// Add `op`'s qubits, unless the union would exceed kMaxDenseQubits:
+  /// then return false and leave the set as it was.
+  bool absorb(const FusedOp& op) {
+    QubitSet u = *this;
+    const auto add = [&u](int x) {
+      if (u.index(x) >= 0) return true;
+      if (u.size == kMaxDenseQubits) return false;
+      std::size_t at = u.size++;
+      for (; at > 0 && u.q[at - 1] > x; --at) u.q[at] = u.q[at - 1];
+      u.q[at] = x;
+      return true;
+    };
+    switch (op.kind) {
+      case FusedOp::Kind::kMatrix1:
+        if (!add(op.q0)) return false;
+        break;
+      case FusedOp::Kind::kMatrix2:
+        if (!add(op.q0) || !add(op.q1)) return false;
+        break;
+      case FusedOp::Kind::kDiagonal:
+        for (int x : op.qubits)
+          if (!add(x)) return false;
+        break;
+      case FusedOp::Kind::kGate:
+        break;
+    }
+    *this = u;
+    return true;
+  }
+};
+
 /// An op's dense matrix in the local basis where bit b is global qubit
-/// `qs[b]`. Requires op_qubits(op) to be a subset of `qs`.
-std::vector<cplx> op_matrix_on(const FusedOp& op, const std::vector<int>& qs) {
-  const int k = static_cast<int>(qs.size());
-  const std::size_t d = pow2(k);
+/// `qs.q[b]`, written to `out` (row-major, 2^qs.size square). Requires
+/// the op's qubits to be a subset of `qs`. Dense ops place each nonzero entry
+/// as embed_gate does, +0 plus the entry into a zeroed matrix, which turns
+/// a -0 part of the entry into +0.
+void embed_op(const FusedOp& op, const QubitSet& qs, cplx* out) {
+  const std::size_t d = pow2(static_cast<int>(qs.size));
+  std::fill(out, out + d * d, cplx{0.0, 0.0});
   switch (op.kind) {
     case FusedOp::Kind::kMatrix1:
-      return to_flat(embed_gate(Matrix{{op.m[0], op.m[1]}, {op.m[2], op.m[3]}},
-                                {index_of(qs, op.q0)}, k));
     case FusedOp::Kind::kMatrix2: {
-      Matrix m(4, 4);
-      for (std::size_t r = 0; r < 4; ++r)
-        for (std::size_t c = 0; c < 4; ++c) m.at(r, c) = op.m[r * 4 + c];
-      return to_flat(
-          embed_gate(m, {index_of(qs, op.q0), index_of(qs, op.q1)}, k));
+      const int k = op.kind == FusedOp::Kind::kMatrix1 ? 1 : 2;
+      const int t[2] = {qs.index(op.q0), k == 2 ? qs.index(op.q1) : 0};
+      const u64 gd = u64{1} << k;
+      u64 targets = 0;
+      for (int b = 0; b < k; ++b) targets |= u64{1} << t[b];
+      for (u64 col = 0; col < d; ++col) {
+        u64 gcol = 0;
+        for (int b = 0; b < k; ++b) gcol |= ((col >> t[b]) & 1) << b;
+        for (u64 grow = 0; grow < gd; ++grow) {
+          const cplx a = op.m[grow * gd + gcol];
+          if (a == cplx{0.0, 0.0}) continue;
+          u64 row = col & ~targets;
+          for (int b = 0; b < k; ++b) row |= ((grow >> b) & 1) << t[b];
+          out[row * d + col] += a;
+        }
+      }
+      return;
     }
     case FusedOp::Kind::kDiagonal: {
-      std::vector<cplx> m(d * d, cplx{0.0, 0.0});
-      std::vector<int> pos(op.qubits.size());
+      int pos[kMaxDenseQubits];
       for (std::size_t b = 0; b < op.qubits.size(); ++b)
-        pos[b] = index_of(qs, op.qubits[b]);
+        pos[b] = qs.index(op.qubits[b]);
       for (u64 key = 0; key < d; ++key) {
         u64 dk = 0;
-        for (std::size_t b = 0; b < pos.size(); ++b)
+        for (std::size_t b = 0; b < op.qubits.size(); ++b)
           dk |= ((key >> pos[b]) & u64{1}) << b;
-        m[key * d + key] = op.phases[dk];
+        out[key * d + key] = op.phases[dk];
       }
-      return m;
+      return;
     }
     case FusedOp::Kind::kGate:
       break;
   }
   QFAB_CHECK_MSG(false, "op has no dense form");
-  return {};
 }
 
-bool exactly_diagonal(const std::vector<cplx>& m, std::size_t d) {
+bool exactly_diagonal(const cplx* m, std::size_t d) {
   for (std::size_t r = 0; r < d; ++r)
     for (std::size_t c = 0; c < d; ++c)
       if (r != c && !(m[r * d + c] == cplx{0.0, 0.0})) return false;
@@ -460,16 +507,24 @@ bool try_merge_ops(FusedOp& A, const FusedOp& B,
     A.max_qubit = std::max(A.max_qubit, B.max_qubit);
   };
 
-  // Diagonal x diagonal: pointwise product over the qubit union.
+  // Diagonal x diagonal: pointwise product over the qubit union (B's
+  // entry for each union key read through B's own key bits).
   if (A.kind == K::kDiagonal && B.kind == K::kDiagonal) {
+    std::size_t union_size = A.qubits.size();
+    for (int q : B.qubits) union_size += index_of(A.qubits, q) < 0;
+    if (static_cast<int>(union_size) > cap) return false;
+    if (kind_cost(K::kDiagonal, union_size) > budget) return false;
     const std::vector<int> u = qubit_union(A.qubits, B.qubits);
-    if (static_cast<int>(u.size()) > cap) return false;
-    if (kind_cost(K::kDiagonal, u.size()) > budget) return false;
     extend_diagonal(A.qubits, A.phases, u);
-    std::vector<int> bq = B.qubits;
-    std::vector<cplx> bp = B.phases;
-    extend_diagonal(bq, bp, u);
-    for (std::size_t k = 0; k < A.phases.size(); ++k) A.phases[k] *= bp[k];
+    std::array<int, 64> bpos;
+    for (std::size_t b = 0; b < B.qubits.size(); ++b)
+      bpos[b] = index_of(u, B.qubits[b]);
+    for (u64 key = 0; key < A.phases.size(); ++key) {
+      u64 bkey = 0;
+      for (std::size_t b = 0; b < B.qubits.size(); ++b)
+        bkey |= ((key >> bpos[b]) & u64{1}) << b;
+      A.phases[key] *= B.phases[bkey];
+    }
     finish(K::kDiagonal);
     return true;
   }
@@ -477,13 +532,19 @@ bool try_merge_ops(FusedOp& A, const FusedOp& B,
   // Anything on a kMatrix2's pair folds into the dense 4x4.
   if (A.kind == K::kMatrix2 || B.kind == K::kMatrix2) {
     const FusedOp& m2 = A.kind == K::kMatrix2 ? A : B;
-    const int pq0 = m2.q0, pq1 = m2.q1;
-    for (const FusedOp* op : {static_cast<const FusedOp*>(&A), &B})
-      for (int q : op_qubits(*op))
-        if (q != pq0 && q != pq1) return false;
+    QubitSet pair;  // gate-local order: bit 0 = q0
+    pair.q[0] = m2.q0;
+    pair.q[1] = m2.q1;
+    pair.size = 2;
+    QubitSet both = pair;
+    if (!both.absorb(A) || !both.absorb(B) || both.size != 2) return false;
     if (kind_cost(K::kMatrix2, 0) > budget) return false;
-    A.m = matmul_flat(op_matrix_on(B, {pq0, pq1}),
-                      op_matrix_on(A, {pq0, pq1}), 4);
+    const int pq0 = m2.q0, pq1 = m2.q1;
+    Dense a, b;
+    embed_op(A, pair, a.data());
+    embed_op(B, pair, b.data());
+    A.m.resize(16);
+    matmul_flat(b.data(), a.data(), 4, A.m.data());
     A.q0 = pq0;
     A.q1 = pq1;
     A.qubits.clear();
@@ -495,20 +556,18 @@ bool try_merge_ops(FusedOp& A, const FusedOp& B,
   // 1-qubit dense chains: kMatrix1 with kMatrix1 / single-qubit diagonal /
   // scalar diagonal, all on one qubit.
   if (A.kind != K::kMatrix1 && B.kind != K::kMatrix1) return false;
-  int q = -1;
-  for (const FusedOp* op : {static_cast<const FusedOp*>(&A), &B})
-    for (int oq : op_qubits(*op)) {
-      if (q < 0) q = oq;
-      else if (q != oq) return false;
-    }
-  if (q < 0 || kind_cost(K::kMatrix1, 0) > budget) return false;
-  const auto to2 = [&](const FusedOp& op) -> std::vector<cplx> {
-    if (op.kind == K::kMatrix1) return op.m;
-    if (op.qubits.empty())
-      return {op.phases[0], cplx{0.0, 0.0}, cplx{0.0, 0.0}, op.phases[0]};
-    return {op.phases[0], cplx{0.0, 0.0}, cplx{0.0, 0.0}, op.phases[1]};
+  QubitSet one;
+  if (!one.absorb(A) || !one.absorb(B) || one.size != 1) return false;
+  const int q = one.q[0];
+  if (kind_cost(K::kMatrix1, 0) > budget) return false;
+  const auto to2 = [&](const FusedOp& op) -> std::array<cplx, 4> {
+    if (op.kind == K::kMatrix1) return {op.m[0], op.m[1], op.m[2], op.m[3]};
+    const cplx p1 = op.qubits.empty() ? op.phases[0] : op.phases[1];
+    return {op.phases[0], cplx{0.0, 0.0}, cplx{0.0, 0.0}, p1};
   };
-  A.m = matmul_flat(to2(B), to2(A), 2);
+  const std::array<cplx, 4> a = to2(A), b = to2(B);
+  A.m.resize(4);
+  matmul_flat(b.data(), a.data(), 2, A.m.data());
   A.q0 = q;
   A.qubits.clear();
   A.phases.clear();
@@ -516,19 +575,68 @@ bool try_merge_ops(FusedOp& A, const FusedOp& B,
   return true;
 }
 
-bool merge_pass(std::vector<FusedOp>& ops, const std::vector<Gate>& gates,
-                int cap) {
+/// The op list a compile rewrites, with the change marks the sandwich pass
+/// uses to skip windows it has already tried. marks[k] belongs to ops[k]
+/// and moves with it.
+struct OpList {
+  struct Marks {
+    /// The tick of the op's last rewrite (0: as converted from its gate).
+    std::uint64_t version = 0;
+    /// The tick at which the sandwich window starting at this op was last
+    /// tried and left uncollapsed (0: never), and the offset of that
+    /// window's last op: the op that stopped its growth, if any.
+    std::uint64_t tried = 0;
+    std::size_t reach = 0;
+  };
+
+  std::vector<FusedOp> ops;
+  std::vector<Marks> marks;
+  std::uint64_t tick = 1;
+
+  void touch(std::size_t k) { marks[k].version = ++tick; }
+  void erase(std::size_t begin, std::size_t end) {
+    const auto b = static_cast<std::ptrdiff_t>(begin);
+    const auto e = static_cast<std::ptrdiff_t>(end);
+    ops.erase(ops.begin() + b, ops.begin() + e);
+    marks.erase(marks.begin() + b, marks.begin() + e);
+  }
+  /// Whether the window starting at op i was tried and left uncollapsed
+  /// and none of its ops has been rewritten since. A pass neither inserts
+  /// ops nor erases one without rewriting a neighbour that survives, so
+  /// the window then holds the same ops and its answer is the same.
+  bool window_unchanged(std::size_t i) const {
+    const Marks& m = marks[i];
+    if (m.tried == 0 || i + m.reach >= ops.size()) return false;
+    for (std::size_t k = i; k <= i + m.reach; ++k)
+      if (marks[k].version > m.tried) return false;
+    return true;
+  }
+  void mark_tried(std::size_t i, std::size_t last) {
+    marks[i].tried = tick;
+    marks[i].reach = last - i;
+  }
+};
+
+/// Merge each op into its left neighbour where try_merge_ops accepts it;
+/// an op that grew may then merge into the op on its left. The merged ops
+/// are compacted in place: ops[0..top] is the merged prefix.
+bool merge_pass(OpList& list, const std::vector<Gate>& gates, int cap) {
+  std::vector<FusedOp>& ops = list.ops;
+  if (ops.empty()) return false;
   bool changed = false;
-  std::size_t i = 0;
-  while (i + 1 < ops.size()) {
-    if (try_merge_ops(ops[i], ops[i + 1], gates, cap)) {
-      ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+  std::size_t top = 0;
+  for (std::size_t next = 1; next < ops.size(); ++next) {
+    if (try_merge_ops(ops[top], ops[next], gates, cap)) {
+      list.touch(top);
       changed = true;
-      if (i > 0) --i;  // the grown op may now merge with its left neighbor
-    } else {
-      ++i;
+      while (top > 0 && try_merge_ops(ops[top - 1], ops[top], gates, cap))
+        list.touch(--top);
+    } else if (++top != next) {
+      ops[top] = std::move(ops[next]);
+      list.marks[top] = list.marks[next];
     }
   }
+  list.erase(top + 1, ops.size());
   return changed;
 }
 
@@ -539,53 +647,67 @@ bool merge_pass(std::vector<FusedOp>& ops, const std::vector<Gate>& gates,
 /// blocks, whose CX sandwiches straddle three qubits, collapse on a
 /// triple. This is the rewrite the pairwise cost gate cannot reach: it
 /// must pass through an intermediate dense matrix that is more expensive
-/// than its parts.
-bool sandwich_pass(std::vector<FusedOp>& ops, const std::vector<Gate>& gates) {
-  constexpr std::size_t kMaxSet = 3;
+/// than its parts. A window whose ops are unchanged since an earlier pass
+/// left it uncollapsed is skipped: it would be left uncollapsed again.
+bool sandwich_pass(OpList& list, const std::vector<Gate>& gates) {
+  std::vector<FusedOp>& ops = list.ops;
   bool changed = false;
+  Dense buf0, buf1, factor;
+  cplx best_diag[1 << kMaxDenseQubits];
   for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
     if (ops[i].kind != FusedOp::Kind::kMatrix2) continue;
+    if (list.window_unchanged(i)) continue;
     // Greedily grow the qubit set over the following ops.
-    std::vector<int> set = {std::min(ops[i].q0, ops[i].q1),
-                            std::max(ops[i].q0, ops[i].q1)};
+    QubitSet set;
+    set.absorb(ops[i]);
     std::size_t j = i + 1;
-    while (j < ops.size() && ops[j].kind != FusedOp::Kind::kGate) {
-      std::vector<int> grown = qubit_union(set, op_qubits(ops[j]));
-      if (grown.size() > kMaxSet) break;
-      set = std::move(grown);
+    while (j < ops.size() && ops[j].kind != FusedOp::Kind::kGate &&
+           set.absorb(ops[j]))
       ++j;
+    const std::size_t last = j < ops.size() ? j : j - 1;
+    if (j < i + 2) {
+      list.mark_tried(i, last);
+      continue;
     }
-    if (j < i + 2) continue;
     // Longest prefix of the run with an exactly diagonal product.
-    const std::size_t d = pow2(static_cast<int>(set.size()));
-    std::vector<cplx> prod = op_matrix_on(ops[i], set);
+    const std::size_t d = pow2(static_cast<int>(set.size));
+    cplx* prod = buf0.data();
+    cplx* next = buf1.data();
+    embed_op(ops[i], set, prod);
     double sum = op_cost(ops[i], gates);
     std::size_t best_end = 0;
-    std::vector<cplx> best_prod;
     double best_sum = 0.0;
     for (std::size_t t = i + 1; t < j; ++t) {
-      prod = matmul_flat(op_matrix_on(ops[t], set), prod, d);
+      embed_op(ops[t], set, factor.data());
+      matmul_flat(factor.data(), prod, d, next);
+      std::swap(prod, next);
       sum += op_cost(ops[t], gates);
       if (exactly_diagonal(prod, d)) {
         best_end = t + 1;
-        best_prod = prod;
+        for (u64 key = 0; key < d; ++key) best_diag[key] = prod[key * d + key];
         best_sum = sum;
       }
     }
-    if (best_end == 0) continue;
+    if (best_end == 0) {
+      list.mark_tried(i, last);
+      continue;
+    }
     FusedOp rep;
     rep.kind = FusedOp::Kind::kDiagonal;
     rep.gate_begin = ops[i].gate_begin;
     rep.gate_end = ops[best_end - 1].gate_end;
-    rep.qubits = set;  // sorted; local bit b of the product is set[b]
-    rep.max_qubit = set.back();
-    rep.phases.resize(d);
-    for (u64 key = 0; key < d; ++key) rep.phases[key] = best_prod[key * d + key];
+    rep.qubits.assign(set.q, set.q + set.size);  // local bit b is set.q[b]
+    rep.max_qubit = rep.qubits.back();
+    rep.phases.assign(best_diag, best_diag + d);
     reduce_diagonal(rep);
-    if (op_cost(rep, gates) > best_sum) continue;
-    ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-              ops.begin() + static_cast<std::ptrdiff_t>(best_end));
+    if (op_cost(rep, gates) > best_sum) {
+      list.mark_tried(i, last);
+      continue;
+    }
+    list.erase(i + 1, best_end);
     ops[i] = std::move(rep);
+    list.touch(i);
+    list.marks[i].tried = 0;
     changed = true;
   }
   return changed;
@@ -629,15 +751,23 @@ void build_diag_shifts(FusedOp& op) {
   }
 }
 
-bool simplify_pass(std::vector<FusedOp>& ops) {
+bool simplify_pass(OpList& list) {
   bool changed = false;
-  for (FusedOp& op : ops) {
-    if ((op.kind == FusedOp::Kind::kMatrix1 && exactly_diagonal(op.m, 2)) ||
-        (op.kind == FusedOp::Kind::kMatrix2 && exactly_diagonal(op.m, 4))) {
+  for (std::size_t k = 0; k < list.ops.size(); ++k) {
+    FusedOp& op = list.ops[k];
+    bool rewritten = false;
+    const bool dense = op.kind == FusedOp::Kind::kMatrix1 ||
+                       op.kind == FusedOp::Kind::kMatrix2;
+    const std::size_t d = op.kind == FusedOp::Kind::kMatrix1 ? 2 : 4;
+    if (dense && exactly_diagonal(op.m.data(), d)) {
       dense_to_diagonal(op);
+      rewritten = true;
+    }
+    if (op.kind == FusedOp::Kind::kDiagonal) rewritten |= reduce_diagonal(op);
+    if (rewritten) {
+      list.touch(k);
       changed = true;
     }
-    if (op.kind == FusedOp::Kind::kDiagonal) changed |= reduce_diagonal(op);
   }
   return changed;
 }
@@ -767,23 +897,24 @@ RowLayout::RowLayout(std::vector<int> phys)
         }
 }
 
-/// Read-mostly: a sweep's worker threads look up the same few split keys
-/// over and over, so hits take only the shared lock (concurrent, no
-/// serialization); compiling a missing slice happens outside any lock and
-/// the first thread to publish under the exclusive lock wins (losers drop
-/// their duplicate). Mapped plans are heap-owned, so references returned to
-/// callers stay valid across rehashes and later inserts.
-struct FusedPlan::SubrangeCache {
-  std::shared_mutex mutex;
-  std::unordered_map<std::uint64_t, std::unique_ptr<const FusedPlan>> plans;
-};
-
 FusedPlan::FusedPlan(const QuantumCircuit& qc, const FusionOptions& options)
+    : FusedPlan(qc, options, std::make_shared<SliceStore>()) {}
+
+FusedPlan::FusedPlan(const QuantumCircuit& qc, const FusionOptions& options,
+                     std::shared_ptr<SliceStore> store)
     : circuit_(qc),
       options_(options),
-      subranges_(std::make_shared<SubrangeCache>()) {
+      store_owner_(std::move(store)),
+      store_(store_owner_.get()) {
+  QFAB_CHECK(store_ != nullptr);
   QFAB_CHECK(options_.max_diagonal_qubits >= 3);
   QFAB_CHECK(options_.tile_bits >= 2);
+  compile();
+}
+
+FusedPlan::FusedPlan(QuantumCircuit&& slice, const FusionOptions& options,
+                     SliceStore& store, SliceTag)
+    : circuit_(std::move(slice)), options_(options), store_(&store) {
   compile();
 }
 
@@ -792,7 +923,7 @@ FusedPlan::FusedPlan(const FusedPlan& logical,
     : circuit_(QuantumCircuit::same_shape(logical.circuit_)),
       options_(logical.options_),
       op_of_gate_(logical.op_of_gate_),
-      subranges_(std::make_shared<SubrangeCache>()),
+      store_(logical.store_),
       layout_(std::move(layout)),
       logical_(&logical) {
   circuit_.add_global_phase(logical.circuit_.global_phase());
@@ -825,27 +956,96 @@ const std::shared_ptr<const RowLayout>& FusedPlan::row_layout() const {
 const FusedPlan& FusedPlan::subrange_plan(std::size_t gate_begin,
                                           std::size_t gate_end) const {
   QFAB_CHECK(gate_begin <= gate_end && gate_end <= gate_count());
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(gate_begin) << 32) | gate_end;
+  // A twin's slice is its logical plan's slice, relabelled.
+  if (logical_ != nullptr)
+    return store_->twin(logical_->subrange_plan(gate_begin, gate_end),
+                        layout_);
+  return store_->logical(circuit_, gate_begin, gate_end, options_);
+}
+
+namespace {
+
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  return (h ^ v) * 0x100000001b3ULL;
+}
+
+bool same_gate(const Gate& a, const Gate& b) {
+  if (a.kind != b.kind || a.qubits != b.qubits) return false;
+  for (std::size_t p = 0; p < a.params.size(); ++p)
+    if (std::bit_cast<std::uint64_t>(a.params[p]) !=
+        std::bit_cast<std::uint64_t>(b.params[p]))
+      return false;
+  return true;
+}
+
+}  // namespace
+
+template <typename Match>
+const FusedPlan* SliceStore::find(const Slices& slices, std::uint64_t key,
+                                  const Match& match) {
+  const auto [lo, hi] = slices.equal_range(key);
+  for (auto it = lo; it != hi; ++it)
+    if (match(*it->second)) return it->second.get();
+  return nullptr;
+}
+
+const FusedPlan& SliceStore::logical(const QuantumCircuit& source,
+                                     std::size_t gate_begin,
+                                     std::size_t gate_end,
+                                     const FusionOptions& options) {
+  const Gate* gates = source.gates().data() + gate_begin;
+  const std::size_t count = gate_end - gate_begin;
+  const int n = source.num_qubits();
+  std::uint64_t key =
+      mix(0xcbf29ce484222325ULL, static_cast<std::uint64_t>(n));
+  key = mix(key, options.enable);
+  key = mix(key, static_cast<std::uint64_t>(options.max_diagonal_qubits));
+  key = mix(key, static_cast<std::uint64_t>(options.tile_bits));
+  for (std::size_t g = 0; g < count; ++g) {
+    key = mix(key, static_cast<std::uint64_t>(gates[g].kind));
+    for (int q : gates[g].qubits) key = mix(key, static_cast<std::uint64_t>(q));
+    for (double p : gates[g].params)
+      key = mix(key, std::bit_cast<std::uint64_t>(p));
+  }
+  const auto match = [&](const FusedPlan& plan) {
+    if (plan.circuit_.num_qubits() != n || plan.gate_count() != count ||
+        plan.options_ != options)
+      return false;
+    for (std::size_t g = 0; g < count; ++g)
+      if (!same_gate(plan.circuit_.gates()[g], gates[g])) return false;
+    return true;
+  };
   {
-    std::shared_lock<std::shared_mutex> lock(subranges_->mutex);
-    const auto it = subranges_->plans.find(key);
-    if (it != subranges_->plans.end()) return *it->second;
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    if (const FusedPlan* hit = find(logical_, key, match)) return *hit;
   }
-  std::unique_ptr<const FusedPlan> built;
-  if (logical_ != nullptr) {
-    built.reset(new FusedPlan(logical_->subrange_plan(gate_begin, gate_end),
-                              layout_, RelabelTag{}));
-  } else {
-    QuantumCircuit sub = QuantumCircuit::same_shape(circuit_);
-    for (std::size_t g = gate_begin; g < gate_end; ++g)
-      sub.append(circuit_.gates()[g]);
-    built = std::make_unique<const FusedPlan>(sub, options_);
+  QuantumCircuit sub(n);
+  for (std::size_t g = 0; g < count; ++g) sub.append(gates[g]);
+  std::unique_ptr<const FusedPlan> built(
+      new FusedPlan(std::move(sub), options, *this, FusedPlan::SliceTag{}));
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (const FusedPlan* won = find(logical_, key, match)) return *won;
+  return *logical_.emplace(key, std::move(built))->second;
+}
+
+const FusedPlan& SliceStore::twin(
+    const FusedPlan& slice, const std::shared_ptr<const RowLayout>& layout) {
+  std::uint64_t key =
+      mix(0xcbf29ce484222325ULL, reinterpret_cast<std::uintptr_t>(&slice));
+  for (int q = 0; q < layout->num_qubits(); ++q)
+    key = mix(key, static_cast<std::uint64_t>(layout->phys(q)));
+  const auto match = [&](const FusedPlan& plan) {
+    return plan.logical_ == &slice && *plan.layout_ == *layout;
+  };
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    if (const FusedPlan* hit = find(twins_, key, match)) return *hit;
   }
-  std::unique_lock<std::shared_mutex> lock(subranges_->mutex);
-  const auto [it, inserted] =
-      subranges_->plans.try_emplace(key, std::move(built));
-  return *it->second;
+  std::unique_ptr<const FusedPlan> built(
+      new FusedPlan(slice, layout, FusedPlan::RelabelTag{}));
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  if (const FusedPlan* won = find(twins_, key, match)) return *won;
+  return *twins_.emplace(key, std::move(built))->second;
 }
 
 u64 FusedPlan::op_coupling_mask(std::size_t op_index) const {
@@ -884,7 +1084,9 @@ std::size_t FusedPlan::op_of_gate(std::size_t gate_index) const {
 
 void FusedPlan::compile() {
   const auto& gates = circuit_.gates();
-  ops_.reserve(gates.size());
+  OpList list;
+  std::vector<FusedOp>& ops = list.ops;
+  ops.reserve(gates.size());
 
   // Convert gates 1:1 into ops; all fusion happens in the rewrite passes.
   for (std::size_t i = 0; i < gates.size(); ++i) {
@@ -925,8 +1127,9 @@ void FusedPlan::compile() {
     } else {
       op.kind = FusedOp::Kind::kGate;  // CCX
     }
-    ops_.push_back(std::move(op));
+    ops.push_back(std::move(op));
   }
+  list.marks.resize(ops.size());
 
   if (options_.enable) {
     // Rewrite to a fixpoint. Each pass either shrinks the op list or
@@ -934,33 +1137,34 @@ void FusedPlan::compile() {
     const int cap = options_.max_diagonal_qubits;
     bool changed = true;
     while (changed) {
-      changed = merge_pass(ops_, gates, cap);
-      changed |= sandwich_pass(ops_, gates);
-      changed |= simplify_pass(ops_);
+      changed = merge_pass(list, gates, cap);
+      changed |= sandwich_pass(list, gates);
+      changed |= simplify_pass(list);
     }
   }
 
   // Ops that ended up covering a single gate run faster on the specialized
   // per-gate kernels (a lone CX is a quarter-swap, not a dense 4x4).
-  for (FusedOp& op : ops_)
+  for (FusedOp& op : ops)
     if (op.gate_count() == 1 && op.kind != FusedOp::Kind::kGate) {
       op.kind = FusedOp::Kind::kGate;
       op.m.clear();
       op.qubits.clear();
       op.phases.clear();
     }
-  for (FusedOp& op : ops_)
+  for (FusedOp& op : ops)
     if (op.kind == FusedOp::Kind::kGate)
       op.m = gate_kernel_operands(gates[op.gate_begin]);
 
-  for (FusedOp& op : ops_)
+  for (FusedOp& op : ops)
     if (op.kind == FusedOp::Kind::kDiagonal && op.qubits.size() >= 2)
       build_diag_shifts(op);
 
   op_of_gate_.assign(gates.size(), 0);
-  for (std::size_t o = 0; o < ops_.size(); ++o)
-    for (std::size_t g = ops_[o].gate_begin; g < ops_[o].gate_end; ++g)
+  for (std::size_t o = 0; o < ops.size(); ++o)
+    for (std::size_t g = ops[o].gate_begin; g < ops[o].gate_end; ++g)
       op_of_gate_[g] = static_cast<std::uint32_t>(o);
+  ops_ = std::move(ops);
 }
 
 namespace {
@@ -1045,7 +1249,7 @@ void FusedPlan::apply_ops(StateVector& sv, std::size_t op_lo,
                  static_cast<int>(op.shifts.size()), op.phases.data());
         return;
       case FusedOp::Kind::kGate:
-        k_gate(chunk, len, circuit_.gates()[op.gate_begin]);
+        k_gate(chunk, len, circuit_.gates()[op.gate_begin], op.m.data());
         return;
     }
   };
@@ -1076,7 +1280,7 @@ void FusedPlan::apply_gates(StateVector& sv, std::size_t gate_begin,
     const Gate& gate = circuit_.gates()[g];
     if (gate.kind == GateKind::kRZ)
       sv.apply_global_phase(-gate.params[0] / 2);
-    k_gate(a, n, gate);
+    k_gate(a, n, gate, gate_kernel_operands(gate).data());
   }
 }
 

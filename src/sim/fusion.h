@@ -35,12 +35,19 @@
 // (StateVector::apply_circuit_range) to ~1e-12 in the final amplitudes;
 // tests/test_fusion.cpp property-tests this, including splits at every
 // gate index.
+//
+// The batched walk instead runs the gates an injection site leaves of an
+// op as a compiled plan of that slice (subrange_plan). Slices come from a
+// SliceStore keyed by content: a sweep builds its depth plans over one
+// store, so a slice the AQFT depths have in common compiles once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "circuit/circuit.h"
@@ -59,6 +66,10 @@ struct FusionOptions {
   /// Tile size for cache-blocked execution: 2^tile_bits amplitudes
   /// (default 2^11 * 16 B = 32 KiB, sized for L1).
   int tile_bits = 11;
+
+  /// A SliceStore keys compiled slices by their options too: a field that
+  /// compile() reads must also enter SliceStore::logical's hash.
+  bool operator==(const FusionOptions&) const = default;
 };
 
 /// One compiled op covering the contiguous original-gate range
@@ -88,9 +99,10 @@ struct FusedOp {
   int q1 = -1;
   int max_qubit = -1;        // highest qubit touched (tiling eligibility)
   /// kMatrix1: 4 entries row-major; kMatrix2: 16. kGate: the gate's
-  /// operands for the batched per-gate kernel, decoded once at compile —
-  /// its matrix for matrix gates, e^{i.theta} for RZ/P/CP/CCP, empty
-  /// otherwise — so no tile recomputes a matrix or a cos/sin.
+  /// operands for the per-gate kernels (scalar and batched), decoded once
+  /// at compile — its matrix for matrix gates, e^{i.theta} for
+  /// RZ/P/CP/CCP, empty otherwise — so no tile recomputes a matrix or a
+  /// cos/sin.
   std::vector<cplx> m;
   std::vector<int> qubits;   // kDiagonal: sorted qubit list
   std::vector<cplx> phases;  // kDiagonal: 2^qubits.size() diagonal entries
@@ -149,6 +161,7 @@ class RowLayout {
   /// Row of logical basis index `index`, and back (byte-table lookups).
   u64 to_row(u64 index) const { return permute(to_row_, index); }
   u64 to_logical(u64 row) const { return permute(to_logical_, row); }
+  bool operator==(const RowLayout& other) const { return phys_ == other.phys_; }
 
  private:
   static u64 permute(const std::vector<u64>& table, u64 x) {
@@ -162,10 +175,17 @@ class RowLayout {
   std::vector<u64> to_row_, to_logical_;  // 256 entries per index byte
 };
 
+class SliceStore;
+
 class FusedPlan {
  public:
+  /// A plan with a private slice store.
   explicit FusedPlan(const QuantumCircuit& qc,
                      const FusionOptions& options = {});
+  /// A plan whose subrange plans come from `store`, shared by content with
+  /// every other plan over it.
+  FusedPlan(const QuantumCircuit& qc, const FusionOptions& options,
+            std::shared_ptr<SliceStore> store);
   /// Plans are held in place (shared_ptr or locals): a relabelled twin
   /// points back at the plan it was built from.
   FusedPlan(const FusedPlan&) = delete;
@@ -202,12 +222,14 @@ class FusedPlan {
   void apply_range(StateVector& sv, std::size_t gate_begin,
                    std::size_t gate_end) const;
 
-  /// Lazily compiled fused plan for the original-gate subrange
-  /// [gate_begin, gate_end), cached (thread-safe) for the plan's
-  /// lifetime. Noise injection splits the same few sites over and over
-  /// across a sweep's trajectories; compiling the partial
-  /// slice of a big fused op once turns its per-gate fallback (one full
-  /// amplitude pass per gate) back into a handful of fused passes.
+  /// The fused plan of the original-gate subrange [gate_begin, gate_end),
+  /// compiled on first use (thread-safe). It lives in the plan's slice
+  /// store, which keys it by content: every plan over the same store gets
+  /// the same object for a slice whose gates match, and the object lives
+  /// as long as the store. Noise injection splits the same few sites over
+  /// and over across a sweep's trajectories; compiling the partial slice of
+  /// a big fused op once turns its per-gate fallback (one full amplitude
+  /// pass per gate) back into a handful of fused passes.
   const FusedPlan& subrange_plan(std::size_t gate_begin,
                                  std::size_t gate_end) const;
 
@@ -225,10 +247,15 @@ class FusedPlan {
   const FusedPlan& relabelled() const;
 
  private:
+  friend class SliceStore;
   struct RelabelTag {};
-  /// The relabelled twin of `logical` in `layout`.
+  struct SliceTag {};
+  /// The relabelled twin of `logical` in `layout`, over its store.
   FusedPlan(const FusedPlan& logical, std::shared_ptr<const RowLayout> layout,
             RelabelTag);
+  /// A slice plan of `store`, which owns it: compiles `slice` in place.
+  FusedPlan(QuantumCircuit&& slice, const FusionOptions& options,
+            SliceStore& store, SliceTag);
   void compile();
   /// Apply whole ops [op_lo, op_hi), cache-blocked.
   void apply_ops(StateVector& sv, std::size_t op_lo, std::size_t op_hi) const;
@@ -240,13 +267,60 @@ class FusedPlan {
   FusionOptions options_;
   std::vector<FusedOp> ops_;                // partition of [0, gate_count)
   std::vector<std::uint32_t> op_of_gate_;   // gate index -> op index
-  struct SubrangeCache;                     // lazily compiled subrange plans
-  std::shared_ptr<SubrangeCache> subranges_;
+  // Subrange plans live in the store. Plans built on their own or over a
+  // sweep's store hold it; the store's own slices and the twins of plans
+  // only point at it.
+  std::shared_ptr<SliceStore> store_owner_;
+  SliceStore* store_ = nullptr;
   // Row layout and relabelled twin, derived together on first use.
   mutable std::once_flag relabel_once_;
   mutable std::shared_ptr<const RowLayout> layout_;
   mutable std::unique_ptr<const FusedPlan> twin_;
   const FusedPlan* logical_ = nullptr;  // twins: the plan they relabel
+};
+
+/// Compiled slice plans shared by content. A slice's compile reads only
+/// its gates (kind, qubits and the bit patterns of the params), its qubit
+/// count and its FusionOptions, and its ops do not depend on where the
+/// slice sits: gate ranges are relative to the slice and kGate ops point
+/// into the slice's own circuit. So the store keys a slice by those fields
+/// (a 64-bit hash picks the bucket, a full comparison of the gates
+/// decides) and one object serves every plan over the store whose gates
+/// match. A relabelled twin's slice is keyed by its logical slice and its
+/// row layout, compared by value.
+///
+/// A sweep builds its depth plans over one store, which then lives as long
+/// as they do (SweepContext); plans built on their own get a private one.
+/// Read-mostly: hits take the shared lock, compiles run outside any lock,
+/// and the first thread to publish a slice wins (the others drop their
+/// duplicate). The store owns its slices, so references stay valid until
+/// it dies.
+class SliceStore {
+ public:
+  SliceStore() = default;
+  SliceStore(const SliceStore&) = delete;
+  SliceStore& operator=(const SliceStore&) = delete;
+
+ private:
+  friend class FusedPlan;
+  using Slices =
+      std::unordered_multimap<std::uint64_t, std::unique_ptr<const FusedPlan>>;
+
+  /// The plan of gates [gate_begin, gate_end) of `source` under `options`.
+  const FusedPlan& logical(const QuantumCircuit& source,
+                           std::size_t gate_begin, std::size_t gate_end,
+                           const FusionOptions& options);
+  /// `slice`, a logical slice of this store, relabelled into `layout`.
+  const FusedPlan& twin(const FusedPlan& slice,
+                        const std::shared_ptr<const RowLayout>& layout);
+  /// The entry of `slices` under `key` that `match` accepts, or null.
+  template <typename Match>
+  static const FusedPlan* find(const Slices& slices, std::uint64_t key,
+                               const Match& match);
+
+  std::shared_mutex mutex_;
+  Slices logical_;
+  Slices twins_;
 };
 
 }  // namespace qfab
