@@ -3,13 +3,14 @@
 // Times the full per-instance sweep work — ideal run with checkpoints plus
 // a stratified noisy evaluation (12 trajectories, 2048 shots) — for the
 // transpiled QFA(n=8, full depth) and QFM(n=4, full depth) circuits, at
-// batch sizes --batches={1,4,8,16} under every distinct kernel table the
-// host supports (forced scalar, avx2, avx512) and both replay precisions.
-// batch=1 is the single-state path the sweeps ran before the batched
-// engine existed; "speedup_vs_single" tracks the end-to-end win per batch
-// size against the batch=1 time of the SAME SIMD level (float32 rows share
-// their level's double baseline — the scalar path has no float tier, so
-// that is the honest end-to-end comparison). "<case>_replay" rows time
+// batch sizes --batches={1,4,8,16} in both replay precisions, each on the
+// kernel build the host runs for it: "avx2" (double on an AVX2 host) or
+// "scalar" (the portable build; always for float32), recorded in each
+// row's "simd" field. batch=1 is the single-state path the sweeps ran
+// before the batched engine existed; "speedup_vs_single" tracks the
+// end-to-end win per batch size against the double batch=1 time (float32
+// rows share it — the scalar path has no float tier, so that is the honest
+// end-to-end comparison). "<case>_replay" rows time
 // JUST the pooled group-estimator replay over a pre-built batched clean
 // run at batch 4 and 16 (ms_per_lane / inst_per_sec are the lane-scaling
 // guard: the fused tile walk keeps batch=16 at or above batch=4). Writes
@@ -167,7 +168,7 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
 void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
   std::ostringstream out;
   out << "{\n  \"benchmark\": \"batch\",\n  \"host\": "
-      << host_info_json(simd_mode_name()) << ",\n  \"cases\": [\n";
+      << host_info_json(kernel_tier_name<double>()) << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\""
@@ -231,67 +232,55 @@ int run(int argc, const char* const* argv) {
     RunOptions check_run;
     cross_check(c, qc, plan, instances.front(), noise, check_run);
 
-    // Every distinct kernel table the host resolves: forcing an
-    // unsupported level degrades to the next one down, so duplicates are
-    // skipped by resolved name.
-    std::vector<std::string> seen_levels;
-    for (SimdMode mode :
-         {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
-      set_simd_mode(mode);
-      const std::string level = simd_mode_name();
-      if (std::find(seen_levels.begin(), seen_levels.end(), level) !=
-          seen_levels.end())
-        continue;
-      seen_levels.push_back(level);
-      double single_ms = 0.0;  // batch=1 at THIS SIMD level
-      for (Precision precision : {Precision::kDouble, Precision::kFloat32}) {
-        for (long batch : batches) {
-          // batch=1 runs the scalar single-state path, which has no float
-          // tier — one double row covers it.
-          if (precision == Precision::kFloat32 && batch <= 1) continue;
-          RunOptions run;
-          run.batch_lanes = static_cast<int>(batch);
-          run.precision = precision;
-          const double ms = time_ms(
-              [&] { run_point(c, qc, plan, instances, noise, run); }, reps);
-          BenchRow row;
-          row.name = c.name;
-          row.simd = level;
-          row.precision = precision_name(precision);
-          row.batch = static_cast<int>(batch);
-          row.num_qubits = qc.num_qubits();
-          row.gates = qc.gates().size();
-          row.instances = n_inst;
-          row.point_ms = ms;
-          row.ms_per_lane = ms / static_cast<double>(n_inst);
-          row.inst_per_sec = static_cast<double>(n_inst) / (ms / 1e3);
-          if (precision == Precision::kDouble && batch == 1) single_ms = ms;
-          row.speedup_vs_single = single_ms > 0.0 ? single_ms / ms : 0.0;
-          rows.push_back(row);
-        }
-        // The replay-only metric (group estimator over a pre-built clean
-        // run) at the two lane counts whose ordering the tile walk fixed.
-        for (long batch : batches) {
-          if (batch != 4 && batch != 16) continue;
-          const double ms = replay_ms(c, qc, plan, instances, noise,
-                                      static_cast<int>(batch), precision,
-                                      reps);
-          BenchRow row;
-          row.name = c.name + "_replay";
-          row.simd = level;
-          row.precision = precision_name(precision);
-          row.batch = static_cast<int>(batch);
-          row.num_qubits = qc.num_qubits();
-          row.gates = qc.gates().size();
-          row.instances = static_cast<int>(batch);
-          row.point_ms = ms;
-          row.ms_per_lane = ms / static_cast<double>(batch);
-          row.inst_per_sec = static_cast<double>(batch) / (ms / 1e3);
-          rows.push_back(row);
-        }
+    double single_ms = 0.0;  // the double batch=1 time
+    for (Precision precision : {Precision::kDouble, Precision::kFloat32}) {
+      const std::string tier = precision == Precision::kDouble
+                                   ? kernel_tier_name<double>()
+                                   : kernel_tier_name<float>();
+      for (long batch : batches) {
+        // batch=1 runs the scalar single-state path, which has no float
+        // tier — one double row covers it.
+        if (precision == Precision::kFloat32 && batch <= 1) continue;
+        RunOptions run;
+        run.batch_lanes = static_cast<int>(batch);
+        run.precision = precision;
+        const double ms = time_ms(
+            [&] { run_point(c, qc, plan, instances, noise, run); }, reps);
+        BenchRow row;
+        row.name = c.name;
+        row.simd = tier;
+        row.precision = precision_name(precision);
+        row.batch = static_cast<int>(batch);
+        row.num_qubits = qc.num_qubits();
+        row.gates = qc.gates().size();
+        row.instances = n_inst;
+        row.point_ms = ms;
+        row.ms_per_lane = ms / static_cast<double>(n_inst);
+        row.inst_per_sec = static_cast<double>(n_inst) / (ms / 1e3);
+        if (precision == Precision::kDouble && batch == 1) single_ms = ms;
+        row.speedup_vs_single = single_ms > 0.0 ? single_ms / ms : 0.0;
+        rows.push_back(row);
+      }
+      // The replay-only metric (group estimator over a pre-built clean
+      // run) at the two lane counts whose ordering the tile walk fixed.
+      for (long batch : batches) {
+        if (batch != 4 && batch != 16) continue;
+        const double ms = replay_ms(c, qc, plan, instances, noise,
+                                    static_cast<int>(batch), precision, reps);
+        BenchRow row;
+        row.name = c.name + "_replay";
+        row.simd = tier;
+        row.precision = precision_name(precision);
+        row.batch = static_cast<int>(batch);
+        row.num_qubits = qc.num_qubits();
+        row.gates = qc.gates().size();
+        row.instances = static_cast<int>(batch);
+        row.point_ms = ms;
+        row.ms_per_lane = ms / static_cast<double>(batch);
+        row.inst_per_sec = static_cast<double>(batch) / (ms / 1e3);
+        rows.push_back(row);
       }
     }
-    set_simd_mode(SimdMode::kAuto);
   }
 
   TextTable table({"case", "simd", "precision", "batch", "gates", "point_ms",

@@ -138,7 +138,7 @@ BenchRow run_case(const std::string& name, const CircuitSpec& spec,
 void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
   std::ostringstream out;
   out << "{\n  \"benchmark\": \"fusion\",\n  \"host\": "
-      << host_info_json(simd_mode_name()) << ",\n  \"cases\": [\n";
+      << host_info_json(kernel_tier_name<double>()) << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const BenchRow& r = rows[i];
     out << "    {\"name\": \"" << r.name << "\""

@@ -72,7 +72,7 @@ void write_json(const std::vector<BenchRow>& rows, const SweepConfig& config,
           ? stats.ess_fraction_sum / static_cast<double>(stats.ess_fraction_count)
           : 1.0;
   out << "{\n  \"benchmark\": \"sweep\",\n"
-      << "  \"host\": " << host_info_json(simd_mode_name()) << ",\n"
+      << "  \"host\": " << host_info_json(kernel_tier_name<double>()) << ",\n"
       << "  \"panel\": {\"op\": \"qfa\", \"n\": " << config.base.n
       << ", \"depths\": " << config.depths.size()
       << ", \"rates\": " << config.rates_percent.size()

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   CircuitSpec base;
   base.op = Operation::kAdd;
-  base.n = static_cast<int>(flags.get_int("n", 8));
+  base.n = 8;
 
   std::cout << "=== Fig. 1: QFA success rates (n = " << base.n << ") ===\n"
             << "Reference lines: current IBM hardware ~0.2% (1q), ~1.0% (2q)."

@@ -45,7 +45,8 @@ bool parse_precision_name(const std::string& name, Precision& out);
 /// --shared-trajectories, --seed, --depths, --rates1q, --rates2q, --csv,
 /// --checkpoint, --resume, --unit-deadline, --precision, --paper-scale,
 /// --quiet) on top of the given defaults. Returns false (after printing
-/// usage) on bad flags.
+/// usage or the error) on an unknown flag or a malformed value; the figure
+/// benches then exit 2.
 bool parse_scale(const CliFlags& flags, FigureScale& scale,
                  int paper_instances);
 

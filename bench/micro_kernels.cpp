@@ -1,10 +1,8 @@
 // Micro-benchmarks (google-benchmark): state-vector gate kernels, QFT
 // scaling, transpilation, trajectory machinery, and the batched SIMD
-// kernel tiers — the cost model behind the figure benches' default scale.
+// kernels — the cost model behind the figure benches' default scale.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,18 +139,16 @@ void BM_MarginalProbabilities(benchmark::State& state) {
 BENCHMARK(BM_MarginalProbabilities);
 
 // ---------------------------------------------------------------------------
-// Batched SIMD kernel tiers: one row per (kernel, SIMD level, precision).
-// Each row reports amplitude-lane updates per second (items/sec) and the
-// effective plane traffic (bytes/sec; 2 planes x read+write per update), so
-// kernel tiers are comparable as bandwidth figures. Rows are registered for
-// every dispatch level the host resolves — forcing QFAB_SIMD in the
-// environment restricts them to that level (the rows' names carry the
-// resolved level either way).
+// Batched SIMD kernels: one row per (kernel, precision), each on the
+// kernel build the host runs for that precision (its name is in the row:
+// "avx2" or "scalar", the portable build). Each row reports amplitude-lane
+// updates per second (items/sec) and the effective plane traffic
+// (bytes/sec; 2 planes x read+write per update), so kernels are comparable
+// as bandwidth figures.
 
 template <typename Real>
-void bm_batched_plan(benchmark::State& state, SimdMode mode,
+void bm_batched_plan(benchmark::State& state,
                      std::shared_ptr<const FusedPlan> plan, int n, int lanes) {
-  set_simd_mode(mode);
   BatchedStateVectorT<Real> bsv(n, lanes);
   for (auto _ : state) {
     apply_plan(*plan, bsv);
@@ -165,10 +161,9 @@ void bm_batched_plan(benchmark::State& state, SimdMode mode,
   state.SetItemsProcessed(static_cast<std::int64_t>(updates));
   state.SetBytesProcessed(
       static_cast<std::int64_t>(updates * 4.0 * sizeof(Real)));
-  set_simd_mode(SimdMode::kAuto);
 }
 
-/// The kernel tiers worth a row each: a 1q matrix stream (b_matrix1), a 1q
+/// The kernels worth a row each: a 1q matrix stream (b_matrix1), a 1q
 /// diagonal stream (b_diag1), a 2q stream (b_matrix2), and the fused AQFT
 /// mix the sweeps actually run.
 QuantumCircuit kernel_circuit(const std::string& kernel, int n, int gates) {
@@ -185,60 +180,38 @@ QuantumCircuit kernel_circuit(const std::string& kernel, int n, int gates) {
   return qc;
 }
 
-/// Dispatch levels to register: every distinct resolved level, or just the
-/// forced one when QFAB_SIMD is set.
-std::vector<SimdMode> batched_bench_modes() {
-  if (std::getenv("QFAB_SIMD") != nullptr) return {SimdMode::kAuto};
-  std::vector<SimdMode> modes;
-  std::vector<std::string> seen;
-  for (SimdMode m :
-       {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
-    set_simd_mode(m);
-    const std::string level = simd_mode_name();
-    if (std::find(seen.begin(), seen.end(), level) == seen.end()) {
-      seen.push_back(level);
-      modes.push_back(m);
-    }
-  }
-  set_simd_mode(SimdMode::kAuto);
-  return modes;
-}
-
 int register_batched_benches() {
   const int n = 12;
   const int lanes = 8;
   const int gates = 64;
-  for (SimdMode mode : batched_bench_modes()) {
-    set_simd_mode(mode);
-    const std::string level = simd_mode_name();
-    std::vector<std::pair<std::string, std::shared_ptr<const FusedPlan>>>
-        plans;
-    // Per-kernel streams run unfused so every gate hits its own kernel.
-    FusionOptions unfused;
-    unfused.enable = false;
-    for (const char* kernel : {"matrix1", "diag1", "matrix2"})
-      plans.emplace_back(kernel, std::make_shared<const FusedPlan>(
-                                     kernel_circuit(kernel, n, gates),
-                                     unfused));
-    plans.emplace_back("aqft_fused", std::make_shared<const FusedPlan>(
-                                         transpile_to_basis(make_qft(n))));
-    for (const auto& [kernel, plan] : plans) {
-      const std::string base =
-          "BM_Batched/" + kernel + "/" + level + "/lanes:" +
-          std::to_string(lanes);
-      benchmark::RegisterBenchmark(
-          (base + "/f64").c_str(),
-          [mode, plan, n, lanes](benchmark::State& s) {
-            bm_batched_plan<double>(s, mode, plan, n, lanes);
-          });
-      benchmark::RegisterBenchmark(
-          (base + "/f32").c_str(),
-          [mode, plan, n, lanes](benchmark::State& s) {
-            bm_batched_plan<float>(s, mode, plan, n, lanes);
-          });
-    }
+  std::vector<std::pair<std::string, std::shared_ptr<const FusedPlan>>>
+      plans;
+  // Per-kernel streams run unfused so every gate hits its own kernel.
+  FusionOptions unfused;
+  unfused.enable = false;
+  for (const char* kernel : {"matrix1", "diag1", "matrix2"})
+    plans.emplace_back(kernel, std::make_shared<const FusedPlan>(
+                                   kernel_circuit(kernel, n, gates),
+                                   unfused));
+  plans.emplace_back("aqft_fused", std::make_shared<const FusedPlan>(
+                                       transpile_to_basis(make_qft(n))));
+  const std::string tail = "/lanes:" + std::to_string(lanes);
+  for (const auto& [kernel, plan] : plans) {
+    benchmark::RegisterBenchmark(
+        ("BM_Batched/" + kernel + "/" + kernel_tier_name<double>() + tail +
+         "/f64")
+            .c_str(),
+        [plan, n, lanes](benchmark::State& s) {
+          bm_batched_plan<double>(s, plan, n, lanes);
+        });
+    benchmark::RegisterBenchmark(
+        ("BM_Batched/" + kernel + "/" + kernel_tier_name<float>() + tail +
+         "/f32")
+            .c_str(),
+        [plan, n, lanes](benchmark::State& s) {
+          bm_batched_plan<float>(s, plan, n, lanes);
+        });
   }
-  set_simd_mode(SimdMode::kAuto);
   return 0;
 }
 

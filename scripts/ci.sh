@@ -2,9 +2,8 @@
 # Full CI pass: tier-1 tests + differential verification smoke, first in a
 # plain release build, then under the two sanitizer presets
 # (QFAB_SANITIZE=address -> ASan+UBSan, QFAB_SANITIZE=thread -> TSan).
-# Sanitizer presets pin QFAB_SIMD=scalar: the portable kernel table is what
-# the instrumented build can actually check, and results must not depend on
-# the host's vector units.
+# Every preset runs the kernel build CPUID picks; the tier-equivalence tests
+# (test_batch) run the portable double build beside it in one process.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -66,10 +65,9 @@ crash_resume_smoke() {
 }
 
 # The figure CSVs at default flags must match the committed goldens in
-# results/golden/ byte for byte: Fig. 1 on the native kernel tier (every
-# tier writes the same bytes there), Fig. 2 on the portable tier (on the
-# vector tiers FMA contraction moves sigma in four Fig. 2 panels; ROADMAP
-# item 2). This is the behaviour contract every engine change keeps.
+# results/golden/ byte for byte, on whichever kernel build the host runs
+# (the libraries never contract a*b+c, so every build writes the same
+# bytes). This is the behaviour contract every engine change keeps.
 figure_goldens() {
   local name="$1"
   local builddir="build-ci-${name}"
@@ -80,12 +78,34 @@ figure_goldens() {
   (
     cd "${outdir}"
     ../bench/fig1_qfa_sweep --csv fig1 --quiet >/dev/null
-    QFAB_SIMD=scalar ../bench/fig2_qfm_sweep --csv fig2 --quiet >/dev/null
+    ../bench/fig2_qfm_sweep --csv fig2 --quiet >/dev/null
   )
   for golden in results/golden/fig*.csv; do
     cmp "${golden}" "${outdir}/$(basename "${golden}")"
   done
   echo "== ${name}: figure CSVs match the goldens =="
+}
+
+# A malformed figure-bench flag value is a usage error: exit 2 with a
+# message, like an unknown flag, never an abort.
+figure_usage_errors() {
+  local name="$1"
+  local builddir="build-ci-${name}"
+  echo "== ${name}: figure-bench usage errors exit 2 =="
+  local bench args rc
+  for bench in fig1_qfa_sweep fig2_qfm_sweep; do
+    for args in "--depths full" "--shots abc" "--n 8" "--precision half"; do
+      set +e
+      # shellcheck disable=SC2086
+      "./${builddir}/bench/${bench}" ${args} --quiet >/dev/null 2>&1
+      rc=$?
+      set -e
+      if [[ "${rc}" -ne 2 ]]; then
+        echo "${bench} ${args}: expected exit 2, got ${rc}" >&2
+        exit 1
+      fi
+    done
+  done
 }
 
 # Bounded batched-throughput smoke against the checked-in baseline: rerun
@@ -149,6 +169,7 @@ panelbench_smoke() {
 }
 
 run_preset plain
+figure_usage_errors plain
 figure_goldens plain
 panelbench_smoke
 echo "== plain: bench_sweep smoke (bounded) =="
@@ -157,10 +178,10 @@ echo "== plain: bench_sweep smoke (bounded) =="
 perf_smoke plain
 crash_resume_smoke plain
 crash_resume_smoke plain 17 4
-QFAB_SIMD=scalar run_preset asan -DQFAB_SANITIZE=address
-QFAB_SIMD=scalar crash_resume_smoke asan
-QFAB_SIMD=scalar crash_resume_smoke asan 17 4
-QFAB_SIMD=scalar run_preset tsan -DQFAB_SANITIZE=thread
-QFAB_SIMD=scalar crash_resume_smoke tsan 17 4
+run_preset asan -DQFAB_SANITIZE=address
+crash_resume_smoke asan
+crash_resume_smoke asan 17 4
+run_preset tsan -DQFAB_SANITIZE=thread
+crash_resume_smoke tsan 17 4
 
 echo "CI: all presets green"

@@ -1,6 +1,6 @@
 // Host metadata for the bench JSON writers: checked-in BENCH_*.json results
 // are only comparable against runs on similar hardware, so every writer
-// embeds the CPU model, cache sizes, and the active SIMD dispatch level
+// embeds the CPU model, cache sizes, and the batched double kernel build
 // alongside its measurements.
 #pragma once
 
@@ -19,8 +19,8 @@ const HostInfo& host_info();
 
 /// One-line JSON object for a bench writer's "host" key:
 ///   {"cpu": "...", "simd": "<simd_level>", "l2_kib": N, "l3_kib": N}
-/// `simd_level` is passed in (simd_mode_name()) so this header stays below
-/// the sim layer.
+/// `simd_level` is passed in (kernel_tier_name<double>(), sim/batch.h:
+/// "avx2" or "scalar") so this header stays below the sim layer.
 std::string host_info_json(const std::string& simd_level);
 
 }  // namespace qfab

@@ -10,9 +10,9 @@ namespace qfab {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    // QFAB_THREADS overrides the hardware count (mirrors QFAB_SIMD): the
-    // regression tests pin it > 1 so the pool paths run even on the
-    // single-core CI hosts where the default degenerates to serial.
+    // QFAB_THREADS overrides the hardware count: the regression tests pin
+    // it > 1 so the pool paths run even on the single-core CI hosts where
+    // the default degenerates to serial.
     if (const char* env = std::getenv("QFAB_THREADS")) {
       char* end = nullptr;
       const unsigned long v = std::strtoul(env, &end, 10);

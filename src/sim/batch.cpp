@@ -4,8 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <type_traits>
 
@@ -19,6 +17,7 @@ namespace detail {
 
 namespace {
 std::atomic<bool> g_batch_fault{false};
+std::atomic<bool> g_portable_kernels{false};
 }  // namespace
 
 void set_batch_fault_injection(bool on) {
@@ -29,17 +28,19 @@ bool batch_fault_injection() {
   return g_batch_fault.load(std::memory_order_relaxed);
 }
 
+void set_portable_kernels(bool on) {
+  g_portable_kernels.store(on, std::memory_order_relaxed);
+}
+
 }  // namespace detail
 
 namespace {
 
 cplx expi(double t) { return {std::cos(t), std::sin(t)}; }
 
-/// One resolved set of batched kernels: a (ISA tier, amplitude precision)
-/// build of the same bodies. One table per precision is selected at
-/// startup, swappable via set_simd_mode(). All kernels take the chunk's
-/// global base row (diagonal key gathers need it), the full lane stride L
-/// and the active lane-group width G <= L.
+/// One build of the batched kernels for one amplitude precision. All
+/// kernels take the chunk's global base row (diagonal key gathers need it),
+/// the full lane stride L and the active lane-group width G <= L.
 template <typename Real>
 struct BatchKernelTable {
   void (*matrix1)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
@@ -77,169 +78,87 @@ constexpr int kWideLanes = 8;
           : G == kWideLanes ? fn<kWideLanes>(__VA_ARGS__) \
                             : fn<0>(__VA_ARGS__))
 
-// Portable builds of the kernel bodies: plain C++, autovectorized for the
-// baseline ISA. These are the fallback CI pins with QFAB_SIMD=scalar.
-namespace ker_scalar_f64 {
+// Three builds of the kernel bodies. The portable double and float builds
+// are plain C++, autovectorized for the baseline ISA. The AVX2 double build
+// compiles the same bodies under target("avx2"), so the binary still runs
+// on any x86-64 host, and CPUID picks it once (active_table). It has no
+// FMA, and src/CMakeLists.txt compiles every library with
+// -ffp-contract=off, so no a*b+c is contracted on any host: the AVX2 and
+// portable double tables are bitwise equal (tests/test_batch.cpp, LaneSpan
+// and RowLayout) and the figure CSVs are the same bytes everywhere.
+// Float32 has only the portable build: no vector build of it beat the
+// portable one on a measured panel (DESIGN.md §11 "Tiers").
+namespace ker_portable_f64 {
 using kreal = double;
 #define QFAB_KERNEL_ATTR
 #include "sim/batch_kernels.inc"
 #undef QFAB_KERNEL_ATTR
-}  // namespace ker_scalar_f64
+}  // namespace ker_portable_f64
 
-namespace ker_scalar_f32 {
+namespace ker_portable_f32 {
 using kreal = float;
 #define QFAB_KERNEL_ATTR
 #include "sim/batch_kernels.inc"
 #undef QFAB_KERNEL_ATTR
-}  // namespace ker_scalar_f32
+}  // namespace ker_portable_f32
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__)) && !defined(QFAB_SIMD_SCALAR_ONLY)
-#define QFAB_HAVE_X86_TABLES 1
-// AVX2+FMA builds of the same bodies: the target attribute lets the
-// compiler emit 256-bit FMA code for exactly these functions, so the
-// binary stays runnable on any x86-64 host.
+    (defined(__GNUC__) || defined(__clang__))
+#define QFAB_HAVE_AVX2_TABLE 1
 namespace ker_avx2_f64 {
 using kreal = double;
-#define QFAB_KERNEL_ATTR __attribute__((target("avx2,fma")))
+#define QFAB_KERNEL_ATTR __attribute__((target("avx2")))
 #include "sim/batch_kernels.inc"
 #undef QFAB_KERNEL_ATTR
 }  // namespace ker_avx2_f64
-
-namespace ker_avx2_f32 {
-using kreal = float;
-#define QFAB_KERNEL_ATTR __attribute__((target("avx2,fma")))
-#include "sim/batch_kernels.inc"
-#undef QFAB_KERNEL_ATTR
-}  // namespace ker_avx2_f32
-
-// AVX-512 builds: 512-bit vectors, 8 doubles / 16 floats per register.
-// prefer-vector-width=512 overrides the 256-bit tuning default so the
-// autovectorizer actually uses zmm for these unit-stride lane loops.
-#define QFAB_AVX512_TARGET                                      \
-  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl," \
-                        "prefer-vector-width=512")))
-namespace ker_avx512_f64 {
-using kreal = double;
-#define QFAB_KERNEL_ATTR QFAB_AVX512_TARGET
-#include "sim/batch_kernels.inc"
-#undef QFAB_KERNEL_ATTR
-}  // namespace ker_avx512_f64
-
-namespace ker_avx512_f32 {
-using kreal = float;
-#define QFAB_KERNEL_ATTR QFAB_AVX512_TARGET
-#include "sim/batch_kernels.inc"
-#undef QFAB_KERNEL_ATTR
-}  // namespace ker_avx512_f32
 #else
-#define QFAB_HAVE_X86_TABLES 0
+#define QFAB_HAVE_AVX2_TABLE 0
 #endif
 
-const BatchKernelTable<double> kScalarF64 = ker_scalar_f64::kernel_table();
-const BatchKernelTable<float> kScalarF32 = ker_scalar_f32::kernel_table();
-#if QFAB_HAVE_X86_TABLES
+const BatchKernelTable<double> kPortableF64 = ker_portable_f64::kernel_table();
+const BatchKernelTable<float> kPortableF32 = ker_portable_f32::kernel_table();
+#if QFAB_HAVE_AVX2_TABLE
 const BatchKernelTable<double> kAvx2F64 = ker_avx2_f64::kernel_table();
-const BatchKernelTable<float> kAvx2F32 = ker_avx2_f32::kernel_table();
-const BatchKernelTable<double> kAvx512F64 = ker_avx512_f64::kernel_table();
-const BatchKernelTable<float> kAvx512F32 = ker_avx512_f32::kernel_table();
 #endif
 
-bool cpu_has_avx2() {
-#if QFAB_HAVE_X86_TABLES
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+/// The double table CPUID selects, once per process.
+const BatchKernelTable<double>& native_f64() {
+#if QFAB_HAVE_AVX2_TABLE
+  static const BatchKernelTable<double>& native =
+      __builtin_cpu_supports("avx2") ? kAvx2F64 : kPortableF64;
+  return native;
 #else
-  return false;
+  return kPortableF64;
 #endif
 }
 
-bool cpu_has_avx512() {
-#if QFAB_HAVE_X86_TABLES
-  return __builtin_cpu_supports("avx512f") &&
-         __builtin_cpu_supports("avx512dq") &&
-         __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512vl");
-#else
-  return false;
-#endif
-}
-
-/// The requested mode before resolution: build default, then environment.
-SimdMode requested_mode() {
-#if defined(QFAB_SIMD_SCALAR_ONLY)
-  SimdMode mode = SimdMode::kScalar;
-#elif defined(QFAB_SIMD_FORCE_AVX512)
-  SimdMode mode = SimdMode::kAvx512;
-#elif defined(QFAB_SIMD_FORCE_AVX2)
-  SimdMode mode = SimdMode::kAvx2;
-#else
-  SimdMode mode = SimdMode::kAuto;
-#endif
-  if (const char* env = std::getenv("QFAB_SIMD")) {
-    if (std::strcmp(env, "scalar") == 0) mode = SimdMode::kScalar;
-    else if (std::strcmp(env, "avx2") == 0) mode = SimdMode::kAvx2;
-    else if (std::strcmp(env, "avx512") == 0) mode = SimdMode::kAvx512;
-    else if (std::strcmp(env, "auto") == 0) mode = SimdMode::kAuto;
-  }
-  return mode;
-}
-
-/// Resolve kAuto by CPUID and degrade forced modes the CPU lacks.
-SimdMode resolve_mode(SimdMode mode) {
-  const bool a2 = cpu_has_avx2();
-  const bool a5 = cpu_has_avx512();
-  if (mode == SimdMode::kAuto)
-    return a5 ? SimdMode::kAvx512 : a2 ? SimdMode::kAvx2 : SimdMode::kScalar;
-  if (mode == SimdMode::kAvx512 && !a5)
-    return a2 ? SimdMode::kAvx2 : SimdMode::kScalar;
-  if (mode == SimdMode::kAvx2 && !a2) return SimdMode::kScalar;
-  return mode;
-}
-
-std::atomic<SimdMode>& mode_slot() {
-  static std::atomic<SimdMode> slot{resolve_mode(requested_mode())};
-  return slot;
-}
-
-template <typename Real>
-const BatchKernelTable<Real>& table_for(SimdMode resolved) {
-  if constexpr (std::is_same_v<Real, double>) {
-#if QFAB_HAVE_X86_TABLES
-    if (resolved == SimdMode::kAvx512) return kAvx512F64;
-    if (resolved == SimdMode::kAvx2) return kAvx2F64;
-#endif
-    (void)resolved;
-    return kScalarF64;
-  } else {
-#if QFAB_HAVE_X86_TABLES
-    if (resolved == SimdMode::kAvx512) return kAvx512F32;
-    if (resolved == SimdMode::kAvx2) return kAvx2F32;
-#endif
-    (void)resolved;
-    return kScalarF32;
-  }
-}
-
+/// The table batched `Real` kernels run: the one float32 build, or the
+/// native double table unless detail::set_portable_kernels forces the
+/// portable one.
 template <typename Real>
 const BatchKernelTable<Real>& active_table() {
-  return table_for<Real>(mode_slot().load(std::memory_order_relaxed));
+  if constexpr (std::is_same_v<Real, float>) {
+    return kPortableF32;
+  } else {
+    return detail::g_portable_kernels.load(std::memory_order_relaxed)
+               ? kPortableF64
+               : native_f64();
+  }
 }
 
 }  // namespace
 
-SimdMode simd_mode() { return mode_slot().load(std::memory_order_relaxed); }
-
-void set_simd_mode(SimdMode mode) {
-  mode_slot().store(resolve_mode(mode), std::memory_order_relaxed);
-}
-
-const char* simd_mode_name() {
-  switch (simd_mode()) {
-    case SimdMode::kAvx512: return "avx512";
-    case SimdMode::kAvx2: return "avx2";
-    default: return "scalar";
+template <typename Real>
+const char* kernel_tier_name() {
+  if constexpr (std::is_same_v<Real, float>) {
+    return "scalar";
+  } else {
+    return &active_table<double>() == &kPortableF64 ? "scalar" : "avx2";
   }
 }
+
+template const char* kernel_tier_name<double>();
+template const char* kernel_tier_name<float>();
 
 const char* precision_name(Precision p) {
   switch (p) {

@@ -28,13 +28,12 @@
 //                                   accumulators stay double; only the
 //                                   amplitude planes are narrowed.
 //
-// Kernels are compiled per (ISA, precision): a portable scalar build, an
-// AVX2+FMA build, and an AVX-512 build ("target" function attributes), each
-// instantiated for double and float. One table per precision is selected at
-// startup by CPUID (overridable via the QFAB_SIMD environment variable or
-// set_simd_mode(); the QFAB_SIMD CMake option pins the choice at build
-// time). The scalar table is the reference fallback CI runs under
-// sanitizers.
+// Kernels are compiled three times: a portable build for each precision
+// and an AVX2 double build (a "target" function attribute), which CPUID
+// picks once on hosts that have AVX2. Nothing in the libraries contracts
+// a*b+c into an FMA (-ffp-contract=off, src/CMakeLists.txt), so both
+// double builds give the same bits and the results do not depend on the
+// host (DESIGN.md §7 "SIMD dispatch").
 //
 // Lane divergence: shared plan segments execute batched; per-lane Pauli
 // injections (apply_pauli with a lane index) land at their exact gate sites
@@ -74,26 +73,11 @@
 
 namespace qfab {
 
-/// Which kernel table executes batched ops.
-enum class SimdMode {
-  kAuto,    // detect at startup: widest tier the CPU supports
-  kAvx512,  // force the AVX-512 table (falls back if unavailable)
-  kAvx2,    // force the AVX2+FMA table (falls back if unavailable)
-  kScalar,  // force the portable table
-};
-
-/// The resolved mode (never kAuto): what batched kernels actually run.
-/// Resolution order: set_simd_mode() override, else the QFAB_SIMD
-/// environment variable ("auto" | "avx512" | "avx2" | "scalar"), else the
-/// build's QFAB_SIMD CMake default, else CPUID.
-SimdMode simd_mode();
-
-/// Override the dispatch (tests and benches; kAuto restores detection).
-/// Affects every precision's table.
-void set_simd_mode(SimdMode mode);
-
-/// "avx512", "avx2" or "scalar" for the resolved mode.
-const char* simd_mode_name();
+/// The kernel build that runs batched `Real` amplitudes on this host:
+/// "avx2" or "scalar" (the portable build) for double, "scalar" for float.
+/// Follows detail::set_portable_kernels.
+template <typename Real>
+const char* kernel_tier_name();
 
 /// Amplitude precision for batched trajectory replay (see the precision
 /// policy in exp/experiment.h; kAuto resolves per run against a drift
@@ -112,10 +96,15 @@ namespace detail {
 /// (tools/qfab_verify --inject-kernel-bug): when enabled, the batched
 /// kMatrix1 dispatch flips the sign of one matrix entry, emulating a
 /// batched-kernel regression that the verify harness must catch and shrink
-/// to a repro. Applies to every (ISA, precision) kernel tier. Never enable
-/// outside tests.
+/// to a repro. Applies to every kernel build. Never enable outside tests.
 void set_batch_fault_injection(bool on);
 bool batch_fault_injection();
+
+/// Tier switch for the tier-equivalence tests ONLY: while on, double
+/// kernels run the portable build even where CPUID picked AVX2, so a test
+/// can run both builds in one process and compare their bits. Float32 has
+/// one build and is unaffected. Never enable outside tests.
+void set_portable_kernels(bool on);
 }  // namespace detail
 
 /// Cache-line-aligned storage for the amplitude planes. With 8 double (or

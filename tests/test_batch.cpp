@@ -1,11 +1,10 @@
 // Batched-engine validation: BatchedStateVector must match the scalar
 // StateVector/FusedPlan path to <= 1e-12 on random circuits over every
 // fused op kind — including mid-plan per-lane Pauli injections at every
-// gate index, ragged lane counts, and every kernel table the host
-// resolves (the suite is also re-run with QFAB_SIMD=scalar by the
-// "scalar" CTest label). Float32 lanes are pinned against double to a
-// bounded drift, and the precision-policy fallback must reproduce the
-// double path bit for bit.
+// gate index, ragged lane counts, and both double kernel builds (portable
+// and, on AVX2 hosts, AVX2, which must agree bit for bit). Float32 lanes
+// are pinned against double to a bounded drift, and the precision-policy
+// fallback must reproduce the double path bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -82,29 +81,55 @@ QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
   return qc;
 }
 
-/// Run every kernel table the host resolves through `body` — forcing an
-/// unsupported level degrades to the next one down, so duplicates are
-/// skipped by resolved name (restores auto-detection after).
+/// Run `body` on each double kernel build this host has: the portable one,
+/// then the AVX2 one where CPUID picked it. Float32 has one build, which
+/// every pass runs.
 template <typename Body>
-void for_each_simd_mode(const Body& body) {
-  std::vector<std::string> seen;
-  for (SimdMode mode :
-       {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
-    set_simd_mode(mode);
-    const std::string level = simd_mode_name();
-    if (std::find(seen.begin(), seen.end(), level) != seen.end()) continue;
-    seen.push_back(level);
-    body(simd_mode_name());
-  }
-  set_simd_mode(SimdMode::kAuto);
+void for_each_kernel_tier(const Body& body) {
+  detail::set_portable_kernels(true);
+  body(kernel_tier_name<double>());
+  detail::set_portable_kernels(false);
+  if (std::strcmp(kernel_tier_name<double>(), "scalar") != 0)
+    body(kernel_tier_name<double>());
 }
 
-TEST(SimdDispatch, ResolvesToConcreteMode) {
-  set_simd_mode(SimdMode::kScalar);
-  EXPECT_EQ(simd_mode(), SimdMode::kScalar);
-  EXPECT_STREQ(simd_mode_name(), "scalar");
-  set_simd_mode(SimdMode::kAuto);
-  EXPECT_NE(simd_mode(), SimdMode::kAuto);  // always resolved
+/// Cross-tier check: on the AVX2 build, `make()` run again on the portable
+/// double build gives `got`'s bits — the live masks, every live row of the
+/// raw planes, each lane's pending phase, and each lane's marginals over
+/// `out_q`. A no-op on the portable build.
+template <typename Make>
+void expect_portable_bits(const BatchedStateVector& got, const Make& make,
+                          const std::vector<int>& out_q,
+                          const std::string& what) {
+  if (std::strcmp(kernel_tier_name<double>(), "scalar") == 0) return;
+  detail::set_portable_kernels(true);
+  const BatchedStateVector portable = make();
+  detail::set_portable_kernels(false);
+  ASSERT_EQ(got.live_masks(), portable.live_masks()) << what;
+  const u64 L = static_cast<u64>(got.lanes());
+  std::size_t differ = 0;
+  for (u64 row = 0; row < got.dim(); ++row) {
+    const u64 mask = got.live_masks()[row >> got.tile_log2()];
+    for (u64 j = 0; j < L; ++j) {
+      const u64 k = row * L + j;
+      differ += ((mask >> j) & 1) &&
+                (std::memcmp(&got.re()[k], &portable.re()[k],
+                             sizeof(double)) != 0 ||
+                 std::memcmp(&got.im()[k], &portable.im()[k],
+                             sizeof(double)) != 0);
+    }
+  }
+  EXPECT_EQ(differ, 0u) << what << ": raw planes differ from portable";
+  for (int j = 0; j < got.lanes(); ++j)
+    EXPECT_EQ(got.lane_pending_phase(j), portable.lane_pending_phase(j))
+        << what << " lane " << j << ": pending phase differs from portable";
+  const auto gm = got.all_lane_marginal_probabilities(out_q);
+  const auto pm = portable.all_lane_marginal_probabilities(out_q);
+  for (std::size_t j = 0; j < gm.size(); ++j)
+    EXPECT_EQ(std::memcmp(gm[j].data(), pm[j].data(),
+                          gm[j].size() * sizeof(double)),
+              0)
+        << what << " lane " << j << ": marginal differs from portable";
 }
 
 TEST(BatchedStateVector, LaneRoundTripAndInitialState) {
@@ -188,7 +213,7 @@ TEST(BatchedStateVector, AssignPermutedCopiesMappedLanes) {
 TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
   // All op kinds, several lane counts (including non-power-of-two "ragged"
   // widths), both kernel tables.
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     Pcg64 rng(20260805, 12);
     for (int lanes : {1, 3, 4, 8}) {
       for (int trial = 0; trial < 10; ++trial) {
@@ -220,7 +245,7 @@ TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
 TEST(BatchedEngine, MatchesScalarWithSmallTiles) {
   // tile_bits below the qubit count exercises the batched multi-tile path
   // (whose effective tile also shrinks by log2(lanes)).
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     Pcg64 rng(20260805, 13);
     FusionOptions options;
     options.tile_bits = 3;
@@ -291,7 +316,7 @@ TEST(BatchedEngine, SplitsInsideTranspiledQfaOpsMatchScalar) {
   // inside one now executes through a cached subrange plan
   // (FusedPlan::subrange_plan) instead of gate-at-a-time. Pin the batched
   // split execution against the scalar apply_range at strided split points.
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     CircuitSpec spec;
     spec.op = Operation::kAdd;
     spec.n = 3;
@@ -570,7 +595,7 @@ TEST(Float32Engine, TracksDoubleWithinDriftBound) {
   // drift bound of the double engine (~eps_f32 * sqrt(gates) per
   // amplitude; 1e-4 leaves generous headroom at 60 gates) and keep their
   // norms, on every kernel table.
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     Pcg64 rng(20260807, 21);
     for (int trial = 0; trial < 6; ++trial) {
       const int n = 4, lanes = 5;
@@ -798,19 +823,28 @@ BatchedStateVectorT<Real> span_initial_state(std::uint64_t seed) {
 /// the 4096-row vector. The full-width step itself is held to an oracle
 /// lane by lane: in double, the scalar FusedPlan::apply_range of the op's
 /// gates; in float32 (a taller tile), the double step from the same start.
+/// On the AVX2 build every double step, full-width and span, must also
+/// give the portable build's bits.
 template <typename Real>
 void expect_spans_match_full_width(const char* mode) {
   const std::vector<std::pair<int, int>> spans = {
       {0, 1}, {5, 1}, {7, 1}, {2, 4}, {1, 3}};
+  const std::vector<int> out_q = {0, 4, 8, kSpanQubits - 1};
   const std::vector<SpanOp> ops = span_ops();
   std::uint64_t seed = 0;
   for (const SpanOp& c : ops) {
     const BatchedStateVectorT<Real> init = span_initial_state<Real>(++seed);
-    BatchedStateVectorT<Real> full = init;
+    const auto walked = [&](const BatchWalkStep& step) {
+      BatchedStateVectorT<Real> out = init;
+      apply_batch_walk(*c.plan, out, &step, 1);
+      return out;
+    };
     const BatchWalkStep whole = BatchWalkStep::op_step(c.plan.get(), c.op);
-    apply_batch_walk(*c.plan, full, &whole, 1);
+    const BatchedStateVectorT<Real> full = walked(whole);
     const FusedOp& op = c.plan->ops()[c.op];
     if constexpr (std::is_same_v<Real, double>) {
+      expect_portable_bits(full, [&] { return walked(whole); }, out_q,
+                           std::string(mode) + " " + c.what);
       for (int l = 0; l < kSpanLanes; ++l) {
         StateVector ref = init.lane_state(l);
         c.plan->apply_range(ref, op.gate_begin, op.gate_end);
@@ -830,10 +864,9 @@ void expect_spans_match_full_width(const char* mode) {
             << mode << " " << c.what << " lane " << l << " vs double";
     }
     for (const auto& [b, count] : spans) {
-      BatchedStateVectorT<Real> part = init;
       const BatchWalkStep step =
           BatchWalkStep::op_span_step(c.plan.get(), c.op, b, count);
-      apply_batch_walk(*c.plan, part, &step, 1);
+      const BatchedStateVectorT<Real> part = walked(step);
       for (int l = 0; l < kSpanLanes; ++l) {
         const bool touched = l >= b && l < b + count;
         EXPECT_TRUE(lane_bitwise_equal(part, touched ? full : init, l))
@@ -841,6 +874,11 @@ void expect_spans_match_full_width(const char* mode) {
             << ") lane " << l << (touched ? " differs from full width"
                                           : " was modified");
       }
+      if constexpr (std::is_same_v<Real, double>)
+        expect_portable_bits(part, [&] { return walked(step); }, out_q,
+                             std::string(mode) + " " + c.what + " span (" +
+                                 std::to_string(b) + ", " +
+                                 std::to_string(count) + ")");
     }
   }
 }
@@ -931,14 +969,14 @@ TEST(LaneSpan, SpanOpsCoverEveryWalkKernel) {
 }
 
 TEST(LaneSpan, OpStepsMatchFullWidthBitwise) {
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     expect_spans_match_full_width<double>(mode);
     expect_spans_match_full_width<float>(mode);
   });
 }
 
 TEST(LaneSpan, PauliStepsAreExact) {
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     expect_pauli_steps_exact<double>(mode);
     expect_pauli_steps_exact<float>(mode);
   });
@@ -1045,18 +1083,52 @@ std::size_t group_start(const BatchedCleanRun& clean,
   return g0;
 }
 
-/// One trajectory group loaded from `clean` into the plan's layout, and
-/// its dense identity reference, through the same trajectories.
+/// One trajectory group loaded from `clean` into the plan's layout at its
+/// resume gate, before any trajectory runs.
 template <typename Real>
-void expect_group_agrees(const BatchedCleanRun& clean,
-                         const std::vector<int>& lane_map,
-                         const std::vector<std::vector<ErrorEvent>>& events,
-                         const std::vector<int>& out_q,
-                         const std::string& what) {
-  const std::size_t g0 = group_start(clean, events);
+BatchedStateVectorT<Real> load_group(
+    const BatchedCleanRun& clean, const std::vector<int>& lane_map,
+    const std::vector<std::vector<ErrorEvent>>& events) {
   BatchedStateVectorT<Real> got(1, 1);
-  clean.load_states_at(g0, lane_map, got);
-  ASSERT_TRUE(got.layout() != nullptr) << what;
+  clean.load_states_at(group_start(clean, events), lane_map, got);
+  return got;
+}
+
+/// The per-rate fallback's seed: one member's ideal state broadcast into
+/// the plan's layout (lane_state_at + broadcast).
+template <typename Real>
+BatchedStateVectorT<Real> load_fallback(
+    const BatchedCleanRun& clean, int member,
+    const std::vector<std::vector<ErrorEvent>>& events) {
+  BatchedStateVectorT<Real> got(1, 1);
+  got.reset(clean.circuit().num_qubits(), static_cast<int>(events.size()),
+            clean.plan().row_layout());
+  got.broadcast(clean.lane_state_at(member, group_start(clean, events)));
+  return got;
+}
+
+/// `bsv` after its lanes' trajectories, from the group's resume gate.
+template <typename Real>
+BatchedStateVectorT<Real> replayed(
+    const BatchedCleanRun& clean, BatchedStateVectorT<Real> bsv,
+    const std::vector<std::vector<ErrorEvent>>& events) {
+  run_trajectories_batched(clean.plan(), bsv, group_start(clean, events),
+                           events);
+  return bsv;
+}
+
+/// One trajectory group loaded from `clean` into the plan's layout, and
+/// its dense identity reference, through the same trajectories. Returns
+/// the replayed group.
+template <typename Real>
+BatchedStateVectorT<Real> expect_group_agrees(
+    const BatchedCleanRun& clean, const std::vector<int>& lane_map,
+    const std::vector<std::vector<ErrorEvent>>& events,
+    const std::vector<int>& out_q, const std::string& what) {
+  const std::size_t g0 = group_start(clean, events);
+  const BatchedStateVectorT<Real> got = load_group<Real>(clean, lane_map,
+                                                         events);
+  EXPECT_TRUE(got.layout() != nullptr) << what;
   const double load_tol = std::is_same_v<Real, double> ? 1e-12 : 1e-5;
   for (std::size_t j = 0; j < lane_map.size(); ++j) {
     // The load itself: each lane is its member's state after g0 gates.
@@ -1069,28 +1141,25 @@ void expect_group_agrees(const BatchedCleanRun& clean,
       d = std::max(d, std::abs(v[i] * ph - ref.amplitudes()[i]));
     EXPECT_LT(d, load_tol) << what << " load lane " << j;
   }
-  BatchedStateVectorT<Real> want = dense_reference(got);
-  run_trajectories_batched(clean.plan(), got, g0, events);
-  run_trajectories_batched(clean.plan(), want, g0, events);
-  expect_walks_agree(got, want, out_q, what);
+  const BatchedStateVectorT<Real> out = replayed(clean, got, events);
+  expect_walks_agree(out, replayed(clean, dense_reference(got), events),
+                     out_q, what);
+  return out;
 }
 
-/// The per-rate fallback's seed: one member's ideal state broadcast into
-/// the plan's layout (lane_state_at + broadcast).
+/// The per-rate fallback's seed, and its dense identity reference, through
+/// the same trajectories. Returns the replayed seed.
 template <typename Real>
-void expect_fallback_agrees(const BatchedCleanRun& clean, int member,
-                            const std::vector<std::vector<ErrorEvent>>& events,
-                            const std::vector<int>& out_q,
-                            const std::string& what) {
-  const std::size_t g0 = group_start(clean, events);
-  BatchedStateVectorT<Real> got(1, 1);
-  got.reset(clean.circuit().num_qubits(), static_cast<int>(events.size()),
-            clean.plan().row_layout());
-  got.broadcast(clean.lane_state_at(member, g0));
-  BatchedStateVectorT<Real> want = dense_reference(got);
-  run_trajectories_batched(clean.plan(), got, g0, events);
-  run_trajectories_batched(clean.plan(), want, g0, events);
-  expect_walks_agree(got, want, out_q, what);
+BatchedStateVectorT<Real> expect_fallback_agrees(
+    const BatchedCleanRun& clean, int member,
+    const std::vector<std::vector<ErrorEvent>>& events,
+    const std::vector<int>& out_q, const std::string& what) {
+  const BatchedStateVectorT<Real> got =
+      load_fallback<Real>(clean, member, events);
+  const BatchedStateVectorT<Real> out = replayed(clean, got, events);
+  expect_walks_agree(out, replayed(clean, dense_reference(got), events),
+                     out_q, what);
+  return out;
 }
 
 /// Gate indices of `qc` satisfying `pred`.
@@ -1176,7 +1245,7 @@ TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
   CircuitSpec spec;
   spec.n = 8;
   const std::vector<int> out_q = output_qubits(spec);
-  for_each_simd_mode([&](const char* mode) {
+  for_each_kernel_tier([&](const char* mode) {
     for (const OperandOrders orders :
          {OperandOrders{1, 1}, OperandOrders{2, 2}}) {
       const BatchedCleanRun clean = clean_run_for(spec, orders, 4, 17);
@@ -1211,18 +1280,35 @@ TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
                                std::to_string(orders.order_x) + ":" +
                                std::to_string(orders.order_y);
       const std::vector<int> map = {0, 0, 1, 2, 3, 1, 2, 0};
-      expect_group_agrees<double>(clean, map, events, out_q, what);
+      const BatchedStateVector group =
+          expect_group_agrees<double>(clean, map, events, out_q, what);
       expect_group_agrees<float>(clean, map, events, out_q, what + " f32");
       // A ragged group: 3 lanes of a 4-member run.
       const std::vector<std::vector<ErrorEvent>> ragged = {
           events[1], events[0], events[4]};
-      expect_group_agrees<double>(clean, {3, 1, 3}, ragged, out_q,
-                                  what + " ragged");
+      const std::vector<int> ragged_map = {3, 1, 3};
+      const BatchedStateVector ragged_group = expect_group_agrees<double>(
+          clean, ragged_map, ragged, out_q, what + " ragged");
       // The per-rate fallback seed.
-      expect_fallback_agrees<double>(clean, 2, events, out_q,
-                                     what + " fallback");
+      const BatchedStateVector fallback = expect_fallback_agrees<double>(
+          clean, 2, events, out_q, what + " fallback");
       expect_fallback_agrees<float>(clean, 1, events, out_q,
                                     what + " fallback f32");
+      // Cross-tier: on the AVX2 build, each double group from a clean run
+      // built and replayed on the portable build holds the same bits.
+      expect_portable_bits(group, [&] {
+        const BatchedCleanRun pc = clean_run_for(spec, orders, 4, 17);
+        return replayed(pc, load_group<double>(pc, map, events), events);
+      }, out_q, what);
+      expect_portable_bits(ragged_group, [&] {
+        const BatchedCleanRun pc = clean_run_for(spec, orders, 4, 17);
+        return replayed(pc, load_group<double>(pc, ragged_map, ragged),
+                        ragged);
+      }, out_q, what + " ragged");
+      expect_portable_bits(fallback, [&] {
+        const BatchedCleanRun pc = clean_run_for(spec, orders, 4, 17);
+        return replayed(pc, load_fallback<double>(pc, 2, events), events);
+      }, out_q, what + " fallback");
     }
   });
 }
@@ -1234,7 +1320,7 @@ TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
   spec.op = Operation::kMultiply;
   spec.n = 4;
   const std::vector<int> out_q = output_qubits(spec);
-  for_each_simd_mode([&](const char* mode) {
+  for_each_kernel_tier([&](const char* mode) {
     const BatchedCleanRun clean = clean_run_for(spec, {1, 2}, 4, 23);
     const QuantumCircuit& qc = clean.circuit();
     const FusedPlan& plan = clean.plan();
@@ -1264,10 +1350,17 @@ TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
     events[5] = {event_at(inside.back(), Pauli::kX)};
     const std::string what = std::string(mode) + " qfm4";
     const std::vector<int> map = {0, 1, 1, 3, 2, 0};
-    expect_group_agrees<double>(clean, map, events, out_q, what);
+    const BatchedStateVector group =
+        expect_group_agrees<double>(clean, map, events, out_q, what);
     expect_group_agrees<float>(clean, map, events, out_q, what + " f32");
     expect_fallback_agrees<float>(clean, 3, events, out_q,
                                   what + " fallback f32");
+    // Cross-tier: on the AVX2 build, the double group from a clean run
+    // built and replayed on the portable build holds the same bits.
+    expect_portable_bits(group, [&] {
+      const BatchedCleanRun pc = clean_run_for(spec, {1, 2}, 4, 23);
+      return replayed(pc, load_group<double>(pc, map, events), events);
+    }, out_q, what);
   });
 }
 

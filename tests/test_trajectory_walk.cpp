@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,20 +84,16 @@ QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
   return qc;
 }
 
-/// Run every kernel table the host resolves through `body` (duplicates by
-/// resolved name skipped; auto-detection restored after).
+/// Run `body` on each double kernel build this host has: the portable one,
+/// then the AVX2 one where CPUID picked it. Float32 has one build, which
+/// every pass runs.
 template <typename Body>
-void for_each_simd_mode(const Body& body) {
-  std::vector<std::string> seen;
-  for (SimdMode mode :
-       {SimdMode::kScalar, SimdMode::kAvx2, SimdMode::kAvx512}) {
-    set_simd_mode(mode);
-    const std::string level = simd_mode_name();
-    if (std::find(seen.begin(), seen.end(), level) != seen.end()) continue;
-    seen.push_back(level);
-    body(simd_mode_name());
-  }
-  set_simd_mode(SimdMode::kAuto);
+void for_each_kernel_tier(const Body& body) {
+  detail::set_portable_kernels(true);
+  body(kernel_tier_name<double>());
+  detail::set_portable_kernels(false);
+  if (std::strcmp(kernel_tier_name<double>(), "scalar") != 0)
+    body(kernel_tier_name<double>());
 }
 
 /// Random per-lane event lists over [0, total), arity-respecting Paulis;
@@ -181,7 +178,7 @@ TEST(TrajectoryWalk, DoubleLanesMatchScalarTrajectory) {
   // tiers, random schedules: every double walk lane must match its scalar
   // run_trajectory to 1e-12 with pending phases folded in. The deviation
   // is kernel rounding, invisible to the marginal-based Fig. 1/2 CSVs.
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     Pcg64 rng(20260809, 1);
     for (const int lanes : {2, 8, 16}) {
       for (int trial = 0; trial < 6; ++trial) {
@@ -203,7 +200,7 @@ TEST(TrajectoryWalk, DoubleLanesMatchScalarTrajectory) {
 TEST(TrajectoryWalk, Float32LanesStayWithinReplayDrift) {
   // Same comparison on the float32 tier against the double scalar
   // reference: the pinned bound is the tier's documented drift budget.
-  for_each_simd_mode([](const char* mode) {
+  for_each_kernel_tier([](const char* mode) {
     Pcg64 rng(20260809, 2);
     for (const int lanes : {2, 8, 16}) {
       for (int trial = 0; trial < 4; ++trial) {

@@ -163,8 +163,8 @@ TEST(Shrink, MinimizesInjectedFailure) {
 }
 
 TEST(Repro, RoundTripsCaseAndMetadata) {
-  // Per-process dir: ctest runs this binary twice concurrently (native and
-  // QFAB_SIMD=scalar variants), which must not clobber each other's files.
+  // Per-process dir: concurrent runs of this binary from one directory
+  // must not clobber each other's files.
   const std::string dir =
       "test_verify_repro_tmp_" + std::to_string(::getpid());
   const VerifyCase c = generate_case(5, 3, GeneratorOptions{});
