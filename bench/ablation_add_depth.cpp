@@ -9,7 +9,7 @@
 #include "exp/sweep.h"
 #include "transpile/transpile.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace qfab;
   const CliFlags flags(argc, argv);
   const int n = static_cast<int>(flags.get_int("n", 8));
@@ -68,4 +68,6 @@ int main(int argc, char** argv) {
             << "encoded sums; only mild cutoffs can pay off, and less than\n"
             << "the AQFT (paper Sec. III).\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

@@ -11,7 +11,7 @@
 #include "noise/estimator.h"
 #include "transpile/transpile.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace qfab;
   const CliFlags flags(argc, argv);
   const int n = static_cast<int>(flags.get_int("n", 5));
@@ -87,4 +87,6 @@ int main(int argc, char** argv) {
             << "channel estimate and the per-shot empirical distribution\n"
             << "(includes per-shot sampling noise ~ sqrt(outcomes/shots)).\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

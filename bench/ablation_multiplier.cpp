@@ -9,7 +9,7 @@
 #include "exp/sweep.h"
 #include "transpile/transpile.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace qfab;
   const CliFlags flags(argc, argv);
   const int n = static_cast<int>(flags.get_int("n", 4));
@@ -75,4 +75,6 @@ int main(int argc, char** argv) {
             << "quantifying what the paper's cascade layout leaves on the\n"
             << "table.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

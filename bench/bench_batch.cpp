@@ -112,10 +112,10 @@ double replay_ms(const Case& c, const QuantumCircuit& qc,
                  const std::vector<ArithInstance>& instances,
                  const NoiseModel& noise, int lanes, Precision precision,
                  int reps) {
-  std::vector<StateVector> initials;
+  std::vector<std::vector<BasisTerm>> initials;
   initials.reserve(static_cast<std::size_t>(lanes));
   for (int m = 0; m < lanes; ++m)
-    initials.push_back(make_initial_state(
+    initials.push_back(initial_state_terms(
         c.spec, instances[static_cast<std::size_t>(m) % instances.size()]));
   const BatchedCleanRun clean(plan, initials);
   const ErrorLocations errors(qc, noise);
@@ -195,12 +195,12 @@ int run(int argc, const char* const* argv) {
   const std::vector<long> batches =
       flags.get_int_list("batches", {1, 4, 8, 16});
   const std::string out_path = flags.get_string("out", "BENCH_batch.json");
-  if (!flags.validate()) return 1;
+  if (!flags.validate()) return 2;
   for (long b : batches) {
     if (b >= 1 && b <= BatchedStateVector::kMaxLanes) continue;
     std::cerr << "--batches entries must be in [1, "
               << BatchedStateVector::kMaxLanes << "] (got " << b << ")\n";
-    return 1;
+    return 2;
   }
 
   std::vector<Case> cases;
@@ -300,4 +300,8 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace qfab::bench
 
-int main(int argc, char** argv) { return qfab::bench::run(argc, argv); }
+int main(int argc, char** argv) try {
+  return qfab::bench::run(argc, argv);
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
+}

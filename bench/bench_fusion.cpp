@@ -165,7 +165,7 @@ int run(int argc, const char* const* argv) {
   const int reps = static_cast<int>(flags.get_int("reps", 9));
   const std::string out_path =
       flags.get_string("out", "BENCH_fusion.json");
-  if (!flags.validate()) return 1;
+  if (!flags.validate()) return 2;
 
   std::vector<BenchRow> rows;
   for (int d = 1; d <= 7; ++d) {
@@ -215,4 +215,8 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace qfab::bench
 
-int main(int argc, char** argv) { return qfab::bench::run(argc, argv); }
+int main(int argc, char** argv) try {
+  return qfab::bench::run(argc, argv);
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
+}

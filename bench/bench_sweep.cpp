@@ -112,7 +112,7 @@ int run(int argc, const char* const* argv) {
   const long shots = flags.get_int("shots", 2048);
   const int lanes = static_cast<int>(flags.get_int("lanes", 8));
   const std::string out_path = flags.get_string("out", "BENCH_sweep.json");
-  if (!flags.validate()) return 1;
+  if (!flags.validate()) return 2;
 
   SweepConfig config;
   config.base.op = Operation::kAdd;
@@ -192,4 +192,8 @@ int run(int argc, const char* const* argv) {
 }  // namespace
 }  // namespace qfab::bench
 
-int main(int argc, char** argv) { return qfab::bench::run(argc, argv); }
+int main(int argc, char** argv) try {
+  return qfab::bench::run(argc, argv);
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
+}

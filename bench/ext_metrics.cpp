@@ -13,7 +13,7 @@
 #include "exp/sweep.h"
 #include "transpile/transpile.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace qfab;
   const CliFlags flags(argc, argv);
   const int n = static_cast<int>(flags.get_int("n", 8));
@@ -74,4 +74,6 @@ int main(int argc, char** argv) {
             << "approaches the largest noise peak, then collapsing —\n"
             << "matching the sharp-threshold behavior the paper reports.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

@@ -25,7 +25,7 @@ std::vector<double> channel_at_scale(const CleanRun& clean,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const int n = static_cast<int>(flags.get_int("n", 6));
   const int instances = static_cast<int>(flags.get_int("instances", 8));
@@ -121,4 +121,6 @@ int main(int argc, char** argv) {
             << "Readout inversion is exactly invertible in expectation and\n"
             << "restores the count-based metric directly.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

@@ -37,7 +37,7 @@ double routed_success(const QuantumCircuit& circuit,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const int n = static_cast<int>(flags.get_int("n", 6));
   const int instances = static_cast<int>(flags.get_int("instances", 8));
@@ -102,4 +102,6 @@ int main(int argc, char** argv) {
             << "lower error rates — the connectivity factor the paper\n"
             << "excluded is of the same order as the gate noise itself.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

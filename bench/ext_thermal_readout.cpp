@@ -28,7 +28,7 @@ double run_point(const QuantumCircuit& circuit, const CircuitSpec& spec,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   const int n = static_cast<int>(flags.get_int("n", 6));
   const int instances = static_cast<int>(flags.get_int("instances", 8));
@@ -108,4 +108,6 @@ int main(int argc, char** argv) {
             << "thermal relaxation at current-device T1/T2 and gate times\n"
             << "is mild for QFA but compounds with 2q depolarizing noise.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

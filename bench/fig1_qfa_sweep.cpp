@@ -10,7 +10,7 @@
 #include "common/shutdown.h"
 #include "figure_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace qfab;
   using namespace qfab::bench;
 
@@ -49,4 +49,6 @@ int main(int argc, char** argv) {
             << "orders degrade with rate; optimal depth near log2(n)=3 with\n"
             << "cluster-to-cluster variation; d=1 consistently poor.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

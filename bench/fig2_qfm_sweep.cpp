@@ -8,7 +8,7 @@
 #include "common/shutdown.h"
 #include "figure_common.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace qfab;
   using namespace qfab::bench;
 
@@ -48,4 +48,6 @@ int main(int argc, char** argv) {
             << "but overtakes d=2,3 at high error rates; success-vs-rate\n"
             << "transition much sharper than QFA.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

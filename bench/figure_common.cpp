@@ -2,8 +2,6 @@
 
 #include <iostream>
 
-#include "common/check.h"
-
 namespace qfab::bench {
 
 std::vector<double> default_rates_1q() {
@@ -31,11 +29,8 @@ bool parse_precision_name(const std::string& name, Precision& out) {
   return true;
 }
 
-namespace {
-
-/// parse_scale's body; a malformed flag value throws CheckError.
-bool read_scale(const CliFlags& flags, FigureScale& scale,
-                int paper_instances) {
+bool parse_scale(const CliFlags& flags, FigureScale& scale,
+                 int paper_instances) {
   if (flags.get_bool("paper-scale", false)) {
     scale.instances = paper_instances;
     scale.trajectories = 64;
@@ -72,20 +67,6 @@ bool read_scale(const CliFlags& flags, FigureScale& scale,
     return false;
   }
   return flags.validate();
-}
-
-}  // namespace
-
-bool parse_scale(const CliFlags& flags, FigureScale& scale,
-                 int paper_instances) {
-  try {
-    return read_scale(flags, scale, paper_instances);
-  } catch (const CheckError& e) {
-    // A malformed value (--depths full, --shots abc) is a usage error like
-    // an unknown flag: report it and let the caller exit 2.
-    std::cerr << flags.program() << ": " << e.what() << '\n';
-    return false;
-  }
 }
 
 namespace {

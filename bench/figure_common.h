@@ -45,8 +45,9 @@ bool parse_precision_name(const std::string& name, Precision& out);
 /// --shared-trajectories, --seed, --depths, --rates1q, --rates2q, --csv,
 /// --checkpoint, --resume, --unit-deadline, --precision, --paper-scale,
 /// --quiet) on top of the given defaults. Returns false (after printing
-/// usage or the error) on an unknown flag or a malformed value; the figure
-/// benches then exit 2.
+/// usage or the error) on an unknown flag or precision name; the figure
+/// benches then exit 2. A malformed value throws UsageError (common/cli.h),
+/// which their main() reports with the same exit status.
 bool parse_scale(const CliFlags& flags, FigureScale& scale,
                  int paper_instances);
 

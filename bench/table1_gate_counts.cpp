@@ -60,7 +60,7 @@ void print_operation(const std::vector<PaperRow>& rows,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   if (!flags.validate()) return 2;
 
@@ -95,4 +95,6 @@ int main(int argc, char** argv) {
       << "  * 1q counts depend on RZ-merge aggressiveness; 2q counts match\n"
       << "    the paper exactly. See EXPERIMENTS.md for the derivation.\n";
   return 0;
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }

@@ -80,31 +80,43 @@ figure_goldens() {
     ../bench/fig1_qfa_sweep --csv fig1 --quiet >/dev/null
     ../bench/fig2_qfm_sweep --csv fig2 --quiet >/dev/null
   )
+  local golden got
   for golden in results/golden/fig*.csv; do
-    cmp "${golden}" "${outdir}/$(basename "${golden}")"
+    got="${outdir}/$(basename "${golden}")"
+    if ! cmp -s "${golden}" "${got}"; then
+      echo "${name}: $(basename "${golden}") differs from its golden:" >&2
+      diff "${golden}" "${got}" >&2 || true
+      exit 1
+    fi
   done
   echo "== ${name}: figure CSVs match the goldens =="
 }
 
-# A malformed figure-bench flag value is a usage error: exit 2 with a
-# message, like an unknown flag, never an abort.
+# A malformed command line is a usage error: exit 2 with a message, like
+# an unknown flag, never an abort. Each case is "<bench> <args>".
 figure_usage_errors() {
   local name="$1"
   local builddir="build-ci-${name}"
-  echo "== ${name}: figure-bench usage errors exit 2 =="
-  local bench args rc
+  echo "== ${name}: bench usage errors exit 2 =="
+  local bench args case rc
+  local cases=("fig1_qfa_sweep foo" "bench_sweep --reps abc")
   for bench in fig1_qfa_sweep fig2_qfm_sweep; do
     for args in "--depths full" "--shots abc" "--n 8" "--precision half"; do
-      set +e
-      # shellcheck disable=SC2086
-      "./${builddir}/bench/${bench}" ${args} --quiet >/dev/null 2>&1
-      rc=$?
-      set -e
-      if [[ "${rc}" -ne 2 ]]; then
-        echo "${bench} ${args}: expected exit 2, got ${rc}" >&2
-        exit 1
-      fi
+      cases+=("${bench} ${args} --quiet")
     done
+  done
+  for case in "${cases[@]}"; do
+    bench="${case%% *}"
+    args="${case#* }"
+    set +e
+    # shellcheck disable=SC2086
+    "./${builddir}/bench/${bench}" ${args} >/dev/null 2>&1
+    rc=$?
+    set -e
+    if [[ "${rc}" -ne 2 ]]; then
+      echo "${case}: expected exit 2, got ${rc}" >&2
+      exit 1
+    fi
   done
 }
 

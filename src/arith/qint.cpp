@@ -68,9 +68,10 @@ std::int64_t QInt::decode_signed(u64 encoded, int bits) {
   return raw >= half ? raw - (std::int64_t{1} << bits) : raw;
 }
 
-StateVector prepare_product_state(
+std::vector<BasisTerm> product_state_terms(
     int total_qubits,
     const std::vector<std::pair<QubitRange, QInt>>& registers) {
+  QFAB_CHECK(total_qubits >= 0 && total_qubits < 64);
   // Validate that registers are disjoint and in range.
   std::vector<bool> used(static_cast<std::size_t>(total_qubits), false);
   for (const auto& [range, value] : registers) {
@@ -79,13 +80,14 @@ StateVector prepare_product_state(
       const int q = range[i];
       QFAB_CHECK(q >= 0 && q < total_qubits);
       QFAB_CHECK_MSG(!used[static_cast<std::size_t>(q)],
-                     "overlapping registers in prepare_product_state");
+                     "overlapping registers in a product state");
       used[static_cast<std::size_t>(q)] = true;
     }
   }
 
-  std::vector<cplx> amps(pow2(total_qubits), cplx{0.0, 0.0});
+  if (registers.empty()) return {BasisTerm{0, cplx{1.0, 0.0}}};
   // Cartesian product over register terms (orders are tiny in practice).
+  std::vector<BasisTerm> terms;
   std::vector<std::size_t> cursor(registers.size(), 0);
   for (;;) {
     u64 index = 0;
@@ -95,7 +97,7 @@ StateVector prepare_product_state(
       index |= term.value << registers[r].first.start;
       amp *= term.amplitude;
     }
-    amps[index] = amp;
+    terms.push_back(BasisTerm{index, amp});
     // Advance the odometer.
     std::size_t r = 0;
     while (r < registers.size()) {
@@ -104,9 +106,16 @@ StateVector prepare_product_state(
       ++r;
     }
     if (r == registers.size()) break;
-    if (registers.empty()) break;
   }
-  if (registers.empty()) amps[0] = 1.0;
+  return terms;
+}
+
+StateVector prepare_product_state(
+    int total_qubits,
+    const std::vector<std::pair<QubitRange, QInt>>& registers) {
+  std::vector<cplx> amps(pow2(total_qubits), cplx{0.0, 0.0});
+  for (const BasisTerm& t : product_state_terms(total_qubits, registers))
+    amps[t.index] = t.amplitude;
   return StateVector::from_amplitudes(std::move(amps));
 }
 

@@ -3,8 +3,9 @@
 // A qinteger is a superposition of two's-complement integer states on an
 // n-qubit register (paper Sec. II). An order-j qinteger has j basis states
 // with nonzero amplitude. This type is purely descriptive — the simulator
-// consumes it through prepare_product_state (the paper's noise-free
-// initialization) or through the state-preparation circuit synthesizer.
+// consumes it through product_state_terms / prepare_product_state (the
+// paper's noise-free initialization) or through the state-preparation
+// circuit synthesizer.
 #pragma once
 
 #include <cstdint>
@@ -53,9 +54,18 @@ class QInt {
   std::vector<Term> terms_;
 };
 
-/// Build the joint state of several registers of one circuit, each holding
-/// a qinteger, with all remaining qubits in |0>. This is the paper's
-/// noise-free initialization: amplitudes are written directly, no gates.
+/// The joint state of several registers of one circuit, each holding a
+/// qinteger, with all remaining qubits in |0>, as its nonzero basis terms:
+/// one per combination of register terms, the first register varying
+/// fastest. This is the paper's noise-free initialization: amplitudes are
+/// written directly, no gates. The batched engine loads these terms as
+/// they are (BatchedCleanRun).
+std::vector<BasisTerm> product_state_terms(
+    int total_qubits,
+    const std::vector<std::pair<QubitRange, QInt>>& registers);
+
+/// The same state as a dense 2^total_qubits vector: product_state_terms
+/// scattered into zeros.
 StateVector prepare_product_state(
     int total_qubits,
     const std::vector<std::pair<QubitRange, QInt>>& registers);

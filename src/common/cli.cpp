@@ -6,8 +6,6 @@
 #include <iostream>
 #include <sstream>
 
-#include "common/check.h"
-
 namespace qfab {
 
 namespace {
@@ -48,12 +46,17 @@ bool parse_double(const std::string& s, double& out) {
 
 }  // namespace
 
+int usage_error(const std::string& program, const UsageError& e) {
+  std::cerr << program << ": " << e.what() << '\n';
+  return 2;
+}
+
 CliFlags::CliFlags(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    QFAB_CHECK_MSG(starts_with(arg, "--"),
-                   "positional arguments are not supported: " << arg);
+    if (!starts_with(arg, "--"))
+      throw UsageError("positional arguments are not supported: " + arg);
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -90,9 +93,9 @@ long CliFlags::get_int(const std::string& name, long def) const {
   const auto v = raw(name);
   if (!v) return def;
   long out = 0;
-  QFAB_CHECK_MSG(parse_long(*v, out),
-                 "--" << name << " expects an in-range integer, got \"" << *v
-                      << '"');
+  if (!parse_long(*v, out))
+    throw UsageError("--" + name + " expects an in-range integer, got \"" +
+                     *v + '"');
   return out;
 }
 
@@ -100,9 +103,9 @@ double CliFlags::get_double(const std::string& name, double def) const {
   const auto v = raw(name);
   if (!v) return def;
   double out = 0.0;
-  QFAB_CHECK_MSG(parse_double(*v, out),
-                 "--" << name << " expects an in-range number, got \"" << *v
-                      << '"');
+  if (!parse_double(*v, out))
+    throw UsageError("--" + name + " expects an in-range number, got \"" +
+                     *v + '"');
   return out;
 }
 
@@ -111,23 +114,23 @@ bool CliFlags::get_bool(const std::string& name, bool def) const {
   if (!v) return def;
   if (*v == "true" || *v == "1" || *v == "yes") return true;
   if (*v == "false" || *v == "0" || *v == "no") return false;
-  QFAB_CHECK_MSG(false, "--" << name << " expects a boolean, got " << *v);
-  return def;
+  throw UsageError("--" + name + " expects a boolean, got " + *v);
 }
 
 std::vector<double> CliFlags::get_double_list(const std::string& name,
                                               std::vector<double> def) const {
   const auto v = raw(name);
   if (!v) return def;
-  QFAB_CHECK_MSG(!v->empty(), "--" << name << " expects a list, got an empty"
-                                   << " value (omit the flag for the default)");
+  if (v->empty())
+    throw UsageError("--" + name + " expects a list, got an empty value " +
+                     "(omit the flag for the default)");
   std::vector<double> out;
   std::istringstream is(*v);
   std::string item;
   while (std::getline(is, item, ',')) {
     double value = 0.0;
-    QFAB_CHECK_MSG(parse_double(item, value),
-                   "--" << name << ": bad list element \"" << item << '"');
+    if (!parse_double(item, value))
+      throw UsageError("--" + name + ": bad list element \"" + item + '"');
     out.push_back(value);
   }
   return out;
@@ -137,15 +140,16 @@ std::vector<long> CliFlags::get_int_list(const std::string& name,
                                          std::vector<long> def) const {
   const auto v = raw(name);
   if (!v) return def;
-  QFAB_CHECK_MSG(!v->empty(), "--" << name << " expects a list, got an empty"
-                                   << " value (omit the flag for the default)");
+  if (v->empty())
+    throw UsageError("--" + name + " expects a list, got an empty value " +
+                     "(omit the flag for the default)");
   std::vector<long> out;
   std::istringstream is(*v);
   std::string item;
   while (std::getline(is, item, ',')) {
     long value = 0;
-    QFAB_CHECK_MSG(parse_long(item, value),
-                   "--" << name << ": bad list element \"" << item << '"');
+    if (!parse_long(item, value))
+      throw UsageError("--" + name + ": bad list element \"" + item + '"');
     out.push_back(value);
   }
   return out;

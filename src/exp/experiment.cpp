@@ -28,6 +28,18 @@ void check_channel_health(const RunOptions& run,
   throw_if_unhealthy(check_probability_simplex(channel, kHealthTol), where);
 }
 
+/// Qubit count of make_qfa / make_qfm.
+int circuit_qubits(const CircuitSpec& spec) {
+  return spec.op == Operation::kAdd ? 2 * spec.n : 4 * spec.n;
+}
+
+/// The operand registers of make_qfa / make_qfm: x at [0, n), y at [n, 2n).
+std::vector<std::pair<QubitRange, QInt>> operand_registers(
+    const CircuitSpec& spec, const ArithInstance& inst) {
+  return {{QubitRange{0, spec.n}, inst.x},
+          {QubitRange{spec.n, spec.n}, inst.y}};
+}
+
 }  // namespace
 
 Precision resolve_precision(const RunOptions& run, std::size_t gate_count) {
@@ -110,13 +122,16 @@ std::vector<u64> correct_outputs(const CircuitSpec& spec,
   return out;
 }
 
+std::vector<BasisTerm> initial_state_terms(const CircuitSpec& spec,
+                                           const ArithInstance& inst) {
+  return product_state_terms(circuit_qubits(spec),
+                             operand_registers(spec, inst));
+}
+
 StateVector make_initial_state(const CircuitSpec& spec,
                                const ArithInstance& inst) {
-  const int total =
-      spec.op == Operation::kAdd ? 2 * spec.n : 4 * spec.n;
-  const QubitRange xr{0, spec.n};
-  const QubitRange yr{spec.n, spec.n};
-  return prepare_product_state(total, {{xr, inst.x}, {yr, inst.y}});
+  return prepare_product_state(circuit_qubits(spec),
+                               operand_registers(spec, inst));
 }
 
 InstanceContext::InstanceContext(const QuantumCircuit& transpiled,
@@ -188,13 +203,13 @@ std::vector<InstanceOutcome> InstanceContext::evaluate_rates(
   return outcomes;
 }
 
-std::vector<StateVector> InstanceBatch::initial_states(
+std::vector<std::vector<BasisTerm>> InstanceBatch::initial_terms(
     const CircuitSpec& spec, const std::vector<ArithInstance>& group) {
-  std::vector<StateVector> states;
-  states.reserve(group.size());
+  std::vector<std::vector<BasisTerm>> terms;
+  terms.reserve(group.size());
   for (const ArithInstance& inst : group)
-    states.push_back(make_initial_state(spec, inst));
-  return states;
+    terms.push_back(initial_state_terms(spec, inst));
+  return terms;
 }
 
 InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
@@ -204,7 +219,7 @@ InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
                              std::shared_ptr<const FusedPlan> plan)
     : clean_(plan ? std::move(plan)
                   : std::make_shared<const FusedPlan>(transpiled),
-             initial_states(spec, group), run.checkpoint_interval),
+             initial_terms(spec, group), run.checkpoint_interval),
       output_qubits_(output_qubits(spec)) {
   // The shared plan must describe this exact circuit (same contract as
   // CleanRun): trajectory injection addresses gates by index through it.
@@ -216,24 +231,6 @@ InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
   correct_.reserve(group.size());
   for (const ArithInstance& inst : group)
     correct_.push_back(correct_outputs(spec, inst));
-}
-
-InstanceOutcome InstanceBatch::evaluate(int member, const NoiseModel& noise,
-                                        const RunOptions& run,
-                                        Pcg64& rng) const {
-  QFAB_CHECK(member >= 0 && member < size());
-  const ErrorLocations errors(clean_.circuit(), noise);
-  EstimatorOptions est;
-  est.error_trajectories = run.error_trajectories;
-  est.precision = resolve_precision(run, clean_.plan().gate_count());
-  est.float_drift_budget = run.float_drift_budget;
-  std::vector<double> channel = estimate_channel_marginal_batched(
-      clean_, member, errors, output_qubits_, est, std::max(run.batch_lanes, 1),
-      rng);
-  check_channel_health(run, channel, "estimated channel");
-  if (run.readout.enabled()) apply_readout_error(channel, run.readout);
-  std::vector<std::uint64_t> counts = sample_shot_counts(channel, run.shots, rng);
-  return evaluate_counts(counts, correct_[static_cast<std::size_t>(member)]);
 }
 
 std::vector<InstanceOutcome> InstanceBatch::evaluate_all(

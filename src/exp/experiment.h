@@ -68,7 +68,13 @@ int output_bits(const CircuitSpec& spec);
 std::vector<u64> correct_outputs(const CircuitSpec& spec,
                                  const ArithInstance& inst);
 
-/// Noise-free initial state (amplitudes written directly, per the paper).
+/// Noise-free initial state (amplitudes written directly, per the paper)
+/// as its nonzero basis terms: the operand product, which InstanceBatch
+/// loads without a dense vector.
+std::vector<BasisTerm> initial_state_terms(const CircuitSpec& spec,
+                                           const ArithInstance& inst);
+
+/// The same state as a dense vector (the scalar CleanRun's start).
 StateVector make_initial_state(const CircuitSpec& spec,
                                const ArithInstance& inst);
 
@@ -161,6 +167,8 @@ class InstanceContext {
 /// in lockstep through one shared FusedPlan pass (their circuits are
 /// identical; only the initial states differ). Used by run_sweep on the
 /// stratified-estimator path; per-shot mode stays on InstanceContext.
+/// Operand states load from their basis terms (initial_state_terms), and
+/// no step of an evaluation builds a dense 2^n state.
 class InstanceBatch {
  public:
   InstanceBatch(const QuantumCircuit& transpiled, const CircuitSpec& spec,
@@ -169,17 +177,12 @@ class InstanceBatch {
 
   int size() const { return clean_.lanes(); }
 
-  /// Evaluate group member `member` at one noise point. Identical
-  /// statistics to InstanceContext::evaluate on the stratified path: the
-  /// rng stream per point is the same.
-  InstanceOutcome evaluate(int member, const NoiseModel& noise,
-                           const RunOptions& run, Pcg64& rng) const;
-
   /// Evaluate every member at one noise point in a single batched pass:
   /// all members' error trajectories of the same stratum replay together
   /// (estimate_channel_marginals_batched). rngs[m] is member m's point
-  /// rng; each stream is consumed exactly as evaluate(m, ...) would, so
-  /// results match the per-member paths to replay rounding.
+  /// rng; each stream is consumed exactly as InstanceContext::evaluate
+  /// consumes it for that member, so results match the per-member paths
+  /// to replay rounding.
   std::vector<InstanceOutcome> evaluate_all(const NoiseModel& noise,
                                             const RunOptions& run,
                                             std::vector<Pcg64>& rngs) const;
@@ -195,7 +198,7 @@ class InstanceBatch {
       SharedEstimateStats* stats = nullptr) const;
 
  private:
-  static std::vector<StateVector> initial_states(
+  static std::vector<std::vector<BasisTerm>> initial_terms(
       const CircuitSpec& spec, const std::vector<ArithInstance>& group);
 
   BatchedCleanRun clean_;

@@ -34,8 +34,8 @@ ReplayWorkspace& replay_workspace() {
 /// Replay one trajectory group at the requested precision and leave the
 /// per-lane output marginals in ws.margs. `seed` is a generic callback
 /// that loads the group's start states into a batched vector of either
-/// precision (broadcast of one ideal state, or a lane-permuted checkpoint
-/// load).
+/// precision (a lane-permuted checkpoint load, or on the scalar CleanRun
+/// a broadcast of one ideal state).
 ///
 /// Float32 groups run the drift sentinel afterwards: every lane's norm² is
 /// the sum of its marginal, so a lane that drifted from 1 beyond the
@@ -83,12 +83,14 @@ void replay_group_marginals(const FusedPlan& plan, std::size_t g0,
   ws.bsv.all_lane_marginal_probabilities(output_qubits, ws.margs, ws.acc);
 }
 
-/// Shared body of the two batched-estimator overloads. `state_at(g)` must
-/// return the ideal state after g gates for the instance being estimated.
-template <typename StateAt>
+/// Shared body of the two batched-estimator overloads. `group_seed(g0,
+/// lanes)` returns one replay group's seed (see replay_group_marginals):
+/// a callback that loads `lanes` copies of the estimated instance's ideal
+/// state after g0 gates.
+template <typename GroupSeed>
 std::vector<double> channel_marginal_batched_impl(
     const FusedPlan& plan, const std::vector<double>& ideal,
-    StateAt&& state_at, const ErrorLocations& errors,
+    GroupSeed&& group_seed, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,
     int max_lanes, Pcg64& rng) {
   const double w0 = errors.clean_probability();
@@ -104,8 +106,8 @@ std::vector<double> channel_marginal_batched_impl(
   for (int t = 0; t < T; ++t) all_events[t] = errors.sample_at_least_one(rng);
 
   // Stratify: sort trajectory indices by first-error site so lanes batched
-  // together share (almost) all of their ideal prefix and the broadcast
-  // start state wastes little replay.
+  // together share (almost) all of their ideal prefix and the group's
+  // common start state wastes little replay.
   std::vector<int> order(static_cast<std::size_t>(T));
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
@@ -121,14 +123,9 @@ std::vector<double> channel_marginal_batched_impl(
     const std::size_t g0 = all_events[order[lo]].front().gate_index + 1;
     std::vector<std::vector<ErrorEvent>> lane_events(lanes);
     for (int l = 0; l < lanes; ++l) lane_events[l] = all_events[order[lo + l]];
-    const StateVector start = state_at(g0);  // shared by a double redo
     replay_group_marginals(plan, g0, lane_events, output_qubits,
                            options.precision, options.float_drift_budget, ws,
-                           [&](auto& bsv) {
-                             bsv.reset(plan.circuit().num_qubits(), lanes,
-                                       plan.row_layout());
-                             bsv.broadcast(start);
-                           });
+                           group_seed(g0, lanes));
     for (int l = 0; l < lanes; ++l)
       margs[order[lo + l]] = ws.margs[static_cast<std::size_t>(l)];
   }
@@ -330,9 +327,17 @@ std::vector<double> estimate_channel_marginal_batched(
     const CleanRun& clean, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,
     int max_lanes, Pcg64& rng) {
+  // Every lane broadcasts one scalar resume state, computed once per group
+  // so a double redo reuses it.
+  const auto group_seed = [&clean](std::size_t g0, int lanes) {
+    return [&clean, lanes, start = clean.state_at(g0)](auto& bsv) {
+      bsv.reset(clean.circuit().num_qubits(), lanes,
+                clean.plan().row_layout());
+      bsv.broadcast(start);
+    };
+  };
   return channel_marginal_batched_impl(
-      clean.plan(), clean.ideal_marginal(output_qubits),
-      [&clean](std::size_t g) { return clean.state_at(g); }, errors,
+      clean.plan(), clean.ideal_marginal(output_qubits), group_seed, errors,
       output_qubits, options, max_lanes, rng);
 }
 
@@ -340,10 +345,17 @@ std::vector<double> estimate_channel_marginal_batched(
     const BatchedCleanRun& clean, int lane, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,
     int max_lanes, Pcg64& rng) {
+  QFAB_CHECK(lane >= 0 && lane < clean.lanes());
+  // Every lane loads `lane`'s state: the live-tile checkpoint copy and
+  // batched resume that seed the pooled groups too.
+  const auto group_seed = [&clean, lane](std::size_t g0, int lanes) {
+    return [&clean, g0, lane_map = std::vector<int>(lanes, lane)](auto& bsv) {
+      clean.load_states_at(g0, lane_map, bsv);
+    };
+  };
   return channel_marginal_batched_impl(
       clean.plan(), clean.lane_ideal_marginal(lane, output_qubits),
-      [&clean, lane](std::size_t g) { return clean.lane_state_at(lane, g); },
-      errors, output_qubits, options, max_lanes, rng);
+      group_seed, errors, output_qubits, options, max_lanes, rng);
 }
 
 std::vector<std::vector<double>> estimate_channel_marginals_batched(
@@ -637,6 +649,13 @@ std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
       const RateWeights rw = reweight(uniq[m], deltas[r]);
       if (r != p) note_ess(stats, rw.ess / static_cast<double>(T));
       if (r != p && rw.ess < min_ess) {
+        // Weight degeneracy: re-estimate this column from its own stream,
+        // with the per-rate estimator's trajectories, in groups of this
+        // member only, each seeded from the batched checkpoints like the
+        // pooled groups above. Its groups (so its resume gates) differ from
+        // the pooled per-rate estimator's, so the two agree to replay
+        // rounding. Pooling fallback columns across members measured
+        // slower: each member's data sits in its own tiles.
         if (stats) {
           ++stats->fallback_columns;
           stats->fallback_trajectories += T;

@@ -58,14 +58,13 @@ struct SharedEstimatorOptions {
   /// Effective-sample-size guard: a non-proposal rate column whose
   /// reweighted ESS = (Σ w)²/Σ w² falls below this fraction of
   /// error_trajectories is re-estimated by per-rate stratified sampling
-  /// from its own (still untouched) rng stream — exactly the call the
-  /// per-rate path would have made, so the fallback is bit-for-bit
-  /// reproducible. The proposal column never falls back (its weights are
-  /// uniform, ESS = T exactly).
+  /// from its own (still untouched) rng stream: the same trajectories the
+  /// per-rate path would sample (see the two cluster estimators for how
+  /// close the result comes). The proposal column never falls back (its
+  /// weights are uniform, ESS = T exactly).
   double min_ess_fraction = 0.25;
   /// Replay precision and drift sentinel, as in EstimatorOptions (the ESS
-  /// fallback columns inherit both, so fallbacks stay bit-for-bit matches
-  /// of the per-rate path at the same precision).
+  /// fallback columns inherit both).
   Precision precision = Precision::kDouble;
   double float_drift_budget = 1e-3;
 };
@@ -127,8 +126,14 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
 /// order) and deduplicated; ALL members' unique trajectories are pooled,
 /// sorted by first-error site, and replayed lanes-at-a-time through one
 /// shared plan pass. rngs[rate][member]; an ESS fallback re-estimates one
-/// (rate, member) column via the single-lane per-rate estimator from
-/// rngs[rate][member]. Returns [rate][member] marginal estimates.
+/// (rate, member) column from rngs[rate][member] with the one-member
+/// estimate_channel_marginal_batched overload, whose groups load from the
+/// batched checkpoints like every other group. It consumes that stream
+/// exactly as the per-rate estimate_channel_marginals_batched does and
+/// replays the same trajectories, so the column equals the per-rate
+/// estimate to replay rounding, not bitwise: its groups, and so their
+/// resume gates, differ from the member-pooled ones. Returns
+/// [rate][member] marginal estimates.
 std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
     const BatchedCleanRun& clean, const std::vector<ErrorLocations>& rate_errors,
     const std::vector<int>& output_qubits,
@@ -155,7 +160,11 @@ std::vector<double> estimate_channel_marginal_batched(
     const std::vector<int>& output_qubits, const EstimatorOptions& options,
     int max_lanes, Pcg64& rng);
 
-/// Same, for one lane (instance) of a batched group of clean runs.
+/// Same, for one lane (instance) of a batched group of clean runs: every
+/// replay group loads that lane's resume state from the batched
+/// checkpoints (BatchedCleanRun::load_states_at with the lane repeated),
+/// so no dense 2^n state is built. Agrees with the CleanRun overload on
+/// the same instance and stream to replay rounding.
 std::vector<double> estimate_channel_marginal_batched(
     const BatchedCleanRun& clean, int lane, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,

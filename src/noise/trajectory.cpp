@@ -228,9 +228,33 @@ void run_trajectory(const CleanRun& clean,
   clean.plan().apply_range(out, applied, total);
 }
 
+namespace {
+
+/// Each dense state's nonzero terms, checked against the plan's width.
+std::vector<std::vector<BasisTerm>> lane_terms(
+    const FusedPlan* plan, const std::vector<StateVector>& states) {
+  QFAB_CHECK(plan != nullptr);
+  std::vector<std::vector<BasisTerm>> terms;
+  terms.reserve(states.size());
+  for (const StateVector& sv : states) {
+    QFAB_CHECK(sv.num_qubits() == plan->circuit().num_qubits());
+    terms.push_back(nonzero_terms(sv));
+  }
+  return terms;
+}
+
+}  // namespace
+
 BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
                                  const std::vector<StateVector>& initials,
                                  std::size_t checkpoint_interval)
+    : BatchedCleanRun(plan, lane_terms(plan.get(), initials),
+                      checkpoint_interval) {}
+
+BatchedCleanRun::BatchedCleanRun(
+    std::shared_ptr<const FusedPlan> plan,
+    const std::vector<std::vector<BasisTerm>>& initials,
+    std::size_t checkpoint_interval)
     : plan_(std::move(plan)), interval_(checkpoint_interval) {
   QFAB_CHECK(plan_ != nullptr);
   QFAB_CHECK(!initials.empty() &&
@@ -246,10 +270,8 @@ BatchedCleanRun::BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
   // checkpoint keeps its live tiles only.
   BatchedStateVector cur(nq, 1);
   cur.reset(nq, lanes, plan_->row_layout());
-  for (std::size_t l = 0; l < initials.size(); ++l) {
-    QFAB_CHECK(initials[l].num_qubits() == nq);
+  for (std::size_t l = 0; l < initials.size(); ++l)
     cur.set_lane(static_cast<int>(l), initials[l]);
-  }
   boundaries_.push_back(0);
   std::size_t applied = 0;
   while (applied < total) {
@@ -282,15 +304,6 @@ std::size_t BatchedCleanRun::checkpoint_before(std::size_t gate_count) const {
   const auto it = std::upper_bound(boundaries_.begin(), boundaries_.end(),
                                    gate_count);
   return static_cast<std::size_t>(it - boundaries_.begin()) - 1;
-}
-
-StateVector BatchedCleanRun::lane_state_at(int lane,
-                                           std::size_t gate_count) const {
-  QFAB_CHECK(gate_count <= plan_->gate_count());
-  const std::size_t k = checkpoint_before(gate_count);
-  StateVector sv = checkpoints_[k].lane_state(lane);
-  plan_->apply_range(sv, boundaries_[k], gate_count);
-  return sv;
 }
 
 BatchedStateVector BatchedCleanRun::states_at(std::size_t gate_count) const {

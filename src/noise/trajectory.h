@@ -152,11 +152,18 @@ void run_trajectory(const CleanRun& clean,
 /// states (a group of operand instances), advanced in lockstep through one
 /// shared FusedPlan on the batched engine, in the plan's row layout (see
 /// sim/batch.h). Checkpoints are stored batched and packed to their live
-/// tiles — a few hundred KiB where the full planes take MiBs; per-lane
-/// queries extract a lane and (for state_at) replay the remainder on the
-/// scalar path.
+/// tiles — a few hundred KiB where the full planes take MiBs. Nothing here
+/// holds a lane as a dense 2^n StateVector: lanes start from their nonzero
+/// basis terms and resume states load batched (load_states_at).
 class BatchedCleanRun {
  public:
+  /// initials[l] holds lane l's initial state as its nonzero basis terms
+  /// (BatchedStateVectorT::set_lane).
+  BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
+                  const std::vector<std::vector<BasisTerm>>& initials,
+                  std::size_t checkpoint_interval = 64);
+  /// Adapter for dense initial states: forwards their nonzero terms, so
+  /// the run is bitwise the one built from those terms.
   BatchedCleanRun(std::shared_ptr<const FusedPlan> plan,
                   const std::vector<StateVector>& initials,
                   std::size_t checkpoint_interval = 64);
@@ -172,12 +179,15 @@ class BatchedCleanRun {
   /// phases not folded in — norms are phase-invariant, which is what the
   /// health sentinels need this for).
   const BatchedStateVector& final_states() const { return checkpoints_.back(); }
+  /// The cached ideal run: checkpoints()[k] holds every lane after
+  /// boundaries()[k] gates.
+  const std::vector<BatchedStateVector>& checkpoints() const {
+    return checkpoints_;
+  }
+  const std::vector<std::size_t>& boundaries() const { return boundaries_; }
   /// Ideal output distribution of `qubits` for one lane.
   std::vector<double> lane_ideal_marginal(int lane,
                                           const std::vector<int>& qubits) const;
-  /// Lane's state after the first `gate_count` gates (nearest batched
-  /// checkpoint, lane extracted, remainder replayed scalar).
-  StateVector lane_state_at(int lane, std::size_t gate_count) const;
   /// Every lane's state after the first `gate_count` gates, as one batched
   /// vector in the plan's row layout: nearest checkpoint copied, remainder
   /// replayed batched (fused via subrange plans).

@@ -293,9 +293,9 @@ void BatchedStateVectorT<Real>::retile(int tb) {
 }
 
 template <typename Real>
-void BatchedStateVectorT<Real>::set_lane(int lane, const StateVector& sv) {
+void BatchedStateVectorT<Real>::set_lane(int lane,
+                                         const std::vector<BasisTerm>& terms) {
   QFAB_CHECK(lane >= 0 && lane < lanes_);
-  QFAB_CHECK(sv.num_qubits() == num_qubits_);
   QFAB_CHECK(!packed_);
   const u64 L = static_cast<u64>(lanes_);
   const u64 col = static_cast<u64>(lane);
@@ -311,17 +311,17 @@ void BatchedStateVectorT<Real>::set_lane(int lane, const StateVector& sv) {
       im_[row * L + col] = Real{0};
     }
   }
-  const std::vector<cplx>& a = sv.amplitudes();
-  for (u64 i = 0; i < a.size(); ++i) {
-    if (a[i] == cplx{0.0, 0.0}) continue;
-    const u64 row = row_of(layout_.get(), i);
+  for (const BasisTerm& term : terms) {
+    QFAB_CHECK(term.index < dim());
+    if (term.amplitude == cplx{0.0, 0.0}) continue;
+    const u64 row = row_of(layout_.get(), term.index);
     const u64 t = row >> tb_;
     if (!(live_[t] & bit)) {
       if (live_[t] == 0) zero_tile(t);
       live_[t] |= bit;
     }
-    re_[row * L + col] = static_cast<Real>(a[i].real());
-    im_[row * L + col] = static_cast<Real>(a[i].imag());
+    re_[row * L + col] = static_cast<Real>(term.amplitude.real());
+    im_[row * L + col] = static_cast<Real>(term.amplitude.imag());
   }
   pending_[static_cast<std::size_t>(lane)] = 0.0;
 }

@@ -49,7 +49,7 @@
 // read. Operand registers are classical qubits in the paper's circuits, so
 // in the plan's layout a lane's data sits in a handful of tiles, and every
 // load, walk, copy and reduction touches those tiles only. Methods taking
-// qubits or StateVectors speak logical qubits and translate.
+// qubits, basis terms or StateVectors speak logical qubits and translate.
 //
 // One execution loop: apply_plan, apply_plan_range and the noisy replay
 // driver (noise/trajectory.h) all compile their gate range into
@@ -187,11 +187,14 @@ class BatchedStateVectorT {
   /// Row layout of the planes (null = identity).
   const std::shared_ptr<const RowLayout>& layout() const { return layout_; }
 
-  /// Copy a state into one lane (pending phase folded in; amplitudes
-  /// rounded to Real). Writes only the state's nonzero tiles.
-  void set_lane(int lane, const StateVector& sv);
-  /// Copy one state into every lane (trajectory batches of one instance).
-  /// Writes only the state's nonzero tiles.
+  /// Load one lane with the state whose nonzero amplitudes are `terms`
+  /// (indices distinct and logical; amplitudes rounded to Real; lane
+  /// pending phase cleared). Writes only the tiles the terms occupy, so a
+  /// basis-sparse operand state costs its terms, not 2^n rows
+  /// (nonzero_terms converts a dense state).
+  void set_lane(int lane, const std::vector<BasisTerm>& terms);
+  /// Copy one state into every lane (the scalar CleanRun's trajectory
+  /// groups). Writes only the state's nonzero tiles.
   void broadcast(const StateVector& sv);
   /// Extract one lane as a StateVector (lane pending phase folded in).
   StateVector lane_state(int lane) const;

@@ -354,4 +354,12 @@ std::vector<std::uint64_t> StateVector::sample_counts(
   return counts;
 }
 
+std::vector<BasisTerm> nonzero_terms(const StateVector& sv) {
+  const std::vector<cplx>& a = sv.amplitudes();
+  std::vector<BasisTerm> terms;
+  for (u64 i = 0; i < a.size(); ++i)
+    if (!(a[i] == cplx{0.0, 0.0})) terms.push_back(BasisTerm{i, a[i]});
+  return terms;
+}
+
 }  // namespace qfab

@@ -102,4 +102,17 @@ class StateVector {
   mutable std::vector<cplx> amps_;
 };
 
+/// One nonzero amplitude of a state: `amplitude`·|index>. The paper's
+/// operand states have a handful of them among 2^n basis states, and the
+/// batched engine loads initial states in this form
+/// (BatchedStateVectorT::set_lane).
+struct BasisTerm {
+  u64 index = 0;
+  cplx amplitude{0.0, 0.0};
+};
+
+/// The nonzero amplitudes of `sv` (pending phase folded in), in ascending
+/// index order.
+std::vector<BasisTerm> nonzero_terms(const StateVector& sv);
+
 }  // namespace qfab

@@ -142,7 +142,7 @@ TEST(BatchedStateVector, LaneRoundTripAndInitialState) {
   std::vector<StateVector> states;
   for (int l = 0; l < 3; ++l) {
     states.push_back(StateVector::from_amplitudes(random_state(4, rng)));
-    bsv.set_lane(l, states.back());
+    bsv.set_lane(l, nonzero_terms(states.back()));
   }
   for (int l = 0; l < 3; ++l) {
     EXPECT_LT(state_distance(bsv.lane_state(l).amplitudes(),
@@ -159,7 +159,7 @@ TEST(BatchedStateVector, PerLanePauliTouchesOnlyItsLane) {
   BatchedStateVector bsv(n, L);
   for (int l = 0; l < L; ++l) {
     states.push_back(StateVector::from_amplitudes(random_state(n, rng)));
-    bsv.set_lane(l, states.back());
+    bsv.set_lane(l, nonzero_terms(states.back()));
   }
   bsv.apply_pauli(2, Pauli::kY, 1);
   states[2].apply_pauli(Pauli::kY, 1);
@@ -175,7 +175,8 @@ TEST(BatchedStateVector, AllLaneMarginalsBitwiseMatchPerLane) {
   const int n = 5, lanes = 6;
   BatchedStateVector bsv(n, lanes);
   for (int l = 0; l < lanes; ++l)
-    bsv.set_lane(l, StateVector::from_amplitudes(random_state(n, rng)));
+    bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(
+                        random_state(n, rng))));
   // Contiguous, scattered, and single-qubit subsets: both key paths.
   const std::vector<std::vector<int>> qubit_sets = {{1, 2, 3}, {0, 2, 4}, {4}};
   for (const auto& qs : qubit_sets) {
@@ -196,7 +197,8 @@ TEST(BatchedStateVector, AssignPermutedCopiesMappedLanes) {
   const int n = 4;
   BatchedStateVector src(n, 3);
   for (int l = 0; l < 3; ++l)
-    src.set_lane(l, StateVector::from_amplitudes(random_state(n, rng)));
+    src.set_lane(l, nonzero_terms(StateVector::from_amplitudes(
+                        random_state(n, rng))));
   src.apply_lane_global_phase(1, 0.7);  // pending phase must follow its lane
   BatchedStateVector dst(1, 1);  // wrong shape on purpose: assign resizes
   const std::vector<int> map = {1, 1, 2, 0, 1};
@@ -225,7 +227,7 @@ TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
         std::vector<StateVector> refs;
         for (int l = 0; l < lanes; ++l) {
           const auto init = random_state(n, rng);
-          bsv.set_lane(l, StateVector::from_amplitudes(init));
+          bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(init)));
           refs.push_back(StateVector::from_amplitudes(init));
           plan.apply(refs.back());
         }
@@ -257,7 +259,7 @@ TEST(BatchedEngine, MatchesScalarWithSmallTiles) {
       std::vector<StateVector> refs;
       for (int l = 0; l < lanes; ++l) {
         const auto init = random_state(6, rng);
-        bsv.set_lane(l, StateVector::from_amplitudes(init));
+        bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(init)));
         refs.push_back(StateVector::from_amplitudes(init));
         plan.apply(refs.back());
       }
@@ -293,7 +295,7 @@ TEST(BatchedEngine, PerLaneInjectionAtEveryGateIndex) {
 
     BatchedStateVector bsv(n, lanes);
     for (int l = 0; l < lanes; ++l)
-      bsv.set_lane(l, StateVector::from_amplitudes(inits[l]));
+      bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(inits[l])));
     apply_plan_range(plan, bsv, 0, s);
     for (int l = 0; l < lanes; ++l) bsv.apply_pauli(l, p[l], q[l]);
     apply_plan_range(plan, bsv, s, total);
@@ -330,7 +332,7 @@ TEST(BatchedEngine, SplitsInsideTranspiledQfaOpsMatchScalar) {
     for (std::size_t s = 0; s <= total; s += 3) {
       BatchedStateVector bsv(qc.num_qubits(), 2);
       for (int l = 0; l < 2; ++l)
-        bsv.set_lane(l, StateVector::from_amplitudes(init));
+        bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(init)));
       apply_plan_range(plan, bsv, 0, s);
       apply_plan_range(plan, bsv, s, total);
       for (int l = 0; l < 2; ++l)
@@ -407,27 +409,19 @@ TEST(BatchedCleanRunTest, LaneQueriesMatchScalarCleanRuns) {
   const BatchedCleanRun batched(plan, initials, 16);
   ASSERT_EQ(batched.lanes(), lanes);
 
-  for (int l = 0; l < lanes; ++l) {
+  for (int l = 0; l < lanes; ++l)
     EXPECT_LT(
         state_distance(batched.lane_final_state(l).amplitudes(),
                        scalar_runs[static_cast<std::size_t>(l)].final_state()
                            .amplitudes()),
         kTol);
-    for (std::size_t g = 0; g <= qc.gates().size(); g += 7)
-      EXPECT_LT(state_distance(
-                    batched.lane_state_at(l, g).amplitudes(),
-                    scalar_runs[static_cast<std::size_t>(l)].state_at(g)
-                        .amplitudes()),
-                kTol)
-          << "lane " << l << " g " << g;
-  }
 
   // states_at / load_states_at: batched resume states match the scalar
   // replays lane-for-lane, including permuted-with-repeats lane maps
   // loaded into reused storage.
   BatchedStateVector reuse(n, 1);
   const std::vector<int> map = {2, 0, 0, 1};
-  for (std::size_t g = 0; g <= qc.gates().size(); g += 11) {
+  for (std::size_t g = 0; g <= qc.gates().size(); g += 7) {
     const BatchedStateVector at = batched.states_at(g);
     for (int l = 0; l < lanes; ++l)
       EXPECT_LT(state_distance(
@@ -606,8 +600,8 @@ TEST(Float32Engine, TracksDoubleWithinDriftBound) {
       for (int l = 0; l < lanes; ++l) {
         const StateVector init =
             StateVector::from_amplitudes(random_state(n, rng));
-        bsv.set_lane(l, init);
-        bsf.set_lane(l, init);
+        bsv.set_lane(l, nonzero_terms(init));
+        bsf.set_lane(l, nonzero_terms(init));
       }
       apply_plan(plan, bsv);
       apply_plan(plan, bsf);
@@ -810,8 +804,8 @@ BatchedStateVectorT<Real> span_initial_state(std::uint64_t seed) {
   Pcg64 rng(20261017, seed);
   BatchedStateVectorT<Real> bsv(kSpanQubits, kSpanLanes);
   for (int l = 0; l < kSpanLanes; ++l) {
-    bsv.set_lane(l, StateVector::from_amplitudes(
-                        random_state(kSpanQubits, rng)));
+    bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(
+                        random_state(kSpanQubits, rng))));
     bsv.apply_lane_global_phase(l, 0.1 * l);
   }
   return bsv;
@@ -1094,19 +1088,6 @@ BatchedStateVectorT<Real> load_group(
   return got;
 }
 
-/// The per-rate fallback's seed: one member's ideal state broadcast into
-/// the plan's layout (lane_state_at + broadcast).
-template <typename Real>
-BatchedStateVectorT<Real> load_fallback(
-    const BatchedCleanRun& clean, int member,
-    const std::vector<std::vector<ErrorEvent>>& events) {
-  BatchedStateVectorT<Real> got(1, 1);
-  got.reset(clean.circuit().num_qubits(), static_cast<int>(events.size()),
-            clean.plan().row_layout());
-  got.broadcast(clean.lane_state_at(member, group_start(clean, events)));
-  return got;
-}
-
 /// `bsv` after its lanes' trajectories, from the group's resume gate.
 template <typename Real>
 BatchedStateVectorT<Real> replayed(
@@ -1118,11 +1099,14 @@ BatchedStateVectorT<Real> replayed(
 }
 
 /// One trajectory group loaded from `clean` into the plan's layout, and
-/// its dense identity reference, through the same trajectories. Returns
-/// the replayed group.
+/// its dense identity reference, through the same trajectories. Each
+/// loaded lane must hold its member's state after the group's resume gate
+/// as the scalar CleanRun `oracle[member]` computes it. Returns the
+/// replayed group.
 template <typename Real>
 BatchedStateVectorT<Real> expect_group_agrees(
-    const BatchedCleanRun& clean, const std::vector<int>& lane_map,
+    const BatchedCleanRun& clean, const std::vector<CleanRun>& oracle,
+    const std::vector<int>& lane_map,
     const std::vector<std::vector<ErrorEvent>>& events,
     const std::vector<int>& out_q, const std::string& what) {
   const std::size_t g0 = group_start(clean, events);
@@ -1131,31 +1115,16 @@ BatchedStateVectorT<Real> expect_group_agrees(
   EXPECT_TRUE(got.layout() != nullptr) << what;
   const double load_tol = std::is_same_v<Real, double> ? 1e-12 : 1e-5;
   for (std::size_t j = 0; j < lane_map.size(); ++j) {
-    // The load itself: each lane is its member's state after g0 gates.
     const cplx ph =
         std::polar(1.0, got.lane_pending_phase(static_cast<int>(j)));
     const std::vector<cplx> v = raw_logical_lane(got, static_cast<int>(j));
-    const StateVector ref = clean.lane_state_at(lane_map[j], g0);
+    const StateVector ref =
+        oracle[static_cast<std::size_t>(lane_map[j])].state_at(g0);
     double d = 0.0;
     for (std::size_t i = 0; i < v.size(); ++i)
       d = std::max(d, std::abs(v[i] * ph - ref.amplitudes()[i]));
     EXPECT_LT(d, load_tol) << what << " load lane " << j;
   }
-  const BatchedStateVectorT<Real> out = replayed(clean, got, events);
-  expect_walks_agree(out, replayed(clean, dense_reference(got), events),
-                     out_q, what);
-  return out;
-}
-
-/// The per-rate fallback's seed, and its dense identity reference, through
-/// the same trajectories. Returns the replayed seed.
-template <typename Real>
-BatchedStateVectorT<Real> expect_fallback_agrees(
-    const BatchedCleanRun& clean, int member,
-    const std::vector<std::vector<ErrorEvent>>& events,
-    const std::vector<int>& out_q, const std::string& what) {
-  const BatchedStateVectorT<Real> got =
-      load_fallback<Real>(clean, member, events);
   const BatchedStateVectorT<Real> out = replayed(clean, got, events);
   expect_walks_agree(out, replayed(clean, dense_reference(got), events),
                      out_q, what);
@@ -1179,16 +1148,36 @@ ErrorEvent event_at(std::size_t gate, Pauli p0, Pauli p1 = Pauli::kI) {
   return ev;
 }
 
+/// `members` operand instances of `spec` at `orders`, drawn from `seed`.
+std::vector<ArithInstance> instances_for(const CircuitSpec& spec,
+                                         OperandOrders orders, int members,
+                                         std::uint64_t seed) {
+  Pcg64 rng(seed, 3);
+  return generate_instances(members, spec.n, spec.n, orders, rng);
+}
+
+/// The batched clean run of those instances, loaded from their basis terms
+/// as InstanceBatch loads them.
 BatchedCleanRun clean_run_for(const CircuitSpec& spec, OperandOrders orders,
                               int members, std::uint64_t seed) {
   const auto plan =
       std::make_shared<const FusedPlan>(build_transpiled_circuit(spec));
-  Pcg64 rng(seed, 3);
-  std::vector<StateVector> initials;
-  for (const ArithInstance& inst :
-       generate_instances(members, spec.n, spec.n, orders, rng))
-    initials.push_back(make_initial_state(spec, inst));
+  std::vector<std::vector<BasisTerm>> initials;
+  for (const ArithInstance& inst : instances_for(spec, orders, members, seed))
+    initials.push_back(initial_state_terms(spec, inst));
   return BatchedCleanRun(plan, initials, 64);
+}
+
+/// Each instance's scalar CleanRun, on its own plan: the oracle of the
+/// batched loads. Sparse checkpoints keep the dense runs small.
+std::vector<CleanRun> scalar_runs_for(const CircuitSpec& spec,
+                                      OperandOrders orders, int members,
+                                      std::uint64_t seed) {
+  const QuantumCircuit qc = build_transpiled_circuit(spec);
+  std::vector<CleanRun> runs;
+  for (const ArithInstance& inst : instances_for(spec, orders, members, seed))
+    runs.emplace_back(qc, make_initial_state(spec, inst), 256);
+  return runs;
 }
 
 TEST(RowLayout, OperandRegistersTakeTheHighRowBits) {
@@ -1249,6 +1238,7 @@ TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
     for (const OperandOrders orders :
          {OperandOrders{1, 1}, OperandOrders{2, 2}}) {
       const BatchedCleanRun clean = clean_run_for(spec, orders, 4, 17);
+      const std::vector<CleanRun> oracle = scalar_runs_for(spec, orders, 4, 17);
       const QuantumCircuit& qc = clean.circuit();
       const std::size_t total = qc.gates().size();
       const auto x_cx = gates_where(qc, [&](const Gate& g) {
@@ -1280,20 +1270,23 @@ TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
                                std::to_string(orders.order_x) + ":" +
                                std::to_string(orders.order_y);
       const std::vector<int> map = {0, 0, 1, 2, 3, 1, 2, 0};
-      const BatchedStateVector group =
-          expect_group_agrees<double>(clean, map, events, out_q, what);
-      expect_group_agrees<float>(clean, map, events, out_q, what + " f32");
+      const BatchedStateVector group = expect_group_agrees<double>(
+          clean, oracle, map, events, out_q, what);
+      expect_group_agrees<float>(clean, oracle, map, events, out_q,
+                                 what + " f32");
       // A ragged group: 3 lanes of a 4-member run.
       const std::vector<std::vector<ErrorEvent>> ragged = {
           events[1], events[0], events[4]};
       const std::vector<int> ragged_map = {3, 1, 3};
       const BatchedStateVector ragged_group = expect_group_agrees<double>(
-          clean, ragged_map, ragged, out_q, what + " ragged");
-      // The per-rate fallback seed.
-      const BatchedStateVector fallback = expect_fallback_agrees<double>(
-          clean, 2, events, out_q, what + " fallback");
-      expect_fallback_agrees<float>(clean, 1, events, out_q,
-                                    what + " fallback f32");
+          clean, oracle, ragged_map, ragged, out_q, what + " ragged");
+      // The ESS fallback's seed: one member in every lane.
+      const std::vector<int> fallback_map(events.size(), 2);
+      const BatchedStateVector fallback = expect_group_agrees<double>(
+          clean, oracle, fallback_map, events, out_q, what + " fallback");
+      expect_group_agrees<float>(clean, oracle,
+                                 std::vector<int>(events.size(), 1), events,
+                                 out_q, what + " fallback f32");
       // Cross-tier: on the AVX2 build, each double group from a clean run
       // built and replayed on the portable build holds the same bits.
       expect_portable_bits(group, [&] {
@@ -1307,7 +1300,8 @@ TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
       }, out_q, what + " ragged");
       expect_portable_bits(fallback, [&] {
         const BatchedCleanRun pc = clean_run_for(spec, orders, 4, 17);
-        return replayed(pc, load_fallback<double>(pc, 2, events), events);
+        return replayed(pc, load_group<double>(pc, fallback_map, events),
+                        events);
       }, out_q, what + " fallback");
     }
   });
@@ -1322,6 +1316,7 @@ TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
   const std::vector<int> out_q = output_qubits(spec);
   for_each_kernel_tier([&](const char* mode) {
     const BatchedCleanRun clean = clean_run_for(spec, {1, 2}, 4, 23);
+    const std::vector<CleanRun> oracle = scalar_runs_for(spec, {1, 2}, 4, 23);
     const QuantumCircuit& qc = clean.circuit();
     const FusedPlan& plan = clean.plan();
     const int classical = 2 * spec.n;
@@ -1350,11 +1345,13 @@ TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
     events[5] = {event_at(inside.back(), Pauli::kX)};
     const std::string what = std::string(mode) + " qfm4";
     const std::vector<int> map = {0, 1, 1, 3, 2, 0};
-    const BatchedStateVector group =
-        expect_group_agrees<double>(clean, map, events, out_q, what);
-    expect_group_agrees<float>(clean, map, events, out_q, what + " f32");
-    expect_fallback_agrees<float>(clean, 3, events, out_q,
-                                  what + " fallback f32");
+    const BatchedStateVector group = expect_group_agrees<double>(
+        clean, oracle, map, events, out_q, what);
+    expect_group_agrees<float>(clean, oracle, map, events, out_q,
+                               what + " f32");
+    expect_group_agrees<float>(clean, oracle,
+                               std::vector<int>(events.size(), 3), events,
+                               out_q, what + " fallback f32");
     // Cross-tier: on the AVX2 build, the double group from a clean run
     // built and replayed on the portable build holds the same bits.
     expect_portable_bits(group, [&] {
@@ -1362,6 +1359,78 @@ TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
       return replayed(pc, load_group<double>(pc, map, events), events);
     }, out_q, what);
   });
+}
+
+/// `a` and `b` hold the same bits: shape, layout, live masks, pending
+/// phases and every live tile's rows (packed or not).
+void expect_same_bits(const BatchedStateVector& a, const BatchedStateVector& b,
+                      const std::string& what) {
+  ASSERT_EQ(a.lanes(), b.lanes()) << what;
+  ASSERT_EQ(a.tile_log2(), b.tile_log2()) << what;
+  ASSERT_EQ(a.is_packed(), b.is_packed()) << what;
+  ASSERT_EQ(a.live_masks(), b.live_masks()) << what;
+  EXPECT_EQ(a.layout(), b.layout()) << what;
+  for (int j = 0; j < a.lanes(); ++j) {
+    const double pa = a.lane_pending_phase(j), pb = b.lane_pending_phase(j);
+    EXPECT_EQ(std::memcmp(&pa, &pb, sizeof(double)), 0)
+        << what << " lane " << j << " pending phase";
+  }
+  const u64 stride =
+      (u64{1} << a.tile_log2()) * static_cast<u64>(a.lanes());
+  u64 slot = 0;
+  std::size_t differ = 0;
+  for (u64 t = 0; t < a.live_masks().size(); ++t) {
+    if (a.live_masks()[t] == 0) continue;
+    const u64 off = (a.is_packed() ? slot++ : t) * stride;
+    differ += std::memcmp(a.re() + off, b.re() + off,
+                          stride * sizeof(double)) != 0;
+    differ += std::memcmp(a.im() + off, b.im() + off,
+                          stride * sizeof(double)) != 0;
+  }
+  EXPECT_EQ(differ, 0u) << what << ": live tile planes differ";
+}
+
+TEST(BatchedCleanRunTest, TermsRunIsBitwiseTheDenseStatesRun) {
+  // InstanceBatch loads operand states from their basis terms; the dense
+  // make_initial_state vectors through the StateVector adapter must give
+  // the same run, bit for bit, at every checkpoint.
+  CircuitSpec qfa;
+  qfa.n = 8;
+  CircuitSpec qfm;
+  qfm.op = Operation::kMultiply;
+  qfm.n = 4;
+  for (const CircuitSpec& spec : {qfa, qfm}) {
+    const auto plan =
+        std::make_shared<const FusedPlan>(build_transpiled_circuit(spec));
+    for (const OperandOrders orders :
+         {OperandOrders{1, 1}, OperandOrders{1, 2}, OperandOrders{2, 2}}) {
+      for (const int members : {8, 3}) {  // a full and a ragged group
+        std::vector<std::vector<BasisTerm>> terms;
+        std::vector<StateVector> dense;
+        for (const ArithInstance& inst :
+             instances_for(spec, orders, members, 29)) {
+          terms.push_back(initial_state_terms(spec, inst));
+          dense.push_back(make_initial_state(spec, inst));
+        }
+        const BatchedCleanRun from_terms(plan, terms, 64);
+        const BatchedCleanRun from_dense(plan, dense, 64);
+        const std::string what =
+            std::string(spec.op == Operation::kAdd ? "qfa8 " : "qfm4 ") +
+            std::to_string(orders.order_x) + ":" +
+            std::to_string(orders.order_y) + " members " +
+            std::to_string(members);
+        ASSERT_EQ(from_terms.boundaries(), from_dense.boundaries()) << what;
+        ASSERT_EQ(from_terms.checkpoints().size(),
+                  from_dense.checkpoints().size())
+            << what;
+        ASSERT_GT(from_terms.checkpoints().size(), 2u) << what;
+        for (std::size_t k = 0; k < from_terms.checkpoints().size(); ++k)
+          expect_same_bits(from_terms.checkpoints()[k],
+                           from_dense.checkpoints()[k],
+                           what + " checkpoint " + std::to_string(k));
+      }
+    }
+  }
 }
 
 TEST(CdfSampler, MatchesLinearScanSemantics) {

@@ -446,6 +446,18 @@ TEST(Cli, RejectsBadValues) {
   EXPECT_THROW(flags.get_int("x", 0), CheckError);
 }
 
+TEST(Cli, MalformedCommandLineIsAUsageError) {
+  // A positional argument and an unparsable value throw UsageError, which
+  // every binary's main() reports as one line and exit status 2.
+  const char* positional[] = {"prog", "foo"};
+  EXPECT_THROW(CliFlags(2, positional), UsageError);
+  const char* bad[] = {"prog", "--reps", "abc", "--list=1,x", "--on=maybe"};
+  CliFlags flags(5, bad);
+  EXPECT_THROW(flags.get_int("reps", 3), UsageError);
+  EXPECT_THROW(flags.get_int_list("list", {}), UsageError);
+  EXPECT_THROW(flags.get_bool("on", false), UsageError);
+}
+
 TEST(Cli, ValidateFlagsUnknown) {
   const char* argv[] = {"prog", "--typo=1"};
   CliFlags flags(2, argv);

@@ -1,7 +1,8 @@
 // Shared-trajectory estimator validation: exact delegation for single-rate
 // clusters, stream-identical proposal columns, importance-reweighted
-// columns tracking the exact channel, bit-for-bit ESS fallback, and
-// sweep-level equivalence between shared and per-rate evaluation.
+// columns tracking the exact channel, ESS fallbacks (bit-for-bit on the
+// scalar CleanRun, to replay rounding on the batched one), and sweep-level
+// equivalence between shared and per-rate evaluation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -195,6 +196,70 @@ TEST(SharedEstimator, ForcedEssFallbackReproducesStratifiedBitForBit) {
                                         ref_rng);
     EXPECT_EQ(shared[0], ref);
     EXPECT_EQ(rngs[0](), ref_rng());
+  }
+}
+
+TEST(SharedEstimator, BatchedForcedEssFallbackMatchesPerMemberEstimate) {
+  // The batched cluster estimator's fallback columns: every member's
+  // non-proposal column falls back, consumes its stream exactly as the
+  // pooled per-rate estimator does, and matches the estimate of a scalar
+  // CleanRun of that member from the same stream to replay rounding (its
+  // groups load from the batched checkpoints instead).
+  const QuantumCircuit qc = qfa_circuit(3);
+  const int n = qc.num_qubits();
+  std::vector<StateVector> initials;
+  for (u64 v : {0ull, 5ull, 9ull, 14ull}) {
+    StateVector sv(n);
+    sv.set_basis_state(v);
+    initials.push_back(sv);
+  }
+  const std::size_t members = initials.size();
+  const auto plan = std::make_shared<const FusedPlan>(qc);
+  const BatchedCleanRun clean(plan, initials, 16);
+  const std::vector<int> outputs = result_qubits(3);
+  const double p = rate_for_lambda(qc, 2.0);
+  std::vector<ErrorLocations> cluster;
+  for (double f : {0.5, 1.0}) cluster.emplace_back(qc, depol(f * p));
+  SharedEstimatorOptions opt;
+  opt.error_trajectories = 24;
+  opt.min_ess_fraction = 1.0;  // forces every non-proposal column back
+  const EstimatorOptions eopt{opt.error_trajectories};
+
+  std::vector<std::vector<Pcg64>> rngs(2);
+  std::vector<Pcg64> pooled_rngs;
+  for (std::uint64_t m = 0; m < members; ++m) {
+    rngs[0].emplace_back(43, m);
+    rngs[1].emplace_back(43, 100 + m);
+    pooled_rngs.emplace_back(43, m);
+  }
+  SharedEstimateStats stats;
+  const auto shared = estimate_channel_marginals_shared(clean, cluster,
+                                                        outputs, opt, rngs,
+                                                        &stats);
+  EXPECT_EQ(stats.fallback_columns, static_cast<long>(members));
+  EXPECT_EQ(stats.fallback_trajectories,
+            static_cast<long>(members) * opt.error_trajectories);
+
+  // Stream for stream: each fallback stream stands where the pooled
+  // per-rate estimator leaves the same stream.
+  const auto pooled = estimate_channel_marginals_batched(
+      clean, cluster[0], outputs, eopt, pooled_rngs);
+  for (std::size_t m = 0; m < members; ++m)
+    EXPECT_EQ(rngs[0][m](), pooled_rngs[m]()) << "member " << m;
+
+  for (std::size_t m = 0; m < members; ++m) {
+    const CleanRun scalar(qc, initials[m], 16, plan);
+    Pcg64 ref_rng(43, m);
+    const std::vector<double> ref = estimate_channel_marginal_batched(
+        scalar, cluster[0], outputs, eopt, static_cast<int>(members),
+        ref_rng);
+    ASSERT_EQ(shared[0][m].size(), ref.size());
+    for (std::size_t b = 0; b < ref.size(); ++b) {
+      EXPECT_NEAR(shared[0][m][b], ref[b], 1e-12)
+          << "member " << m << " bin " << b;
+      EXPECT_NEAR(shared[0][m][b], pooled[m][b], 1e-12)
+          << "member " << m << " bin " << b << " vs pooled";
+    }
   }
 }
 

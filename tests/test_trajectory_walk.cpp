@@ -386,7 +386,8 @@ TEST(ApplyPlanRange, EmptyRangeIsANoOp) {
   const std::size_t total = qc.gates().size();
   BatchedStateVector bsv(4, 3);
   for (int l = 0; l < 3; ++l)
-    bsv.set_lane(l, StateVector::from_amplitudes(random_state(4, rng)));
+    bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(
+                        random_state(4, rng))));
   std::vector<std::vector<cplx>> before;
   for (int l = 0; l < 3; ++l) before.push_back(bsv.lane_state(l).amplitudes());
   for (const std::size_t g : {std::size_t{0}, total / 2, total}) {

@@ -15,7 +15,7 @@
 #include "verify/repro.h"
 #include "verify/verify.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace qfab;
   using namespace qfab::verify;
 
@@ -63,4 +63,6 @@ int main(int argc, char** argv) {
     std::cerr << "qfab_verify: " << e.what() << '\n';
     return 2;
   }
+} catch (const qfab::UsageError& e) {
+  return qfab::usage_error(argv[0], e);
 }
