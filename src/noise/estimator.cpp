@@ -654,8 +654,8 @@ std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
         // member only, each seeded from the batched checkpoints like the
         // pooled groups above. Its groups (so its resume gates) differ from
         // the pooled per-rate estimator's, so the two agree to replay
-        // rounding. Pooling fallback columns across members measured
-        // slower: each member's data sits in its own tiles.
+        // rounding. Pooling fallback columns across members was slower in
+        // a prototype: each member's data sits in its own tiles.
         if (stats) {
           ++stats->fallback_columns;
           stats->fallback_trajectories += T;
