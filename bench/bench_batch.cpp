@@ -140,6 +140,8 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
                  const RunOptions& run) {
   const CleanRun clean(qc, make_initial_state(c.spec, inst),
                        run.checkpoint_interval, plan);
+  const BatchedCleanRun batched_clean(plan, {initial_state_terms(c.spec, inst)},
+                                      run.checkpoint_interval);
   const ErrorLocations errors(qc, noise);
   const std::vector<int> out_q = output_qubits(c.spec);
   EstimatorOptions est;
@@ -147,8 +149,8 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
   Pcg64 rng_a(42, 1), rng_b(42, 1);
   const auto scalar =
       estimate_channel_marginal(clean, errors, out_q, est, rng_a);
-  const auto batched =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_b);
+  const auto batched = estimate_channel_marginal_batched(
+      batched_clean, 0, errors, out_q, est, 8, rng_b);
   double dev = 0.0;
   for (std::size_t i = 0; i < scalar.size(); ++i)
     dev = std::max(dev, std::abs(scalar[i] - batched[i]));
@@ -156,8 +158,8 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
                  c.name << ": batched estimator deviates " << dev);
   est.precision = Precision::kFloat32;
   Pcg64 rng_f(42, 1);
-  const auto f32 =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_f);
+  const auto f32 = estimate_channel_marginal_batched(batched_clean, 0, errors,
+                                                     out_q, est, 8, rng_f);
   dev = 0.0;
   for (std::size_t i = 0; i < scalar.size(); ++i)
     dev = std::max(dev, std::abs(scalar[i] - f32[i]));

@@ -159,14 +159,8 @@ InstanceOutcome InstanceContext::evaluate(const NoiseModel& noise,
   } else {
     EstimatorOptions est;
     est.error_trajectories = run.error_trajectories;
-    est.precision = resolve_precision(run, clean_.plan().gate_count());
-    est.float_drift_budget = run.float_drift_budget;
     std::vector<double> channel =
-        run.batch_lanes > 1
-            ? estimate_channel_marginal_batched(clean_, errors, output_qubits_,
-                                                est, run.batch_lanes, rng)
-            : estimate_channel_marginal(clean_, errors, output_qubits_, est,
-                                        rng);
+        estimate_channel_marginal(clean_, errors, output_qubits_, est, rng);
     check_channel_health(run, channel, "estimated channel");
     if (run.readout.enabled()) apply_readout_error(channel, run.readout);
     counts = sample_shot_counts(channel, run.shots, rng);
@@ -186,11 +180,8 @@ std::vector<InstanceOutcome> InstanceContext::evaluate_rates(
   SharedEstimatorOptions opt;
   opt.error_trajectories = run.error_trajectories;
   opt.min_ess_fraction = run.shared_min_ess;
-  opt.precision = resolve_precision(run, clean_.plan().gate_count());
-  opt.float_drift_budget = run.float_drift_budget;
   std::vector<std::vector<double>> channels = estimate_channel_marginal_shared(
-      clean_, errors, output_qubits_, opt, std::max(run.batch_lanes, 1), rngs,
-      stats);
+      clean_, errors, output_qubits_, opt, rngs, stats);
   std::vector<InstanceOutcome> outcomes;
   outcomes.reserve(channels.size());
   for (std::size_t r = 0; r < channels.size(); ++r) {

@@ -87,10 +87,12 @@ struct RunOptions {
   std::size_t checkpoint_interval = 64;
   bool noisy_rz = true;
   bool noisy_id = true;
-  /// Lanes for the batched SIMD engine (sim/batch.h): clean runs batch up
-  /// to this many instances per fused-plan pass and trajectories batch up
-  /// to this many per instance. <= 1 selects the single-state scalar path
-  /// (as does per_shot, which is defined shot-sequentially).
+  /// Lanes for the batched SIMD engine (sim/batch.h): a sweep packs up to
+  /// this many instances into one InstanceBatch, whose clean runs advance
+  /// in one fused-plan pass and whose trajectories replay this many per
+  /// pass. <= 1 selects the scalar reference path, one InstanceContext per
+  /// instance (as does per_shot, which is defined shot-sequentially).
+  /// InstanceContext itself ignores it.
   int batch_lanes = 8;
   /// Estimate a sweep's whole positive-rate cluster from one shared set of
   /// proposal trajectories per (instance, depth), importance-reweighted per
@@ -105,7 +107,8 @@ struct RunOptions {
   /// Amplitude precision of batched trajectory replay (Precision in
   /// sim/batch.h): kDouble is the reference behavior, kFloat32 forces the
   /// narrow tier, kAuto picks per circuit via resolve_precision(). The
-  /// scalar paths (batch_lanes <= 1, per_shot) always replay in double.
+  /// scalar path (InstanceContext: batch_lanes <= 1, per_shot) always
+  /// replays in double.
   Precision precision = Precision::kDouble;
   /// Drift budget of the float32 replay sentinel
   /// (EstimatorOptions::float_drift_budget); also the tolerance the kAuto
@@ -133,7 +136,12 @@ Precision resolve_precision(const RunOptions& run, std::size_t gate_count);
 
 /// All noisy-evaluation state shared across error rates for one
 /// (spec, instance) pair: the transpiled circuit's ideal run (with
-/// checkpoints) plus the instance's ground truth.
+/// checkpoints) plus the instance's ground truth. This is the scalar
+/// reference path: every estimate replays one trajectory at a time, in
+/// double, on a dense 2^n CleanRun, whatever RunOptions::batch_lanes and
+/// RunOptions::precision say. Sweeps run it in per-shot mode, with
+/// batch_lanes <= 1, and for health-sentinel retries; InstanceBatch is
+/// the batched path.
 class InstanceContext {
  public:
   /// `plan` optionally shares one compiled FusedPlan for `transpiled`
@@ -148,10 +156,11 @@ class InstanceContext {
                            Pcg64& rng) const;
 
   /// Evaluate the instance at a whole cluster of noise points from one
-  /// shared trajectory set (estimate_channel_marginal_shared). rngs[r] is
-  /// the point rng of noises[r], consumed by the shared estimator's stream
-  /// protocol; each rate's shot counts are then drawn from its own stream.
-  /// A single-point cluster matches evaluate() bit-for-bit.
+  /// shared trajectory set (the scalar estimate_channel_marginal_shared).
+  /// rngs[r] is the point rng of noises[r], consumed by the shared
+  /// estimator's stream protocol; each rate's shot counts are then drawn
+  /// from its own stream. A single-point cluster matches evaluate()
+  /// bit-for-bit.
   std::vector<InstanceOutcome> evaluate_rates(
       const std::vector<NoiseModel>& noises, const RunOptions& run,
       std::vector<Pcg64>& rngs, SharedEstimateStats* stats = nullptr) const;

@@ -32,10 +32,9 @@ ReplayWorkspace& replay_workspace() {
 }
 
 /// Replay one trajectory group at the requested precision and leave the
-/// per-lane output marginals in ws.margs. `seed` is a generic callback
-/// that loads the group's start states into a batched vector of either
-/// precision (a lane-permuted checkpoint load, or on the scalar CleanRun
-/// a broadcast of one ideal state).
+/// per-lane output marginals in ws.margs. Lane j starts from member
+/// lane_map[j]'s ideal state after g0 gates, loaded from the batched
+/// checkpoints (BatchedCleanRun::load_states_at).
 ///
 /// Float32 groups run the drift sentinel afterwards: every lane's norm² is
 /// the sum of its marginal, so a lane that drifted from 1 beyond the
@@ -45,15 +44,15 @@ ReplayWorkspace& replay_workspace() {
 /// fallback counter. Surviving float32 marginals are normalized per lane:
 /// the residual drift is pure replay rounding, and normalizing keeps every
 /// downstream simplex invariant at double tolerances.
-template <typename Seed>
-void replay_group_marginals(const FusedPlan& plan, std::size_t g0,
+void replay_group_marginals(const BatchedCleanRun& clean, std::size_t g0,
+                            const std::vector<int>& lane_map,
                             const std::vector<std::vector<ErrorEvent>>& events,
                             const std::vector<int>& output_qubits,
                             Precision precision, double drift_budget,
-                            ReplayWorkspace& ws, Seed&& seed) {
+                            ReplayWorkspace& ws) {
   if (precision == Precision::kFloat32) {
-    seed(ws.bsf);
-    run_trajectories_batched(plan, ws.bsf, g0, events);
+    clean.load_states_at(g0, lane_map, ws.bsf);
+    run_trajectories_batched(clean.plan(), ws.bsf, g0, events);
     ws.bsf.all_lane_marginal_probabilities(output_qubits, ws.margs, ws.acc);
     // One pass over the marginal planes serves both the sentinel and the
     // normalization: each lane's sum is computed once, checked against the
@@ -78,69 +77,9 @@ void replay_group_marginals(const FusedPlan& plan, std::size_t g0,
     }
     g_precision_fallbacks.fetch_add(1, std::memory_order_relaxed);
   }
-  seed(ws.bsv);
-  run_trajectories_batched(plan, ws.bsv, g0, events);
+  clean.load_states_at(g0, lane_map, ws.bsv);
+  run_trajectories_batched(clean.plan(), ws.bsv, g0, events);
   ws.bsv.all_lane_marginal_probabilities(output_qubits, ws.margs, ws.acc);
-}
-
-/// Shared body of the two batched-estimator overloads. `group_seed(g0,
-/// lanes)` returns one replay group's seed (see replay_group_marginals):
-/// a callback that loads `lanes` copies of the estimated instance's ideal
-/// state after g0 gates.
-template <typename GroupSeed>
-std::vector<double> channel_marginal_batched_impl(
-    const FusedPlan& plan, const std::vector<double>& ideal,
-    GroupSeed&& group_seed, const ErrorLocations& errors,
-    const std::vector<int>& output_qubits, const EstimatorOptions& options,
-    int max_lanes, Pcg64& rng) {
-  const double w0 = errors.clean_probability();
-  if (errors.noisy_gate_count() == 0 || w0 >= 1.0) return ideal;
-  QFAB_CHECK(options.error_trajectories >= 1);
-  QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
-  const int T = options.error_trajectories;
-  ReplayWorkspace& ws = replay_workspace();
-
-  // Pre-sample every trajectory's event list sequentially: the rng stream
-  // is identical to the scalar estimator's and independent of lane packing.
-  std::vector<std::vector<ErrorEvent>> all_events(T);
-  for (int t = 0; t < T; ++t) all_events[t] = errors.sample_at_least_one(rng);
-
-  // Stratify: sort trajectory indices by first-error site so lanes batched
-  // together share (almost) all of their ideal prefix and the group's
-  // common start state wastes little replay.
-  std::vector<int> order(static_cast<std::size_t>(T));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return all_events[a].front().gate_index < all_events[b].front().gate_index;
-  });
-
-  std::vector<std::vector<double>> margs(static_cast<std::size_t>(T));
-  for (int lo = 0; lo < T; lo += max_lanes) {
-    const int lanes = std::min(max_lanes, T - lo);
-    // Scalar run_trajectory resumes at first_gate_index + 1; the group
-    // resumes at the earliest such site and the later lanes replay the
-    // few extra ideal gates batched.
-    const std::size_t g0 = all_events[order[lo]].front().gate_index + 1;
-    std::vector<std::vector<ErrorEvent>> lane_events(lanes);
-    for (int l = 0; l < lanes; ++l) lane_events[l] = all_events[order[lo + l]];
-    replay_group_marginals(plan, g0, lane_events, output_qubits,
-                           options.precision, options.float_drift_budget, ws,
-                           group_seed(g0, lanes));
-    for (int l = 0; l < lanes; ++l)
-      margs[order[lo + l]] = ws.margs[static_cast<std::size_t>(l)];
-  }
-
-  // Accumulate in original sample order, not lane order, so the estimate
-  // does not depend on the stratified packing.
-  std::vector<double> err_mean(ideal.size(), 0.0);
-  for (int t = 0; t < T; ++t)
-    for (std::size_t i = 0; i < err_mean.size(); ++i)
-      err_mean[i] += margs[t][i];
-  const double scale = (1.0 - w0) / static_cast<double>(T);
-  std::vector<double> out(ideal.size());
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = w0 * ideal[i] + scale * err_mean[i];
-  return out;
 }
 
 /// T proposal trajectories after dedup: unique (fired set, event list)
@@ -324,38 +263,60 @@ std::vector<double> estimate_channel_marginal(
 }
 
 std::vector<double> estimate_channel_marginal_batched(
-    const CleanRun& clean, const ErrorLocations& errors,
-    const std::vector<int>& output_qubits, const EstimatorOptions& options,
-    int max_lanes, Pcg64& rng) {
-  // Every lane broadcasts one scalar resume state, computed once per group
-  // so a double redo reuses it.
-  const auto group_seed = [&clean](std::size_t g0, int lanes) {
-    return [&clean, lanes, start = clean.state_at(g0)](auto& bsv) {
-      bsv.reset(clean.circuit().num_qubits(), lanes,
-                clean.plan().row_layout());
-      bsv.broadcast(start);
-    };
-  };
-  return channel_marginal_batched_impl(
-      clean.plan(), clean.ideal_marginal(output_qubits), group_seed, errors,
-      output_qubits, options, max_lanes, rng);
-}
-
-std::vector<double> estimate_channel_marginal_batched(
     const BatchedCleanRun& clean, int lane, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,
     int max_lanes, Pcg64& rng) {
   QFAB_CHECK(lane >= 0 && lane < clean.lanes());
-  // Every lane loads `lane`'s state: the live-tile checkpoint copy and
-  // batched resume that seed the pooled groups too.
-  const auto group_seed = [&clean, lane](std::size_t g0, int lanes) {
-    return [&clean, g0, lane_map = std::vector<int>(lanes, lane)](auto& bsv) {
-      clean.load_states_at(g0, lane_map, bsv);
-    };
-  };
-  return channel_marginal_batched_impl(
-      clean.plan(), clean.lane_ideal_marginal(lane, output_qubits),
-      group_seed, errors, output_qubits, options, max_lanes, rng);
+  const std::vector<double> ideal =
+      clean.lane_ideal_marginal(lane, output_qubits);
+  const double w0 = errors.clean_probability();
+  if (errors.noisy_gate_count() == 0 || w0 >= 1.0) return ideal;
+  QFAB_CHECK(options.error_trajectories >= 1);
+  QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
+  const int T = options.error_trajectories;
+  ReplayWorkspace& ws = replay_workspace();
+
+  // Pre-sample every trajectory's event list sequentially: the rng stream
+  // is identical to the scalar estimator's and independent of lane packing.
+  std::vector<std::vector<ErrorEvent>> all_events(T);
+  for (int t = 0; t < T; ++t) all_events[t] = errors.sample_at_least_one(rng);
+
+  // Stratify: sort trajectory indices by first-error site so lanes batched
+  // together share (almost) all of their ideal prefix and the group's
+  // common start state wastes little replay.
+  std::vector<int> order(static_cast<std::size_t>(T));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return all_events[a].front().gate_index < all_events[b].front().gate_index;
+  });
+
+  std::vector<std::vector<double>> margs(static_cast<std::size_t>(T));
+  for (int lo = 0; lo < T; lo += max_lanes) {
+    const int lanes = std::min(max_lanes, T - lo);
+    // Scalar run_trajectory resumes at first_gate_index + 1; the group
+    // resumes at the earliest such site and the later lanes replay the
+    // few extra ideal gates batched. Every lane loads `lane`'s state.
+    const std::size_t g0 = all_events[order[lo]].front().gate_index + 1;
+    std::vector<std::vector<ErrorEvent>> lane_events(lanes);
+    for (int l = 0; l < lanes; ++l) lane_events[l] = all_events[order[lo + l]];
+    replay_group_marginals(clean, g0, std::vector<int>(lanes, lane),
+                           lane_events, output_qubits, options.precision,
+                           options.float_drift_budget, ws);
+    for (int l = 0; l < lanes; ++l)
+      margs[order[lo + l]] = ws.margs[static_cast<std::size_t>(l)];
+  }
+
+  // Accumulate in original sample order, not lane order, so the estimate
+  // does not depend on the stratified packing.
+  std::vector<double> err_mean(ideal.size(), 0.0);
+  for (int t = 0; t < T; ++t)
+    for (std::size_t i = 0; i < err_mean.size(); ++i)
+      err_mean[i] += margs[t][i];
+  const double scale = (1.0 - w0) / static_cast<double>(T);
+  std::vector<double> out(ideal.size());
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = w0 * ideal[i] + scale * err_mean[i];
+  return out;
 }
 
 std::vector<std::vector<double>> estimate_channel_marginals_batched(
@@ -419,10 +380,8 @@ std::vector<std::vector<double>> estimate_channel_marginals_batched(
     // first entry) and later lanes replay the few extra ideal gates
     // batched.
     const std::size_t g0 = pool[lo].site + 1;
-    replay_group_marginals(
-        clean.plan(), g0, lane_events, output_qubits, options.precision,
-        options.float_drift_budget, ws,
-        [&](auto& bsv) { clean.load_states_at(g0, lane_map, bsv); });
+    replay_group_marginals(clean, g0, lane_map, lane_events, output_qubits,
+                           options.precision, options.float_drift_budget, ws);
     for (std::size_t j = 0; j < lanes; ++j)
       margs[pool[lo + j].member][pool[lo + j].t] = ws.margs[j];
   }
@@ -447,22 +406,16 @@ std::vector<std::vector<double>> estimate_channel_marginals_batched(
 std::vector<std::vector<double>> estimate_channel_marginal_shared(
     const CleanRun& clean, const std::vector<ErrorLocations>& rate_errors,
     const std::vector<int>& output_qubits,
-    const SharedEstimatorOptions& options, int max_lanes,
-    std::vector<Pcg64>& rngs, SharedEstimateStats* stats) {
+    const SharedEstimatorOptions& options, std::vector<Pcg64>& rngs,
+    SharedEstimateStats* stats) {
   const std::size_t R = rate_errors.size();
   QFAB_CHECK(R >= 1 && rngs.size() == R);
   QFAB_CHECK(options.error_trajectories >= 1);
-  QFAB_CHECK(max_lanes >= 1 && max_lanes <= BatchedStateVector::kMaxLanes);
   const int T = options.error_trajectories;
-  const EstimatorOptions eopt{T, options.precision,
-                              options.float_drift_budget};
+  const EstimatorOptions eopt{T};
   auto per_rate = [&](std::size_t r) {
-    return max_lanes > 1
-               ? estimate_channel_marginal_batched(clean, rate_errors[r],
-                                                   output_qubits, eopt,
-                                                   max_lanes, rngs[r])
-               : estimate_channel_marginal(clean, rate_errors[r],
-                                           output_qubits, eopt, rngs[r]);
+    return estimate_channel_marginal(clean, rate_errors[r], output_qubits,
+                                     eopt, rngs[r]);
   };
   if (stats) stats->rate_columns += static_cast<long>(R);
 
@@ -492,39 +445,12 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
     stats->unique_trajectories += static_cast<long>(U);
   }
 
-  // Replay each unique trajectory once, stratified by first-error site.
-  std::vector<std::size_t> order(U);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return uniq.events[a].front().gate_index < uniq.events[b].front().gate_index;
-  });
+  // Replay each unique trajectory once.
   ReplayWorkspace& ws = replay_workspace();
   std::vector<std::vector<double>> umargs(U);
-  if (max_lanes > 1) {
-    for (std::size_t lo = 0; lo < U; lo += static_cast<std::size_t>(max_lanes)) {
-      const int lanes =
-          static_cast<int>(std::min<std::size_t>(max_lanes, U - lo));
-      const std::size_t g0 = uniq.events[order[lo]].front().gate_index + 1;
-      clean.state_at(g0, ws.sv);
-      std::vector<std::vector<ErrorEvent>> lane_events(lanes);
-      for (int l = 0; l < lanes; ++l)
-        lane_events[l] = uniq.events[order[lo + static_cast<std::size_t>(l)]];
-      replay_group_marginals(clean.plan(), g0, lane_events, output_qubits,
-                             options.precision, options.float_drift_budget, ws,
-                             [&](auto& bsv) {
-                               bsv.reset(clean.circuit().num_qubits(), lanes,
-                                         clean.plan().row_layout());
-                               bsv.broadcast(ws.sv);
-                             });
-      for (int l = 0; l < lanes; ++l)
-        umargs[order[lo + static_cast<std::size_t>(l)]] =
-            ws.margs[static_cast<std::size_t>(l)];
-    }
-  } else {
-    for (std::size_t u = 0; u < U; ++u) {
-      run_trajectory(clean, uniq.events[u], ws.sv);
-      ws.sv.marginal_probabilities(output_qubits, umargs[u]);
-    }
+  for (std::size_t u = 0; u < U; ++u) {
+    run_trajectory(clean, uniq.events[u], ws.sv);
+    ws.sv.marginal_probabilities(output_qubits, umargs[u]);
   }
 
   const std::vector<std::vector<double>> deltas =
@@ -628,10 +554,8 @@ std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
       lane_events[j] = uniq[traj.member].events[traj.u];
     }
     const std::size_t g0 = pool[lo].site + 1;
-    replay_group_marginals(
-        clean.plan(), g0, lane_events, output_qubits, options.precision,
-        options.float_drift_budget, ws,
-        [&](auto& bsv) { clean.load_states_at(g0, lane_map, bsv); });
+    replay_group_marginals(clean, g0, lane_map, lane_events, output_qubits,
+                           options.precision, options.float_drift_budget, ws);
     for (std::size_t j = 0; j < lanes; ++j)
       umargs[pool[lo + j].member][pool[lo + j].u] = ws.margs[j];
   }

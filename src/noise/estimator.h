@@ -5,7 +5,7 @@
 // Multinomial(S, p_channel) with p_channel the channel-averaged output
 // distribution. Two estimators of that law are provided:
 //
-//  * estimate_channel_marginal — the default: p̂ = w0·p_ideal +
+//  * the stratified channel estimator — the default: p̂ = w0·p_ideal +
 //    (1-w0)·mean(T error trajectories), with the clean weight
 //    w0 = Π(1-q_i) computed analytically and trajectories conditioned on
 //    at least one error. Unbiased in expectation and far lower-variance
@@ -17,7 +17,17 @@
 //    shot simulates its own trajectory and samples a single outcome.
 //    Shots whose trajectory has no error reuse the cached ideal marginal.
 //
-// The ablation bench (bench/ablation_estimator) cross-validates the two.
+// Two engines run the stratified estimator and its shared-trajectory
+// (rate-cluster) form. The sweeps run the batched one: a BatchedCleanRun
+// group of operand instances, whose replay groups load from the batched
+// checkpoints. The scalar one, on a CleanRun, replays one trajectory at a
+// time in double. It is the reference: the sweeps' scalar path
+// (InstanceContext: batch_lanes <= 1, per-shot mode, health-sentinel
+// retries) runs it, and the tests and the verify harness hold the batched
+// engine to it.
+//
+// The ablation bench (bench/ablation_estimator) cross-validates the
+// stratified and per-shot estimators.
 #pragma once
 
 #include <vector>
@@ -34,7 +44,8 @@ struct EstimatorOptions {
   /// Amplitude precision for batched trajectory replay. Must be resolved
   /// (kDouble or kFloat32) by the time an estimator runs — kAuto is
   /// decided upstream by the precision policy in exp/experiment.h. The
-  /// scalar (non-batched) replay path is always double.
+  /// scalar CleanRun estimators ignore it and the drift budget: they
+  /// always replay in double.
   Precision precision = Precision::kDouble;
   /// Float32 drift sentinel: after a float32 group replay, any lane whose
   /// norm² (the sum of its output marginal) drifts from 1 by more than
@@ -64,7 +75,8 @@ struct SharedEstimatorOptions {
   /// weights are uniform, ESS = T exactly).
   double min_ess_fraction = 0.25;
   /// Replay precision and drift sentinel, as in EstimatorOptions (the ESS
-  /// fallback columns inherit both).
+  /// fallback columns inherit both; the scalar CleanRun overload ignores
+  /// both).
   Precision precision = Precision::kDouble;
   double float_drift_budget = 1e-3;
 };
@@ -109,16 +121,16 @@ struct SharedEstimateStats {
 /// column is produced by the per-rate estimator from its own stream —
 /// bit-for-bit what the per-rate path computes. A single-rate cluster
 /// delegates to the per-rate estimator outright (exact stream-for-stream
-/// match). Replay is batched up to `max_lanes` trajectories per plan pass
-/// (max_lanes == 1 replays scalar; fallback columns then also use the
-/// scalar per-rate estimator).
+/// match). This overload is the scalar reference: each unique trajectory
+/// replays on its own (run_trajectory), and the per-rate estimator is the
+/// scalar estimate_channel_marginal.
 ///
 /// Returns one output-marginal estimate per rate, aligned with rate_errors.
 std::vector<std::vector<double>> estimate_channel_marginal_shared(
     const CleanRun& clean, const std::vector<ErrorLocations>& rate_errors,
     const std::vector<int>& output_qubits,
-    const SharedEstimatorOptions& options, int max_lanes,
-    std::vector<Pcg64>& rngs, SharedEstimateStats* stats = nullptr);
+    const SharedEstimatorOptions& options, std::vector<Pcg64>& rngs,
+    SharedEstimateStats* stats = nullptr);
 
 /// All-members form of estimate_channel_marginal_shared for a batched group
 /// of clean runs: per member, T proposal trajectories are sampled
@@ -126,9 +138,9 @@ std::vector<std::vector<double>> estimate_channel_marginal_shared(
 /// order) and deduplicated; ALL members' unique trajectories are pooled,
 /// sorted by first-error site, and replayed lanes-at-a-time through one
 /// shared plan pass. rngs[rate][member]; an ESS fallback re-estimates one
-/// (rate, member) column from rngs[rate][member] with the one-member
-/// estimate_channel_marginal_batched overload, whose groups load from the
-/// batched checkpoints like every other group. It consumes that stream
+/// (rate, member) column from rngs[rate][member] with
+/// estimate_channel_marginal_batched on that member's lane, whose groups
+/// load from the batched checkpoints like every other group. It consumes that stream
 /// exactly as the per-rate estimate_channel_marginals_batched does and
 /// replays the same trajectories, so the column equals the per-rate
 /// estimate to replay rounding, not bitwise: its groups, and so their
@@ -141,30 +153,26 @@ std::vector<std::vector<std::vector<double>>> estimate_channel_marginals_shared(
     std::vector<std::vector<Pcg64>>& rngs,
     SharedEstimateStats* stats = nullptr);
 
-/// Channel-averaged distribution of `output_qubits`.
+/// Channel-averaged distribution of `output_qubits`: the scalar stratified
+/// estimator, one trajectory replay (run_trajectory) at a time.
 std::vector<double> estimate_channel_marginal(const CleanRun& clean,
                                               const ErrorLocations& errors,
                                               const std::vector<int>& output_qubits,
                                               const EstimatorOptions& options,
                                               Pcg64& rng);
 
-/// Batched-engine variant of estimate_channel_marginal: the T trajectories
-/// are stratified by first-error site and run up to `max_lanes` at a time
-/// through one shared plan pass (sim/batch.h). Statistically identical to
-/// the scalar estimator — event lists are pre-sampled sequentially so the
-/// rng stream matches exactly, and trajectory marginals are accumulated in
-/// their original sample order, so the result is independent of how
-/// trajectories were packed into lanes.
-std::vector<double> estimate_channel_marginal_batched(
-    const CleanRun& clean, const ErrorLocations& errors,
-    const std::vector<int>& output_qubits, const EstimatorOptions& options,
-    int max_lanes, Pcg64& rng);
-
-/// Same, for one lane (instance) of a batched group of clean runs: every
-/// replay group loads that lane's resume state from the batched
-/// checkpoints (BatchedCleanRun::load_states_at with the lane repeated),
-/// so no dense 2^n state is built. Agrees with the CleanRun overload on
-/// the same instance and stream to replay rounding.
+/// Batched-engine variant of estimate_channel_marginal for one lane
+/// (instance) of a batched group of clean runs: the T trajectories are
+/// stratified by first-error site and run up to `max_lanes` at a time
+/// through one shared plan pass (sim/batch.h). Every replay group loads
+/// that lane's resume state from the batched checkpoints
+/// (BatchedCleanRun::load_states_at with the lane repeated), so no dense
+/// 2^n state is built. Event lists are pre-sampled sequentially, so the rng
+/// stream matches the scalar estimator's exactly, and trajectory marginals
+/// are accumulated in their original sample order, so the result is
+/// independent of how trajectories were packed into lanes up to replay
+/// rounding. It agrees with the scalar estimate_channel_marginal on the
+/// same instance and stream to replay rounding.
 std::vector<double> estimate_channel_marginal_batched(
     const BatchedCleanRun& clean, int lane, const ErrorLocations& errors,
     const std::vector<int>& output_qubits, const EstimatorOptions& options,

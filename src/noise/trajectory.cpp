@@ -291,10 +291,6 @@ BatchedCleanRun::BatchedCleanRun(
   checkpoints_.push_back(std::move(cur));
 }
 
-StateVector BatchedCleanRun::lane_final_state(int lane) const {
-  return checkpoints_.back().lane_state(lane);
-}
-
 std::vector<double> BatchedCleanRun::lane_ideal_marginal(
     int lane, const std::vector<int>& qubits) const {
   return checkpoints_.back().lane_marginal_probabilities(lane, qubits);
@@ -304,14 +300,6 @@ std::size_t BatchedCleanRun::checkpoint_before(std::size_t gate_count) const {
   const auto it = std::upper_bound(boundaries_.begin(), boundaries_.end(),
                                    gate_count);
   return static_cast<std::size_t>(it - boundaries_.begin()) - 1;
-}
-
-BatchedStateVector BatchedCleanRun::states_at(std::size_t gate_count) const {
-  std::vector<int> all(static_cast<std::size_t>(lanes()));
-  for (std::size_t l = 0; l < all.size(); ++l) all[l] = static_cast<int>(l);
-  BatchedStateVector bsv(1, 1);
-  load_states_at(gate_count, all, bsv);
-  return bsv;
 }
 
 template <typename Real>

@@ -102,8 +102,6 @@ class ErrorLocations {
 
   /// Number of error locations (noisy gate × slot entries).
   std::size_t location_count() const { return locations_.size(); }
-  /// Event probability q_i of location i.
-  double location_prob(std::size_t i) const { return locations_[i].prob; }
   /// log(q_i / (1 - q_i)): the per-site log odds. A trajectory sampled
   /// from a proposal location set reweights to a target set by
   /// exp(Σ_{i fired} [target odds_i − proposal odds_i]) up to a constant
@@ -172,12 +170,10 @@ class BatchedCleanRun {
   const FusedPlan& plan() const { return *plan_; }
   const QuantumCircuit& circuit() const { return plan_->circuit(); }
 
-  /// Lane's state after the full circuit (lane pending phase folded in;
-  /// circuit global phase NOT applied, mirroring CleanRun::final_state).
-  StateVector lane_final_state(int lane) const;
   /// All lanes' final states, batched, without extraction (lane pending
   /// phases not folded in — norms are phase-invariant, which is what the
-  /// health sentinels need this for).
+  /// health sentinels need this for; BatchedStateVectorT::lane_state
+  /// extracts one lane with its phase folded in).
   const BatchedStateVector& final_states() const { return checkpoints_.back(); }
   /// The cached ideal run: checkpoints()[k] holds every lane after
   /// boundaries()[k] gates.
@@ -188,14 +184,12 @@ class BatchedCleanRun {
   /// Ideal output distribution of `qubits` for one lane.
   std::vector<double> lane_ideal_marginal(int lane,
                                           const std::vector<int>& qubits) const;
-  /// Every lane's state after the first `gate_count` gates, as one batched
-  /// vector in the plan's row layout: nearest checkpoint copied, remainder
-  /// replayed batched (fused via subrange plans).
-  BatchedStateVector states_at(std::size_t gate_count) const;
-  /// Allocation-free, lane-permuted form of states_at: `out` lane j
-  /// becomes member lane_map[j]'s state after `gate_count` gates (members
-  /// may repeat, so one group can carry several trajectories of the same
-  /// member). Reuses `out`'s storage across calls. The float32 replay tier
+  /// Members' states after the first `gate_count` gates, as one batched
+  /// vector in the plan's row layout: `out` lane j becomes member
+  /// lane_map[j]'s state (members may repeat, so one group can carry
+  /// several trajectories of the same member). The nearest checkpoint is
+  /// copied and the remainder replayed batched (fused via subrange plans).
+  /// Reuses `out`'s storage across calls. The float32 replay tier
   /// passes a BatchedStateVectorF: checkpoints stay double (the ideal run
   /// is always reference precision) and amplitudes are rounded once here,
   /// then the checkpoint-to-site replay runs at the narrow precision.

@@ -236,9 +236,16 @@ std::string check_noisy_channel(const VerifyCase& c,
 
   // Scalar vs batched stratified estimators: identical rng streams, so
   // they must agree to replay rounding — a far tighter differential than
-  // either is to the exact channel.
+  // either is to the exact channel. The batched side is the engine the
+  // sweeps run: a BatchedCleanRun group whose members all start from the
+  // case's |0…0>, with every replay group loaded from its checkpoints.
   const auto plan = std::make_shared<const FusedPlan>(tqc);
   const CleanRun clean(tqc, StateVector(n), 64, plan);
+  const int members = std::max(2, c.lanes);
+  const BatchedCleanRun batched(
+      plan, std::vector<std::vector<BasisTerm>>(
+                static_cast<std::size_t>(members), {BasisTerm{0, 1.0}}));
+  const int lane = members - 1;  // loads map a member other than 0
   const ErrorLocations errors(tqc, noise);
   const std::vector<int> outputs = all_qubits(n);
   EstimatorOptions eopt;
@@ -250,7 +257,7 @@ std::string check_noisy_channel(const VerifyCase& c,
       estimate_channel_marginal(clean, errors, outputs, eopt, rng_scalar);
   Pcg64 rng_batched(stream, c.index);
   const std::vector<double> est_batched = estimate_channel_marginal_batched(
-      clean, errors, outputs, eopt, std::max(2, c.lanes), rng_batched);
+      batched, lane, errors, outputs, eopt, members, rng_batched);
 
   violation = check_probability_simplex(est_scalar, opt.tol);
   if (!violation.empty()) return "estimator(scalar): " + violation;
@@ -268,7 +275,7 @@ std::string check_noisy_channel(const VerifyCase& c,
   fopt.precision = Precision::kFloat32;
   Pcg64 rng_f32(stream, c.index);
   const std::vector<double> est_f32 = estimate_channel_marginal_batched(
-      clean, errors, outputs, fopt, std::max(2, c.lanes), rng_f32);
+      batched, lane, errors, outputs, fopt, members, rng_f32);
   violation = check_probability_simplex(est_f32, opt.tol);
   if (!violation.empty()) return "estimator(float32): " + violation;
   const double d_f32 = max_abs_diff(est_scalar, est_f32);
@@ -288,12 +295,14 @@ std::string check_noisy_channel(const VerifyCase& c,
     return os.str();
   }
 
-  // Shared-trajectory cluster estimator over {rate/2, rate}: the proposal
-  // column samples the same stream the stratified estimators consumed, so
-  // it must match them to replay rounding; the reweighted half-rate column
-  // must stay within a (variance-inflated) statistical TV tolerance of its
-  // own exact channel. An ESS fallback on the half-rate column is fine —
-  // it reproduces the per-rate estimator, which meets the same bound.
+  // Shared-trajectory cluster estimator over {rate/2, rate}, on the whole
+  // batched group with every member on the same streams: each member's
+  // proposal column samples the stream the stratified estimators consumed,
+  // so it must match them to replay rounding; each reweighted half-rate
+  // column must stay within a (variance-inflated) statistical TV tolerance
+  // of its own exact channel. An ESS fallback on the half-rate column is
+  // fine — it reproduces the per-rate estimator, which meets the same
+  // bound.
   NoiseModel half = noise;
   half.p1q *= 0.5;
   half.p2q *= 0.5;
@@ -302,31 +311,39 @@ std::string check_noisy_channel(const VerifyCase& c,
   cluster.emplace_back(tqc, noise);  // proposal (largest expected events)
   SharedEstimatorOptions sopt;
   sopt.error_trajectories = opt.error_trajectories;
-  std::vector<Pcg64> rngs;
-  rngs.emplace_back(stream ^ 0x51a7edULL, c.index);
-  rngs.emplace_back(stream, c.index);  // the stratified estimators' stream
-  const std::vector<std::vector<double>> shared =
-      estimate_channel_marginal_shared(clean, cluster, outputs, sopt,
-                                       std::max(2, c.lanes), rngs);
-  const double d_shared = max_abs_diff(shared[1], est_scalar);
-  if (d_shared > opt.tol) {
-    std::ostringstream os;
-    os << "shared-trajectory proposal column vs stratified: max |dp| = "
-       << d_shared << " (tol " << opt.tol << ")";
-    return os.str();
+  std::vector<std::vector<Pcg64>> rngs(2);
+  for (int m = 0; m < members; ++m) {
+    rngs[0].emplace_back(stream ^ 0x51a7edULL, c.index);
+    rngs[1].emplace_back(stream, c.index);  // the stratified stream
   }
-  violation = check_probability_simplex(shared[0], opt.tol);
-  if (!violation.empty()) return "estimator(shared half-rate): " + violation;
+  const std::vector<std::vector<std::vector<double>>> shared =
+      estimate_channel_marginals_shared(batched, cluster, outputs, sopt, rngs);
   DensityMatrix dm_half(n);
   dm_half.apply_noisy_circuit(tqc, half);
-  const double tv_half = total_variation(shared[0], dm_half.probabilities());
-  if (tv_half > 1.5 * opt.channel_tol) {
-    std::ostringstream os;
-    os << "shared-trajectory half-rate column vs exact channel: total "
-          "variation "
-       << tv_half << " (tol " << 1.5 * opt.channel_tol << ", "
-       << sopt.error_trajectories << " trajectories)";
-    return os.str();
+  const std::vector<double> exact_half = dm_half.probabilities();
+  for (int m = 0; m < members; ++m) {
+    const std::size_t mi = static_cast<std::size_t>(m);
+    const double d_shared = max_abs_diff(shared[1][mi], est_scalar);
+    if (d_shared > opt.tol) {
+      std::ostringstream os;
+      os << "shared-trajectory proposal column (member " << m
+         << ") vs stratified: max |dp| = " << d_shared << " (tol " << opt.tol
+         << ")";
+      return os.str();
+    }
+    violation = check_probability_simplex(shared[0][mi], opt.tol);
+    if (!violation.empty())
+      return "estimator(shared half-rate, member " + std::to_string(m) +
+             "): " + violation;
+    const double tv_half = total_variation(shared[0][mi], exact_half);
+    if (tv_half > 1.5 * opt.channel_tol) {
+      std::ostringstream os;
+      os << "shared-trajectory half-rate column (member " << m
+         << ") vs exact channel: total variation " << tv_half << " (tol "
+         << 1.5 * opt.channel_tol << ", " << sopt.error_trajectories
+         << " trajectories)";
+      return os.str();
+    }
   }
   return {};
 }

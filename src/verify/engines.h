@@ -19,7 +19,8 @@
 // plus a noisy leg: the depolarizing channel applied exactly by the
 // density matrix versus the scalar and batched stratified trajectory
 // estimators (scalar vs batched compared at replay-rounding tolerance,
-// either vs exact at a statistical tolerance).
+// either vs exact at a statistical tolerance). The batched estimators run
+// on a BatchedCleanRun group, as the sweeps run them.
 //
 // All pure engines must agree pairwise on the full distribution and on a
 // qubit-subset marginal to `tol`; every engine's invariants (norm per

@@ -411,25 +411,26 @@ TEST(BatchedCleanRunTest, LaneQueriesMatchScalarCleanRuns) {
 
   for (int l = 0; l < lanes; ++l)
     EXPECT_LT(
-        state_distance(batched.lane_final_state(l).amplitudes(),
+        state_distance(batched.final_states().lane_state(l).amplitudes(),
                        scalar_runs[static_cast<std::size_t>(l)].final_state()
                            .amplitudes()),
         kTol);
 
-  // states_at / load_states_at: batched resume states match the scalar
-  // replays lane-for-lane, including permuted-with-repeats lane maps
-  // loaded into reused storage.
-  BatchedStateVector reuse(n, 1);
+  // load_states_at: batched resume states match the scalar replays
+  // lane-for-lane, for the identity lane map and for a
+  // permuted-with-repeats one loaded into reused storage.
+  BatchedStateVector at(n, 1), reuse(n, 1);
+  const std::vector<int> identity = {0, 1, 2};
   const std::vector<int> map = {2, 0, 0, 1};
   for (std::size_t g = 0; g <= qc.gates().size(); g += 7) {
-    const BatchedStateVector at = batched.states_at(g);
+    batched.load_states_at(g, identity, at);
     for (int l = 0; l < lanes; ++l)
       EXPECT_LT(state_distance(
                     at.lane_state(l).amplitudes(),
                     scalar_runs[static_cast<std::size_t>(l)].state_at(g)
                         .amplitudes()),
                 kTol)
-          << "states_at lane " << l << " g " << g;
+          << "identity lane " << l << " g " << g;
     batched.load_states_at(g, map, reuse);
     ASSERT_EQ(reuse.lanes(), static_cast<int>(map.size()));
     for (std::size_t j = 0; j < map.size(); ++j)
@@ -444,35 +445,49 @@ TEST(BatchedCleanRunTest, LaneQueriesMatchScalarCleanRuns) {
 }
 
 TEST(BatchedEstimator, MatchesScalarEstimatorAndIsPackingIndependent) {
+  // Every lane of a 3-member run, packed max_lanes trajectories per group:
+  // groups wider than the run (8, 16) and ragged last groups (T = 10) must
+  // all give the scalar estimate of that member from the same stream.
   CircuitSpec spec;
   spec.op = Operation::kAdd;
   spec.n = 3;
   const QuantumCircuit qc = build_transpiled_circuit(spec);
+  const auto plan = std::make_shared<const FusedPlan>(qc);
   Pcg64 inst_rng(5, 1);
-  const ArithInstance inst =
-      generate_instances(1, 3, 3, OperandOrders{}, inst_rng)[0];
-  const CleanRun clean(qc, make_initial_state(spec, inst), 32);
+  const auto insts = generate_instances(3, 3, 3, OperandOrders{}, inst_rng);
+  std::vector<std::vector<BasisTerm>> initials;
+  std::vector<CleanRun> scalar_runs;
+  for (const ArithInstance& inst : insts) {
+    initials.push_back(initial_state_terms(spec, inst));
+    scalar_runs.emplace_back(qc, make_initial_state(spec, inst), 32, plan);
+  }
+  const BatchedCleanRun clean(plan, initials, 32);
   const ErrorLocations errors(qc, NoiseModel{.p1q = 0.002, .p2q = 0.004});
   const std::vector<int> out_q = output_qubits(spec);
   EstimatorOptions est;
   est.error_trajectories = 10;
 
-  Pcg64 rng_scalar(77, 3);
-  const auto scalar = estimate_channel_marginal(clean, errors, out_q, est,
-                                                rng_scalar);
-  for (int max_lanes : {1, 4, 8}) {
-    Pcg64 rng_batched(77, 3);
-    const auto batched = estimate_channel_marginal_batched(
-        clean, errors, out_q, est, max_lanes, rng_batched);
-    ASSERT_EQ(batched.size(), scalar.size());
-    // Same pre-sampled trajectories, same accumulation order: agreement to
-    // simulation rounding regardless of how lanes were packed.
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-      EXPECT_NEAR(batched[i], scalar[i], 1e-9) << "max_lanes=" << max_lanes;
-    // And the consumed rng stream is identical to the scalar estimator's.
-    Pcg64 rng_ref(77, 3);
-    (void)estimate_channel_marginal(clean, errors, out_q, est, rng_ref);
-    EXPECT_EQ(rng_batched(), rng_ref());
+  for (int lane = 0; lane < clean.lanes(); ++lane) {
+    const Pcg64 stream = Pcg64(77, 3).split(static_cast<std::uint64_t>(lane));
+    Pcg64 rng_scalar = stream;
+    const auto scalar = estimate_channel_marginal(
+        scalar_runs[static_cast<std::size_t>(lane)], errors, out_q, est,
+        rng_scalar);
+    for (int max_lanes : {1, 2, 3, 8, 16}) {
+      Pcg64 rng_batched = stream;
+      const auto batched = estimate_channel_marginal_batched(
+          clean, lane, errors, out_q, est, max_lanes, rng_batched);
+      ASSERT_EQ(batched.size(), scalar.size());
+      // Same pre-sampled trajectories, same accumulation order: agreement
+      // to replay rounding regardless of how lanes were packed.
+      for (std::size_t i = 0; i < scalar.size(); ++i)
+        EXPECT_NEAR(batched[i], scalar[i], 1e-12)
+            << "lane " << lane << " max_lanes=" << max_lanes << " bin " << i;
+      // And the stream ends where the scalar estimator's ends.
+      Pcg64 rng_ref = rng_scalar;
+      EXPECT_EQ(rng_batched(), rng_ref())
+          << "lane " << lane << " max_lanes=" << max_lanes;
+    }
   }
 }
 
@@ -638,7 +653,8 @@ TEST(PrecisionPolicy, Float32EstimatorTracksDoubleWithoutFallback) {
   Pcg64 inst_rng(9, 1);
   const ArithInstance inst =
       generate_instances(1, 3, 3, OperandOrders{}, inst_rng)[0];
-  const CleanRun clean(qc, make_initial_state(spec, inst), 32);
+  const BatchedCleanRun clean(std::make_shared<const FusedPlan>(qc),
+                              {initial_state_terms(spec, inst)}, 32);
   const ErrorLocations errors(qc, NoiseModel{.p1q = 0.002, .p2q = 0.004});
   const std::vector<int> out_q = output_qubits(spec);
   EstimatorOptions est;
@@ -646,13 +662,13 @@ TEST(PrecisionPolicy, Float32EstimatorTracksDoubleWithoutFallback) {
 
   Pcg64 rng_d(91, 3);
   const auto dbl =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_d);
+      estimate_channel_marginal_batched(clean, 0, errors, out_q, est, 8, rng_d);
 
   est.precision = Precision::kFloat32;  // default 1e-3 budget: no trips
   reset_precision_fallback_count();
   Pcg64 rng_f(91, 3);
   const auto f32 =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_f);
+      estimate_channel_marginal_batched(clean, 0, errors, out_q, est, 8, rng_f);
   EXPECT_EQ(precision_fallback_count(), 0);
   ASSERT_EQ(f32.size(), dbl.size());
   double dev = 0.0;
@@ -678,7 +694,8 @@ TEST(PrecisionPolicy, TrippedBudgetFallsBackToDoubleBitForBit) {
   Pcg64 inst_rng(9, 2);
   const ArithInstance inst =
       generate_instances(1, 3, 3, OperandOrders{}, inst_rng)[0];
-  const CleanRun clean(qc, make_initial_state(spec, inst), 32);
+  const BatchedCleanRun clean(std::make_shared<const FusedPlan>(qc),
+                              {initial_state_terms(spec, inst)}, 32);
   const ErrorLocations errors(qc, NoiseModel{.p1q = 0.002, .p2q = 0.004});
   const std::vector<int> out_q = output_qubits(spec);
   EstimatorOptions est;
@@ -686,14 +703,14 @@ TEST(PrecisionPolicy, TrippedBudgetFallsBackToDoubleBitForBit) {
 
   Pcg64 rng_d(92, 3);
   const auto dbl =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_d);
+      estimate_channel_marginal_batched(clean, 0, errors, out_q, est, 8, rng_d);
 
   est.precision = Precision::kFloat32;
   est.float_drift_budget = 0.0;
   reset_precision_fallback_count();
   Pcg64 rng_f(92, 3);
-  const auto fell =
-      estimate_channel_marginal_batched(clean, errors, out_q, est, 8, rng_f);
+  const auto fell = estimate_channel_marginal_batched(clean, 0, errors, out_q,
+                                                      est, 8, rng_f);
   EXPECT_GT(precision_fallback_count(), 0);
   ASSERT_EQ(fell.size(), dbl.size());
   for (std::size_t i = 0; i < dbl.size(); ++i)

@@ -59,28 +59,23 @@ TEST(SharedEstimator, SingleRateClusterDelegatesBitForBit) {
   SharedEstimatorOptions opt;
   opt.error_trajectories = 10;
 
-  for (int max_lanes : {1, 4}) {
-    std::vector<Pcg64> rngs;
-    rngs.emplace_back(7, 9);
-    SharedEstimateStats stats;
-    const auto shared = estimate_channel_marginal_shared(
-        clean, cluster, outputs, opt, max_lanes, rngs, &stats);
-    ASSERT_EQ(shared.size(), 1u);
+  std::vector<Pcg64> rngs;
+  rngs.emplace_back(7, 9);
+  SharedEstimateStats stats;
+  const auto shared =
+      estimate_channel_marginal_shared(clean, cluster, outputs, opt, rngs,
+                                       &stats);
+  ASSERT_EQ(shared.size(), 1u);
 
-    Pcg64 ref_rng(7, 9);
-    const EstimatorOptions eopt{opt.error_trajectories};
-    const std::vector<double> ref =
-        max_lanes > 1
-            ? estimate_channel_marginal_batched(clean, cluster[0], outputs,
-                                                eopt, max_lanes, ref_rng)
-            : estimate_channel_marginal(clean, cluster[0], outputs, eopt,
-                                        ref_rng);
-    EXPECT_EQ(shared[0], ref);  // bitwise: same code path, same stream
-    // The delegated stream advanced exactly as the per-rate estimator's.
-    EXPECT_EQ(rngs[0](), ref_rng());
-    EXPECT_EQ(stats.fallback_columns, 0);
-    EXPECT_EQ(stats.rate_columns, 1);
-  }
+  Pcg64 ref_rng(7, 9);
+  const std::vector<double> ref = estimate_channel_marginal(
+      clean, cluster[0], outputs, EstimatorOptions{opt.error_trajectories},
+      ref_rng);
+  EXPECT_EQ(shared[0], ref);  // bitwise: same code path, same stream
+  // The delegated stream advanced exactly as the per-rate estimator's.
+  EXPECT_EQ(rngs[0](), ref_rng());
+  EXPECT_EQ(stats.fallback_columns, 0);
+  EXPECT_EQ(stats.rate_columns, 1);
 }
 
 TEST(SharedEstimator, ProposalColumnMatchesStratifiedStream) {
@@ -97,15 +92,15 @@ TEST(SharedEstimator, ProposalColumnMatchesStratifiedStream) {
   for (std::uint64_t r = 0; r < cluster.size(); ++r) rngs.emplace_back(11, r);
   SharedEstimateStats stats;
   const auto shared = estimate_channel_marginal_shared(clean, cluster, outputs,
-                                                       opt, 8, rngs, &stats);
+                                                       opt, rngs, &stats);
   ASSERT_EQ(shared.size(), 3u);
 
   // The proposal (largest rate, index 2) consumed its stream exactly as the
   // stratified estimator would; dedup only regroups the average, so the
   // estimates agree to summation rounding.
   Pcg64 ref_rng(11, 2);
-  const std::vector<double> ref = estimate_channel_marginal_batched(
-      clean, cluster[2], outputs, EstimatorOptions{opt.error_trajectories}, 8,
+  const std::vector<double> ref = estimate_channel_marginal(
+      clean, cluster[2], outputs, EstimatorOptions{opt.error_trajectories},
       ref_rng);
   ASSERT_EQ(shared[2].size(), ref.size());
   for (std::size_t b = 0; b < ref.size(); ++b)
@@ -138,7 +133,7 @@ TEST(SharedEstimator, ReweightedColumnsTrackExactChannel) {
   for (std::uint64_t r = 0; r < cluster.size(); ++r) rngs.emplace_back(13, r);
   SharedEstimateStats stats;
   const auto shared = estimate_channel_marginal_shared(clean, cluster, outputs,
-                                                       opt, 16, rngs, &stats);
+                                                       opt, rngs, &stats);
 
   for (std::size_t r = 0; r < cluster.size(); ++r) {
     DensityMatrix dm(qc.num_qubits());
@@ -148,9 +143,9 @@ TEST(SharedEstimator, ReweightedColumnsTrackExactChannel) {
         << "rate fraction " << fractions[r];
     // And within statistical agreement of a fresh stratified estimate.
     Pcg64 strat_rng(99, r);
-    const std::vector<double> strat = estimate_channel_marginal_batched(
+    const std::vector<double> strat = estimate_channel_marginal(
         clean, cluster[r], outputs, EstimatorOptions{opt.error_trajectories},
-        16, strat_rng);
+        strat_rng);
     EXPECT_LT(total_variation(shared[r], strat), 0.08);
   }
   // Mild rate ratios at this lambda keep every column above the guard.
@@ -172,37 +167,32 @@ TEST(SharedEstimator, ForcedEssFallbackReproducesStratifiedBitForBit) {
   // (the proposal's ESS is exactly T and never falls back).
   opt.min_ess_fraction = 1.0;
 
-  for (int max_lanes : {1, 8}) {
-    std::vector<Pcg64> rngs;
-    rngs.emplace_back(17, 0);
-    rngs.emplace_back(17, 1);
-    SharedEstimateStats stats;
-    const auto shared = estimate_channel_marginal_shared(
-        clean, cluster, outputs, opt, max_lanes, rngs, &stats);
+  std::vector<Pcg64> rngs;
+  rngs.emplace_back(17, 0);
+  rngs.emplace_back(17, 1);
+  SharedEstimateStats stats;
+  const auto shared =
+      estimate_channel_marginal_shared(clean, cluster, outputs, opt, rngs,
+                                       &stats);
 
-    EXPECT_EQ(stats.fallback_columns, 1);
-    EXPECT_EQ(stats.fallback_trajectories, opt.error_trajectories);
-    EXPECT_LT(stats.ess_fraction_min, 1.0);
+  EXPECT_EQ(stats.fallback_columns, 1);
+  EXPECT_EQ(stats.fallback_trajectories, opt.error_trajectories);
+  EXPECT_LT(stats.ess_fraction_min, 1.0);
 
-    // The fallback column is exactly the per-rate call from its own
-    // (previously untouched) stream.
-    Pcg64 ref_rng(17, 0);
-    const EstimatorOptions eopt{opt.error_trajectories};
-    const std::vector<double> ref =
-        max_lanes > 1
-            ? estimate_channel_marginal_batched(clean, cluster[0], outputs,
-                                                eopt, max_lanes, ref_rng)
-            : estimate_channel_marginal(clean, cluster[0], outputs, eopt,
-                                        ref_rng);
-    EXPECT_EQ(shared[0], ref);
-    EXPECT_EQ(rngs[0](), ref_rng());
-  }
+  // The fallback column is exactly the per-rate call from its own
+  // (previously untouched) stream.
+  Pcg64 ref_rng(17, 0);
+  const std::vector<double> ref = estimate_channel_marginal(
+      clean, cluster[0], outputs, EstimatorOptions{opt.error_trajectories},
+      ref_rng);
+  EXPECT_EQ(shared[0], ref);
+  EXPECT_EQ(rngs[0](), ref_rng());
 }
 
 TEST(SharedEstimator, BatchedForcedEssFallbackMatchesPerMemberEstimate) {
   // The batched cluster estimator's fallback columns: every member's
   // non-proposal column falls back, consumes its stream exactly as the
-  // pooled per-rate estimator does, and matches the estimate of a scalar
+  // pooled per-rate estimator does, and matches the scalar estimate of a
   // CleanRun of that member from the same stream to replay rounding (its
   // groups load from the batched checkpoints instead).
   const QuantumCircuit qc = qfa_circuit(3);
@@ -250,9 +240,8 @@ TEST(SharedEstimator, BatchedForcedEssFallbackMatchesPerMemberEstimate) {
   for (std::size_t m = 0; m < members; ++m) {
     const CleanRun scalar(qc, initials[m], 16, plan);
     Pcg64 ref_rng(43, m);
-    const std::vector<double> ref = estimate_channel_marginal_batched(
-        scalar, cluster[0], outputs, eopt, static_cast<int>(members),
-        ref_rng);
+    const std::vector<double> ref =
+        estimate_channel_marginal(scalar, cluster[0], outputs, eopt, ref_rng);
     ASSERT_EQ(shared[0][m].size(), ref.size());
     for (std::size_t b = 0; b < ref.size(); ++b) {
       EXPECT_NEAR(shared[0][m][b], ref[b], 1e-12)
@@ -282,7 +271,7 @@ TEST(SharedEstimator, DefaultEssGuardTripsOnExtremeRateRatio) {
   rngs.emplace_back(23, 1);
   SharedEstimateStats stats;
   const auto shared = estimate_channel_marginal_shared(clean, cluster, outputs,
-                                                       opt, 8, rngs, &stats);
+                                                       opt, rngs, &stats);
   ASSERT_EQ(shared.size(), 2u);
   EXPECT_EQ(stats.fallback_columns, 1);
   EXPECT_LT(stats.ess_fraction_min, 0.25);
@@ -445,9 +434,10 @@ TEST(SharedSweep, MultiRateSweepStaysWithinErrorBars) {
         << "depth " << shared.points[i].depth << " rate "
         << shared.points[i].rate_percent;
     // Noise-free columns bypass estimation entirely: bitwise equal.
-    if (shared.points[i].rate_percent == 0.0)
+    if (shared.points[i].rate_percent == 0.0) {
       EXPECT_EQ(shared.points[i].stats.success_rate,
                 per_rate.points[i].stats.success_rate);
+    }
   }
   // The whole panel shared one proposal set per (group, depth): replays
   // are bounded by proposal count plus fallbacks, far under the per-rate
