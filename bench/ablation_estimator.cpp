@@ -45,8 +45,7 @@ int main(int argc, char** argv) try {
     double tv_sum = 0.0, t_strat = 0.0, t_shot = 0.0;
     int succ_strat = 0, succ_shot = 0;
     for (int i = 0; i < instances; ++i) {
-      const InstanceContext ctx(circuit, spec, insts[static_cast<std::size_t>(i)], run);
-      // Recreate the pieces to time the raw estimators head-to-head.
+      // The raw estimators, timed head-to-head.
       const CleanRun clean(circuit, make_initial_state(spec, insts[static_cast<std::size_t>(i)]),
                            run.checkpoint_interval);
       const ErrorLocations locs(circuit, nm);

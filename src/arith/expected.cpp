@@ -41,21 +41,4 @@ std::vector<u64> expected_products(const QInt& x, const QInt& y,
   return combine(x, y, out_bits, [](u64 a, u64 b) { return a * b; });
 }
 
-std::vector<u64> expected_weighted_sums(
-    const std::vector<std::pair<QInt, std::int64_t>>& terms, u64 acc_initial,
-    int out_bits) {
-  QFAB_CHECK(out_bits >= 1 && out_bits < 63);
-  const u64 mask = pow2(out_bits) - 1;
-  std::vector<u64> sums = {acc_initial & mask};
-  for (const auto& [q, w] : terms) {
-    std::vector<u64> next;
-    next.reserve(sums.size() * q.terms().size());
-    for (u64 s : sums)
-      for (const auto& t : q.terms())
-        next.push_back((s + t.value * static_cast<u64>(w)) & mask);
-    sums = sorted_unique(std::move(next));
-  }
-  return sums;
-}
-
 }  // namespace qfab

@@ -22,10 +22,4 @@ std::vector<u64> expected_differences(const QInt& x, const QInt& y,
 std::vector<u64> expected_products(const QInt& x, const QInt& y,
                                    int out_bits);
 
-/// All distinct values (acc + Σ w_k x_k) mod 2^out_bits for single-term
-/// weighted sums over each operand's support (weights classical).
-std::vector<u64> expected_weighted_sums(
-    const std::vector<std::pair<QInt, std::int64_t>>& terms, u64 acc_initial,
-    int out_bits);
-
 }  // namespace qfab

@@ -4,8 +4,7 @@
 // n-qubit register (paper Sec. II). An order-j qinteger has j basis states
 // with nonzero amplitude. This type is purely descriptive — the simulator
 // consumes it through product_state_terms / prepare_product_state (the
-// paper's noise-free initialization) or through the state-preparation
-// circuit synthesizer.
+// paper's noise-free initialization).
 #pragma once
 
 #include <cstdint>

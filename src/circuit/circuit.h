@@ -118,9 +118,6 @@ class QuantumCircuit {
   /// (default 12) — reference/testing only.
   Matrix to_unitary(int max_qubits = 12) const;
 
-  /// Multi-line ASCII rendering (see draw.cpp).
-  std::string draw(std::size_t max_columns = 120) const;
-
  private:
   int num_qubits_ = 0;
   double global_phase_ = 0.0;

@@ -52,11 +52,6 @@ constexpr int ceil_log2(u64 x) {
   return (x == 1) ? 0 : 64 - std::countl_zero(x - 1);
 }
 
-/// Number of bits needed to represent the unsigned value x (x=0 -> 1).
-constexpr int bit_width_nonzero(u64 x) {
-  return x == 0 ? 1 : std::bit_width(x);
-}
-
 /// Reverse the lowest `n` bits of `x` (used by QFT output-ordering checks).
 constexpr u64 reverse_bits(u64 x, int n) {
   u64 r = 0;

@@ -23,10 +23,6 @@ double NoiseModel::error_event_prob(const Gate& g) const {
   return g.arity() == 1 ? p * 3.0 / 4.0 : p * 15.0 / 16.0;
 }
 
-int pauli_alternatives(const Gate& g) {
-  return g.arity() == 1 ? 3 : 15;
-}
-
 double NoiseModel::gate_duration(const Gate& g) const {
   if (g.kind == GateKind::kRZ) return 0.0;  // virtual on IBM hardware
   return g.arity() == 1 ? time_1q : time_2q;

@@ -53,7 +53,4 @@ struct NoiseModel {
   bool enabled() const { return p1q > 0.0 || p2q > 0.0 || thermal_enabled(); }
 };
 
-/// Number of Pauli-error alternatives for a gate (3 for 1q, 15 for 2q).
-int pauli_alternatives(const Gate& g);
-
 }  // namespace qfab

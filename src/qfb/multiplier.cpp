@@ -66,33 +66,6 @@ void append_qfm_fused(QuantumCircuit& qc, const std::vector<int>& x,
   append_iqft(qc, z, options.qft_depth);
 }
 
-void append_square_accumulate(QuantumCircuit& qc, const std::vector<int>& x,
-                              const std::vector<int>& z,
-                              const MultiplierOptions& options) {
-  const int n = static_cast<int>(x.size());
-  const int m = static_cast<int>(z.size());
-  QFAB_CHECK_MSG(n >= 1 && m >= 1, "squarer needs non-empty registers");
-
-  append_qft(qc, z, options.qft_depth);
-  // x² = Σ_i x_i 4^{i-1} + 2 Σ_{i<j} x_i x_j 2^{i+j-2}.
-  auto emit = [&](int weight_exp, int qi, int qj) {
-    // Phase contribution 2^{weight_exp} on Fourier-basis qubit z_q.
-    for (int q = weight_exp + 1; q <= m; ++q) {
-      const int l = q - weight_exp;
-      if (options.add_depth > 0 && l - 1 > options.add_depth) continue;
-      if (options.max_rotation_order > 0 && l > options.max_rotation_order)
-        continue;
-      const double angle = kTwoPi / std::ldexp(1.0, l);
-      if (qi == qj) qc.cp(x[qi], z[q - 1], angle);
-      else qc.ccp(x[qi], x[qj], z[q - 1], angle);
-    }
-  };
-  for (int i = 1; i <= n; ++i) emit(2 * i - 2, i - 1, i - 1);
-  for (int i = 1; i <= n; ++i)
-    for (int j = i + 1; j <= n; ++j) emit(i + j - 1, i - 1, j - 1);
-  append_iqft(qc, z, options.qft_depth);
-}
-
 QuantumCircuit make_qfm(int n, int m, const MultiplierOptions& options,
                         bool fused) {
   QuantumCircuit qc(0);

@@ -52,13 +52,4 @@ void append_qfm_fused(QuantumCircuit& qc, const std::vector<int>& x,
 QuantumCircuit make_qfm(int n, int m, const MultiplierOptions& options = {},
                         bool fused = false);
 
-/// Squaring accumulator |x>|z> -> |x>|z + x² mod 2^{|z|}> (a "tensor
-/// extension" in the paper's sense): the fused construction specialised to
-/// y = x, where diagonal terms x_i² = x_i need only singly-controlled
-/// rotations and cross terms get a factor 2. |z| must be >= 2n for exact
-/// (non-modular) squares.
-void append_square_accumulate(QuantumCircuit& qc, const std::vector<int>& x,
-                              const std::vector<int>& z,
-                              const MultiplierOptions& options = {});
-
 }  // namespace qfab

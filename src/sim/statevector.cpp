@@ -48,12 +48,6 @@ void StateVector::set_basis_state(u64 value) {
   pending_phase_ = 0.0;
 }
 
-void StateVector::set_amplitude(u64 index, cplx a) {
-  QFAB_CHECK(index < dim());
-  flush_pending_phase();
-  amps_[index] = a;
-}
-
 cplx StateVector::amplitude(u64 index) const {
   QFAB_CHECK(index < dim());
   flush_pending_phase();

@@ -37,9 +37,6 @@ class StateVector {
   void reset();
   /// Reset to the computational basis state |value>.
   void set_basis_state(u64 value);
-  /// Overwrite the amplitude of |index> (used by noise-free initialization;
-  /// caller must keep the state normalized).
-  void set_amplitude(u64 index, cplx a);
 
   cplx amplitude(u64 index) const;
   double norm() const;

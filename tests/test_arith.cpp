@@ -4,7 +4,6 @@
 
 #include "arith/expected.h"
 #include "arith/qint.h"
-#include "arith/stateprep.h"
 #include "common/rng.h"
 #include "sim/statevector.h"
 
@@ -95,105 +94,6 @@ TEST(ProductState, RejectsOverlapAndMismatch) {
   EXPECT_THROW(prepare_product_state(
                    3, {{QubitRange{0, 2}, QInt::classical(3, 1)}}),
                CheckError);
-}
-
-// ---------- state preparation circuits ----------
-
-std::vector<cplx> random_target(int n, Pcg64& rng) {
-  std::vector<cplx> amps(pow2(n));
-  double norm = 0.0;
-  for (cplx& a : amps) {
-    a = cplx{rng.uniform() - 0.5, rng.uniform() - 0.5};
-    norm += std::norm(a);
-  }
-  for (cplx& a : amps) a /= std::sqrt(norm);
-  return amps;
-}
-
-TEST(Multiplexor, SingleControlBranches) {
-  // UCRY with one control: angle a0 when control=0, a1 when control=1.
-  QuantumCircuit qc(2);
-  append_multiplexed_rotation(qc, {1}, 0, {0.4, 1.3}, 'y');
-  for (int c = 0; c < 2; ++c) {
-    StateVector sv(2);
-    sv.set_basis_state(static_cast<u64>(c) << 1);
-    sv.apply_circuit(qc);
-    const double angle = c ? 1.3 : 0.4;
-    EXPECT_NEAR(std::abs(sv.amplitude(u64(c) << 1)), std::cos(angle / 2),
-                1e-10);
-    EXPECT_NEAR(std::abs(sv.amplitude((u64(c) << 1) | 1)),
-                std::sin(angle / 2), 1e-10);
-  }
-}
-
-TEST(Multiplexor, TwoControlSelectsAngleByValue) {
-  const std::vector<double> angles = {0.2, 0.9, 1.7, 2.4};
-  QuantumCircuit qc(3);
-  append_multiplexed_rotation(qc, {1, 2}, 0, angles, 'y');
-  for (u64 c = 0; c < 4; ++c) {
-    StateVector sv(3);
-    sv.set_basis_state(c << 1);
-    sv.apply_circuit(qc);
-    EXPECT_NEAR(std::abs(sv.amplitude(c << 1)), std::cos(angles[c] / 2),
-                1e-10)
-        << "control " << c;
-  }
-}
-
-TEST(Multiplexor, RzAxisPhases) {
-  QuantumCircuit qc(2);
-  append_multiplexed_rotation(qc, {1}, 0, {0.6, -1.0}, 'z');
-  // Prepare (|0>+|1>)/√2 ⊗ |1> on (target, control) and check phases.
-  StateVector sv(2);
-  sv.apply_gate(make_gate1(GateKind::kH, 0));
-  sv.apply_gate(make_gate1(GateKind::kX, 1));
-  sv.apply_circuit(qc);
-  const double rel =
-      std::arg(sv.amplitude(0b11)) - std::arg(sv.amplitude(0b10));
-  EXPECT_NEAR(rel, -1.0, 1e-10);
-}
-
-class StatePrep : public ::testing::TestWithParam<int> {};
-
-TEST_P(StatePrep, PreparesRandomStatesExactly) {
-  const int n = GetParam();
-  Pcg64 rng(1000 + static_cast<std::uint64_t>(n));
-  for (int rep = 0; rep < 4; ++rep) {
-    const std::vector<cplx> target = random_target(n, rng);
-    QuantumCircuit qc(n);
-    std::vector<int> qubits;
-    for (int i = 0; i < n; ++i) qubits.push_back(i);
-    append_state_preparation(qc, qubits, target);
-
-    StateVector sv(n);
-    sv.apply_circuit(qc);
-    double dist = 0.0;
-    for (u64 i = 0; i < pow2(n); ++i)
-      dist += std::norm(sv.amplitude(i) - target[i]);
-    EXPECT_LT(std::sqrt(dist), 1e-8) << "n=" << n << " rep=" << rep;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, StatePrep, ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(StatePrepCost, SparseStatesAreCheap) {
-  // A basis state requires no rotations at all (all angles collapse).
-  QuantumCircuit qc(3);
-  std::vector<cplx> target(8, cplx{0.0, 0.0});
-  target[0] = 1.0;
-  append_state_preparation(qc, {0, 1, 2}, target);
-  EXPECT_TRUE(qc.gates().empty());
-}
-
-TEST(StatePrep, PreparesQIntOperands) {
-  // The paper's operands: uniform order-2 qintegers.
-  const QInt q = QInt::uniform(3, {2, 5});
-  QuantumCircuit qc(3);
-  append_state_preparation(qc, {0, 1, 2}, q.amplitudes());
-  StateVector sv(3);
-  sv.apply_circuit(qc);
-  EXPECT_NEAR(std::norm(sv.amplitude(2)), 0.5, 1e-10);
-  EXPECT_NEAR(std::norm(sv.amplitude(5)), 0.5, 1e-10);
 }
 
 // ---------- expected outputs ----------

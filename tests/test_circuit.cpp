@@ -177,17 +177,6 @@ TEST(Circuit, ControlledOnRejectsOverlap) {
   EXPECT_THROW(qc.controlled_on(1), CheckError);
 }
 
-TEST(Circuit, DrawProducesOneLinePerQubit) {
-  QuantumCircuit qc(3);
-  qc.h(0);
-  qc.cx(0, 2);
-  qc.cp(1, 2, 0.4);
-  const std::string art = qc.draw();
-  EXPECT_EQ(std::count(art.begin(), art.end(), '\n'), 3);
-  EXPECT_NE(art.find("h"), std::string::npos);
-  EXPECT_NE(art.find("*"), std::string::npos);
-}
-
 TEST(Circuit, SameShapeCopiesRegisters) {
   QuantumCircuit qc(0);
   qc.add_register("a", 2);

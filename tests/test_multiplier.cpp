@@ -175,59 +175,5 @@ TEST(Multiplier, ApproximateDepthOneStillOftenCorrectAtTinySizes) {
   EXPECT_LE(correct, 16);
 }
 
-
-TEST(Squarer, ExhaustiveAccumulate) {
-  // z += x^2 mod 2^m for all x and several starting z.
-  const int n = 3, m = 6;
-  QuantumCircuit qc(n + m);
-  std::vector<int> x = {0, 1, 2}, z;
-  for (int i = n; i < n + m; ++i) z.push_back(i);
-  append_square_accumulate(qc, x, z);
-  for (u64 xv = 0; xv < 8; ++xv)
-    for (u64 z0 = 0; z0 < 64; z0 += 13) {
-      StateVector sv(n + m);
-      sv.set_basis_state(xv | (z0 << n));
-      sv.apply_circuit(qc);
-      const auto probs = sv.probabilities();
-      u64 best = 0;
-      for (u64 i = 1; i < probs.size(); ++i)
-        if (probs[i] > probs[best]) best = i;
-      EXPECT_NEAR(probs[best], 1.0, 1e-9);
-      EXPECT_EQ(best & 7u, xv);
-      EXPECT_EQ(best >> n, (z0 + xv * xv) % 64) << "x=" << xv << " z0=" << z0;
-    }
-}
-
-TEST(Squarer, ModularWrapWithNarrowRegister) {
-  // |z| = n: squares wrap mod 2^n.
-  const int n = 3;
-  QuantumCircuit qc(2 * n);
-  append_square_accumulate(qc, {0, 1, 2}, {3, 4, 5});
-  for (u64 xv = 0; xv < 8; ++xv) {
-    StateVector sv(2 * n);
-    sv.set_basis_state(xv);
-    sv.apply_circuit(qc);
-    const auto marg = sv.marginal_probabilities({3, 4, 5});
-    u64 best = 0;
-    for (u64 i = 1; i < marg.size(); ++i)
-      if (marg[i] > marg[best]) best = i;
-    EXPECT_EQ(best, (xv * xv) % 8);
-  }
-}
-
-TEST(Squarer, SuperposedInput) {
-  // x = (|1> + |3>)/sqrt(2): z holds 1 and 9 with equal weight.
-  const int n = 2, m = 4;
-  QuantumCircuit qc(n + m);
-  std::vector<int> z = {2, 3, 4, 5};
-  append_square_accumulate(qc, {0, 1}, z);
-  StateVector sv = prepare_product_state(
-      n + m, {{QubitRange{0, n}, QInt::uniform(n, {1, 3})}});
-  sv.apply_circuit(qc);
-  const auto marg = sv.marginal_probabilities(z);
-  EXPECT_NEAR(marg[1], 0.5, 1e-9);
-  EXPECT_NEAR(marg[9], 0.5, 1e-9);
-}
-
 }  // namespace
 }  // namespace qfab
