@@ -92,6 +92,48 @@ figure_goldens() {
   echo "== ${name}: figure CSVs match the goldens =="
 }
 
+# Run a command with its output in <binary>.log in the current directory;
+# unless it exits 0, print the log and fail.
+run_exit0() {
+  local log
+  log="$(basename "$1").log"
+  "$@" >"${log}" 2>&1 || {
+    local rc=$?
+    echo "$*: expected exit 0, got ${rc}" >&2
+    cat "${log}" >&2
+    exit 1
+  }
+}
+
+# Every example, the table, ablation and extension benches at default
+# flags, and one small bench_batch run (its cross-check holds the batched
+# estimator to the scalar one) must exit 0. The build compiles them, but
+# no other step runs them, and QFAB_SKIP_PERF=1 skips the perf smoke's
+# bench_batch run.
+example_and_bench_runs() {
+  local name="$1"
+  local outdir="build-ci-${name}/example_and_bench_runs"
+  echo "== ${name}: examples and benches exit 0 =="
+  rm -rf "${outdir}"
+  mkdir -p "${outdir}"
+  local src bins=()
+  for src in examples/*.cpp; do
+    bins+=("examples/$(basename "${src}" .cpp)")
+  done
+  bins+=(bench/ablation_add_depth bench/ablation_estimator
+         bench/ablation_multiplier bench/ext_metrics bench/ext_mitigation
+         bench/ext_routing bench/ext_thermal_readout bench/table1_gate_counts)
+  (
+    cd "${outdir}"
+    local bin
+    for bin in "${bins[@]}"; do
+      run_exit0 "../${bin}"
+    done
+    run_exit0 ../bench/bench_batch --instances 2 --reps 1 --batches 1,8 \
+      --out BENCH_batch.json
+  )
+}
+
 # A malformed command line is a usage error: exit 2 with a message, like
 # an unknown flag, never an abort. Each case is "<bench> <args>".
 figure_usage_errors() {
@@ -183,6 +225,7 @@ panelbench_smoke() {
 run_preset plain
 figure_usage_errors plain
 figure_goldens plain
+example_and_bench_runs plain
 panelbench_smoke
 echo "== plain: bench_sweep smoke (bounded) =="
 ./build-ci-plain/bench/bench_sweep --instances 4 --traj 6 --shots 256 \
