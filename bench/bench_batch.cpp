@@ -83,8 +83,8 @@ void run_point(const Case& c, const QuantumCircuit& qc,
   if (run.batch_lanes <= 1) {
     for (std::size_t i = 0; i < instances.size(); ++i) {
       const InstanceContext context(qc, c.spec, instances[i], run, plan);
-      Pcg64 rng = root.split(i);
-      (void)context.evaluate(noise, run, rng);
+      std::vector<Pcg64> rngs{root.split(i)};
+      (void)context.evaluate({noise}, run, rngs);
     }
     return;
   }
@@ -93,11 +93,11 @@ void run_point(const Case& c, const QuantumCircuit& qc,
     const std::vector<ArithInstance> group(instances.begin() + i0,
                                            instances.begin() + i1);
     const InstanceBatch batch(qc, c.spec, group, run, plan);
-    std::vector<Pcg64> rngs;
-    rngs.reserve(group.size());
+    std::vector<std::vector<Pcg64>> rngs(1);
+    rngs[0].reserve(group.size());
     for (std::size_t m = 0; m < group.size(); ++m)
-      rngs.push_back(root.split(i0 + m));
-    (void)batch.evaluate_all(noise, run, rngs);
+      rngs[0].push_back(root.split(i0 + m));
+    (void)batch.evaluate({noise}, run, rngs);
   }
 }
 

@@ -20,8 +20,8 @@ double run_point(const QuantumCircuit& circuit, const CircuitSpec& spec,
   std::vector<InstanceOutcome> outcomes;
   for (std::size_t i = 0; i < insts.size(); ++i) {
     const InstanceContext ctx(circuit, spec, insts[i], run);
-    Pcg64 rng(seed + i);
-    outcomes.push_back(ctx.evaluate(noise, run, rng));
+    std::vector<Pcg64> rngs{Pcg64(seed + i)};
+    outcomes.push_back(ctx.evaluate({noise}, run, rngs)[0]);
   }
   return aggregate_outcomes(outcomes).success_rate;
 }

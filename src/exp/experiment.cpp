@@ -21,11 +21,25 @@ void throw_if_unhealthy(const std::string& violation, const char* where) {
     throw NumericalHealthError(std::string(where) + ": " + violation);
 }
 
-void check_channel_health(const RunOptions& run,
-                          const std::vector<double>& channel,
-                          const char* where) {
-  if (!run.health_checks) return;
-  throw_if_unhealthy(check_probability_simplex(channel, kHealthTol), where);
+/// One instance's outcome at one estimated channel: the probability-simplex
+/// health sentinel, readout error, the multinomial shot draw from the
+/// point's stream and the success test.
+InstanceOutcome shots_outcome(std::vector<double>& channel,
+                              const RunOptions& run, Pcg64& rng,
+                              const std::vector<u64>& correct) {
+  if (run.health_checks)
+    throw_if_unhealthy(check_probability_simplex(channel, kHealthTol),
+                       "estimated channel");
+  if (run.readout.enabled()) apply_readout_error(channel, run.readout);
+  return evaluate_counts(sample_shot_counts(channel, run.shots, rng), correct);
+}
+
+std::vector<ErrorLocations> error_locations(
+    const QuantumCircuit& circuit, const std::vector<NoiseModel>& noises) {
+  std::vector<ErrorLocations> errors;
+  errors.reserve(noises.size());
+  for (const NoiseModel& noise : noises) errors.emplace_back(circuit, noise);
+  return errors;
 }
 
 /// Qubit count of make_qfa / make_qfm.
@@ -148,49 +162,35 @@ InstanceContext::InstanceContext(const QuantumCircuit& transpiled,
                        "clean run final state");
 }
 
-InstanceOutcome InstanceContext::evaluate(const NoiseModel& noise,
-                                          const RunOptions& run,
-                                          Pcg64& rng) const {
-  std::vector<std::uint64_t> counts;
-  const ErrorLocations errors(clean_.circuit(), noise);
-  if (run.per_shot && noise.enabled()) {
-    counts = sample_counts_per_shot(clean_, errors, output_qubits_,
-                                    run.shots, rng, run.readout);
-  } else {
-    EstimatorOptions est;
-    est.error_trajectories = run.error_trajectories;
-    std::vector<double> channel =
-        estimate_channel_marginal(clean_, errors, output_qubits_, est, rng);
-    check_channel_health(run, channel, "estimated channel");
-    if (run.readout.enabled()) apply_readout_error(channel, run.readout);
-    counts = sample_shot_counts(channel, run.shots, rng);
-  }
-  return evaluate_counts(counts, correct_);
-}
-
-std::vector<InstanceOutcome> InstanceContext::evaluate_rates(
+std::vector<InstanceOutcome> InstanceContext::evaluate(
     const std::vector<NoiseModel>& noises, const RunOptions& run,
     std::vector<Pcg64>& rngs, SharedEstimateStats* stats) const {
   QFAB_CHECK(!noises.empty() && noises.size() == rngs.size());
-  QFAB_CHECK(!run.per_shot);
-  std::vector<ErrorLocations> errors;
-  errors.reserve(noises.size());
-  for (const NoiseModel& noise : noises)
-    errors.emplace_back(clean_.circuit(), noise);
+  const std::vector<ErrorLocations> errors =
+      error_locations(clean_.circuit(), noises);
+  std::vector<InstanceOutcome> outcomes;
+  outcomes.reserve(noises.size());
+  if (run.per_shot) {
+    for (std::size_t r = 0; r < noises.size(); ++r) {
+      if (noises[r].enabled()) {
+        outcomes.push_back(evaluate_counts(
+            sample_counts_per_shot(clean_, errors[r], output_qubits_,
+                                   run.shots, rngs[r], run.readout),
+            correct_));
+      } else {
+        std::vector<double> ideal = clean_.ideal_marginal(output_qubits_);
+        outcomes.push_back(shots_outcome(ideal, run, rngs[r], correct_));
+      }
+    }
+    return outcomes;
+  }
   SharedEstimatorOptions opt;
   opt.error_trajectories = run.error_trajectories;
   opt.min_ess_fraction = run.shared_min_ess;
   std::vector<std::vector<double>> channels = estimate_channel_marginal_shared(
       clean_, errors, output_qubits_, opt, rngs, stats);
-  std::vector<InstanceOutcome> outcomes;
-  outcomes.reserve(channels.size());
-  for (std::size_t r = 0; r < channels.size(); ++r) {
-    check_channel_health(run, channels[r], "shared-cluster channel");
-    if (run.readout.enabled()) apply_readout_error(channels[r], run.readout);
-    const std::vector<std::uint64_t> counts =
-        sample_shot_counts(channels[r], run.shots, rngs[r]);
-    outcomes.push_back(evaluate_counts(counts, correct_));
-  }
+  for (std::size_t r = 0; r < channels.size(); ++r)
+    outcomes.push_back(shots_outcome(channels[r], run, rngs[r], correct_));
   return outcomes;
 }
 
@@ -224,39 +224,13 @@ InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
     correct_.push_back(correct_outputs(spec, inst));
 }
 
-std::vector<InstanceOutcome> InstanceBatch::evaluate_all(
-    const NoiseModel& noise, const RunOptions& run,
-    std::vector<Pcg64>& rngs) const {
-  QFAB_CHECK(rngs.size() == static_cast<std::size_t>(size()));
-  const ErrorLocations errors(clean_.circuit(), noise);
-  EstimatorOptions est;
-  est.error_trajectories = run.error_trajectories;
-  est.precision = resolve_precision(run, clean_.plan().gate_count());
-  est.float_drift_budget = run.float_drift_budget;
-  std::vector<std::vector<double>> channels =
-      estimate_channel_marginals_batched(clean_, errors, output_qubits_, est,
-                                         rngs);
-  std::vector<InstanceOutcome> outcomes;
-  outcomes.reserve(channels.size());
-  for (std::size_t m = 0; m < channels.size(); ++m) {
-    check_channel_health(run, channels[m], "estimated channel");
-    if (run.readout.enabled()) apply_readout_error(channels[m], run.readout);
-    const std::vector<std::uint64_t> counts =
-        sample_shot_counts(channels[m], run.shots, rngs[m]);
-    outcomes.push_back(evaluate_counts(counts, correct_[m]));
-  }
-  return outcomes;
-}
-
-std::vector<std::vector<InstanceOutcome>> InstanceBatch::evaluate_all_rates(
+std::vector<std::vector<InstanceOutcome>> InstanceBatch::evaluate(
     const std::vector<NoiseModel>& noises, const RunOptions& run,
     std::vector<std::vector<Pcg64>>& rngs, SharedEstimateStats* stats) const {
   QFAB_CHECK(!noises.empty() && noises.size() == rngs.size());
   QFAB_CHECK(!run.per_shot);
-  std::vector<ErrorLocations> errors;
-  errors.reserve(noises.size());
-  for (const NoiseModel& noise : noises)
-    errors.emplace_back(clean_.circuit(), noise);
+  const std::vector<ErrorLocations> errors =
+      error_locations(clean_.circuit(), noises);
   SharedEstimatorOptions opt;
   opt.error_trajectories = run.error_trajectories;
   opt.min_ess_fraction = run.shared_min_ess;
@@ -268,14 +242,9 @@ std::vector<std::vector<InstanceOutcome>> InstanceBatch::evaluate_all_rates(
   std::vector<std::vector<InstanceOutcome>> outcomes(channels.size());
   for (std::size_t r = 0; r < channels.size(); ++r) {
     outcomes[r].reserve(channels[r].size());
-    for (std::size_t m = 0; m < channels[r].size(); ++m) {
-      check_channel_health(run, channels[r][m], "shared-cluster channel");
-      if (run.readout.enabled())
-        apply_readout_error(channels[r][m], run.readout);
-      const std::vector<std::uint64_t> counts =
-          sample_shot_counts(channels[r][m], run.shots, rngs[r][m]);
-      outcomes[r].push_back(evaluate_counts(counts, correct_[m]));
-    }
+    for (std::size_t m = 0; m < channels[r].size(); ++m)
+      outcomes[r].push_back(
+          shots_outcome(channels[r][m], run, rngs[r][m], correct_[m]));
   }
   return outcomes;
 }

@@ -42,194 +42,6 @@ NoiseModel noise_at(const SweepConfig& config, double rate_percent) {
   return noise;
 }
 
-/// Immutable per-sweep state shared by every work unit (circuits and fused
-/// plans are compiled once per depth), plus the lazily compiled scalar
-/// non-fused plans that health-sentinel retries fall back to.
-struct SweepContext {
-  SweepContext(const SweepConfig& config_in,
-               const std::vector<ArithInstance>& instances_in)
-      : config(config_in), instances(instances_in) {}
-
-  const SweepConfig& config;
-  const std::vector<ArithInstance>& instances;
-  std::vector<double> rates;
-  std::vector<std::size_t> cluster;  // positive-rate column indices
-  bool use_shared = false;
-  std::size_t block = 1;  // instances per work unit
-  std::vector<QuantumCircuit> circuits;
-  std::vector<std::shared_ptr<const FusedPlan>> plans;
-
-  std::mutex nonfused_mu;
-  std::vector<std::shared_ptr<const FusedPlan>> nonfused;
-
-  /// Compile everything the work units share. Separate from the
-  /// constructor so the context can bind its references first.
-  void prepare() {
-    rates = config.expanded_rates();
-    // The positive-rate columns form one shared-trajectory cluster per
-    // (instance, depth): sampled once from the proposal rate and reweighted
-    // per column. Zero-rate columns (the noise-free cluster) stay on the
-    // per-rate path, which short-circuits to the ideal marginal anyway.
-    for (std::size_t r = 0; r < rates.size(); ++r)
-      if (rates[r] > 0.0) cluster.push_back(r);
-    use_shared = config.run.shared_trajectories && !config.run.per_shot &&
-                 !cluster.empty();
-    // Transpile and compile the execution plan once per depth (cheap next
-    // to simulation, but shared by every instance and trajectory). The
-    // depth plans share one slice store, so a slice the AQFT depths have
-    // in common compiles once per sweep; the plans keep it alive.
-    circuits.reserve(config.depths.size());
-    plans.reserve(config.depths.size());
-    const auto slices = std::make_shared<SliceStore>();
-    for (int depth : config.depths) {
-      CircuitSpec spec = config.base;
-      spec.depth = depth;
-      circuits.push_back(build_transpiled_circuit(spec));
-      plans.push_back(std::make_shared<const FusedPlan>(
-          circuits.back(), FusionOptions{}, slices));
-    }
-    nonfused.assign(config.depths.size(), nullptr);
-  }
-
-  /// Per-gate (fusion disabled) plan for depth index `d`, compiled on first
-  /// use: retries deliberately avoid the fused kernels in case the fault
-  /// lives there.
-  std::shared_ptr<const FusedPlan> nonfused_plan(std::size_t d) {
-    const std::lock_guard<std::mutex> lock(nonfused_mu);
-    if (!nonfused[d]) {
-      FusionOptions opt;
-      opt.enable = false;
-      nonfused[d] = std::make_shared<const FusedPlan>(circuits[d], opt);
-    }
-    return nonfused[d];
-  }
-};
-
-/// Evaluate one instance on the scalar path (InstanceContext): all
-/// non-shared rate columns per-rate, then the shared cluster. Used both as
-/// the primary path when units are single-instance (per-shot mode or
-/// batch_lanes <= 1) and per-member by health-sentinel retries.
-void evaluate_member_scalar(SweepContext& sc, std::size_t i, std::size_t d,
-                            const RunOptions& run,
-                            std::shared_ptr<const FusedPlan> plan,
-                            UnitResult& out, std::size_t m) {
-  CircuitSpec spec = sc.config.base;
-  spec.depth = sc.config.depths[d];
-  // One ideal run (with checkpoints) serves every rate cluster.
-  const InstanceContext context(sc.circuits[d], spec, sc.instances[i], run,
-                                std::move(plan));
-  for (std::size_t r = 0; r < sc.rates.size(); ++r) {
-    if (sc.use_shared && sc.rates[r] > 0.0) continue;
-    Pcg64 rng = point_rng(sc.config.seed, i, d, r);
-    out.outcomes[r][m] =
-        context.evaluate(noise_at(sc.config, sc.rates[r]), run, rng);
-  }
-  if (sc.use_shared) {
-    std::vector<NoiseModel> noises;
-    std::vector<Pcg64> rngs;
-    noises.reserve(sc.cluster.size());
-    rngs.reserve(sc.cluster.size());
-    for (std::size_t r : sc.cluster) {
-      noises.push_back(noise_at(sc.config, sc.rates[r]));
-      rngs.push_back(point_rng(sc.config.seed, i, d, r));
-    }
-    const std::vector<InstanceOutcome> results =
-        context.evaluate_rates(noises, run, rngs, &out.stats);
-    for (std::size_t c = 0; c < sc.cluster.size(); ++c)
-      out.outcomes[sc.cluster[c]][m] = results[c];
-  }
-}
-
-/// Batched path: the whole instance block shares each ideal run (one
-/// fused-plan pass for the group) and each instance's error trajectories
-/// batch again inside evaluate. Every point still draws from
-/// point_rng(seed, i, d, r), so results are independent of grouping and
-/// identical in distribution to the scalar path.
-void run_unit_batched(SweepContext& sc, std::size_t d, std::size_t i0,
-                      std::size_t i1, const RunOptions& run, UnitResult& out) {
-  const std::vector<ArithInstance> group(sc.instances.begin() + i0,
-                                         sc.instances.begin() + i1);
-  CircuitSpec spec = sc.config.base;
-  spec.depth = sc.config.depths[d];
-  const InstanceBatch batch(sc.circuits[d], spec, group, run, sc.plans[d]);
-  for (std::size_t r = 0; r < sc.rates.size(); ++r) {
-    if (sc.use_shared && sc.rates[r] > 0.0) continue;
-    std::vector<Pcg64> rngs;
-    rngs.reserve(group.size());
-    for (std::size_t m = 0; m < group.size(); ++m)
-      rngs.push_back(point_rng(sc.config.seed, i0 + m, d, r));
-    const std::vector<InstanceOutcome> results =
-        batch.evaluate_all(noise_at(sc.config, sc.rates[r]), run, rngs);
-    for (std::size_t m = 0; m < group.size(); ++m)
-      out.outcomes[r][m] = results[m];
-  }
-  if (sc.use_shared) {
-    std::vector<NoiseModel> noises;
-    std::vector<std::vector<Pcg64>> rngs(sc.cluster.size());
-    noises.reserve(sc.cluster.size());
-    for (std::size_t c = 0; c < sc.cluster.size(); ++c) {
-      noises.push_back(noise_at(sc.config, sc.rates[sc.cluster[c]]));
-      rngs[c].reserve(group.size());
-      for (std::size_t m = 0; m < group.size(); ++m)
-        rngs[c].push_back(point_rng(sc.config.seed, i0 + m, d, sc.cluster[c]));
-    }
-    const std::vector<std::vector<InstanceOutcome>> results =
-        batch.evaluate_all_rates(noises, run, rngs, &out.stats);
-    for (std::size_t c = 0; c < sc.cluster.size(); ++c)
-      for (std::size_t m = 0; m < group.size(); ++m)
-        out.outcomes[sc.cluster[c]][m] = results[c][m];
-  }
-}
-
-/// Run one work unit: instance block [i0, i1) at depth index d, all rate
-/// columns. When a numerical health sentinel trips, retry every member once
-/// on the scalar non-fused path (the most conservative engine in the repo);
-/// members that fail again are recorded as poisoned (outcomes stay
-/// success=false) instead of crashing the sweep.
-UnitResult compute_unit(SweepContext& sc, std::size_t d, std::size_t i0,
-                        std::size_t i1) {
-  const std::size_t members = i1 - i0;
-  UnitResult out;
-  out.outcomes.assign(sc.rates.size(), std::vector<InstanceOutcome>(members));
-  try {
-    if (sc.block > 1)
-      run_unit_batched(sc, d, i0, i1, sc.config.run, out);
-    else
-      evaluate_member_scalar(sc, i0, d, sc.config.run, sc.plans[d], out, 0);
-    return out;
-  } catch (const NumericalHealthError& err) {
-    std::cerr << "\n[qfab] numerical health sentinel tripped (depth "
-              << depth_label(sc.config.depths[d]) << ", instances [" << i0
-              << "," << i1 << ")): " << err.what()
-              << "; retrying on the scalar non-fused path\n";
-  }
-  out = UnitResult{};
-  out.outcomes.assign(sc.rates.size(), std::vector<InstanceOutcome>(members));
-  out.retried = true;
-  RunOptions retry = sc.config.run;
-  retry.batch_lanes = 1;
-  // The scalar path replays in double regardless, but pin it so a future
-  // scalar float tier cannot silently weaken the conservative retry.
-  retry.precision = Precision::kDouble;
-  const std::shared_ptr<const FusedPlan> plan = sc.nonfused_plan(d);
-  for (std::size_t m = 0; m < members; ++m) {
-    try {
-      evaluate_member_scalar(sc, i0 + m, d, retry, plan, out, m);
-    } catch (const NumericalHealthError& err) {
-      out.poisoned = true;
-      std::ostringstream desc;
-      desc << "instance " << (i0 + m) << " at depth "
-           << depth_label(sc.config.depths[d])
-           << " failed the scalar non-fused retry: " << err.what();
-      if (!out.error.empty()) out.error += "; ";
-      out.error += desc.str();
-      for (std::size_t r = 0; r < sc.rates.size(); ++r)
-        out.outcomes[r][m] = InstanceOutcome{};
-    }
-  }
-  return out;
-}
-
 /// Sweep progress, drain display, and the soft-deadline watchdog, all on
 /// one watcher thread owned by run_sweep_durable (no worker-side stderr
 /// writes): workers bump an atomic member counter and register in-flight
@@ -412,22 +224,185 @@ std::size_t SweepGrid::unit_of(std::size_t depth_index,
   return (block_begin / block) * n_depths + depth_index;
 }
 
+/// Immutable per-sweep state shared by every work unit (circuits and fused
+/// plans are compiled once per depth, rate clusters formed once), plus the
+/// lazily compiled scalar non-fused plans that health-sentinel retries fall
+/// back to.
 struct SweepExecution::Impl {
+  /// Rate columns estimated together: `columns` index expanded_rates().
+  /// Only a shared cluster keeps SharedEstimateStats.
+  struct RateCluster {
+    std::vector<std::size_t> columns;
+    std::vector<NoiseModel> noises;
+    bool shared = false;
+  };
+
   Impl(const SweepConfig& config_in, std::vector<ArithInstance> instances_in)
       : config(config_in),
         instances(std::move(instances_in)),
-        grid(config, instances.size()),
-        sc(config, instances) {
+        grid(config, instances.size()) {
     QFAB_CHECK(!config.depths.empty());
     QFAB_CHECK(!instances.empty());
-    sc.prepare();
-    sc.block = grid.block;
+    // With sharing on, the positive-rate columns form one shared-trajectory
+    // cluster per (instance, depth): sampled once from the proposal rate
+    // and reweighted per column. Every other column is a cluster of its
+    // own, estimated from its own trajectories; a zero-rate column (the
+    // noise-free cluster) short-circuits to the ideal marginal.
+    const std::vector<double> rates = config.expanded_rates();
+    const bool share = config.run.shared_trajectories && !config.run.per_shot;
+    RateCluster positive{{}, {}, true};
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+      if (share && rates[r] > 0.0) {
+        positive.columns.push_back(r);
+        positive.noises.push_back(noise_at(config, rates[r]));
+      } else {
+        clusters.push_back(
+            RateCluster{{r}, {noise_at(config, rates[r])}, false});
+      }
+    }
+    if (!positive.columns.empty()) clusters.push_back(std::move(positive));
+    // Transpile and compile the execution plan once per depth (cheap next
+    // to simulation, but shared by every instance and trajectory). The
+    // depth plans share one slice store, so a slice the AQFT depths have
+    // in common compiles once per sweep; the plans keep it alive.
+    circuits.reserve(config.depths.size());
+    plans.reserve(config.depths.size());
+    const auto slices = std::make_shared<SliceStore>();
+    for (int depth : config.depths) {
+      circuits.push_back(build_transpiled_circuit(spec_at(depth)));
+      plans.push_back(std::make_shared<const FusedPlan>(
+          circuits.back(), FusionOptions{}, slices));
+    }
+    nonfused.assign(config.depths.size(), nullptr);
+  }
+
+  CircuitSpec spec_at(int depth) const {
+    CircuitSpec spec = config.base;
+    spec.depth = depth;
+    return spec;
+  }
+
+  /// Per-gate (fusion disabled) plan for depth index `d`, compiled on first
+  /// use: retries deliberately avoid the fused kernels in case the fault
+  /// lives there.
+  std::shared_ptr<const FusedPlan> nonfused_plan(std::size_t d) {
+    const std::lock_guard<std::mutex> lock(nonfused_mu);
+    if (!nonfused[d]) {
+      FusionOptions opt;
+      opt.enable = false;
+      nonfused[d] = std::make_shared<const FusedPlan>(circuits[d], opt);
+    }
+    return nonfused[d];
+  }
+
+  /// Evaluate instance i on the scalar path (InstanceContext), one rate
+  /// cluster at a time, into member slot m of `out`. Used both as the
+  /// primary path when units are single-instance (per-shot mode or
+  /// batch_lanes <= 1) and per member by health-sentinel retries.
+  void evaluate_member_scalar(std::size_t i, std::size_t d,
+                              const RunOptions& run,
+                              std::shared_ptr<const FusedPlan> plan,
+                              UnitResult& out, std::size_t m) const {
+    // One ideal run (with checkpoints) serves every rate cluster.
+    const InstanceContext context(circuits[d], spec_at(config.depths[d]),
+                                  instances[i], run, std::move(plan));
+    for (const RateCluster& cluster : clusters) {
+      std::vector<Pcg64> rngs;
+      rngs.reserve(cluster.columns.size());
+      for (std::size_t r : cluster.columns)
+        rngs.push_back(point_rng(config.seed, i, d, r));
+      const std::vector<InstanceOutcome> results = context.evaluate(
+          cluster.noises, run, rngs, cluster.shared ? &out.stats : nullptr);
+      for (std::size_t c = 0; c < cluster.columns.size(); ++c)
+        out.outcomes[cluster.columns[c]][m] = results[c];
+    }
+  }
+
+  /// Batched path: the whole instance block shares each ideal run (one
+  /// fused-plan pass for the group) and each instance's error trajectories
+  /// batch again inside evaluate. Every point still draws from
+  /// point_rng(seed, i, d, r), so results are independent of grouping and
+  /// identical in distribution to the scalar path.
+  void run_unit_batched(std::size_t d, std::size_t i0, std::size_t i1,
+                        UnitResult& out) const {
+    const std::vector<ArithInstance> group(instances.begin() + i0,
+                                           instances.begin() + i1);
+    const InstanceBatch batch(circuits[d], spec_at(config.depths[d]), group,
+                              config.run, plans[d]);
+    for (const RateCluster& cluster : clusters) {
+      std::vector<std::vector<Pcg64>> rngs(cluster.columns.size());
+      for (std::size_t c = 0; c < cluster.columns.size(); ++c) {
+        rngs[c].reserve(group.size());
+        for (std::size_t m = 0; m < group.size(); ++m)
+          rngs[c].push_back(
+              point_rng(config.seed, i0 + m, d, cluster.columns[c]));
+      }
+      const std::vector<std::vector<InstanceOutcome>> results =
+          batch.evaluate(cluster.noises, config.run, rngs,
+                         cluster.shared ? &out.stats : nullptr);
+      for (std::size_t c = 0; c < cluster.columns.size(); ++c)
+        for (std::size_t m = 0; m < group.size(); ++m)
+          out.outcomes[cluster.columns[c]][m] = results[c][m];
+    }
+  }
+
+  /// Run one work unit: instance block [i0, i1) at depth index d, all rate
+  /// columns. When a numerical health sentinel trips, retry every member
+  /// once on the scalar non-fused path (the most conservative engine in
+  /// the repo); members that fail again are recorded as poisoned (outcomes
+  /// stay success=false) instead of crashing the sweep.
+  UnitResult compute_unit(std::size_t d, std::size_t i0, std::size_t i1) {
+    const std::size_t members = i1 - i0;
+    UnitResult out;
+    out.outcomes.assign(grid.n_rates, std::vector<InstanceOutcome>(members));
+    try {
+      if (grid.block > 1)
+        run_unit_batched(d, i0, i1, out);
+      else
+        evaluate_member_scalar(i0, d, config.run, plans[d], out, 0);
+      return out;
+    } catch (const NumericalHealthError& err) {
+      std::cerr << "\n[qfab] numerical health sentinel tripped (depth "
+                << depth_label(config.depths[d]) << ", instances [" << i0
+                << "," << i1 << ")): " << err.what()
+                << "; retrying on the scalar non-fused path\n";
+    }
+    out = UnitResult{};
+    out.outcomes.assign(grid.n_rates, std::vector<InstanceOutcome>(members));
+    out.retried = true;
+    RunOptions retry = config.run;
+    retry.batch_lanes = 1;
+    // The scalar path replays in double regardless, but pin it so a future
+    // scalar float tier cannot silently weaken the conservative retry.
+    retry.precision = Precision::kDouble;
+    const std::shared_ptr<const FusedPlan> plan = nonfused_plan(d);
+    for (std::size_t m = 0; m < members; ++m) {
+      try {
+        evaluate_member_scalar(i0 + m, d, retry, plan, out, m);
+      } catch (const NumericalHealthError& err) {
+        out.poisoned = true;
+        std::ostringstream desc;
+        desc << "instance " << (i0 + m) << " at depth "
+             << depth_label(config.depths[d])
+             << " failed the scalar non-fused retry: " << err.what();
+        if (!out.error.empty()) out.error += "; ";
+        out.error += desc.str();
+        for (std::size_t r = 0; r < grid.n_rates; ++r)
+          out.outcomes[r][m] = InstanceOutcome{};
+      }
+    }
+    return out;
   }
 
   const SweepConfig config;
   const std::vector<ArithInstance> instances;
   const SweepGrid grid;
-  SweepContext sc;
+  std::vector<RateCluster> clusters;
+  std::vector<QuantumCircuit> circuits;
+  std::vector<std::shared_ptr<const FusedPlan>> plans;
+
+  std::mutex nonfused_mu;
+  std::vector<std::shared_ptr<const FusedPlan>> nonfused;
 };
 
 SweepExecution::SweepExecution(const SweepConfig& config,
@@ -446,7 +421,7 @@ const SweepGrid& SweepExecution::grid() const { return impl_->grid; }
 
 UnitResult SweepExecution::run_unit(std::size_t u) {
   const SweepGrid::UnitKey k = impl_->grid.key(u);
-  return compute_unit(impl_->sc, k.depth_index, k.block_begin, k.block_end);
+  return impl_->compute_unit(k.depth_index, k.block_begin, k.block_end);
 }
 
 SweepAssembler::SweepAssembler(const SweepConfig& config,

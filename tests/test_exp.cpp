@@ -155,12 +155,12 @@ TEST(Context, NoiselessExactAdditionAlwaysSucceeds) {
   const QuantumCircuit circuit = build_transpiled_circuit(spec);
   RunOptions run;
   run.shots = 256;
-  Pcg64 rng(5);
+  std::vector<Pcg64> rngs{Pcg64(5)};
   for (int rep = 0; rep < 5; ++rep) {
     Pcg64 gen(100 + static_cast<std::uint64_t>(rep));
     const auto insts = generate_instances(1, 4, 4, {1, 2}, gen);
     const InstanceContext ctx(circuit, spec, insts[0], run);
-    const InstanceOutcome out = ctx.evaluate(NoiseModel{}, run, rng);
+    const InstanceOutcome out = ctx.evaluate({NoiseModel{}}, run, rngs)[0];
     EXPECT_TRUE(out.success);
     EXPECT_GT(out.margin, 0);
   }
@@ -180,8 +180,8 @@ TEST(Context, HeavyNoiseDegradesSuccess) {
   int successes = 0;
   for (const auto& inst : insts) {
     const InstanceContext ctx(circuit, spec, inst, run);
-    Pcg64 rng(300);
-    successes += ctx.evaluate(heavy, run, rng).success;
+    std::vector<Pcg64> rngs{Pcg64(300)};
+    successes += ctx.evaluate({heavy}, run, rngs)[0].success;
   }
   EXPECT_LT(successes, 6);
 }
@@ -266,8 +266,8 @@ TEST(Context, MeasureAllNoiselessStillSucceeds) {
   const auto insts = generate_instances(4, 3, 3, {2, 1}, gen);
   for (const auto& inst : insts) {
     const InstanceContext ctx(circuit, spec, inst, run);
-    Pcg64 rng(66);
-    EXPECT_TRUE(ctx.evaluate(NoiseModel{}, run, rng).success);
+    std::vector<Pcg64> rngs{Pcg64(66)};
+    EXPECT_TRUE(ctx.evaluate({NoiseModel{}}, run, rngs)[0].success);
   }
 }
 

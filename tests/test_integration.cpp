@@ -90,13 +90,13 @@ TEST(Integration, EvaluationIsSeedDeterministic) {
   NoiseModel nm;
   nm.p2q = 0.01;
   const InstanceContext ctx(circuit, spec, insts[0], run);
-  Pcg64 r1(999), r2(999), r3(1000);
-  const auto o1 = ctx.evaluate(nm, run, r1);
-  const auto o2 = ctx.evaluate(nm, run, r2);
+  std::vector<Pcg64> r1{Pcg64(999)}, r2{Pcg64(999)}, r3{Pcg64(1000)};
+  const InstanceOutcome o1 = ctx.evaluate({nm}, run, r1)[0];
+  const InstanceOutcome o2 = ctx.evaluate({nm}, run, r2)[0];
   EXPECT_EQ(o1.margin, o2.margin);
   EXPECT_EQ(o1.success, o2.success);
   // Different seed is allowed to differ (and usually does in margin).
-  const auto o3 = ctx.evaluate(nm, run, r3);
+  const InstanceOutcome o3 = ctx.evaluate({nm}, run, r3)[0];
   (void)o3;
 }
 

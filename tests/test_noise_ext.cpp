@@ -100,8 +100,8 @@ TEST(Readout, DegradesSuccessInHarness) {
   int successes = 0;
   for (const auto& inst : insts) {
     const InstanceContext ctx(circuit, spec, inst, run);
-    Pcg64 rng(7);
-    successes += ctx.evaluate(NoiseModel{}, run, rng).success;
+    std::vector<Pcg64> rngs{Pcg64(7)};
+    successes += ctx.evaluate({NoiseModel{}}, run, rngs)[0].success;
   }
   EXPECT_LT(successes, 6);
 }
@@ -222,8 +222,8 @@ TEST(Thermal, DegradesArithmeticSuccess) {
   int successes = 0;
   for (const auto& inst : insts) {
     const InstanceContext ctx(circuit, spec, inst, run);
-    Pcg64 rng(13);
-    successes += ctx.evaluate(hot, run, rng).success;
+    std::vector<Pcg64> rngs{Pcg64(13)};
+    successes += ctx.evaluate({hot}, run, rngs)[0].success;
   }
   EXPECT_LT(successes, 5);
 }
