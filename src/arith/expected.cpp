@@ -29,13 +29,6 @@ std::vector<u64> expected_sums(const QInt& x, const QInt& y, int out_bits) {
   return combine(x, y, out_bits, [](u64 a, u64 b) { return a + b; });
 }
 
-std::vector<u64> expected_differences(const QInt& x, const QInt& y,
-                                      int out_bits) {
-  // y - x mod 2^out_bits (the subtractor updates y).
-  return combine(x, y, out_bits,
-                 [](u64 a, u64 b) { return b + (~a + 1); });
-}
-
 std::vector<u64> expected_products(const QInt& x, const QInt& y,
                                    int out_bits) {
   return combine(x, y, out_bits, [](u64 a, u64 b) { return a * b; });

@@ -14,10 +14,6 @@ namespace qfab {
 /// ascending. For QFA the output register is y, so out_bits = |y|.
 std::vector<u64> expected_sums(const QInt& x, const QInt& y, int out_bits);
 
-/// All distinct values (y - x) mod 2^out_bits (subtractor ground truth).
-std::vector<u64> expected_differences(const QInt& x, const QInt& y,
-                                      int out_bits);
-
 /// All distinct values (x * y) mod 2^out_bits over the operand supports.
 std::vector<u64> expected_products(const QInt& x, const QInt& y,
                                    int out_bits);

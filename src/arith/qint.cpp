@@ -47,12 +47,6 @@ std::vector<u64> QInt::support() const {
   return out;
 }
 
-std::vector<cplx> QInt::amplitudes() const {
-  std::vector<cplx> amps(pow2(bits_), cplx{0.0, 0.0});
-  for (const Term& t : terms_) amps[t.value] = t.amplitude;
-  return amps;
-}
-
 u64 QInt::encode(std::int64_t value, int bits) {
   QFAB_CHECK(bits >= 1 && bits < 63);
   const std::int64_t mod = std::int64_t{1} << bits;

@@ -39,9 +39,6 @@ class QInt {
   /// Encoded values in ascending order.
   std::vector<u64> support() const;
 
-  /// Full 2^bits amplitude vector.
-  std::vector<cplx> amplitudes() const;
-
   // Two's-complement helpers.
   static u64 encode(std::int64_t value, int bits);
   static std::int64_t decode_signed(u64 encoded, int bits);

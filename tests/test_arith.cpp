@@ -56,15 +56,6 @@ TEST(QInt, RejectsDuplicatesAndRange) {
   EXPECT_EQ(QInt::uniform(3, {9}).support()[0], 1u);  // 9 mod 8
 }
 
-TEST(QInt, AmplitudeVector) {
-  const QInt q = QInt::uniform(2, {0, 3});
-  const auto amps = q.amplitudes();
-  ASSERT_EQ(amps.size(), 4u);
-  EXPECT_NEAR(std::norm(amps[0]), 0.5, 1e-12);
-  EXPECT_NEAR(std::norm(amps[3]), 0.5, 1e-12);
-  EXPECT_EQ(amps[1], cplx(0.0, 0.0));
-}
-
 TEST(ProductState, TwoRegistersWithPadding) {
   // x=|2> on bits [0,2), y=(|1>+|3>)/√2 on bits [2,4), one padding qubit.
   const StateVector sv = prepare_product_state(
@@ -112,13 +103,6 @@ TEST(Expected, SumsCollide) {
   const auto sums = expected_sums(x, y, 3);
   // {5,6,6,7} -> {5,6,7}.
   EXPECT_EQ(sums, (std::vector<u64>{5, 6, 7}));
-}
-
-TEST(Expected, Differences) {
-  const QInt x = QInt::classical(3, 5);
-  const QInt y = QInt::classical(3, 2);
-  // y - x = -3 ≡ 5 (mod 8).
-  EXPECT_EQ(expected_differences(x, y, 3), std::vector<u64>{5});
 }
 
 TEST(Expected, ProductsWide) {
