@@ -290,7 +290,7 @@ class FusedPlan {
 /// row layout, compared by value.
 ///
 /// A sweep builds its depth plans over one store, which then lives as long
-/// as they do (SweepContext); plans built on their own get a private one.
+/// as they do (SweepExecution); plans built on their own get a private one.
 /// Read-mostly: hits take the shared lock, compiles run outside any lock,
 /// and the first thread to publish a slice wins (the others drop their
 /// duplicate). The store owns its slices, so references stay valid until
