@@ -18,13 +18,18 @@
 //    Shots whose trajectory has no error reuse the cached ideal marginal.
 //
 // Two engines run the stratified estimator and its shared-trajectory
-// (rate-cluster) form. The sweeps run the batched one: a BatchedCleanRun
-// group of operand instances, whose replay groups load from the batched
-// checkpoints. The scalar one, on a CleanRun, replays one trajectory at a
-// time in double. It is the reference: the sweeps' scalar path
-// (InstanceContext: batch_lanes <= 1, per-shot mode, health-sentinel
-// retries) runs it, and the tests and the verify harness hold the batched
-// engine to it.
+// (rate-cluster) form. The sweeps evaluate every rate cluster through the
+// shared form, and a one-rate cluster delegates to the stratified
+// estimator. The sweeps run the batched engine: a BatchedCleanRun group
+// of operand instances, whose trajectories replay in one site-sorted pool
+// (the member-pooled estimate, the shared estimate's unique trajectories
+// and the one-member groups of an ESS fallback alike) loading from the
+// batched checkpoints. The scalar engine, on a CleanRun, replays one
+// trajectory at a time in double. It is the reference: the sweeps' scalar
+// path (InstanceContext: batch_lanes <= 1, health-sentinel retries) runs
+// it, and the tests and the verify harness hold the batched engine to it.
+// Both shared estimators follow one sharing policy (proposal, dedup,
+// reweighting, ESS guard).
 //
 // The ablation bench (bench/ablation_estimator) cross-validates the
 // stratified and per-shot estimators.
