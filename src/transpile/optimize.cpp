@@ -18,46 +18,9 @@ bool touches(const Gate& g, int q) {
   return false;
 }
 
-/// Does `g` commute with an RZ rotation on qubit `q`? (g is a basis gate.)
-bool commutes_with_rz(const Gate& g, int q) {
-  if (!touches(g, q)) return true;
-  switch (g.kind) {
-    case GateKind::kId:
-    case GateKind::kRZ:
-      return true;
-    case GateKind::kCX:
-      return g.qubits[1] == q;  // RZ on the control commutes
-    default:
-      return false;
-  }
-}
-
-/// Does `g` commute with CX(control c, target t)?
-bool commutes_with_cx(const Gate& g, int c, int t) {
-  if (!touches(g, c) && !touches(g, t)) return true;
-  switch (g.kind) {
-    case GateKind::kId:
-      return true;
-    case GateKind::kRZ:
-      return g.qubits[0] == c;  // diagonal on the control
-    case GateKind::kX:
-      return g.qubits[0] == t;  // X on the target
-    case GateKind::kCX: {
-      const int gc = g.qubits[1], gt = g.qubits[0];
-      if (gc == c && gt == t) return true;  // identical (handled as a pair)
-      if (gc == c && gt != t && gt != c) return true;   // shared control
-      if (gt == t && gc != c && gc != t) return true;   // shared target
-      return false;
-    }
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
-OptimizeStats optimize_basis_circuit(QuantumCircuit& qc,
-                                     const OptimizeOptions& options) {
+OptimizeStats optimize_basis_circuit(QuantumCircuit& qc) {
   QFAB_CHECK_MSG(is_basis_circuit(qc),
                  "optimize_basis_circuit requires a basis circuit");
   OptimizeStats stats;
@@ -87,9 +50,7 @@ OptimizeStats optimize_basis_circuit(QuantumCircuit& qc,
             changed = true;
             continue;  // keep absorbing further rotations
           }
-          const bool passable = options.commute ? commutes_with_rz(gj, q)
-                                                : !touches(gj, q);
-          if (!passable) break;
+          if (touches(gj, q)) break;
         }
         // Canonicalize the angle into (-π, π]; each 2π turn is a -1 phase.
         // ceil((θ-π)/2π) maps θ = π to k = 0 (stable fixed point — a
@@ -120,10 +81,7 @@ OptimizeStats optimize_basis_circuit(QuantumCircuit& qc,
             changed = true;
             break;
           }
-          const bool passable = options.commute
-                                    ? commutes_with_cx(gj, c, t)
-                                    : (!touches(gj, c) && !touches(gj, t));
-          if (!passable) break;
+          if (touches(gj, c) || touches(gj, t)) break;
         }
         continue;
       }

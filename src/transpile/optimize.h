@@ -1,10 +1,12 @@
 // Peephole optimization of basis circuits.
 //
-// Mirrors what Qiskit's level-1 transpiler does to the paper's circuits:
-// merge RZ runs (using commutation with CX controls and diagonal gates),
-// drop full-turn rotations, and cancel adjacent CX pairs. All rewrites are
-// exactly phase-tracked, so optimized circuits remain unitarily identical —
-// a property the test suite checks on random circuits.
+// Mirrors what Qiskit 0.31's level-1 transpiler does to the paper's
+// circuits, and so reproduces its Table I counts: merge runs of RZ, fold
+// X·X and SX·SX, drop full-turn rotations, and cancel CX pairs, each only
+// across literally adjacent gates on a wire (a gate on another wire never
+// blocks; any gate on the same wire does). All rewrites are exactly
+// phase-tracked, so optimized circuits remain unitarily identical — a
+// property the test suite checks on random circuits.
 #pragma once
 
 #include "circuit/circuit.h"
@@ -18,18 +20,8 @@ struct OptimizeStats {
   std::size_t passes = 0;
 };
 
-struct OptimizeOptions {
-  /// Allow rewrites to look *through* commuting gates (RZ slides over CX
-  /// controls and diagonals; CX pairs cancel across commuting neighbors).
-  /// false reproduces Qiskit 0.31's run-based level-1 behavior (merges and
-  /// cancellations only across literally adjacent gates on a wire), which
-  /// is what the paper's Table I counts correspond to.
-  bool commute = true;
-};
-
 /// Optimize in place; returns rewrite statistics. Requires a basis circuit
 /// (every gate in {id, x, sx, rz, cx}).
-OptimizeStats optimize_basis_circuit(QuantumCircuit& qc,
-                                     const OptimizeOptions& options = {});
+OptimizeStats optimize_basis_circuit(QuantumCircuit& qc);
 
 }  // namespace qfab

@@ -2,22 +2,16 @@
 
 namespace qfab {
 
-TranspileReport transpile(const QuantumCircuit& qc,
-                          const TranspileOptions& options) {
+TranspileReport transpile(const QuantumCircuit& qc) {
   TranspileReport report;
   report.circuit = decompose_to_basis(qc);
-  if (options.optimization_level >= 1) {
-    OptimizeOptions opt;
-    opt.commute = options.optimization_level >= 2;
-    report.optimize = optimize_basis_circuit(report.circuit, opt);
-  }
+  report.optimize = optimize_basis_circuit(report.circuit);
   report.counts = report.circuit.counts();
   return report;
 }
 
-QuantumCircuit transpile_to_basis(const QuantumCircuit& qc,
-                                  int optimization_level) {
-  return transpile(qc, {optimization_level}).circuit;
+QuantumCircuit transpile_to_basis(const QuantumCircuit& qc) {
+  return transpile(qc).circuit;
 }
 
 }  // namespace qfab

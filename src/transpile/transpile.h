@@ -1,5 +1,5 @@
 // Transpilation entry point: abstract circuit -> IBM basis circuit,
-// optionally peephole-optimized (level 1 ~ the paper's Qiskit settings).
+// peephole-optimized as Qiskit 0.31 does at level 1 (the paper's settings).
 #pragma once
 
 #include "circuit/circuit.h"
@@ -8,27 +8,18 @@
 
 namespace qfab {
 
-struct TranspileOptions {
-  /// 0 = decompose only;
-  /// 1 = Qiskit-0.31-compatible peephole (literal-adjacency RZ merges and
-  ///     CX cancellation) — reproduces the paper's Table I counts;
-  /// 2 = aggressive (commutation-aware) peephole.
-  int optimization_level = 1;
-};
-
 struct TranspileReport {
   QuantumCircuit circuit;
   GateCounts counts;          // of the final circuit
-  OptimizeStats optimize;     // zeroes at level 0
+  OptimizeStats optimize;
 };
 
-/// Decompose `qc` into {id, x, sx, rz, cx} and optimize per options.
+/// Decompose `qc` into {id, x, sx, rz, cx}, then run the level-1 peephole
+/// (optimize_basis_circuit), which reproduces the paper's Table I counts.
 /// The result is unitarily identical to `qc` (global phase included).
-TranspileReport transpile(const QuantumCircuit& qc,
-                          const TranspileOptions& options = {});
+TranspileReport transpile(const QuantumCircuit& qc);
 
 /// Shorthand returning just the circuit.
-QuantumCircuit transpile_to_basis(const QuantumCircuit& qc,
-                                  int optimization_level = 1);
+QuantumCircuit transpile_to_basis(const QuantumCircuit& qc);
 
 }  // namespace qfab

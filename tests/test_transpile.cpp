@@ -138,10 +138,10 @@ TEST(Transpile, OptimizationNeverIncreasesCounts) {
   Pcg64 rng(202);
   for (int rep = 0; rep < 5; ++rep) {
     const QuantumCircuit qc = random_circuit(4, 30, rng);
-    const auto l0 = transpile(qc, {0});
-    const auto l1 = transpile(qc, {1});
-    EXPECT_LE(l1.counts.total(), l0.counts.total());
-    EXPECT_LE(l1.counts.two_qubit, l0.counts.two_qubit);
+    const GateCounts decomposed = decompose_to_basis(qc).counts();
+    const GateCounts optimized = transpile(qc).counts;
+    EXPECT_LE(optimized.total(), decomposed.total());
+    EXPECT_LE(optimized.two_qubit, decomposed.two_qubit);
   }
 }
 
@@ -155,14 +155,21 @@ TEST(Optimize, MergesAdjacentRz) {
   EXPECT_NEAR(qc.gates()[0].params[0], 0.7, 1e-12);
 }
 
-TEST(Optimize, MergesRzAcrossCxControl) {
-  QuantumCircuit qc(2);
+TEST(Optimize, MergesRzOnlyAcrossOtherWires) {
+  // Level 1 merges a run of RZ on one wire: gates on other wires do not
+  // interrupt it, but a CX that touches the wire does, even on its
+  // control, where the RZ would commute through (Qiskit 0.31's level 1
+  // does not look through commuting gates; Table I's counts rely on it).
+  QuantumCircuit qc(3);
   qc.rz(0, 0.3);
-  qc.cx(0, 1);  // q0 is control: RZ commutes through
+  qc.cx(1, 2);  // other wires: the run continues
   qc.rz(0, 0.4);
+  qc.cx(0, 1);  // q0 is control: ends the run
+  qc.rz(0, 0.5);
   const QuantumCircuit before = qc;
-  optimize_basis_circuit(qc);
-  EXPECT_EQ(qc.counts().by_name.at("rz"), 1u);
+  const OptimizeStats stats = optimize_basis_circuit(qc);
+  EXPECT_EQ(stats.rz_merged, 1u);
+  EXPECT_EQ(qc.counts().by_name.at("rz"), 2u);
   EXPECT_TRUE(qc.to_unitary().approx_equal(before.to_unitary(), 1e-10));
 }
 
@@ -189,14 +196,13 @@ TEST(Optimize, DropsFullTurnsWithPhase) {
 TEST(Optimize, CancelsCxPairs) {
   QuantumCircuit qc(3);
   qc.cx(0, 1);
-  qc.rz(0, 0.5);   // on control: commutes
-  qc.cx(2, 1);     // shared target: commutes
+  qc.rz(2, 0.5);   // on another wire: the pair stays adjacent
   qc.cx(0, 1);     // cancels with the first
   const QuantumCircuit before = qc;
   const OptimizeStats stats = optimize_basis_circuit(qc);
   EXPECT_EQ(stats.cx_cancelled, 2u);
   EXPECT_TRUE(qc.to_unitary().approx_equal(before.to_unitary(), 1e-10));
-  EXPECT_EQ(qc.counts().two_qubit, 1u);
+  EXPECT_EQ(qc.counts().two_qubit, 0u);
 }
 
 TEST(Optimize, DoesNotCancelBlockedCxPairs) {
