@@ -84,19 +84,6 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
-  // Chunk size 1 keeps the original per-index dynamic self-scheduling:
-  // instance costs vary (error trajectories replay different gate
-  // suffixes), so large static chunks would straggle.
-  parallel_for_chunked(
-      begin, end,
-      [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      },
-      1);
-}
-
 namespace {
 
 /// Shared state of one parallel_for_chunked call. The calling thread keeps
@@ -147,21 +134,18 @@ struct ChunkTask {
 void parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t chunk, std::size_t min_grain) {
-  parallel_for_chunked(ThreadPool::shared(), begin, end, body, chunk,
-                       min_grain);
+    std::size_t chunk) {
+  parallel_for_chunked(ThreadPool::shared(), begin, end, body, chunk);
 }
 
 void parallel_for_chunked(
     ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t chunk, std::size_t min_grain) {
+    std::size_t chunk) {
   if (begin >= end) return;
   const std::size_t n = end - begin;
-  if (min_grain == 0) min_grain = 1;
-  // Grain floor: a range this small is cheaper to run inline than to hand
-  // to the pool (wake-up + cursor traffic exceed the work).
-  if (n <= min_grain) {
+  // A single index is cheaper to run inline than to hand to the pool.
+  if (n == 1) {
     body(begin, end);
     return;
   }
@@ -172,7 +156,6 @@ void parallel_for_chunked(
       body(begin, end);
       return;
     }
-    chunk = std::max(chunk, min_grain);
     for (std::size_t lo = begin; lo < end; lo += chunk)
       body(lo, std::min(lo + chunk, end));
     return;
@@ -182,7 +165,6 @@ void parallel_for_chunked(
     // dynamic scheduler room to balance uneven chunk costs.
     chunk = std::max<std::size_t>(1, n / (pool.parallelism() * 8));
   }
-  chunk = std::max(chunk, min_grain);
   const std::size_t total_chunks = (n + chunk - 1) / chunk;
   if (total_chunks <= 1) {
     body(begin, end);

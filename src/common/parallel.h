@@ -1,15 +1,15 @@
 // Minimal work-sharing layer.
 //
-// Experiment sweeps are embarrassingly parallel over operand instances, so a
-// chunked parallel_for over a shared thread pool is all we need. On a
+// Experiment sweeps are embarrassingly parallel over work units, so a
+// chunked parallel loop over a shared thread pool is all we need. On a
 // single-core host (the common CI case for this repo) everything degenerates
 // to a plain serial loop with no thread creation.
 //
 // Completion is tracked *per parallel_for_chunked call*, not pool-wide: the
 // calling thread claims chunks from its own call's cursor alongside the
 // workers and then waits only for that call's outstanding jobs — helping
-// drain the global queue while it waits. This makes nested parallel_for
-// calls (a body that itself parallelizes) and concurrent top-level calls
+// drain the global queue while it waits. This makes nested calls (a body
+// that itself parallelizes) and concurrent top-level calls
 // from independent threads safe: neither can block on the other's work.
 // An exception thrown by a body cancels that call's remaining chunks and is
 // rethrown on the calling thread once the call's jobs have drained; the
@@ -70,36 +70,27 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Run body(i) for i in [begin, end). Uses the shared pool when its
-/// parallelism exceeds one and the range is non-trivial; otherwise runs
-/// serially.
-/// body must be safe to invoke concurrently for distinct i. If body throws,
-/// the first exception is rethrown on the calling thread after the call's
-/// outstanding work has drained; remaining chunks are cancelled (each index
-/// is then visited at most once, not exactly once).
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body);
-
-/// Chunked variant: body(lo, hi) receives half-open sub-ranges of
-/// [begin, end), so the std::function dispatch happens once per chunk
+/// Run body(lo, hi) over half-open sub-ranges (chunks) of [begin, end) on
+/// the shared pool, so the std::function dispatch happens once per chunk
 /// instead of once per index. Chunks are claimed dynamically (work
 /// stealing via a per-call shared cursor) to tolerate uneven per-index
 /// cost; the calling thread participates in draining its own cursor, so
 /// the call completes even when every pool worker is busy elsewhere —
 /// including when the caller *is* a pool worker (nested parallelism).
-/// `chunk == 0` picks a size that gives each worker several chunks.
-/// `min_grain` is the grain-size floor: chunks never shrink below it, and
-/// a range of at most min_grain indices runs serially in the caller — tiny
-/// sweeps skip the thread wake-up entirely instead of paying pool dispatch
-/// for less work than the dispatch costs.
+/// `chunk == 0` picks a size that gives each worker several chunks. A
+/// one-index range runs inline in the caller.
+/// body must be safe to invoke concurrently for distinct chunks. If body
+/// throws, the first exception is rethrown on the calling thread after the
+/// call's outstanding work has drained; remaining chunks are cancelled
+/// (each index is then visited at most once, not exactly once).
 void parallel_for_chunked(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t chunk = 0, std::size_t min_grain = 1);
+    std::size_t chunk = 0);
 /// The same on a given pool instead of ThreadPool::shared().
 void parallel_for_chunked(
     ThreadPool& pool, std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t chunk = 0, std::size_t min_grain = 1);
+    std::size_t chunk = 0);
 
 }  // namespace qfab

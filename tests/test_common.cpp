@@ -218,12 +218,6 @@ TEST(Rng, SampleWithoutReplacement) {
 
 // ---------- parallel ----------
 
-TEST(Parallel, CoversRangeExactlyOnce) {
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, 1000, [&](std::size_t i) { ++hits[i]; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(Parallel, PoolRunsOnItsParallelismCount) {
   // A pool of parallelism T starts T - 1 workers, and the caller drains
   // chunks beside them: one call's chunks run on at most T distinct
@@ -247,12 +241,6 @@ TEST(Parallel, PoolRunsOnItsParallelismCount) {
     EXPECT_LE(seen.size(), T) << "T=" << T;
     EXPECT_GT(seen.size(), 1u) << "T=" << T;
   }
-}
-
-TEST(Parallel, EmptyRangeIsNoop) {
-  bool called = false;
-  parallel_for(5, 5, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(Parallel, ChunkedCoversRangeExactlyOnce) {
@@ -286,42 +274,26 @@ TEST(Parallel, ChunkedOffsetRangeAndEmpty) {
 }
 
 TEST(Parallel, GrainFloorCoversChunkBoundaries) {
-  // Every (n, chunk, min_grain) combination — ragged tails, grain larger
-  // than chunk, grain larger than the whole range — must cover each index
-  // exactly once with ordered, in-range chunk boundaries.
+  // Every (n, chunk) combination — a one-index range, ragged tails, a
+  // chunk larger than the whole range — must cover each index exactly
+  // once with ordered, in-range chunk boundaries.
   for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{64},
                         std::size_t{1000}}) {
-    for (std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{7}})
-      for (std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{4},
-                                std::size_t{16}, std::size_t{5000}}) {
-        std::vector<std::atomic<int>> hits(n);
-        parallel_for_chunked(
-            0, n,
-            [&](std::size_t lo, std::size_t hi) {
-              EXPECT_LT(lo, hi);
-              EXPECT_LE(hi, n);
-              for (std::size_t i = lo; i < hi; ++i) ++hits[i];
-            },
-            chunk, grain);
-        for (auto& h : hits)
-          EXPECT_EQ(h.load(), 1) << "n=" << n << " chunk=" << chunk
-                                 << " grain=" << grain;
-      }
+    for (std::size_t chunk : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{5000}}) {
+      std::vector<std::atomic<int>> hits(n);
+      parallel_for_chunked(
+          0, n,
+          [&](std::size_t lo, std::size_t hi) {
+            EXPECT_LT(lo, hi);
+            EXPECT_LE(hi, n);
+            for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+          },
+          chunk);
+      for (auto& h : hits)
+        EXPECT_EQ(h.load(), 1) << "n=" << n << " chunk=" << chunk;
+    }
   }
-}
-
-TEST(Parallel, TinyRangeUnderGrainRunsAsOneChunk) {
-  // n <= min_grain must be a single serial body(begin, end) call.
-  int calls = 0;
-  parallel_for_chunked(
-      10, 14,
-      [&](std::size_t lo, std::size_t hi) {
-        ++calls;
-        EXPECT_EQ(lo, 10u);
-        EXPECT_EQ(hi, 14u);
-      },
-      0, 8);
-  EXPECT_EQ(calls, 1);
 }
 
 TEST(Parallel, BodyExceptionRethrownOnCaller) {
@@ -339,16 +311,21 @@ TEST(Parallel, BodyExceptionRethrownOnCaller) {
       std::runtime_error);
 
   // CheckError (the repo's own assertion type) propagates with its type.
-  EXPECT_THROW(parallel_for(0, 64,
-                            [&](std::size_t i) {
-                              QFAB_CHECK_MSG(i != 40, "index 40 rejected");
-                            }),
+  EXPECT_THROW(parallel_for_chunked(
+                   0, 64,
+                   [&](std::size_t lo, std::size_t hi) {
+                     QFAB_CHECK_MSG(!(lo <= 40 && 40 < hi),
+                                    "index 40 rejected");
+                   },
+                   1),
                CheckError);
 
   // The pool was not wedged by the failed calls: a full pass still covers
   // every index exactly once.
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, 1000, [&](std::size_t i) { ++hits[i]; });
+  parallel_for_chunked(0, 1000, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -381,7 +358,12 @@ TEST(Parallel, NestedCallsDoNotDeadlock) {
       0, 32,
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i)
-          parallel_for(0, 100, [&](std::size_t) { ++total; });
+          parallel_for_chunked(
+              0, 100,
+              [&](std::size_t a, std::size_t b) {
+                total += static_cast<long>(b - a);
+              },
+              1);
       },
       1);
   EXPECT_EQ(total.load(), 3200);
@@ -392,10 +374,13 @@ TEST(Parallel, NestedExceptionPropagatesThroughBothLevels) {
       parallel_for_chunked(
           0, 8,
           [&](std::size_t lo, std::size_t hi) {
-            parallel_for(0, 64, [&](std::size_t i) {
-              if (lo <= 4 && 4 < hi && i == 32)
-                throw std::runtime_error("inner");
-            });
+            parallel_for_chunked(
+                0, 64,
+                [&](std::size_t a, std::size_t b) {
+                  if (lo <= 4 && 4 < hi && a <= 32 && 32 < b)
+                    throw std::runtime_error("inner");
+                },
+                1);
           },
           1),
       std::runtime_error);
