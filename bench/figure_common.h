@@ -30,7 +30,6 @@ struct FigureScale {
   /// be resumed. Empty = no checkpointing.
   std::string checkpoint;
   bool resume = false;          // --resume: restore journaled units first
-  double unit_deadline_seconds = 0.0;  // --unit-deadline: watchdog (s)
   /// --precision=double|float32|auto: batched replay precision
   /// (RunOptions::precision). Non-double panels report their drift-
   /// sentinel fallback count after the sweep table.
@@ -43,13 +42,12 @@ bool parse_precision_name(const std::string& name, Precision& out);
 
 /// Parse common flags (--instances, --shots, --traj, --per-shot,
 /// --shared-trajectories, --seed, --depths, --rates1q, --rates2q, --csv,
-/// --checkpoint, --resume, --unit-deadline, --precision, --paper-scale,
-/// --quiet) on top of the given defaults. Returns false (after printing
-/// usage or the error) on an unknown flag or precision name; the figure
-/// benches then exit 2. A malformed value, a count (--instances, --traj,
-/// --shots) below 1, a depth below -1 (full) or a rate outside (0, 100]
-/// percent throws UsageError (common/cli.h), which their main() reports
-/// with the same exit status.
+/// --checkpoint, --resume, --precision, --paper-scale, --quiet) on top of
+/// the given defaults. Returns false (after printing usage or the error) on
+/// an unknown flag or precision name; the figure benches then exit 2. A
+/// malformed value, a count (--instances, --traj, --shots) below 1, a depth
+/// below -1 (full) or a rate outside (0, 100] percent throws UsageError
+/// (common/cli.h), which their main() reports with the same exit status.
 bool parse_scale(const CliFlags& flags, FigureScale& scale,
                  int paper_instances);
 

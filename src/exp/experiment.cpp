@@ -65,7 +65,6 @@ Precision resolve_precision(const RunOptions& run, std::size_t gate_count) {
 }
 
 int resolve_rotation_cap(const CircuitSpec& spec) {
-  if (spec.max_rotation_order >= 0) return spec.max_rotation_order;
   // Paper convention (EXPERIMENTS.md): the QFA addition step omits R_n
   // (cap n-1); the QFM cadd keeps all rotations.
   return spec.op == Operation::kAdd ? spec.n - 1 : 0;

@@ -38,9 +38,6 @@ struct CircuitSpec {
   int depth = kFullDepth;
   /// Approximate-addition depth (0 = exact; ablation only).
   int add_depth = 0;
-  /// Addition-step rotation cap; -1 selects the paper's convention
-  /// (n-1 for QFA — reproducing Table I exactly — and none for QFM).
-  int max_rotation_order = -1;
   /// Use the fused (Ruiz-Perez single-QFT) multiplier instead of the
   /// paper's cQFA cascade.
   bool fused_multiplier = false;
@@ -51,7 +48,9 @@ struct CircuitSpec {
   bool measure_all = false;
 };
 
-/// Resolved rotation cap for a spec (see max_rotation_order).
+/// The addition-step rotation cap of the paper's convention: n-1 for QFA
+/// (Draper's add step without R_n, reproducing Table I exactly) and none
+/// (0) for QFM.
 int resolve_rotation_cap(const CircuitSpec& spec);
 
 /// The abstract (untranspiled) circuit: registers "x","y" (+"z" for QFM).

@@ -17,7 +17,10 @@ namespace qfab {
 namespace {
 
 constexpr char kMagic[8] = {'Q', 'F', 'A', 'B', 'J', 'N', 'L', '1'};
-constexpr std::uint32_t kVersion = 1;
+// Bumped whenever the record types or the fingerprint's fields change, so
+// an older journal reads as foreign (a resume starts fresh with a note)
+// instead of failing the fingerprint check as a different configuration.
+constexpr std::uint32_t kVersion = 2;
 // Frames larger than this are treated as corruption, not allocation
 // requests: a torn length field must never make the reader try to swallow
 // gigabytes.
@@ -107,7 +110,6 @@ std::string serialize_record(const JournalRecord& rec) {
   w.u32(rec.depth_index);
   w.u32(rec.block_begin);
   w.u32(rec.block_end);
-  if (rec.type == JournalRecord::Type::kTimeout) return std::move(w.bytes);
   w.u32(static_cast<std::uint32_t>(rec.outcomes.size()));
   for (const auto& rate : rec.outcomes) {
     QFAB_CHECK(rate.size() == rec.block_end - rec.block_begin);
@@ -125,13 +127,14 @@ std::string serialize_record(const JournalRecord& rec) {
 bool parse_record(const std::string& payload, JournalRecord& rec) {
   ByteReader r(payload);
   const auto type = r.get<std::uint8_t>();
-  if (type < 1 || type > 3) return false;
+  if (type != static_cast<std::uint8_t>(JournalRecord::Type::kUnit) &&
+      type != static_cast<std::uint8_t>(JournalRecord::Type::kPoisoned))
+    return false;
   rec.type = static_cast<JournalRecord::Type>(type);
   rec.depth_index = r.get<std::uint32_t>();
   rec.block_begin = r.get<std::uint32_t>();
   rec.block_end = r.get<std::uint32_t>();
   if (!r.ok || rec.block_end <= rec.block_begin) return false;
-  if (rec.type == JournalRecord::Type::kTimeout) return r.done();
   const auto n_rates = r.get<std::uint32_t>();
   const std::size_t members = rec.block_end - rec.block_begin;
   // Each outcome is 9 payload bytes; refuse to allocate more outcome slots
@@ -212,7 +215,6 @@ std::uint64_t sweep_fingerprint(const SweepConfig& config,
   fp.i64(s.n);
   fp.i64(s.depth);
   fp.i64(s.add_depth);
-  fp.i64(s.max_rotation_order);
   fp.b(s.fused_multiplier);
   fp.b(s.measure_all);
   // Depth series and rate columns (expanded: the journal's rate axis).
@@ -394,16 +396,15 @@ JournalWriter::~JournalWriter() {
 void JournalWriter::append(const JournalRecord& record) {
   const std::string framed = frame(serialize_record(record));
   const std::lock_guard<std::mutex> lock(mu_);
-  const bool counts_as_unit = record.type != JournalRecord::Type::kTimeout;
-  const long unit = counts_as_unit ? units_appended_ + 1 : -1;
+  const long unit = units_appended_ + 1;
 
-  if (counts_as_unit && unit == fault::torn_write_unit()) {
+  if (unit == fault::torn_write_unit()) {
     // Simulated crash mid-write: persist only a prefix of the frame.
     write_all_fd(fd_, framed.data(), framed.size() / 2, path_);
     (void)::fsync(fd_);
     fault::crash_now("torn-write");
   }
-  if (counts_as_unit && unit == fault::corrupt_crc_unit()) {
+  if (unit == fault::corrupt_crc_unit()) {
     const std::string bad = frame(serialize_record(record), true);
     write_all_fd(fd_, bad.data(), bad.size(), path_);
     (void)::fsync(fd_);
@@ -412,7 +413,6 @@ void JournalWriter::append(const JournalRecord& record) {
 
   write_all_fd(fd_, framed.data(), framed.size(), path_);
   QFAB_CHECK_MSG(::fsync(fd_) == 0, "fsync of journal " << path_ << " failed");
-  if (!counts_as_unit) return;
   units_appended_ = unit;
   if (unit == fault::crash_after_unit()) fault::crash_now("crash-after-unit");
   if (unit == fault::drain_after_unit()) request_shutdown();

@@ -47,8 +47,6 @@ namespace qfab {
 struct JournalRecord {
   enum class Type : std::uint8_t {
     kUnit = 1,      ///< completed unit: outcomes for every rate column
-    kTimeout = 2,   ///< soft-deadline marker (unit still pending; a later
-                    ///< kUnit record for the same key supersedes it)
     kPoisoned = 3,  ///< unit completed with a persistent numerical-health
                     ///< failure: outcomes recorded (failed members default
                     ///< to success=false), error describes the sentinel
@@ -59,7 +57,7 @@ struct JournalRecord {
   std::uint32_t block_begin = 0;
   std::uint32_t block_end = 0;
   /// outcomes[rate][member]; rate order = SweepConfig::expanded_rates(),
-  /// member i = instance block_begin + i. Empty for kTimeout.
+  /// member i = instance block_begin + i.
   std::vector<std::vector<InstanceOutcome>> outcomes;
   /// This unit's shared-trajectory bookkeeping contribution.
   SharedEstimateStats stats;
@@ -108,7 +106,7 @@ void rewrite_journal(const std::string& path, const JournalContents& contents);
 /// Append-only, fsync-per-record journal writer. Thread-safe (the sweep's
 /// workers journal units as they finish). Honors the QFAB_FAULT
 /// crash/torn-write/corrupt-crc/drain directives (common/fault.h) at unit
-/// granularity: kTimeout markers do not advance the fault unit counter.
+/// granularity: the n-th appended record is fault unit n.
 class JournalWriter {
  public:
   /// `fresh` truncates (or creates) the file and writes a new header;
@@ -134,7 +132,7 @@ class JournalWriter {
   std::string path_;
   int fd_ = -1;
   std::mutex mu_;
-  long units_appended_ = 0;  // kUnit/kPoisoned records, for fault ordinals
+  long units_appended_ = 0;  // records appended, for fault ordinals
 };
 
 }  // namespace qfab

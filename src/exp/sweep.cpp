@@ -5,7 +5,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -42,40 +41,21 @@ NoiseModel noise_at(const SweepConfig& config, double rate_percent) {
   return noise;
 }
 
-/// Sweep progress, drain display, and the soft-deadline watchdog, all on
-/// one watcher thread owned by run_sweep_durable (no worker-side stderr
-/// writes): workers bump an atomic member counter and register in-flight
-/// units; the watcher rewrites a count/percent/ETA line at a fixed cadence
-/// and journals a timeout marker for units past the deadline. The thread is
-/// joined on every exit path — finish() is called from the destructor too,
-/// so a worker exception cannot leak a detached watcher past the sweep's
-/// locals.
+/// Sweep progress and drain display on one watcher thread owned by
+/// run_sweep_durable (no worker-side stderr writes): workers bump an atomic
+/// member counter; the watcher rewrites a count/percent/ETA line at a fixed
+/// cadence. The thread is joined on every exit path — finish() is called
+/// from the destructor too, so a worker exception cannot leak a detached
+/// watcher past the sweep's locals.
 class SweepMonitor {
  public:
-  SweepMonitor(bool progress, std::size_t total_members, double deadline,
-               JournalWriter* journal)
-      : progress_(progress && total_members > 0),
-        total_(total_members),
-        deadline_(deadline),
-        journal_(journal) {
-    if (progress_ || deadline_ > 0.0)
-      watcher_ = std::thread([this] { watch(); });
+  SweepMonitor(bool progress, std::size_t total_members)
+      : progress_(progress && total_members > 0), total_(total_members) {
+    if (progress_) watcher_ = std::thread([this] { watch(); });
   }
   ~SweepMonitor() { finish(); }
 
   void add(std::size_t n) { done_.fetch_add(n, std::memory_order_relaxed); }
-
-  void unit_started(std::size_t unit, std::size_t depth_index, std::size_t i0,
-                    std::size_t i1) {
-    if (deadline_ <= 0.0) return;
-    const std::lock_guard<std::mutex> lock(mu_);
-    inflight_[unit] = InFlight{watch_.seconds(), depth_index, i0, i1, false};
-  }
-  void unit_finished(std::size_t unit) {
-    if (deadline_ <= 0.0) return;
-    const std::lock_guard<std::mutex> lock(mu_);
-    inflight_.erase(unit);
-  }
 
   /// Stop and join the watcher, then print the final line (idempotent,
   /// never throws: runs from the destructor during unwinding too).
@@ -100,21 +80,11 @@ class SweepMonitor {
   }
 
  private:
-  struct InFlight {
-    double start = 0.0;
-    std::size_t depth_index = 0;
-    std::size_t i0 = 0;
-    std::size_t i1 = 0;
-    bool flagged = false;
-  };
-
   void watch() {
     std::unique_lock<std::mutex> lock(mu_);
     while (!cv_.wait_for(lock, std::chrono::milliseconds(500),
-                         [this] { return stop_; })) {
-      if (progress_) print();
-      if (deadline_ > 0.0) check_deadlines();
-    }
+                         [this] { return stop_; }))
+      print();
   }
 
   void print() const {
@@ -133,43 +103,12 @@ class SweepMonitor {
     std::cerr << line.str() << std::flush;
   }
 
-  // Called with mu_ held. Each overdue unit is flagged and journaled once;
-  // it keeps running (simulation work is not preemptible) and its eventual
-  // completion record supersedes the marker.
-  void check_deadlines() {
-    const double now = watch_.seconds();
-    for (auto& entry : inflight_) {
-      InFlight& f = entry.second;
-      if (f.flagged || now - f.start <= deadline_) continue;
-      f.flagged = true;
-      std::cerr << "\n[qfab] work unit (depth_index=" << f.depth_index
-                << ", instances [" << f.i0 << "," << f.i1
-                << ")) exceeded the soft deadline of "
-                << fmt_double(deadline_, 0)
-                << "s; journaling a timeout marker\n";
-      if (journal_ == nullptr) continue;
-      JournalRecord rec;
-      rec.type = JournalRecord::Type::kTimeout;
-      rec.depth_index = static_cast<std::uint32_t>(f.depth_index);
-      rec.block_begin = static_cast<std::uint32_t>(f.i0);
-      rec.block_end = static_cast<std::uint32_t>(f.i1);
-      try {
-        journal_->append(rec);
-      } catch (...) {
-        // The marker is advisory; never fail the sweep over it.
-      }
-    }
-  }
-
   const bool progress_;
   const std::size_t total_;
-  const double deadline_;
-  JournalWriter* const journal_;
   std::atomic<std::size_t> done_{0};
   Stopwatch watch_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::map<std::size_t, InFlight> inflight_;
   bool stop_ = false;
   bool final_printed_ = false;
   std::thread watcher_;
@@ -551,7 +490,6 @@ SweepResult run_sweep_durable(const SweepConfig& config,
           rewrite_journal(durable.journal_path, contents);
         }
         for (const JournalRecord& rec : contents.records) {
-          if (rec.type == JournalRecord::Type::kTimeout) continue;
           const std::string err =
               rec.type == JournalRecord::Type::kPoisoned ? rec.error : "";
           const SweepAssembler::Add added = assembler.add_record(
@@ -586,8 +524,7 @@ SweepResult run_sweep_durable(const SweepConfig& config,
   for (std::size_t u = 0; u < grid.n_units; ++u)
     if (!assembler.done(u)) pending.push_back(u);
 
-  SweepMonitor monitor(config.progress, grid.n_instances * grid.n_depths,
-                       durable.unit_deadline_seconds, journal.get());
+  SweepMonitor monitor(config.progress, grid.n_instances * grid.n_depths);
   monitor.add(restored_members);
   std::atomic<std::size_t> retried{0};
 
@@ -598,10 +535,7 @@ SweepResult run_sweep_durable(const SweepConfig& config,
       if (shutdown_requested()) return;
       const std::size_t u = pending[k];
       const SweepGrid::UnitKey key = grid.key(u);
-      monitor.unit_started(u, key.depth_index, key.block_begin,
-                           key.block_end);
       UnitResult out = exec.run_unit(u);
-      monitor.unit_finished(u);
       if (out.retried) retried.fetch_add(1, std::memory_order_relaxed);
       const std::size_t members = key.block_end - key.block_begin;
       if (journal) {

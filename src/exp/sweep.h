@@ -80,12 +80,6 @@ struct DurableOptions {
   /// silently mix results). Without `resume`, an existing journal is
   /// truncated and the sweep starts fresh.
   bool resume = false;
-  /// Soft per-unit deadline in seconds (0 = off). A unit exceeding it is
-  /// logged and a timeout marker is journaled so an operator inspecting the
-  /// journal can see where a run wedged; the unit keeps running (simulation
-  /// work is not preemptible) and a later completion record supersedes the
-  /// marker.
-  double unit_deadline_seconds = 0.0;
 };
 
 /// Fixed geometry of a sweep's work units. A work unit is an

@@ -16,6 +16,7 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -23,6 +24,7 @@
 
 #include "common/check.h"
 #include "common/fault.h"
+#include "common/io.h"
 #include "common/shutdown.h"
 #include "exp/journal.h"
 
@@ -462,12 +464,6 @@ TEST(Durable, JournalRoundTripAndManualTruncation) {
   unit.stats.proposal_trajectories = 8;
   unit.stats.ess_fraction_min = 0.25;
 
-  JournalRecord timeout;
-  timeout.type = JournalRecord::Type::kTimeout;
-  timeout.depth_index = 0;
-  timeout.block_begin = 0;
-  timeout.block_end = 2;
-
   JournalRecord poisoned;
   poisoned.type = JournalRecord::Type::kPoisoned;
   poisoned.depth_index = 0;
@@ -479,7 +475,6 @@ TEST(Durable, JournalRoundTripAndManualTruncation) {
   {
     JournalWriter writer(path, fp, /*fresh=*/true);
     writer.append(unit);
-    writer.append(timeout);
     writer.append(poisoned);
   }
 
@@ -487,7 +482,7 @@ TEST(Durable, JournalRoundTripAndManualTruncation) {
   ASSERT_TRUE(contents.header_ok);
   EXPECT_EQ(contents.fingerprint, fp);
   EXPECT_FALSE(contents.dropped_tail);
-  ASSERT_EQ(contents.records.size(), 3u);
+  ASSERT_EQ(contents.records.size(), 2u);
   const JournalRecord& got = contents.records[0];
   EXPECT_EQ(got.type, JournalRecord::Type::kUnit);
   EXPECT_EQ(got.depth_index, 1u);
@@ -499,24 +494,67 @@ TEST(Durable, JournalRoundTripAndManualTruncation) {
   EXPECT_EQ(got.outcomes[0][1].margin, -4);
   EXPECT_EQ(got.stats.proposal_trajectories, 8);
   EXPECT_EQ(got.stats.ess_fraction_min, 0.25);
-  EXPECT_EQ(contents.records[1].type, JournalRecord::Type::kTimeout);
-  EXPECT_TRUE(contents.records[1].outcomes.empty());
-  EXPECT_EQ(contents.records[2].type, JournalRecord::Type::kPoisoned);
-  EXPECT_EQ(contents.records[2].error, poisoned.error);
+  EXPECT_EQ(contents.records[1].type, JournalRecord::Type::kPoisoned);
+  ASSERT_EQ(contents.records[1].outcomes.size(), 2u);
+  EXPECT_EQ(contents.records[1].error, poisoned.error);
 
   // Chop into the last frame: the torn tail must be dropped, not fatal.
   std::filesystem::resize_file(path, contents.valid_bytes - 3);
   const JournalContents torn = read_journal(path);
   ASSERT_TRUE(torn.header_ok);
   EXPECT_TRUE(torn.dropped_tail);
-  EXPECT_EQ(torn.records.size(), 2u);
+  EXPECT_EQ(torn.records.size(), 1u);
 
   // Repair rewrites exactly the valid prefix.
   rewrite_journal(path, torn);
   const JournalContents repaired = read_journal(path);
   EXPECT_FALSE(repaired.dropped_tail);
-  EXPECT_EQ(repaired.records.size(), 2u);
+  EXPECT_EQ(repaired.records.size(), 1u);
   EXPECT_EQ(repaired.fingerprint, fp);
+}
+
+TEST(Durable, VersionOneJournalIsForeignAndResumeStartsFresh) {
+  // Version 2 dropped the timeout-marker record type and a fingerprint
+  // field, so a journal written under version 1 must read as foreign, not
+  // be resumed. Write a real journal, then stamp version 1 into its header
+  // (and re-seal the header frame's CRC) as a version-1 writer would have.
+  const SweepConfig cfg = durable_test_config();
+  const auto insts = durable_test_instances(cfg);
+  DurableOptions durable;
+  durable.journal_path = tmp_path("version1.journal");
+  run_sweep_durable(cfg, insts, durable);
+  {
+    std::fstream io(durable.journal_path,
+                    std::ios::in | std::ios::out | std::ios::binary);
+    // Header frame: u32 len | u32 crc | "QFABJNL1" | u32 version | u64 fp.
+    char payload[20];
+    io.seekg(8);
+    io.read(payload, sizeof payload);
+    const std::uint32_t version = 1;
+    std::memcpy(payload + 8, &version, sizeof version);
+    const std::uint32_t crc = crc32(payload, sizeof payload);
+    io.seekp(4);
+    io.write(reinterpret_cast<const char*>(&crc), sizeof crc);
+    io.write(payload, sizeof payload);
+    ASSERT_TRUE(io.good());
+  }
+
+  const JournalContents old = read_journal(durable.journal_path);
+  EXPECT_FALSE(old.header_ok);
+  EXPECT_TRUE(old.records.empty());
+  EXPECT_NE(old.note.find("journal version 1 != 2"), std::string::npos)
+      << old.note;
+
+  durable.resume = true;
+  const SweepResult r = run_sweep_durable(cfg, insts, durable);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.units_restored, 0u);
+  EXPECT_EQ(r.units_done, kUnits);
+  expect_same_points(reference(), r);
+  expect_same_stats(reference().shared_stats, r.shared_stats);
+  const JournalContents fresh = read_journal(durable.journal_path);
+  EXPECT_TRUE(fresh.header_ok);
+  EXPECT_EQ(fresh.records.size(), kUnits);
 }
 
 TEST(Durable, DamagedTailRefusesAppendUntilRewritten) {

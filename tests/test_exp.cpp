@@ -110,8 +110,6 @@ TEST(Spec, RotationCapDefaults) {
   mult.op = Operation::kMultiply;
   mult.n = 4;
   EXPECT_EQ(resolve_rotation_cap(mult), 0);
-  add.max_rotation_order = 0;
-  EXPECT_EQ(resolve_rotation_cap(add), 0);  // explicit override
 }
 
 TEST(Spec, OutputQubitsAndBits) {

@@ -58,33 +58,26 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::size_t units = 0, timeouts = 0, poisoned = 0;
-  for (const JournalRecord& rec : contents.records) {
-    switch (rec.type) {
-      case JournalRecord::Type::kUnit: ++units; break;
-      case JournalRecord::Type::kTimeout: ++timeouts; break;
-      case JournalRecord::Type::kPoisoned: ++poisoned; break;
-    }
-  }
+  std::size_t poisoned = 0;
+  for (const JournalRecord& rec : contents.records)
+    poisoned += rec.type == JournalRecord::Type::kPoisoned;
 
   char fp[32];
   std::snprintf(fp, sizeof fp, "%016llx",
                 static_cast<unsigned long long>(contents.fingerprint));
   std::cout << path << ":\n"
             << "  fingerprint  " << fp << '\n'
-            << "  records      " << contents.records.size() << " (" << units
-            << " unit, " << poisoned << " poisoned, " << timeouts
-            << " timeout marker" << (timeouts == 1 ? "" : "s") << ")\n"
+            << "  records      " << contents.records.size() << " ("
+            << contents.records.size() - poisoned << " unit, " << poisoned
+            << " poisoned)\n"
             << "  valid bytes  " << contents.valid_bytes << '\n';
   if (contents.dropped_tail)
     std::cout << "  DAMAGED TAIL dropped: " << contents.note << '\n';
 
   if (records) {
     for (const JournalRecord& rec : contents.records) {
-      const char* kind = rec.type == JournalRecord::Type::kUnit ? "unit"
-                         : rec.type == JournalRecord::Type::kPoisoned
-                             ? "poisoned"
-                             : "timeout";
+      const char* kind =
+          rec.type == JournalRecord::Type::kPoisoned ? "poisoned" : "unit";
       std::cout << "  " << kind << " depth_index=" << rec.depth_index
                 << " instances=[" << rec.block_begin << ',' << rec.block_end
                 << ')';
