@@ -346,6 +346,9 @@ std::vector<int> qubit_union(const std::vector<int>& a,
 /// The largest qubit set the rewrite passes multiply dense matrices over,
 /// and a fixed buffer for one such matrix.
 constexpr std::size_t kMaxDenseQubits = 3;
+/// Cap on the qubit count of a fused diagonal op (its phase table has 2^k
+/// entries); a diagonal that would push a run past it starts a new op.
+constexpr std::size_t kMaxDiagonalQubits = 10;
 using Dense = std::array<cplx, 64>;
 
 /// At most kMaxDenseQubits distinct qubits; bit b of a dense matrix over
@@ -497,7 +500,7 @@ bool reduce_diagonal(FusedOp& op) {
 /// Try to fuse `B` (applied after `A`) into `A`. Accepts only merges whose
 /// fused kernel is no more expensive than running the two ops separately.
 bool try_merge_ops(FusedOp& A, const FusedOp& B,
-                   const std::vector<Gate>& gates, int cap) {
+                   const std::vector<Gate>& gates) {
   using K = FusedOp::Kind;
   if (A.kind == K::kGate || B.kind == K::kGate) return false;
   const double budget = op_cost(A, gates) + op_cost(B, gates) + 1e-9;
@@ -512,7 +515,7 @@ bool try_merge_ops(FusedOp& A, const FusedOp& B,
   if (A.kind == K::kDiagonal && B.kind == K::kDiagonal) {
     std::size_t union_size = A.qubits.size();
     for (int q : B.qubits) union_size += index_of(A.qubits, q) < 0;
-    if (static_cast<int>(union_size) > cap) return false;
+    if (union_size > kMaxDiagonalQubits) return false;
     if (kind_cost(K::kDiagonal, union_size) > budget) return false;
     const std::vector<int> u = qubit_union(A.qubits, B.qubits);
     extend_diagonal(A.qubits, A.phases, u);
@@ -620,16 +623,16 @@ struct OpList {
 /// Merge each op into its left neighbour where try_merge_ops accepts it;
 /// an op that grew may then merge into the op on its left. The merged ops
 /// are compacted in place: ops[0..top] is the merged prefix.
-bool merge_pass(OpList& list, const std::vector<Gate>& gates, int cap) {
+bool merge_pass(OpList& list, const std::vector<Gate>& gates) {
   std::vector<FusedOp>& ops = list.ops;
   if (ops.empty()) return false;
   bool changed = false;
   std::size_t top = 0;
   for (std::size_t next = 1; next < ops.size(); ++next) {
-    if (try_merge_ops(ops[top], ops[next], gates, cap)) {
+    if (try_merge_ops(ops[top], ops[next], gates)) {
       list.touch(top);
       changed = true;
-      while (top > 0 && try_merge_ops(ops[top - 1], ops[top], gates, cap))
+      while (top > 0 && try_merge_ops(ops[top - 1], ops[top], gates))
         list.touch(--top);
     } else if (++top != next) {
       ops[top] = std::move(ops[next]);
@@ -907,7 +910,6 @@ FusedPlan::FusedPlan(const QuantumCircuit& qc, const FusionOptions& options,
       store_owner_(std::move(store)),
       store_(store_owner_.get()) {
   QFAB_CHECK(store_ != nullptr);
-  QFAB_CHECK(options_.max_diagonal_qubits >= 3);
   QFAB_CHECK(options_.tile_bits >= 2);
   compile();
 }
@@ -999,7 +1001,6 @@ const FusedPlan& SliceStore::logical(const QuantumCircuit& source,
   std::uint64_t key =
       mix(0xcbf29ce484222325ULL, static_cast<std::uint64_t>(n));
   key = mix(key, options.enable);
-  key = mix(key, static_cast<std::uint64_t>(options.max_diagonal_qubits));
   key = mix(key, static_cast<std::uint64_t>(options.tile_bits));
   for (std::size_t g = 0; g < count; ++g) {
     key = mix(key, static_cast<std::uint64_t>(gates[g].kind));
@@ -1134,10 +1135,9 @@ void FusedPlan::compile() {
   if (options_.enable) {
     // Rewrite to a fixpoint. Each pass either shrinks the op list or
     // strictly simplifies an op's representation, so this terminates.
-    const int cap = options_.max_diagonal_qubits;
     bool changed = true;
     while (changed) {
-      changed = merge_pass(list, gates, cap);
+      changed = merge_pass(list, gates);
       changed |= sandwich_pass(list, gates);
       changed |= simplify_pass(list);
     }

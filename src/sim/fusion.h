@@ -57,12 +57,9 @@ namespace qfab {
 
 struct FusionOptions {
   /// false compiles every gate as its own op (per-gate kernels through the
-  /// plan machinery) — the A/B baseline used by bench_fusion.
+  /// plan machinery): the plan a sweep's health-sentinel retry runs, and
+  /// micro_kernels' per-kernel streams.
   bool enable = true;
-  /// Cap on the qubit count of a fused diagonal op (phase table has 2^k
-  /// entries); a diagonal gate that would push a run past the cap starts a
-  /// new op instead.
-  int max_diagonal_qubits = 10;
   /// Tile size for cache-blocked execution: 2^tile_bits amplitudes
   /// (default 2^11 * 16 B = 32 KiB, sized for L1).
   int tile_bits = 11;

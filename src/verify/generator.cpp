@@ -16,6 +16,10 @@ const GateKind kBasisKinds[] = {GateKind::kId, GateKind::kX, GateKind::kRZ,
 const GateKind kPreKinds[] = {GateKind::kCP, GateKind::kCCP, GateKind::kH,
                               GateKind::kCH};
 
+/// Probability of drawing a pre-decomposition gate instead of a
+/// transpiled-basis gate.
+constexpr double kPreDecompositionFraction = 0.4;
+
 }  // namespace
 
 VerifyCase generate_case(std::uint64_t root_seed, std::size_t index,
@@ -42,7 +46,7 @@ VerifyCase generate_case(std::uint64_t root_seed, std::size_t index,
   for (int i = 0; i < gates; ++i) {
     GateKind kind;
     do {
-      const bool pre = rng.uniform() < options.pre_decomposition_fraction;
+      const bool pre = rng.uniform() < kPreDecompositionFraction;
       kind = pre ? kPreKinds[rng.uniform_int(std::size(kPreKinds))]
                  : kBasisKinds[rng.uniform_int(std::size(kBasisKinds))];
     } while (gate_arity(kind) > n);  // CCP needs 3 qubits

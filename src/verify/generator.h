@@ -23,9 +23,6 @@ struct GeneratorOptions {
   int max_qubits = 6;
   int min_gates = 4;
   int max_gates = 48;
-  /// Probability of drawing a pre-decomposition gate (CP/CCP/H/CH) instead
-  /// of a transpiled-basis gate.
-  double pre_decomposition_fraction = 0.4;
 };
 
 /// One generated (or loaded-from-repro) verification case.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <iostream>
 #include <mutex>
 #include <ostream>
 
@@ -19,8 +18,7 @@ VerifyReport run_verification(const VerifyOptions& options) {
   std::mutex mu;
   std::atomic<std::size_t> failure_count{0};
 
-  // Chunk 1: case costs vary (width, gate count, noisy leg), and the whole
-  // loop is the first production caller of the nested-safe pool rewrite.
+  // Chunk 1: case costs vary (width, gate count, noisy leg).
   parallel_for_chunked(
       0, options.cases,
       [&](std::size_t lo, std::size_t hi) {
@@ -31,28 +29,24 @@ VerifyReport run_verification(const VerifyOptions& options) {
           const VerifyCase c =
               generate_case(options.seed, i, options.generator);
           const std::string failure = check_case(c, options.engines);
-          if (options.progress)
-            std::cerr << (failure.empty() ? '.' : 'X') << std::flush;
           if (failure.empty()) continue;
           failure_count.fetch_add(1, std::memory_order_relaxed);
 
           CaseFailure f;
           f.index = i;
           f.summary = failure;
+          // The shrinker re-runs the exact engines hundreds of times; the
+          // noisy leg is dropped there (it dominates runtime and
+          // exact-engine failures reproduce without it). A purely noisy
+          // failure skips shrinking instead.
           VerifyCase minimized = c;
-          if (options.shrink) {
-            // The shrinker re-runs the exact engines hundreds of times;
-            // the noisy leg is dropped there (it dominates runtime and
-            // exact-engine failures reproduce without it). A purely noisy
-            // failure skips shrinking instead.
-            EngineOptions exact_only = options.engines;
-            exact_only.check_noisy = false;
-            const auto still_fails = [&exact_only](const VerifyCase& cand) {
-              return check_case(cand, exact_only);
-            };
-            if (!still_fails(c).empty())
-              minimized = shrink_case(c, still_fails);
-          }
+          EngineOptions exact_only = options.engines;
+          exact_only.check_noisy = false;
+          const auto still_fails = [&exact_only](const VerifyCase& cand) {
+            return check_case(cand, exact_only);
+          };
+          if (!still_fails(c).empty())
+            minimized = shrink_case(c, still_fails);
           f.shrunk_gates = minimized.circuit.gates().size();
           f.shrunk_qubits = minimized.circuit.num_qubits();
           if (!options.failure_dir.empty())
@@ -64,7 +58,6 @@ VerifyReport run_verification(const VerifyOptions& options) {
         }
       },
       1);
-  if (options.progress) std::cerr << '\n';
 
   std::sort(report.failures.begin(), report.failures.end(),
             [](const CaseFailure& a, const CaseFailure& b) {

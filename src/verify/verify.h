@@ -25,14 +25,10 @@ struct VerifyOptions {
   std::size_t cases = 200;
   GeneratorOptions generator;
   EngineOptions engines;
-  /// Minimize failing circuits before dumping.
-  bool shrink = true;
   /// Stop scheduling new cases once this many failures are recorded.
   std::size_t max_failures = 8;
   /// Repro dump directory ("" disables dumping).
   std::string failure_dir = "results/verify_failures";
-  /// Per-case progress dots on stderr.
-  bool progress = false;
 };
 
 struct CaseFailure {

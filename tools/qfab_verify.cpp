@@ -23,19 +23,9 @@ int main(int argc, char** argv) try {
   VerifyOptions opt;
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   opt.cases = static_cast<std::size_t>(flags.get_int("cases", 200));
-  opt.generator.max_qubits = static_cast<int>(flags.get_int("max-qubits", 6));
-  opt.generator.max_gates = static_cast<int>(flags.get_int("max-gates", 48));
-  opt.engines.tol = flags.get_double("tol", 1e-10);
-  opt.engines.channel_tol = flags.get_double("channel-tol", 0.12);
   opt.engines.f32_tol = flags.get_double("f32-tol", opt.engines.f32_tol);
-  opt.engines.error_trajectories =
-      static_cast<int>(flags.get_int("traj", 96));
   opt.engines.check_noisy = flags.get_bool("noisy", true);
-  opt.shrink = flags.get_bool("shrink", true);
-  opt.max_failures =
-      static_cast<std::size_t>(flags.get_int("max-failures", 8));
   opt.failure_dir = flags.get_string("out", "results/verify_failures");
-  opt.progress = flags.get_bool("progress", false);
   const std::string repro = flags.get_string("repro", "");
   // Hidden self-test flag: emulate a batched-kernel regression (one sign
   // flip) that the harness must catch; see sim/batch.h.
