@@ -4,6 +4,7 @@
 // as many gates). We sweep the add-step depth alongside the AQFT depth.
 #include <iostream>
 
+#include "bench_common.h"
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "exp/sweep.h"
@@ -11,15 +12,21 @@
 
 int main(int argc, char** argv) try {
   using namespace qfab;
+  using namespace qfab::bench;
   const CliFlags flags(argc, argv);
-  const int n = static_cast<int>(flags.get_int("n", 8));
-  const int instances = static_cast<int>(flags.get_int("instances", 10));
-  const int traj = static_cast<int>(flags.get_int("traj", 8));
-  const auto shots =
-      static_cast<std::uint64_t>(flags.get_int("shots", 2048));
+  const long n_flag = flags.get_int("n", 8);
+  const long inst_flag = flags.get_int("instances", 10);
+  const long traj_flag = flags.get_int("traj", 8);
+  const long shots_flag = flags.get_int("shots", 2048);
   const double rate2q = flags.get_double("rate2q", 1.0);  // percent
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 99));
   if (!flags.validate()) return 2;
+  const int n = require_count("n", n_flag);
+  const int instances = require_count("instances", inst_flag);
+  const int traj = require_count("traj", traj_flag);
+  require(shots_flag >= 1, "shots", "at least 1", shots_flag);
+  const auto shots = static_cast<std::uint64_t>(shots_flag);
+  require_rate("rate2q", rate2q);
 
   std::cout << "=== Ablation: approximate addition step (QFA n = " << n
             << ", P2q = " << rate2q << "%) ===\n"

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "bench_common.h"
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "common/table.h"
@@ -13,13 +14,17 @@
 
 int main(int argc, char** argv) try {
   using namespace qfab;
+  using namespace qfab::bench;
   const CliFlags flags(argc, argv);
-  const int n = static_cast<int>(flags.get_int("n", 5));
-  const int instances = static_cast<int>(flags.get_int("instances", 6));
-  const auto shots =
-      static_cast<std::uint64_t>(flags.get_int("shots", 2048));
+  const long n_flag = flags.get_int("n", 5);
+  const long inst_flag = flags.get_int("instances", 6);
+  const long shots_flag = flags.get_int("shots", 2048);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
   if (!flags.validate()) return 2;
+  const int n = require_count("n", n_flag);
+  const int instances = require_count("instances", inst_flag);
+  require(shots_flag >= 1, "shots", "at least 1", shots_flag);
+  const auto shots = static_cast<std::uint64_t>(shots_flag);
 
   std::cout << "=== Ablation: stratified estimator vs per-shot simulation "
                "(QFA n = " << n << ") ===\n\n";

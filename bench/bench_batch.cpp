@@ -25,10 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/cli.h"
 #include "common/host_info.h"
 #include "common/io.h"
-#include "common/stopwatch.h"
 #include "common/table.h"
 #include "exp/experiment.h"
 #include "exp/instances.h"
@@ -50,20 +50,6 @@ struct BenchRow {
   double inst_per_sec = 0.0;
   double speedup_vs_single = 0.0;  // vs batch=1 of the same SIMD level
 };
-
-/// Median-of-reps wall time in milliseconds.
-template <typename Fn>
-double time_ms(Fn&& body, int reps) {
-  std::vector<double> ms;
-  ms.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch watch;
-    body();
-    ms.push_back(watch.seconds() * 1e3);
-  }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
-}
 
 struct Case {
   std::string name;
@@ -122,16 +108,13 @@ double replay_ms(const Case& c, const QuantumCircuit& qc,
   const std::vector<int> out_q = output_qubits(c.spec);
   EstimatorOptions est;
   est.precision = precision;
-  return time_ms(
-      [&] {
-        std::vector<Pcg64> rngs;
-        rngs.reserve(static_cast<std::size_t>(lanes));
-        for (int m = 0; m < lanes; ++m)
-          rngs.emplace_back(0xB41CULL, static_cast<std::uint64_t>(m));
-        (void)estimate_channel_marginals_batched(clean, errors, out_q, est,
-                                                 rngs);
-      },
-      reps);
+  return median_ms(reps, [&] {
+    std::vector<Pcg64> rngs;
+    rngs.reserve(static_cast<std::size_t>(lanes));
+    for (int m = 0; m < lanes; ++m)
+      rngs.emplace_back(0xB41CULL, static_cast<std::uint64_t>(m));
+    (void)estimate_channel_marginals_batched(clean, errors, out_q, est, rngs);
+  });
 }
 
 void cross_check(const Case& c, const QuantumCircuit& qc,
@@ -192,12 +175,14 @@ void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
 
 int run(int argc, const char* const* argv) {
   CliFlags flags(argc, argv);
-  const int reps = static_cast<int>(flags.get_int("reps", 3));
-  const int n_inst = static_cast<int>(flags.get_int("instances", 16));
+  const long reps_flag = flags.get_int("reps", 3);
+  const long inst_flag = flags.get_int("instances", 16);
   const std::vector<long> batches =
       flags.get_int_list("batches", {1, 4, 8, 16});
   const std::string out_path = flags.get_string("out", "BENCH_batch.json");
   if (!flags.validate()) return 2;
+  const int reps = require_count("reps", reps_flag);
+  const int n_inst = require_count("instances", inst_flag);
   for (long b : batches) {
     if (b >= 1 && b <= BatchedStateVector::kMaxLanes) continue;
     std::cerr << "--batches entries must be in [1, "
@@ -246,8 +231,8 @@ int run(int argc, const char* const* argv) {
         RunOptions run;
         run.batch_lanes = static_cast<int>(batch);
         run.precision = precision;
-        const double ms = time_ms(
-            [&] { run_point(c, qc, plan, instances, noise, run); }, reps);
+        const double ms = median_ms(
+            reps, [&] { run_point(c, qc, plan, instances, noise, run); });
         BenchRow row;
         row.name = c.name;
         row.simd = tier;

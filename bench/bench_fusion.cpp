@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "common/cli.h"
 #include "common/host_info.h"
 #include "common/io.h"
@@ -54,20 +55,6 @@ double max_amp_deviation(const StateVector& a, const StateVector& b) {
   return mx;
 }
 
-/// Median-of-reps wall time in milliseconds of `fn`.
-template <typename Fn>
-double time_median_ms(Fn&& fn, int reps) {
-  std::vector<double> ms;
-  ms.reserve(reps);
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch watch;
-    fn();
-    ms.push_back(watch.seconds() * 1e3);
-  }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
-}
-
 /// Median over reps of the mean microseconds one slice compile takes,
 /// asking for every prefix and suffix slice of every op of a plan of `qc`.
 /// Each rep builds the plan afresh, so its private slice store starts
@@ -76,10 +63,8 @@ double time_median_ms(Fn&& fn, int reps) {
 /// compiles (the distinct slice plans returned).
 double time_slice_compiles_us(const QuantumCircuit& qc, int reps,
                               std::size_t& slices) {
-  std::vector<double> us;
-  us.reserve(reps);
   std::vector<const FusedPlan*> returned;
-  for (int r = 0; r < reps; ++r) {
+  return median_of(reps, [&] {
     const FusedPlan plan(qc);
     returned.clear();
     Stopwatch watch;
@@ -92,11 +77,8 @@ double time_slice_compiles_us(const QuantumCircuit& qc, int reps,
     std::sort(returned.begin(), returned.end());
     slices = static_cast<std::size_t>(
         std::unique(returned.begin(), returned.end()) - returned.begin());
-    us.push_back(slices == 0 ? 0.0
-                             : seconds * 1e6 / static_cast<double>(slices));
-  }
-  std::sort(us.begin(), us.end());
-  return us[us.size() / 2];
+    return slices == 0 ? 0.0 : seconds * 1e6 / static_cast<double>(slices);
+  });
 }
 
 BenchRow run_case(const std::string& name, const CircuitSpec& spec,
@@ -104,7 +86,7 @@ BenchRow run_case(const std::string& name, const CircuitSpec& spec,
   const QuantumCircuit qc = build_transpiled_circuit(spec);
   const FusedPlan plan(qc);
   BenchRow row;
-  row.compile_ms = time_median_ms([&] { const FusedPlan cold(qc); }, reps);
+  row.compile_ms = median_ms(reps, [&] { const FusedPlan cold(qc); });
   row.slice_compile_us = time_slice_compiles_us(qc, reps, row.slices);
   row.name = name;
   row.num_qubits = qc.num_qubits();
@@ -112,20 +94,16 @@ BenchRow run_case(const std::string& name, const CircuitSpec& spec,
   row.fused_ops = plan.op_count();
 
   StateVector sv(qc.num_qubits());
-  row.unfused_ms = time_median_ms(
-      [&] {
-        sv.reset();
-        sv.apply_circuit(qc);
-      },
-      reps);
+  row.unfused_ms = median_ms(reps, [&] {
+    sv.reset();
+    sv.apply_circuit(qc);
+  });
   StateVector ref_final = sv;  // last unfused replay's final state
 
-  row.fused_ms = time_median_ms(
-      [&] {
-        sv.reset();
-        plan.apply(sv);
-      },
-      reps);
+  row.fused_ms = median_ms(reps, [&] {
+    sv.reset();
+    plan.apply(sv);
+  });
   row.max_deviation = max_amp_deviation(sv, ref_final);
 
   const double per_gate = 1e6 / static_cast<double>(row.gates);
@@ -162,10 +140,11 @@ void write_json(const std::vector<BenchRow>& rows, const std::string& path) {
 
 int run(int argc, const char* const* argv) {
   CliFlags flags(argc, argv);
-  const int reps = static_cast<int>(flags.get_int("reps", 9));
+  const long reps_flag = flags.get_int("reps", 9);
   const std::string out_path =
       flags.get_string("out", "BENCH_fusion.json");
   if (!flags.validate()) return 2;
+  const int reps = require_count("reps", reps_flag);
 
   std::vector<BenchRow> rows;
   for (int d = 1; d <= 7; ++d) {

@@ -7,6 +7,7 @@
 // fidelity still carries signal.
 #include <iostream>
 
+#include "bench_common.h"
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "exp/metrics.h"
@@ -15,13 +16,19 @@
 
 int main(int argc, char** argv) try {
   using namespace qfab;
+  using namespace qfab::bench;
   const CliFlags flags(argc, argv);
-  const int n = static_cast<int>(flags.get_int("n", 8));
-  const int instances = static_cast<int>(flags.get_int("instances", 8));
-  const int traj = static_cast<int>(flags.get_int("traj", 12));
-  const auto shots = static_cast<std::uint64_t>(flags.get_int("shots", 2048));
+  const long n_flag = flags.get_int("n", 8);
+  const long inst_flag = flags.get_int("instances", 8);
+  const long traj_flag = flags.get_int("traj", 12);
+  const long shots_flag = flags.get_int("shots", 2048);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 41));
   if (!flags.validate()) return 2;
+  const int n = require_count("n", n_flag);
+  const int instances = require_count("instances", inst_flag);
+  const int traj = require_count("traj", traj_flag);
+  require(shots_flag >= 1, "shots", "at least 1", shots_flag);
+  const auto shots = static_cast<std::uint64_t>(shots_flag);
 
   std::cout << "=== Extension: success metrics compared (QFA n = " << n
             << ", 2:2 operands, AQFT depth 3) ===\n\n";

@@ -4,6 +4,7 @@
 // "simultaneous simulation" the paper calls for.
 #include <iostream>
 
+#include "bench_common.h"
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "exp/sweep.h"
@@ -29,17 +30,24 @@ double run_point(const QuantumCircuit& circuit, const CircuitSpec& spec,
 }  // namespace
 
 int main(int argc, char** argv) try {
+  using namespace qfab::bench;
   const CliFlags flags(argc, argv);
-  const int n = static_cast<int>(flags.get_int("n", 6));
-  const int instances = static_cast<int>(flags.get_int("instances", 8));
-  const int traj = static_cast<int>(flags.get_int("traj", 10));
-  const auto shots =
-      static_cast<std::uint64_t>(flags.get_int("shots", 2048));
+  const long n_flag = flags.get_int("n", 6);
+  const long inst_flag = flags.get_int("instances", 8);
+  const long traj_flag = flags.get_int("traj", 10);
+  const long shots_flag = flags.get_int("shots", 2048);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 31));
   // IBM-flavored timings: T1/T2 in microseconds, gates in ns.
   const double time_1q = flags.get_double("time1q", 0.035);  // 35 ns
   const double time_2q = flags.get_double("time2q", 0.30);   // 300 ns
   if (!flags.validate()) return 2;
+  const int n = require_count("n", n_flag);
+  const int instances = require_count("instances", inst_flag);
+  const int traj = require_count("traj", traj_flag);
+  require(shots_flag >= 1, "shots", "at least 1", shots_flag);
+  const auto shots = static_cast<std::uint64_t>(shots_flag);
+  require(time_1q >= 0.0, "time1q", "at least 0", time_1q);
+  require(time_2q >= 0.0, "time2q", "at least 0", time_2q);
 
   std::cout << "=== Extension: thermal relaxation + readout error (QFA n = "
             << n << ", 2:2 operands, depth full) ===\n"
