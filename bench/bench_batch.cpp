@@ -6,11 +6,13 @@
 // batch sizes --batches={1,4,8,16} in both replay precisions, each on the
 // kernel build the host runs for it: "avx2" (double on an AVX2 host) or
 // "scalar" (the portable build; always for float32), recorded in each
-// row's "simd" field. batch=1 is the single-state path the sweeps ran
-// before the batched engine existed; "speedup_vs_single" tracks the
-// end-to-end win per batch size against the double batch=1 time (float32
-// rows share it — the scalar path has no float tier, so that is the honest
-// end-to-end comparison). "<case>_replay" rows time
+// row's "simd" field. batch=1 is the sweeps' scalar reference path
+// (InstanceContext), which replays the circuit gate by gate on the
+// StateVector kernels and runs no fused op: its "simd" field says
+// "per-gate". "speedup_vs_single" is each batch size's end-to-end time
+// against that double batch=1 time (float32 rows share it — the scalar
+// path has no float tier), so it prices the batched engine against the
+// reference path, fusion included. "<case>_replay" rows time
 // JUST the pooled group-estimator replay over a pre-built batched clean
 // run at batch 4 and 16 (ms_per_lane / inst_per_sec are the lane-scaling
 // guard: the fused tile walk keeps batch=16 at or above batch=4). Writes
@@ -58,7 +60,8 @@ struct Case {
 
 /// One sweep point: every instance gets its ideal run (checkpointed) and
 /// one stratified noisy evaluation — the exact per-point work of
-/// run_sweep, minus transpile/plan compile (amortized across the sweep).
+/// run_sweep, minus transpile/plan compile (amortized across the sweep;
+/// the batch=1 path compiles no plan).
 void run_point(const Case& c, const QuantumCircuit& qc,
                const std::shared_ptr<const FusedPlan>& plan,
                const std::vector<ArithInstance>& instances,
@@ -68,7 +71,7 @@ void run_point(const Case& c, const QuantumCircuit& qc,
   Pcg64 root(0xBA7C4ULL, 17);
   if (run.batch_lanes <= 1) {
     for (std::size_t i = 0; i < instances.size(); ++i) {
-      const InstanceContext context(qc, c.spec, instances[i], run, plan);
+      const InstanceContext context(qc, c.spec, instances[i], run);
       std::vector<Pcg64> rngs{root.split(i)};
       (void)context.evaluate({noise}, run, rngs);
     }
@@ -122,7 +125,7 @@ void cross_check(const Case& c, const QuantumCircuit& qc,
                  const ArithInstance& inst, const NoiseModel& noise,
                  const RunOptions& run) {
   const CleanRun clean(qc, make_initial_state(c.spec, inst),
-                       run.checkpoint_interval, plan);
+                       run.checkpoint_interval);
   const BatchedCleanRun batched_clean(plan, {initial_state_terms(c.spec, inst)},
                                       run.checkpoint_interval);
   const ErrorLocations errors(qc, noise);
@@ -225,8 +228,8 @@ int run(int argc, const char* const* argv) {
                                    ? kernel_tier_name<double>()
                                    : kernel_tier_name<float>();
       for (long batch : batches) {
-        // batch=1 runs the scalar single-state path, which has no float
-        // tier — one double row covers it.
+        // batch=1 runs the scalar per-gate path, which has no float tier —
+        // one double row covers it.
         if (precision == Precision::kFloat32 && batch <= 1) continue;
         RunOptions run;
         run.batch_lanes = static_cast<int>(batch);
@@ -235,7 +238,7 @@ int run(int argc, const char* const* argv) {
             reps, [&] { run_point(c, qc, plan, instances, noise, run); });
         BenchRow row;
         row.name = c.name;
-        row.simd = tier;
+        row.simd = batch <= 1 ? "per-gate" : tier;
         row.precision = precision_name(precision);
         row.batch = static_cast<int>(batch);
         row.num_qubits = qc.num_qubits();

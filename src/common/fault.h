@@ -4,8 +4,11 @@
 // tolerance, numerical health guards); those claims are only worth anything
 // if tests can *make* the failures happen. The QFAB_FAULT environment
 // variable arms a comma-separated list of `key=value` directives that the
-// journal writer (exp/journal.cpp) and the state-vector apply paths
-// (sim/fusion.cpp, sim/batch.cpp) consult:
+// journal writer (exp/journal.cpp) and the two state-vector apply paths
+// consult: the scalar per-gate replay (StateVector::apply_circuit_range in
+// sim/statevector.cpp) and the batched walk (apply_plan and
+// apply_plan_range in sim/batch.cpp, run_trajectories_batched in
+// noise/trajectory.cpp):
 //
 //   crash-after-unit=K   after the K-th unit record is durably appended to
 //                        the sweep journal, hard-exit (kCrashExitCode) —
@@ -24,7 +27,7 @@
 //   nan-at-gate=G        the next state-vector apply pass that covers
 //                        original gate index G poisons one amplitude with a
 //                        quiet NaN — exercises the numerical health
-//                        sentinels and their scalar retry.
+//                        sentinels and their scalar per-gate retry.
 //   nan-count=N          how many times nan-at-gate fires (default 1, so a
 //                        retried unit succeeds; -1 = every pass, so the
 //                        point is persistently poisoned).

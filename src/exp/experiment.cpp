@@ -150,10 +150,9 @@ StateVector make_initial_state(const CircuitSpec& spec,
 InstanceContext::InstanceContext(const QuantumCircuit& transpiled,
                                  const CircuitSpec& spec,
                                  const ArithInstance& inst,
-                                 const RunOptions& run,
-                                 std::shared_ptr<const FusedPlan> plan)
+                                 const RunOptions& run)
     : clean_(transpiled, make_initial_state(spec, inst),
-             run.checkpoint_interval, std::move(plan)),
+             run.checkpoint_interval),
       output_qubits_(output_qubits(spec)),
       correct_(correct_outputs(spec, inst)) {
   if (run.health_checks)
@@ -211,8 +210,8 @@ InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
                   : std::make_shared<const FusedPlan>(transpiled),
              initial_terms(spec, group), run.checkpoint_interval),
       output_qubits_(output_qubits(spec)) {
-  // The shared plan must describe this exact circuit (same contract as
-  // CleanRun): trajectory injection addresses gates by index through it.
+  // The shared plan must describe this exact circuit: trajectory
+  // injection addresses gates by index through it.
   QFAB_CHECK(clean_.circuit().num_qubits() == transpiled.num_qubits());
   QFAB_CHECK(clean_.plan().gate_count() == transpiled.gates().size());
   if (run.health_checks)

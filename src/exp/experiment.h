@@ -21,7 +21,7 @@ enum class Operation { kAdd, kMultiply };
 /// when a clean run's norm drifts off 1 or an estimated channel leaves the
 /// probability simplex (NaN/Inf included). Distinct from CheckError so the
 /// sweep driver can catch it and retry the work unit on the scalar
-/// non-fused path before declaring the point poisoned.
+/// per-gate path before declaring the point poisoned.
 class NumericalHealthError : public std::runtime_error {
  public:
   explicit NumericalHealthError(const std::string& what)
@@ -137,18 +137,14 @@ Precision resolve_precision(const RunOptions& run, std::size_t gate_count);
 /// (spec, instance) pair: the transpiled circuit's ideal run (with
 /// checkpoints) plus the instance's ground truth. This is the scalar
 /// reference path: every estimate replays one trajectory at a time, in
-/// double, on a dense 2^n CleanRun, whatever RunOptions::batch_lanes and
-/// RunOptions::precision say. Sweeps run it in per-shot mode, with
-/// batch_lanes <= 1, and for health-sentinel retries; InstanceBatch is
-/// the batched path.
+/// double, gate by gate on a dense 2^n CleanRun, whatever
+/// RunOptions::batch_lanes and RunOptions::precision say. Sweeps run it in
+/// per-shot mode, with batch_lanes <= 1, and for health-sentinel retries;
+/// InstanceBatch is the batched path.
 class InstanceContext {
  public:
-  /// `plan` optionally shares one compiled FusedPlan for `transpiled`
-  /// across every instance of a sweep (see run_sweep); when null the
-  /// CleanRun compiles its own.
   InstanceContext(const QuantumCircuit& transpiled, const CircuitSpec& spec,
-                  const ArithInstance& inst, const RunOptions& run,
-                  std::shared_ptr<const FusedPlan> plan = nullptr);
+                  const ArithInstance& inst, const RunOptions& run);
 
   /// Evaluate the instance at a cluster of noise points. rngs[r] is the
   /// point rng of noises[r]. The cluster is estimated from one shared

@@ -163,10 +163,8 @@ std::size_t SweepGrid::unit_of(std::size_t depth_index,
   return (block_begin / block) * n_depths + depth_index;
 }
 
-/// Immutable per-sweep state shared by every work unit (circuits and fused
-/// plans are compiled once per depth, rate clusters formed once), plus the
-/// lazily compiled scalar non-fused plans that health-sentinel retries fall
-/// back to.
+/// Immutable per-sweep state shared by every work unit: circuits and fused
+/// plans are compiled once per depth, rate clusters formed once.
 struct SweepExecution::Impl {
   /// Rate columns estimated together: `columns` index expanded_rates().
   /// Only a shared cluster keeps SharedEstimateStats.
@@ -212,7 +210,6 @@ struct SweepExecution::Impl {
       plans.push_back(std::make_shared<const FusedPlan>(
           circuits.back(), FusionOptions{}, slices));
     }
-    nonfused.assign(config.depths.size(), nullptr);
   }
 
   CircuitSpec spec_at(int depth) const {
@@ -221,30 +218,16 @@ struct SweepExecution::Impl {
     return spec;
   }
 
-  /// Per-gate (fusion disabled) plan for depth index `d`, compiled on first
-  /// use: retries deliberately avoid the fused kernels in case the fault
-  /// lives there.
-  std::shared_ptr<const FusedPlan> nonfused_plan(std::size_t d) {
-    const std::lock_guard<std::mutex> lock(nonfused_mu);
-    if (!nonfused[d]) {
-      FusionOptions opt;
-      opt.enable = false;
-      nonfused[d] = std::make_shared<const FusedPlan>(circuits[d], opt);
-    }
-    return nonfused[d];
-  }
-
-  /// Evaluate instance i on the scalar path (InstanceContext), one rate
-  /// cluster at a time, into member slot m of `out`. Used both as the
-  /// primary path when units are single-instance (per-shot mode or
+  /// Evaluate instance i on the scalar per-gate path (InstanceContext),
+  /// one rate cluster at a time, into member slot m of `out`. Used both as
+  /// the primary path when units are single-instance (per-shot mode or
   /// batch_lanes <= 1) and per member by health-sentinel retries.
   void evaluate_member_scalar(std::size_t i, std::size_t d,
-                              const RunOptions& run,
-                              std::shared_ptr<const FusedPlan> plan,
-                              UnitResult& out, std::size_t m) const {
+                              const RunOptions& run, UnitResult& out,
+                              std::size_t m) const {
     // One ideal run (with checkpoints) serves every rate cluster.
     const InstanceContext context(circuits[d], spec_at(config.depths[d]),
-                                  instances[i], run, std::move(plan));
+                                  instances[i], run);
     for (const RateCluster& cluster : clusters) {
       std::vector<Pcg64> rngs;
       rngs.reserve(cluster.columns.size());
@@ -287,8 +270,8 @@ struct SweepExecution::Impl {
 
   /// Run one work unit: instance block [i0, i1) at depth index d, all rate
   /// columns. When a numerical health sentinel trips, retry every member
-  /// once on the scalar non-fused path (the most conservative engine in
-  /// the repo); members that fail again are recorded as poisoned (outcomes
+  /// once on the scalar per-gate path, which runs none of the fused
+  /// kernels; members that fail again are recorded as poisoned (outcomes
   /// stay success=false) instead of crashing the sweep.
   UnitResult compute_unit(std::size_t d, std::size_t i0, std::size_t i1) {
     const std::size_t members = i1 - i0;
@@ -298,13 +281,13 @@ struct SweepExecution::Impl {
       if (grid.block > 1)
         run_unit_batched(d, i0, i1, out);
       else
-        evaluate_member_scalar(i0, d, config.run, plans[d], out, 0);
+        evaluate_member_scalar(i0, d, config.run, out, 0);
       return out;
     } catch (const NumericalHealthError& err) {
       std::cerr << "\n[qfab] numerical health sentinel tripped (depth "
                 << depth_label(config.depths[d]) << ", instances [" << i0
                 << "," << i1 << ")): " << err.what()
-                << "; retrying on the scalar non-fused path\n";
+                << "; retrying on the scalar per-gate path\n";
     }
     out = UnitResult{};
     out.outcomes.assign(grid.n_rates, std::vector<InstanceOutcome>(members));
@@ -314,16 +297,15 @@ struct SweepExecution::Impl {
     // The scalar path replays in double regardless, but pin it so a future
     // scalar float tier cannot silently weaken the conservative retry.
     retry.precision = Precision::kDouble;
-    const std::shared_ptr<const FusedPlan> plan = nonfused_plan(d);
     for (std::size_t m = 0; m < members; ++m) {
       try {
-        evaluate_member_scalar(i0 + m, d, retry, plan, out, m);
+        evaluate_member_scalar(i0 + m, d, retry, out, m);
       } catch (const NumericalHealthError& err) {
         out.poisoned = true;
         std::ostringstream desc;
         desc << "instance " << (i0 + m) << " at depth "
              << depth_label(config.depths[d])
-             << " failed the scalar non-fused retry: " << err.what();
+             << " failed the scalar per-gate retry: " << err.what();
         if (!out.error.empty()) out.error += "; ";
         out.error += desc.str();
         for (std::size_t r = 0; r < grid.n_rates; ++r)
@@ -339,9 +321,6 @@ struct SweepExecution::Impl {
   std::vector<RateCluster> clusters;
   std::vector<QuantumCircuit> circuits;
   std::vector<std::shared_ptr<const FusedPlan>> plans;
-
-  std::mutex nonfused_mu;
-  std::vector<std::shared_ptr<const FusedPlan>> nonfused;
 };
 
 SweepExecution::SweepExecution(const SweepConfig& config,

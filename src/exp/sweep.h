@@ -58,7 +58,7 @@ struct SweepResult {
   std::size_t units_done = 0;
   std::size_t units_restored = 0;
   /// Units whose numerical-health sentinel tripped but whose scalar
-  /// non-fused retry succeeded (see DurableOptions / RunOptions::health_checks).
+  /// per-gate retry succeeded (see DurableOptions / RunOptions::health_checks).
   std::size_t units_retried = 0;
   /// Human-readable descriptions of persistently poisoned units (sentinel
   /// tripped on the retry too); their failed members count as failures in
@@ -147,7 +147,7 @@ class SweepExecution {
   const SweepGrid& grid() const;
 
   /// Compute unit `u` (all rate columns). Numerical-health sentinel trips
-  /// retry once on the scalar non-fused path; persistent failures come back
+  /// retry once on the scalar per-gate path; persistent failures come back
   /// poisoned instead of throwing. Deterministic: results depend only on
   /// (config, instances, u), never on execution order or thread schedule.
   UnitResult run_unit(std::size_t u);

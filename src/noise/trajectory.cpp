@@ -20,19 +20,10 @@ std::uint64_t hash_events(const std::vector<ErrorEvent>& events) {
 }
 
 CleanRun::CleanRun(const QuantumCircuit& circuit, StateVector initial,
-                   std::size_t checkpoint_interval,
-                   std::shared_ptr<const FusedPlan> plan)
-    : plan_(std::move(plan)), interval_(checkpoint_interval) {
+                   std::size_t checkpoint_interval)
+    : circuit_(circuit), interval_(checkpoint_interval) {
   QFAB_CHECK(circuit.num_qubits() == initial.num_qubits());
   QFAB_CHECK(interval_ >= 1);
-  if (!plan_) {
-    plan_ = std::make_shared<const FusedPlan>(circuit);
-  } else {
-    // A shared plan must describe this exact circuit: trajectory injection
-    // addresses gates by index through the plan's mapping.
-    QFAB_CHECK(plan_->circuit().num_qubits() == circuit.num_qubits());
-    QFAB_CHECK(plan_->gate_count() == circuit.gates().size());
-  }
   const std::size_t total = circuit.gates().size();
   checkpoints_.reserve(total / interval_ + 2);
   checkpoints_.push_back(initial);  // after 0 gates
@@ -40,10 +31,9 @@ CleanRun::CleanRun(const QuantumCircuit& circuit, StateVector initial,
   std::size_t applied = 0;
   while (applied < total) {
     const std::size_t next = std::min(applied + interval_, total);
-    plan_->apply_range(sv, applied, next);
+    sv.apply_circuit_range(circuit_, applied, next);
     applied = next;
     checkpoints_.push_back(sv);
-    last_checkpoint_gates_ = applied;
   }
   // When total is a multiple of interval the final state is the last
   // checkpoint; otherwise the loop above already pushed it.
@@ -55,22 +45,18 @@ std::vector<double> CleanRun::ideal_marginal(
 }
 
 StateVector CleanRun::state_at(std::size_t gate_count) const {
-  QFAB_CHECK(gate_count <= plan_->gate_count());
-  const std::size_t k = std::min(gate_count / interval_,
-                                 checkpoints_.size() - 1);
-  const std::size_t base_gates = std::min(k * interval_, gate_count);
-  StateVector sv = checkpoints_[k];
-  plan_->apply_range(sv, base_gates, gate_count);
+  StateVector sv(circuit_.num_qubits());
+  state_at(gate_count, sv);
   return sv;
 }
 
 void CleanRun::state_at(std::size_t gate_count, StateVector& out) const {
-  QFAB_CHECK(gate_count <= plan_->gate_count());
+  QFAB_CHECK(gate_count <= circuit_.gates().size());
   const std::size_t k = std::min(gate_count / interval_,
                                  checkpoints_.size() - 1);
   const std::size_t base_gates = std::min(k * interval_, gate_count);
   out = checkpoints_[k];  // vector assignment reuses out's heap storage
-  plan_->apply_range(out, base_gates, gate_count);
+  out.apply_circuit_range(circuit_, base_gates, gate_count);
 }
 
 ErrorLocations::ErrorLocations(const QuantumCircuit& circuit,
@@ -215,7 +201,7 @@ void run_trajectory(const CleanRun& clean,
     QFAB_CHECK(ev.gate_index < total);
     // Replay ideal gates up to and including the faulty one.
     if (ev.gate_index + 1 > applied) {
-      clean.plan().apply_range(out, applied, ev.gate_index + 1);
+      out.apply_circuit_range(qc, applied, ev.gate_index + 1);
       applied = ev.gate_index + 1;
     }
     const Gate& g = qc.gates()[ev.gate_index];
@@ -225,7 +211,7 @@ void run_trajectory(const CleanRun& clean,
       out.apply_pauli(ev.pauli1, g.qubits[1]);
     }
   }
-  clean.plan().apply_range(out, applied, total);
+  out.apply_circuit_range(qc, applied, total);
 }
 
 namespace {
@@ -384,11 +370,10 @@ void run_trajectories_batched(
   //    slices (single-lane spans, run by the kernels' single-lane bodies);
   //    every other lane takes the fused op whole in bystander spans. The
   //    per-trajectory replay cost is therefore flat in the lane count, and
-  //    each lane's arithmetic is exactly the decomposition the scalar
-  //    reference (run_trajectory) performs for that trajectory alone —
-  //    independent of which trajectories share the batch (packing-invariant
-  //    bitwise; the scalar and batched kernels round differently, so lanes
-  //    match run_trajectory itself to ~1e-15 in double, not bitwise).
+  //    each lane's arithmetic is that of a one-lane walk of its own
+  //    trajectory, whichever trajectories share the batch (packing-invariant
+  //    bitwise). run_trajectory, the scalar reference, replays gate by gate,
+  //    so lanes match it to ~1e-15 in double, not bitwise.
   //  * the walk visits only the tiles a lane's data occupies (see
   //    apply_batch_walk), and in the plan's row layout the operand
   //    registers select tiles, so a replay costs a few tiles, not 2^n rows.
@@ -464,8 +449,7 @@ void run_trajectories_batched(
       }
     }
     // Each event lane replays the op as its own slices with its Paulis
-    // interleaved — the scalar reference decomposition for that lane's
-    // sites alone.
+    // interleaved — what a one-lane walk of that lane's sites would run.
     for (int l = 0; l < L; ++l) {
       const auto& inj_idx = lane_injs[static_cast<std::size_t>(l)];
       if (inj_idx.empty()) continue;

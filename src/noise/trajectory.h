@@ -9,12 +9,12 @@
 // trajectory only replays gates from its first error onward — on the
 // paper's circuits that halves the per-trajectory cost on average.
 //
-// All circuit replay (checkpoint construction, state_at, trajectory
-// resumption) runs through a FusedPlan (sim/fusion.h): segments between
-// checkpoints and error-injection sites execute fused, and the plan's
-// per-gate fallback handles boundaries that land inside a fused op. The
-// plan is shareable across CleanRuns of the same circuit (one compile per
-// transpiled circuit, not per operand instance).
+// CleanRun and run_trajectory are the scalar reference: all their replay
+// (checkpoint construction, state_at, trajectory resumption) runs gate by
+// gate on the StateVector kernels (StateVector::apply_circuit_range), so a
+// reference result depends on no fused op. BatchedCleanRun and
+// run_trajectories_batched run the same trajectories on the batched walk
+// over a compiled FusedPlan (sim/fusion.h, sim/batch.h).
 #pragma once
 
 #include <cstdint>
@@ -48,14 +48,11 @@ std::uint64_t hash_events(const std::vector<ErrorEvent>& events);
 /// with checkpoints every `checkpoint_interval` gates.
 class CleanRun {
  public:
-  /// `plan` optionally shares a pre-compiled FusedPlan for `circuit`
-  /// (must match it gate-for-gate); when null a plan is compiled here.
+  /// Holds a copy of `circuit`.
   CleanRun(const QuantumCircuit& circuit, StateVector initial,
-           std::size_t checkpoint_interval = 64,
-           std::shared_ptr<const FusedPlan> plan = nullptr);
+           std::size_t checkpoint_interval = 64);
 
-  const QuantumCircuit& circuit() const { return plan_->circuit(); }
-  const FusedPlan& plan() const { return *plan_; }
+  const QuantumCircuit& circuit() const { return circuit_; }
   /// State after the full circuit (global phase *not* applied — it never
   /// affects probabilities).
   const StateVector& final_state() const { return checkpoints_.back(); }
@@ -71,11 +68,10 @@ class CleanRun {
   void state_at(std::size_t gate_count, StateVector& out) const;
 
  private:
-  std::shared_ptr<const FusedPlan> plan_;
+  QuantumCircuit circuit_;
   std::size_t interval_;
   std::vector<StateVector> checkpoints_;  // checkpoints_[k] = after k*interval
                                           // gates; last = final state
-  std::size_t last_checkpoint_gates_ = 0;
 };
 
 /// Per-gate error-event probabilities of a circuit under a noise model,
@@ -226,16 +222,17 @@ class BatchedCleanRun {
 /// longer grows with the number of distinct injection sites (which is
 /// ~lanes × events/lane for a batched group). `plan` is the logical plan;
 /// a vector in its row layout (as BatchedCleanRun loads them) walks the
-/// relabelled twin. Op-interior sites decompose the host
-/// op per lane: each lane's arithmetic is exactly the scalar
-/// run_trajectory decomposition of its own trajectory, so a lane's replay
-/// is bitwise independent of which trajectories share the batch. Against
-/// run_trajectory itself agreement is at rounding level (<= 1e-12 double)
-/// rather than bitwise: the batched kernels and the resume point differ
-/// from the scalar path's. Raw-plane comparisons must fold each lane's
-/// pending phase (lane_pending_phase): fused tables carry absolute phases
-/// in the amplitudes while sliced application routes the same phase
-/// through the deferred accumulator.
+/// relabelled twin. Op-interior sites decompose the host op per lane: the
+/// lane whose event lands inside an op runs that op as the compiled slices
+/// on either side of its site, and every other lane takes the op whole, so
+/// a lane's arithmetic depends on its own trajectory only and its replay is
+/// bitwise independent of which trajectories share the batch. Against
+/// run_trajectory, which replays gate by gate on the StateVector kernels,
+/// agreement is at rounding level (<= 1e-12 double), not bitwise.
+/// Raw-plane comparisons must fold each lane's pending phase
+/// (lane_pending_phase): fused tables carry absolute phases in the
+/// amplitudes while sliced application routes the same phase through the
+/// deferred accumulator.
 template <typename Real>
 void run_trajectories_batched(
     const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,

@@ -5,12 +5,9 @@
 #include <bit>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
-
-#include "common/fault.h"
 
 namespace qfab {
 
@@ -61,188 +58,6 @@ int gate_max_qubit(const Gate& g) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunk kernels. Every kernel operates on a contiguous power-of-two slice
-// `a[0, len)` whose base index is tile-aligned, so a qubit q with
-// 2^q < len addresses bits of the in-chunk offset directly. The full
-// vector is just the largest chunk.
-// ---------------------------------------------------------------------------
-
-void k_matrix1(cplx* a, u64 len, int q, const cplx* m) {
-  const u64 bit = u64{1} << q;
-  const cplx m00 = m[0], m01 = m[1], m10 = m[2], m11 = m[3];
-  for (u64 base = 0; base < len; base += 2 * bit)
-    for (u64 off = 0; off < bit; ++off) {
-      const u64 i0 = base + off;
-      const u64 i1 = i0 | bit;
-      const cplx v0 = a[i0], v1 = a[i1];
-      a[i0] = m00 * v0 + m01 * v1;
-      a[i1] = m10 * v0 + m11 * v1;
-    }
-}
-
-void k_matrix2(cplx* a, u64 len, int q0, int q1, const cplx* m) {
-  const int lo = std::min(q0, q1), hi = std::max(q0, q1);
-  const u64 b0 = u64{1} << q0, b1 = u64{1} << q1;
-  const u64 quarter = len >> 2;
-  for (u64 g = 0; g < quarter; ++g) {
-    const u64 base = insert_two_zero_bits(g, lo, hi);
-    const u64 i0 = base, i1 = base | b0, i2 = base | b1, i3 = base | b0 | b1;
-    const cplx v0 = a[i0], v1 = a[i1], v2 = a[i2], v3 = a[i3];
-    a[i0] = m[0] * v0 + m[1] * v1 + m[2] * v2 + m[3] * v3;
-    a[i1] = m[4] * v0 + m[5] * v1 + m[6] * v2 + m[7] * v3;
-    a[i2] = m[8] * v0 + m[9] * v1 + m[10] * v2 + m[11] * v3;
-    a[i3] = m[12] * v0 + m[13] * v1 + m[14] * v2 + m[15] * v3;
-  }
-}
-
-void k_phase_on_bit(cplx* a, u64 len, int q, cplx phase) {
-  const u64 bit = u64{1} << q;
-  for (u64 base = bit; base < len; base += 2 * bit)
-    for (u64 off = 0; off < bit; ++off) a[base + off] *= phase;
-}
-
-void k_diag1(cplx* a, u64 len, int q, const cplx* table) {
-  // Strided two-phase pass — no gather needed.
-  const u64 bit = u64{1} << q;
-  const cplx p0 = table[0], p1 = table[1];
-  for (u64 base = 0; base < len; base += 2 * bit)
-    for (u64 off = 0; off < bit; ++off) {
-      a[base + off] *= p0;
-      a[base + off + bit] *= p1;
-    }
-}
-
-void k_diag(cplx* a, u64 len, const FusedOp::DiagShift* ss, int ns,
-            const cplx* table) {
-  if (ns == 1) {
-    // One contiguous qubit run: key = (i >> shift) & mask.
-    const int sh = ss[0].shift;
-    const u64 m = ss[0].mask;
-    for (u64 i = 0; i < len; ++i) a[i] *= table[(i >> sh) & m];
-    return;
-  }
-  if (ns == 2) {
-    const int sh0 = ss[0].shift, sh1 = ss[1].shift, out1 = ss[1].out;
-    const u64 m0 = ss[0].mask, m1 = ss[1].mask;
-    for (u64 i = 0; i < len; ++i)
-      a[i] *= table[((i >> sh0) & m0) | (((i >> sh1) & m1) << out1)];
-    return;
-  }
-  for (u64 i = 0; i < len; ++i) {
-    u64 key = 0;
-    for (int s = 0; s < ns; ++s)
-      key |= ((i >> ss[s].shift) & ss[s].mask) << ss[s].out;
-    a[i] *= table[key];
-  }
-}
-
-/// Per-gate chunk kernel mirroring StateVector::apply_gate, with one
-/// deliberate difference: RZ applies only diag(1, e^{i.theta}) — the
-/// e^{-i.theta/2} scalar is accumulated by the *caller* into the state's
-/// pending global phase, once per gate (not once per tile). `m` holds the
-/// gate's decoded operands (gate_kernel_operands; FusedOp::m for a kGate
-/// op), so no tile rebuilds a matrix or a cos/sin.
-void k_gate(cplx* a, u64 len, const Gate& g, const cplx* m) {
-  switch (g.kind) {
-    case GateKind::kId:
-      return;
-    case GateKind::kX: {
-      const u64 bit = u64{1} << g.qubits[0];
-      for (u64 base = 0; base < len; base += 2 * bit)
-        for (u64 off = 0; off < bit; ++off)
-          std::swap(a[base + off], a[base + off + bit]);
-      return;
-    }
-    case GateKind::kY: {
-      const u64 bit = u64{1} << g.qubits[0];
-      for (u64 base = 0; base < len; base += 2 * bit)
-        for (u64 off = 0; off < bit; ++off) {
-          const u64 i0 = base + off;
-          const u64 i1 = i0 + bit;
-          const cplx v0 = a[i0], v1 = a[i1];
-          a[i0] = cplx{v1.imag(), -v1.real()};  // -i * v1
-          a[i1] = cplx{-v0.imag(), v0.real()};  //  i * v0
-        }
-      return;
-    }
-    case GateKind::kZ:
-      k_phase_on_bit(a, len, g.qubits[0], cplx{-1.0, 0.0});
-      return;
-    case GateKind::kRZ:
-    case GateKind::kP:
-      k_phase_on_bit(a, len, g.qubits[0], m[0]);
-      return;
-    case GateKind::kCX: {
-      const u64 cbit = u64{1} << g.qubits[1];
-      const u64 tbit = u64{1} << g.qubits[0];
-      const int lo = std::min(g.qubits[0], g.qubits[1]);
-      const int hi = std::max(g.qubits[0], g.qubits[1]);
-      const u64 quarter = len >> 2;
-      for (u64 gi = 0; gi < quarter; ++gi) {
-        const u64 i0 = insert_two_zero_bits(gi, lo, hi) | cbit;
-        std::swap(a[i0], a[i0 | tbit]);
-      }
-      return;
-    }
-    case GateKind::kCZ:
-    case GateKind::kCP: {
-      const cplx ph = g.kind == GateKind::kCZ ? cplx{-1.0, 0.0} : m[0];
-      const int lo = std::min(g.qubits[0], g.qubits[1]);
-      const int hi = std::max(g.qubits[0], g.qubits[1]);
-      const u64 mask = (u64{1} << g.qubits[0]) | (u64{1} << g.qubits[1]);
-      const u64 quarter = len >> 2;
-      for (u64 gi = 0; gi < quarter; ++gi)
-        a[insert_two_zero_bits(gi, lo, hi) | mask] *= ph;
-      return;
-    }
-    case GateKind::kCCP: {
-      const cplx ph = m[0];
-      int qs[3] = {g.qubits[0], g.qubits[1], g.qubits[2]};
-      std::sort(qs, qs + 3);
-      const u64 mask =
-          (u64{1} << qs[0]) | (u64{1} << qs[1]) | (u64{1} << qs[2]);
-      const u64 eighth = len >> 3;
-      for (u64 gi = 0; gi < eighth; ++gi) {
-        const u64 i =
-            insert_zero_bit(insert_two_zero_bits(gi, qs[0], qs[1]), qs[2]);
-        a[i | mask] *= ph;
-      }
-      return;
-    }
-    case GateKind::kSWAP: {
-      const int lo = std::min(g.qubits[0], g.qubits[1]);
-      const int hi = std::max(g.qubits[0], g.qubits[1]);
-      const u64 lobit = u64{1} << lo, hibit = u64{1} << hi;
-      const u64 quarter = len >> 2;
-      for (u64 gi = 0; gi < quarter; ++gi) {
-        const u64 base = insert_two_zero_bits(gi, lo, hi);
-        std::swap(a[base | lobit], a[base | hibit]);
-      }
-      return;
-    }
-    case GateKind::kCCX: {
-      const u64 cmask = (u64{1} << g.qubits[1]) | (u64{1} << g.qubits[2]);
-      const u64 tbit = u64{1} << g.qubits[0];
-      for (u64 i = 0; i < len; ++i)
-        if ((i & cmask) == cmask && !(i & tbit)) std::swap(a[i], a[i | tbit]);
-      return;
-    }
-    case GateKind::kH:
-    case GateKind::kSX:
-    case GateKind::kSXdg:
-    case GateKind::kRY:
-    case GateKind::kRX:
-    case GateKind::kU:
-      k_matrix1(a, len, g.qubits[0], m);
-      return;
-    case GateKind::kCH:
-      k_matrix2(a, len, g.qubits[0], g.qubits[1], m);
-      return;
-  }
-  QFAB_CHECK_MSG(false, "unhandled gate " << g.to_string());
-}
-
-// ---------------------------------------------------------------------------
 // Compilation.
 //
 // Gates are converted 1:1 into ops, then rewritten to a fixpoint by three
@@ -262,7 +77,7 @@ void k_gate(cplx* a, u64 len, const Gate& g, const cplx* m) {
 //              execute as pending global phase.
 // All rewrites are exact: off-diagonals are dropped only when they are
 // IEEE zeros (products of permutation and diagonal factors), so fused
-// execution stays bit-compatible with the reference path.
+// execution differs from the per-gate reference path by rounding only.
 //
 // Compile time matters: a noisy sweep compiles a plan for every distinct
 // op slice its injection sites leave (SliceStore). Making the passes
@@ -1165,123 +980,6 @@ void FusedPlan::compile() {
     for (std::size_t g = ops[o].gate_begin; g < ops[o].gate_end; ++g)
       op_of_gate_[g] = static_cast<std::uint32_t>(o);
   ops_ = std::move(ops);
-}
-
-namespace {
-
-// QFAB_FAULT nan-at-gate hook: after a pass that executed the targeted
-// gate, poison one amplitude with a quiet NaN. Exercises the numerical
-// health sentinels end to end (exp/experiment.cpp); inert without the env
-// directive.
-void maybe_inject_nan(StateVector& sv, std::size_t gate_begin,
-                      std::size_t gate_end) {
-  if (fault::nan_fault_active() && fault::take_nan_charge(gate_begin, gate_end))
-    sv.raw_amplitudes()[0] = cplx(std::numeric_limits<double>::quiet_NaN(), 0.0);
-}
-
-}  // namespace
-
-void FusedPlan::apply(StateVector& sv) const {
-  QFAB_CHECK(sv.num_qubits() == circuit_.num_qubits());
-  apply_ops(sv, 0, ops_.size());
-  sv.apply_global_phase(circuit_.global_phase());
-  maybe_inject_nan(sv, 0, gate_count());
-}
-
-void FusedPlan::apply_range(StateVector& sv, std::size_t gate_begin,
-                            std::size_t gate_end) const {
-  QFAB_CHECK(sv.num_qubits() == circuit_.num_qubits());
-  QFAB_CHECK(gate_begin <= gate_end && gate_end <= gate_count());
-  std::size_t g = gate_begin;
-  while (g < gate_end) {
-    const std::size_t oi = op_of_gate_[g];
-    const FusedOp& op = ops_[oi];
-    if (op.gate_begin == g && op.gate_end <= gate_end) {
-      // Maximal run of fully covered ops, executed fused (cache-blocked).
-      std::size_t oj = oi;
-      while (oj < ops_.size() && ops_[oj].gate_end <= gate_end) ++oj;
-      apply_ops(sv, oi, oj);
-      g = ops_[oj - 1].gate_end;
-    } else {
-      // The split lands inside this op: per-gate fallback for the covered
-      // slice (this is what lets noise inject at arbitrary gate sites).
-      const std::size_t stop = std::min(gate_end, op.gate_end);
-      apply_gates(sv, g, stop);
-      g = stop;
-    }
-  }
-  maybe_inject_nan(sv, gate_begin, gate_end);
-}
-
-void FusedPlan::apply_ops(StateVector& sv, std::size_t op_lo,
-                          std::size_t op_hi) const {
-  cplx* a = sv.raw_amplitudes();
-  const u64 n = sv.dim();
-  const int tb = std::min(options_.tile_bits, sv.num_qubits());
-  const u64 tile = u64{1} << tb;
-
-  // Scalar work goes to the state's pending phase exactly once per op,
-  // never per tile: the RZ prefactor of passthrough gates, and scalar
-  // (k = 0) diagonal ops — identity-up-to-phase products like CX·CX.
-  auto add_pending = [&](const FusedOp& op) {
-    if (op.kind == FusedOp::Kind::kGate) {
-      const Gate& gate = circuit_.gates()[op.gate_begin];
-      if (gate.kind == GateKind::kRZ)
-        sv.apply_global_phase(-gate.params[0] / 2);
-    } else if (op.kind == FusedOp::Kind::kDiagonal && op.qubits.empty()) {
-      sv.apply_global_phase(std::arg(op.phases[0]));
-    }
-  };
-  auto apply_chunk = [&](cplx* chunk, u64 len, const FusedOp& op) {
-    switch (op.kind) {
-      case FusedOp::Kind::kMatrix1:
-        k_matrix1(chunk, len, op.q0, op.m.data());
-        return;
-      case FusedOp::Kind::kMatrix2:
-        k_matrix2(chunk, len, op.q0, op.q1, op.m.data());
-        return;
-      case FusedOp::Kind::kDiagonal:
-        if (op.qubits.empty()) return;  // handled by add_pending
-        if (op.qubits.size() == 1)
-          k_diag1(chunk, len, op.qubits[0], op.phases.data());
-        else
-          k_diag(chunk, len, op.shifts.data(),
-                 static_cast<int>(op.shifts.size()), op.phases.data());
-        return;
-      case FusedOp::Kind::kGate:
-        k_gate(chunk, len, circuit_.gates()[op.gate_begin], op.m.data());
-        return;
-    }
-  };
-
-  std::size_t i = op_lo;
-  while (i < op_hi) {
-    if (ops_[i].max_qubit < tb) {
-      std::size_t j = i;
-      while (j < op_hi && ops_[j].max_qubit < tb) ++j;
-      for (std::size_t k = i; k < j; ++k) add_pending(ops_[k]);
-      for (u64 base = 0; base < n; base += tile)
-        for (std::size_t k = i; k < j; ++k)
-          apply_chunk(a + base, tile, ops_[k]);
-      i = j;
-    } else {
-      add_pending(ops_[i]);
-      apply_chunk(a, n, ops_[i]);
-      ++i;
-    }
-  }
-}
-
-void FusedPlan::apply_gates(StateVector& sv, std::size_t gate_begin,
-                            std::size_t gate_end) const {
-  cplx* a = sv.raw_amplitudes();
-  const u64 n = sv.dim();
-  for (std::size_t g = gate_begin; g < gate_end; ++g) {
-    const Gate& gate = circuit_.gates()[g];
-    if (gate.kind == GateKind::kRZ)
-      sv.apply_global_phase(-gate.params[0] / 2);
-    k_gate(a, n, gate, gate_kernel_operands(gate).data());
-  }
 }
 
 }  // namespace qfab

@@ -22,24 +22,21 @@
 // expensive than its parts (a dense 4x4 must not swallow a CX
 // quarter-swap plus an RZ half-pass).
 //
-// Execution is cache-blocked: consecutive ops that act only on qubits below
-// `tile_bits` are applied tile-by-tile, so every gate of the block touches
-// an L1-resident slice of the amplitude vector before moving on.
+// A plan only compiles. Its one executor is the batched walk (sim/batch.h:
+// apply_plan, apply_plan_range and the noisy replay run_trajectories_batched
+// in noise/trajectory.h), which runs a plan on one to 64 lanes. The scalar
+// reference (CleanRun, run_trajectory) runs none of these ops: it replays
+// the circuit on the per-gate StateVector kernels, and the tests hold the
+// walk to it at 1e-12.
 //
 // Noise compatibility is the load-bearing invariant: the ops partition the
-// original gate index range, `op_of_gate` maps every gate index to its op,
-// and `apply_range` accepts *arbitrary* gate boundaries — partially covered
-// ops fall back to per-gate kernels — so CleanRun checkpoints and
-// trajectory Pauli injections land at exact gate sites while fused segments
-// run on either side. Fused execution matches the per-gate reference path
-// (StateVector::apply_circuit_range) to ~1e-12 in the final amplitudes;
-// tests/test_fusion.cpp property-tests this, including splits at every
-// gate index.
-//
-// The batched walk instead runs the gates an injection site leaves of an
-// op as a compiled plan of that slice (subrange_plan). Slices come from a
-// SliceStore keyed by content: a sweep builds its depth plans over one
-// store, so a slice the AQFT depths have in common compiles once.
+// original gate index range and `op_of_gate` maps every gate index to its
+// op, so an injection site addresses a gate, not an op. The walk runs a
+// range that starts or ends inside an op as the compiled plan of the
+// covered slice (subrange_plan), so Pauli injections land at exact gate
+// sites while fused ops run on either side. Slices come from a SliceStore
+// keyed by content: a sweep builds its depth plans over one store, so a
+// slice the AQFT depths have in common compiles once.
 #pragma once
 
 #include <cstddef>
@@ -51,17 +48,17 @@
 #include <vector>
 
 #include "circuit/circuit.h"
-#include "sim/statevector.h"
 
 namespace qfab {
 
 struct FusionOptions {
-  /// false compiles every gate as its own op (per-gate kernels through the
-  /// plan machinery): the plan a sweep's health-sentinel retry runs, and
-  /// micro_kernels' per-kernel streams.
+  /// false compiles every gate as its own op, run on the batched per-gate
+  /// kernels: bench_fusion's unfused baseline and micro_kernels'
+  /// per-kernel streams.
   bool enable = true;
-  /// Tile size for cache-blocked execution: 2^tile_bits amplitudes
-  /// (default 2^11 * 16 B = 32 KiB, sized for L1).
+  /// L1 budget of the batched walk's tiles: 2^tile_bits complex doubles
+  /// (32 KiB at the default 11), shared out among a walk's lanes and
+  /// planes by batched_tile_rows_log2 (sim/batch.h).
   int tile_bits = 11;
 
   /// A SliceStore keys compiled slices by their options too: a field that
@@ -96,10 +93,9 @@ struct FusedOp {
   int q1 = -1;
   int max_qubit = -1;        // highest qubit touched (tiling eligibility)
   /// kMatrix1: 4 entries row-major; kMatrix2: 16. kGate: the gate's
-  /// operands for the per-gate kernels (scalar and batched), decoded once
-  /// at compile — its matrix for matrix gates, e^{i.theta} for
-  /// RZ/P/CP/CCP, empty otherwise — so no tile recomputes a matrix or a
-  /// cos/sin.
+  /// operands for the batched per-gate kernels, decoded once at compile —
+  /// its matrix for matrix gates, e^{i.theta} for RZ/P/CP/CCP, empty
+  /// otherwise — so no tile recomputes a matrix or a cos/sin.
   std::vector<cplx> m;
   std::vector<int> qubits;   // kDiagonal: sorted qubit list
   std::vector<cplx> phases;  // kDiagonal: 2^qubits.size() diagonal entries
@@ -208,25 +204,14 @@ class FusedPlan {
   /// inside their tile from those that pair tiles, and which tiles.
   u64 op_coupling_mask(std::size_t op_index) const;
 
-  /// Apply the full circuit, including its global phase (mirrors
-  /// StateVector::apply_circuit).
-  void apply(StateVector& sv) const;
-
-  /// Apply original gates [gate_begin, gate_end); global phase is NOT
-  /// applied (mirrors StateVector::apply_circuit_range). Boundaries may
-  /// fall inside fused ops: the partially covered gates run on the
-  /// per-gate kernels, so noise injection can split anywhere.
-  void apply_range(StateVector& sv, std::size_t gate_begin,
-                   std::size_t gate_end) const;
-
   /// The fused plan of the original-gate subrange [gate_begin, gate_end),
   /// compiled on first use (thread-safe). It lives in the plan's slice
   /// store, which keys it by content: every plan over the same store gets
   /// the same object for a slice whose gates match, and the object lives
   /// as long as the store. Noise injection splits the same few sites over
-  /// and over across a sweep's trajectories; compiling the partial slice of
-  /// a big fused op once turns its per-gate fallback (one full amplitude
-  /// pass per gate) back into a handful of fused passes.
+  /// and over across a sweep's trajectories, so the walk runs the partial
+  /// slice of a big fused op as a handful of fused passes compiled once,
+  /// not as one amplitude pass per gate.
   const FusedPlan& subrange_plan(std::size_t gate_begin,
                                  std::size_t gate_end) const;
 
@@ -254,11 +239,6 @@ class FusedPlan {
   FusedPlan(QuantumCircuit&& slice, const FusionOptions& options,
             SliceStore& store, SliceTag);
   void compile();
-  /// Apply whole ops [op_lo, op_hi), cache-blocked.
-  void apply_ops(StateVector& sv, std::size_t op_lo, std::size_t op_hi) const;
-  /// Per-gate fallback for partially covered ops.
-  void apply_gates(StateVector& sv, std::size_t gate_begin,
-                   std::size_t gate_end) const;
 
   QuantumCircuit circuit_;
   FusionOptions options_;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "common/fault.h"
 
 namespace qfab {
 
@@ -244,8 +247,7 @@ void StateVector::apply_gate(const Gate& g) {
 }
 
 void StateVector::apply_circuit(const QuantumCircuit& qc) {
-  QFAB_CHECK(qc.num_qubits() == num_qubits_);
-  for (const Gate& g : qc.gates()) apply_gate(g);
+  apply_circuit_range(qc, 0, qc.gates().size());
   apply_global_phase(qc.global_phase());
 }
 
@@ -254,6 +256,12 @@ void StateVector::apply_circuit_range(const QuantumCircuit& qc,
   QFAB_CHECK(qc.num_qubits() == num_qubits_);
   QFAB_CHECK(begin <= end && end <= qc.gates().size());
   for (std::size_t i = begin; i < end; ++i) apply_gate(qc.gates()[i]);
+  // QFAB_FAULT nan-at-gate hook: after a pass that executed the targeted
+  // gate, poison one amplitude with a quiet NaN. Exercises the numerical
+  // health sentinels of the scalar path end to end (exp/experiment.cpp);
+  // inert without the env directive.
+  if (fault::nan_fault_active() && fault::take_nan_charge(begin, end))
+    amps_[0] = cplx(std::numeric_limits<double>::quiet_NaN(), 0.0);
 }
 
 void StateVector::apply_global_phase(double phase) {

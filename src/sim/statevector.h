@@ -1,11 +1,12 @@
 // Dense state-vector simulator.
 //
-// Performance notes: every trajectory of the noisy sweeps replays a
-// transpiled circuit (thousands of gates) against a 2^n vector, so each gate
-// kind gets a dedicated in-place kernel; diagonal gates (RZ/P/CP/CCP/Z/CZ)
-// touch only phases and CX/X/SWAP only permute amplitudes. Generic dense
-// application exists as a fallback and as the reference the kernels are
-// tested against.
+// This is the engines' reference: the scalar path (CleanRun,
+// run_trajectory) replays a transpiled circuit (thousands of gates) on
+// these kernels gate by gate, and the batched engine is tested against it.
+// Each gate kind gets a dedicated in-place kernel; diagonal gates
+// (RZ/P/CP/CCP/Z/CZ) touch only phases and CX/X/SWAP only permute
+// amplitudes. Generic dense application exists as a fallback and as the
+// reference the kernels are tested against.
 #pragma once
 
 #include <vector>
@@ -41,16 +42,14 @@ class StateVector {
   cplx amplitude(u64 index) const;
   double norm() const;
 
-  /// Raw mutable amplitude storage for execution-plan kernels
-  /// (sim/fusion). The pending RZ global phase is deliberately NOT
-  /// flushed: plan ops are linear, so the lazy scalar commutes with them.
-  cplx* raw_amplitudes() { return amps_.data(); }
-
   // -- gate application --
   void apply_gate(const Gate& g);
-  /// Apply gates [begin, end) of the circuit; applies the circuit's global
-  /// phase only when the full range [0, size) is requested in one call.
+  /// Apply the whole circuit, including its global phase.
   void apply_circuit(const QuantumCircuit& qc);
+  /// Apply gates [begin, end) of the circuit, without its global phase:
+  /// the per-gate replay of the scalar reference path (CleanRun,
+  /// run_trajectory). It carries the QFAB_FAULT nan-at-gate hook
+  /// (common/fault.h).
   void apply_circuit_range(const QuantumCircuit& qc, std::size_t begin,
                            std::size_t end);
   void apply_global_phase(double phase);

@@ -83,31 +83,13 @@ std::vector<EngineResult> run_exact_engines(const VerifyCase& c) {
     results.push_back(finish_pure("transpiled", sv, marg, kEngineTol, {}));
   }
 
-  // Fused execution plan, whole circuit.
-  const FusedPlan plan(qc);
+  // Batched engine (the fused plan's one executor) at the case's lane
+  // count, split at the case's site, where a mid-op split runs the walk's
+  // compiled slices. All lanes start |0...0>, so they must stay identical;
+  // one lane takes an X·X identity probe mid-circuit to exercise per-lane
+  // divergence bookkeeping.
   {
-    StateVector sv(n);
-    plan.apply(sv);
-    results.push_back(finish_pure("fused", sv, marg, kEngineTol, {}));
-  }
-
-  // Split execution: first half through apply_range (falls back per-gate
-  // around a mid-op boundary), second half through the lazily compiled
-  // subrange plan — the exact protocol trajectory replay uses.
-  {
-    StateVector sv(n);
-    plan.apply_range(sv, 0, split);
-    std::string violation = check_norm(sv, kEngineTol);
-    const FusedPlan& tail = plan.subrange_plan(split, gates);
-    tail.apply_range(sv, 0, tail.gate_count());
-    results.push_back(
-        finish_pure("fused-split", sv, marg, kEngineTol, std::move(violation)));
-  }
-
-  // Batched engine at the case's lane count, same split. All lanes start
-  // |0...0>, so they must stay identical; one lane takes an X·X identity
-  // probe mid-circuit to exercise per-lane divergence bookkeeping.
-  {
+    const FusedPlan plan(qc);
     BatchedStateVector bsv(n, c.lanes);
     apply_plan_range(plan, bsv, 0, split);
     std::string violation = check_lane_norms(bsv, kEngineTol);
@@ -246,7 +228,7 @@ std::string check_noisy_channel(const VerifyCase& c,
   // sweeps run: a BatchedCleanRun group whose members all start from the
   // case's |0…0>, with every replay group loaded from its checkpoints.
   const auto plan = std::make_shared<const FusedPlan>(tqc);
-  const CleanRun clean(tqc, StateVector(n), 64, plan);
+  const CleanRun clean(tqc, StateVector(n), 64);
   const int members = std::max(2, c.lanes);
   const BatchedCleanRun batched(
       plan, std::vector<std::vector<BasisTerm>>(

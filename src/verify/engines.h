@@ -7,13 +7,11 @@
 //   transpiled     transpile_to_basis(circuit) on the same reference path
 //                  (the transpiler is unitary-preserving, so the
 //                  distribution must survive decomposition + peephole)
-//   fused          FusedPlan::apply (cost-gated fusion + cache blocking)
-//   fused-split    FusedPlan::apply_range around the case's split site,
-//                  second half through a lazily compiled subrange_plan —
-//                  the trajectory machinery's mid-op split protocol
-//   batched        BatchedStateVector at the case's lane count, split at
-//                  the same site, with an X·X identity probe on one lane
-//                  exercising per-lane divergence
+//   batched        the FusedPlan on BatchedStateVector at the case's lane
+//                  count, split at the case's site (a mid-op split runs
+//                  compiled slices, the trajectory walk's protocol), with
+//                  an X·X identity probe on one lane exercising per-lane
+//                  divergence
 //   density        exact DensityMatrix evolution (trace and purity checked)
 //
 // plus a noisy leg: the depolarizing channel applied exactly by the

@@ -1,5 +1,5 @@
-// Batched-engine validation: BatchedStateVector must match the scalar
-// StateVector/FusedPlan path to <= 1e-12 on random circuits over every
+// Batched-engine validation: BatchedStateVector must match the per-gate
+// StateVector path to <= 1e-12 on random circuits over every
 // fused op kind — including mid-plan per-lane Pauli injections at every
 // gate index, ragged lane counts, and both double kernel builds (portable
 // and, on AVX2 hosts, AVX2, which must agree bit for bit). Float32 lanes
@@ -229,7 +229,7 @@ TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
           const auto init = random_state(n, rng);
           bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(init)));
           refs.push_back(StateVector::from_amplitudes(init));
-          plan.apply(refs.back());
+          refs.back().apply_circuit(qc);
         }
         apply_plan(plan, bsv);
         for (int l = 0; l < lanes; ++l)
@@ -261,7 +261,7 @@ TEST(BatchedEngine, MatchesScalarWithSmallTiles) {
         const auto init = random_state(6, rng);
         bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(init)));
         refs.push_back(StateVector::from_amplitudes(init));
-        plan.apply(refs.back());
+        refs.back().apply_circuit(qc);
       }
       apply_plan(plan, bsv);
       for (int l = 0; l < lanes; ++l)
@@ -302,9 +302,9 @@ TEST(BatchedEngine, PerLaneInjectionAtEveryGateIndex) {
 
     for (int l = 0; l < lanes; ++l) {
       StateVector ref = StateVector::from_amplitudes(inits[l]);
-      plan.apply_range(ref, 0, s);
+      ref.apply_circuit_range(qc, 0, s);
       ref.apply_pauli(p[l], q[l]);
-      plan.apply_range(ref, s, total);
+      ref.apply_circuit_range(qc, s, total);
       EXPECT_LT(state_distance(bsv.lane_state(l).amplitudes(),
                                ref.amplitudes()),
                 kTol)
@@ -317,7 +317,7 @@ TEST(BatchedEngine, SplitsInsideTranspiledQfaOpsMatchScalar) {
   // Transpiled QFA fuses long diagonal gate runs into single ops; a split
   // inside one now executes through a cached subrange plan
   // (FusedPlan::subrange_plan) instead of gate-at-a-time. Pin the batched
-  // split execution against the scalar apply_range at strided split points.
+  // split execution against the per-gate path at strided split points.
   for_each_kernel_tier([](const char* mode) {
     CircuitSpec spec;
     spec.op = Operation::kAdd;
@@ -328,7 +328,7 @@ TEST(BatchedEngine, SplitsInsideTranspiledQfaOpsMatchScalar) {
     Pcg64 rng(20260805, 19);
     const auto init = random_state(qc.num_qubits(), rng);
     StateVector ref = StateVector::from_amplitudes(init);
-    plan.apply_range(ref, 0, total);
+    ref.apply_circuit_range(qc, 0, total);
     for (std::size_t s = 0; s <= total; s += 3) {
       BatchedStateVector bsv(qc.num_qubits(), 2);
       for (int l = 0; l < 2; ++l)
@@ -351,10 +351,9 @@ TEST(BatchedTrajectories, MatchScalarRunTrajectory) {
   const int n = 4, lanes = 5;
   const QuantumCircuit qc = random_circuit(n, 40, rng);
   const std::size_t total = qc.gates().size();
-  const FusedPlan* raw_plan = nullptr;
+  const FusedPlan plan(qc);
   const StateVector init = StateVector::from_amplitudes(random_state(n, rng));
   const CleanRun clean(qc, init, 8);
-  raw_plan = &clean.plan();
 
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<std::vector<ErrorEvent>> lane_events(lanes);
@@ -378,7 +377,7 @@ TEST(BatchedTrajectories, MatchScalarRunTrajectory) {
 
     BatchedStateVector bsv(n, lanes);
     bsv.broadcast(clean.state_at(g0));
-    run_trajectories_batched(*raw_plan, bsv, g0, lane_events);
+    run_trajectories_batched(plan, bsv, g0, lane_events);
 
     for (int l = 0; l < lanes; ++l) {
       const StateVector ref =
@@ -404,7 +403,7 @@ TEST(BatchedCleanRunTest, LaneQueriesMatchScalarCleanRuns) {
   std::vector<CleanRun> scalar_runs;
   for (int l = 0; l < lanes; ++l) {
     initials.push_back(StateVector::from_amplitudes(random_state(n, rng)));
-    scalar_runs.emplace_back(qc, initials.back(), 16, plan);
+    scalar_runs.emplace_back(qc, initials.back(), 16);
   }
   const BatchedCleanRun batched(plan, initials, 16);
   ASSERT_EQ(batched.lanes(), lanes);
@@ -459,7 +458,7 @@ TEST(BatchedEstimator, MatchesScalarEstimatorAndIsPackingIndependent) {
   std::vector<CleanRun> scalar_runs;
   for (const ArithInstance& inst : insts) {
     initials.push_back(initial_state_terms(spec, inst));
-    scalar_runs.emplace_back(qc, make_initial_state(spec, inst), 32, plan);
+    scalar_runs.emplace_back(qc, make_initial_state(spec, inst), 32);
   }
   const BatchedCleanRun clean(plan, initials, 32);
   const ErrorLocations errors(qc, NoiseModel{.p1q = 0.002, .p2q = 0.004});
@@ -832,8 +831,8 @@ BatchedStateVectorT<Real> span_initial_state(std::uint64_t seed) {
 /// lane bitwise equal to that lane under the full-width step, and every
 /// other lane untouched. One walk of one step covers every tile base of
 /// the 4096-row vector. The full-width step itself is held to an oracle
-/// lane by lane: in double, the scalar FusedPlan::apply_range of the op's
-/// gates; in float32 (a taller tile), the double step from the same start.
+/// lane by lane: in double, the op's gates on the per-gate StateVector
+/// path; in float32 (a taller tile), the double step from the same start.
 /// On the AVX2 build every double step, full-width and span, must also
 /// give the portable build's bits.
 template <typename Real>
@@ -858,7 +857,8 @@ void expect_spans_match_full_width(const char* mode) {
                            std::string(mode) + " " + c.what);
       for (int l = 0; l < kSpanLanes; ++l) {
         StateVector ref = init.lane_state(l);
-        c.plan->apply_range(ref, op.gate_begin, op.gate_end);
+        ref.apply_circuit_range(c.plan->circuit(), op.gate_begin,
+                                op.gate_end);
         EXPECT_LT(state_distance(full.lane_state(l).amplitudes(),
                                  ref.amplitudes()),
                   kTol)

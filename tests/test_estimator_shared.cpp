@@ -238,7 +238,7 @@ TEST(SharedEstimator, BatchedForcedEssFallbackMatchesPerMemberEstimate) {
     EXPECT_EQ(rngs[0][m](), pooled_rngs[m]()) << "member " << m;
 
   for (std::size_t m = 0; m < members; ++m) {
-    const CleanRun scalar(qc, initials[m], 16, plan);
+    const CleanRun scalar(qc, initials[m], 16);
     Pcg64 ref_rng(43, m);
     const std::vector<double> ref =
         estimate_channel_marginal(scalar, cluster[0], outputs, eopt, ref_rng);

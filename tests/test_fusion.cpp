@@ -1,7 +1,10 @@
-// FusedPlan validation: fused execution must be bit-compatible (<= 1e-12)
-// with the per-gate reference path on random circuits over every supported
-// gate kind, including when split at arbitrary gate indices — the contract
-// the trajectory noise-injection machinery relies on.
+// FusedPlan validation: the compiled ops (pinned bit for bit), the slice
+// store, and the plan's execution by its one executor, the batched walk
+// (apply_plan / apply_plan_range on a one-lane BatchedStateVector), which
+// must match the per-gate reference path (<= 1e-12), including when split
+// inside ops — the contract the trajectory noise-injection machinery relies
+// on. tests/test_batch.cpp runs the walk on random circuits over every gate
+// kind at several lane counts, small tiles and splits at every gate index.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,6 +18,7 @@
 
 #include "common/rng.h"
 #include "exp/experiment.h"
+#include "sim/batch.h"
 #include "sim/fusion.h"
 
 namespace qfab {
@@ -76,6 +80,20 @@ StateVector run_reference(const QuantumCircuit& qc,
   StateVector sv = StateVector::from_amplitudes(init);
   sv.apply_circuit(qc);
   return sv;
+}
+
+/// A one-lane batched vector holding `init`.
+BatchedStateVector one_lane(const std::vector<cplx>& init) {
+  BatchedStateVector bsv(ceil_log2(init.size()), 1);
+  bsv.set_lane(0, nonzero_terms(StateVector::from_amplitudes(init)));
+  return bsv;
+}
+
+/// `init` after the whole plan (global phase included), run by apply_plan.
+StateVector run_plan(const FusedPlan& plan, const std::vector<cplx>& init) {
+  BatchedStateVector bsv = one_lane(init);
+  apply_plan(plan, bsv);
+  return bsv.lane_state(0);
 }
 
 /// FNV-1a over the bytes of 64-bit words.
@@ -191,76 +209,10 @@ QuantumCircuit panel_circuit(const PanelPlan& p) {
   return build_transpiled_circuit(spec);
 }
 
-TEST(FusedPlan, MatchesReferenceOnRandomCircuits) {
-  Pcg64 rng(20260805, 1);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int n = 3 + static_cast<int>(rng.uniform_int(3));  // 3..5 qubits
-    const QuantumCircuit qc = random_circuit(n, 40, rng);
-    const std::vector<cplx> init = random_state(n, rng);
-
-    const StateVector ref = run_reference(qc, init);
-    const FusedPlan plan(qc);
-    StateVector sv = StateVector::from_amplitudes(init);
-    plan.apply(sv);
-
-    EXPECT_LT(state_distance(sv.amplitudes(), ref.amplitudes()), kTol)
-        << "trial " << trial << " n=" << n;
-  }
-}
-
-TEST(FusedPlan, MatchesReferenceWithSmallTiles) {
-  // tile_bits below the qubit count exercises the multi-tile block path.
-  Pcg64 rng(20260805, 2);
-  FusionOptions options;
-  options.tile_bits = 3;
-  for (int trial = 0; trial < 20; ++trial) {
-    const QuantumCircuit qc = random_circuit(6, 60, rng);
-    const std::vector<cplx> init = random_state(6, rng);
-
-    const StateVector ref = run_reference(qc, init);
-    const FusedPlan plan(qc, options);
-    StateVector sv = StateVector::from_amplitudes(init);
-    plan.apply(sv);
-
-    EXPECT_LT(state_distance(sv.amplitudes(), ref.amplitudes()), kTol)
-        << "trial " << trial;
-  }
-}
-
-TEST(FusedPlan, SplitAtEveryGateIndexWithPauliInjection) {
-  // The trajectory-injection contract: apply_range(0, s), inject a Pauli,
-  // apply_range(s, N) must match the per-gate path for every split s.
-  Pcg64 rng(20260805, 3);
-  for (int trial = 0; trial < 8; ++trial) {
-    const int n = 4;
-    const QuantumCircuit qc = random_circuit(n, 30, rng);
-    const std::size_t total = qc.gates().size();
-    const std::vector<cplx> init = random_state(n, rng);
-    const FusedPlan plan(qc);
-
-    for (std::size_t s = 0; s <= total; ++s) {
-      const Pauli p = static_cast<Pauli>(1 + rng.uniform_int(3));
-      const int q = static_cast<int>(rng.uniform_int(n));
-
-      StateVector ref = StateVector::from_amplitudes(init);
-      ref.apply_circuit_range(qc, 0, s);
-      ref.apply_pauli(p, q);
-      ref.apply_circuit_range(qc, s, total);
-
-      StateVector sv = StateVector::from_amplitudes(init);
-      plan.apply_range(sv, 0, s);
-      sv.apply_pauli(p, q);
-      plan.apply_range(sv, s, total);
-
-      EXPECT_LT(state_distance(sv.amplitudes(), ref.amplitudes()), kTol)
-          << "trial " << trial << " split " << s;
-    }
-  }
-}
-
 TEST(FusedPlan, DoubleSplitMatchesReference) {
-  // Two injection sites -> three fused segments with two partial
-  // boundaries, the shape run_trajectory produces for multi-event shots.
+  // Two injection sites -> three segments with two partial boundaries,
+  // each run by apply_plan_range (compiled slices inside ops), the shape a
+  // multi-event trajectory takes.
   Pcg64 rng(20260805, 4);
   const QuantumCircuit qc = random_circuit(5, 40, rng);
   const std::size_t total = qc.gates().size();
@@ -279,14 +231,15 @@ TEST(FusedPlan, DoubleSplitMatchesReference) {
     ref.apply_pauli(Pauli::kY, 1);
     ref.apply_circuit_range(qc, s2, total);
 
-    StateVector sv = StateVector::from_amplitudes(init);
-    plan.apply_range(sv, 0, s1);
-    sv.apply_pauli(Pauli::kX, 0);
-    plan.apply_range(sv, s1, s2);
-    sv.apply_pauli(Pauli::kY, 1);
-    plan.apply_range(sv, s2, total);
+    BatchedStateVector bsv = one_lane(init);
+    apply_plan_range(plan, bsv, 0, s1);
+    bsv.apply_pauli(0, Pauli::kX, 0);
+    apply_plan_range(plan, bsv, s1, s2);
+    bsv.apply_pauli(0, Pauli::kY, 1);
+    apply_plan_range(plan, bsv, s2, total);
 
-    EXPECT_LT(state_distance(sv.amplitudes(), ref.amplitudes()), kTol)
+    EXPECT_LT(state_distance(bsv.lane_state(0).amplitudes(), ref.amplitudes()),
+              kTol)
         << "splits " << s1 << "," << s2;
   }
 }
@@ -319,11 +272,11 @@ TEST(FusedPlan, FusionCollapsesTranspiledCircuits) {
       << "gates=" << qc.gates().size() << " ops=" << plan.op_count();
 
   // And the fused replay still matches the reference path.
-  StateVector ref(qc.num_qubits());
-  ref.apply_circuit(qc);
-  StateVector sv(qc.num_qubits());
-  plan.apply(sv);
-  EXPECT_LT(state_distance(sv.amplitudes(), ref.amplitudes()), kTol);
+  std::vector<cplx> init(pow2(qc.num_qubits()));
+  init[0] = 1.0;
+  EXPECT_LT(state_distance(run_plan(plan, init).amplitudes(),
+                           run_reference(qc, init).amplitudes()),
+            kTol);
 }
 
 TEST(FusedPlan, DisabledPlanStillMatchesReference) {
@@ -335,9 +288,7 @@ TEST(FusedPlan, DisabledPlanStillMatchesReference) {
 
   const FusedPlan plan(qc, options);
   EXPECT_EQ(plan.op_count(), qc.gates().size());
-  StateVector sv = StateVector::from_amplitudes(init);
-  plan.apply(sv);
-  EXPECT_LT(state_distance(sv.amplitudes(),
+  EXPECT_LT(state_distance(run_plan(plan, init).amplitudes(),
                            run_reference(qc, init).amplitudes()),
             kTol);
 }
@@ -369,7 +320,9 @@ TEST(FusedPlan, CompiledOpsMatchPinnedDigest) {
   // any prefix or suffix slice of an op of either moves a digest. The
   // expected values depend on this toolchain's libm cos and sin, which
   // produce the RZ/P/CP/CCP phases; a different libm may need new values,
-  // taken from a build whose ops are known good.
+  // taken from a build whose ops are known good. The last check pins what
+  // the plan's one executor, the batched walk, makes of one plan (both
+  // kernel builds give the same bits).
   constexpr std::uint64_t kExpected[][2] = {
       // {plan and its slices, twin and its slices}
       {0xcd93bd4ad9cd598dULL, 0xfcdb1b7b7a356ccULL},  // QFA n=8, depth 1
@@ -392,14 +345,15 @@ TEST(FusedPlan, CompiledOpsMatchPinnedDigest) {
         << plan_and_slices_digest(twin);
   }
 
-  // The scalar apply of the QFM n=4 full plan from basis |x=3, y=5, z=0>.
+  // apply_plan of the QFM n=4 full plan on one lane from basis
+  // |x=3, y=5, z=0>, in the identity row layout.
   const FusedPlan qfm(panel_circuit(kPanelPlans[6]));
-  StateVector sv(qfm.circuit().num_qubits());
-  sv.set_basis_state(3 | (5 << 4));
-  qfm.apply(sv);
+  BatchedStateVector bsv(qfm.circuit().num_qubits(), 1);
+  bsv.set_lane(0, {BasisTerm{3 | (5 << 4), 1.0}});
+  apply_plan(qfm, bsv);
   Fnv1a f;
-  amp_words(sv.amplitudes(), f);
-  EXPECT_EQ(f.h, 0xb8087a913fb73ed2ULL)
+  amp_words(bsv.lane_state(0).amplitudes(), f);
+  EXPECT_EQ(f.h, 0x34a6c01c796e43afULL)
       << std::hex << "amplitudes digest 0x" << f.h;
 }
 
@@ -574,34 +528,10 @@ TEST(FusedPlan, SubrangePlanConcurrentHammer) {
   const std::vector<cplx> init = random_state(5, rng);
   StateVector ref = StateVector::from_amplitudes(init);
   ref.apply_circuit_range(qc, 3, total);
-  StateVector sv = StateVector::from_amplitudes(init);
-  plan.subrange_plan(3, total).apply(sv);
-  EXPECT_LT(state_distance(sv.amplitudes(), ref.amplitudes()), kTol);
-}
-
-TEST(FusedPlan, CleanRunSharesPlanAcrossInstances) {
-  // A CleanRun built from a shared plan must agree with one that compiles
-  // its own, and with the unfused reference.
-  CircuitSpec spec;
-  spec.op = Operation::kAdd;
-  spec.n = 3;
-  const QuantumCircuit qc = build_transpiled_circuit(spec);
-  const auto plan = std::make_shared<const FusedPlan>(qc);
-
-  StateVector init(qc.num_qubits());
-  const CleanRun shared(qc, init, 16, plan);
-  const CleanRun owned(qc, init, 16);
-  StateVector ref(qc.num_qubits());
-  ref.apply_circuit_range(qc, 0, qc.gates().size());
-
-  EXPECT_LT(state_distance(shared.final_state().amplitudes(),
+  EXPECT_LT(state_distance(run_plan(plan.subrange_plan(3, total), init)
+                               .amplitudes(),
                            ref.amplitudes()),
             kTol);
-  for (std::size_t g = 0; g <= qc.gates().size(); g += 7) {
-    EXPECT_LT(state_distance(shared.state_at(g).amplitudes(),
-                             owned.state_at(g).amplitudes()),
-              kTol);
-  }
 }
 
 TEST(FusedPlan, HoistedDiagonalKeysMatchPerRowGather) {

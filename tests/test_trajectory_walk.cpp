@@ -1,24 +1,23 @@
 // Fused tile-walk driver validation: every lane of run_trajectories_batched
 // (the walk) against the scalar run_trajectory of that lane's own
-// trajectory, replayed from a CleanRun on the same initial state. The walk
-// decomposes op-interior splits PER LANE (only the event lane slices the
-// host op; bystanders take it fused), which is the decomposition
-// run_trajectory performs for that trajectory alone; the batched kernels
-// and the resume point still round differently from the scalar path, so
-// the double tier is pinned to 1e-12 and float32 to the tier's replay
-// drift bound (lane states are compared with each lane's pending phase
-// folded in). What IS bitwise by construction is packing invariance: a
-// lane's replay is identical whatever trajectories share the batch (pinned
-// below against solo single-lane walks). Site classes the walk decomposes
-// differently from a plain fused pass are each pinned: splits inside
-// collapsed diagonal ops, splits on op boundaries, runs broken by
-// non-tileable ops, and dense same-site multi-lane injections.
+// trajectory, replayed gate by gate from a CleanRun on the same initial
+// state. The walk decomposes op-interior splits PER LANE (only the event
+// lane slices the host op; bystanders take it fused), so a lane's
+// arithmetic follows its own trajectory alone; fused ops and the per-gate
+// path round differently, so the double tier is pinned to 1e-12 and
+// float32 to the tier's replay drift bound (lane states are compared with
+// each lane's pending phase folded in). What IS bitwise by construction is
+// packing invariance: a lane's replay is identical whatever trajectories
+// share the batch (pinned below against solo single-lane walks). Site
+// classes the walk decomposes differently from a plain fused pass are each
+// pinned: splits inside collapsed diagonal ops, splits on op boundaries,
+// runs broken by non-tileable ops, and dense same-site multi-lane
+// injections.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -156,11 +155,7 @@ template <typename Real>
 double walk_vs_scalar(const FusedPlan& plan, const StateVector& initial,
                       int lanes, std::size_t start_gates,
                       const std::vector<std::vector<ErrorEvent>>& lane_events) {
-  // CleanRun shares a plan through a shared_ptr; this one aliases the
-  // caller's plan without owning it.
-  const CleanRun clean(plan.circuit(), initial, 64,
-                       std::shared_ptr<const FusedPlan>(
-                           std::shared_ptr<const FusedPlan>(), &plan));
+  const CleanRun clean(plan.circuit(), initial, 64);
   BatchedStateVectorT<Real> walk(plan.circuit().num_qubits(), lanes);
   walk.broadcast(clean.state_at(start_gates));
   run_trajectories_batched(plan, walk, start_gates, lane_events);
@@ -351,7 +346,7 @@ TEST(TrajectoryWalk, LaneReplayIsPackingInvariantBitwise) {
     std::vector<std::vector<ErrorEvent>> lane_events;
     const std::size_t g0 = random_lane_events(qc, lanes, 3, rng, lane_events);
     StateVector start(5);
-    plan.apply_range(start, 0, g0);
+    start.apply_circuit_range(qc, 0, g0);
 
     BatchedStateVector group(5, lanes);
     group.broadcast(start);
