@@ -9,7 +9,9 @@
 // wall-clock for both, the speedup, replay counts (per-rate vs unique +
 // fallback), the dedup ratio, ESS statistics, and the max per-point
 // success-rate delta between the two modes. Writes machine-readable
-// BENCH_sweep.json.
+// BENCH_sweep.json. A delta at or above kMaxSuccessDelta means the two
+// estimators disagree: the bench still writes the JSON, prints the delta
+// and the bound on one line, and exits 1.
 #include <algorithm>
 #include <cmath>
 #include <sstream>
@@ -28,6 +30,11 @@
 
 namespace qfab::bench {
 namespace {
+
+/// The largest shared-vs-stratified success-rate delta of one point the
+/// bench accepts. One instance flip moves a point by 1/instances, so a
+/// small panel can reach it by chance.
+constexpr double kMaxSuccessDelta = 0.35;
 
 struct BenchRow {
   std::string mode;           // "stratified" | "shared"
@@ -140,9 +147,6 @@ int run(int argc, const char* const* argv) {
   const SweepResult shared_result = run_sweep(config, instances);
   const SharedEstimateStats stats = shared_result.shared_stats;
   const double success_delta = max_success_delta(strat_result, shared_result);
-  QFAB_CHECK_MSG(success_delta < 0.35,
-                 "shared vs stratified success rates diverged by "
-                     << success_delta);
 
   std::vector<BenchRow> rows;
   double strat_ms = 0.0;
@@ -180,6 +184,12 @@ int run(int argc, const char* const* argv) {
   write_json(rows, config, stats, stratified_replays, success_delta,
              out_path);
   std::cout << "wrote " << out_path << "\n";
+  if (success_delta >= kMaxSuccessDelta) {
+    std::cerr << "bench_sweep: shared vs stratified success rates differ by "
+              << success_delta << " at one point, at or above the bound "
+              << kMaxSuccessDelta << "\n";
+    return 1;
+  }
   return 0;
 }
 

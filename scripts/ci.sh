@@ -106,10 +106,11 @@ run_exit0() {
 }
 
 # Every example, the table, ablation and extension benches at default
-# flags, and one small bench_batch run (its cross-check holds the batched
-# estimator to the scalar one) must exit 0. The build compiles them, but
-# no other step runs them, and QFAB_SKIP_PERF=1 skips the perf smoke's
-# bench_batch run.
+# flags, one small bench_batch run (its cross-check holds the batched
+# estimator to the scalar one) and one bench_fusion rep (its cross-check
+# holds the fused and unfused plans to the per-gate path) must exit 0. The
+# build compiles them, but no other step runs them, and QFAB_SKIP_PERF=1
+# skips the perf smoke's bench_batch run.
 example_and_bench_runs() {
   local name="$1"
   local outdir="build-ci-${name}/example_and_bench_runs"
@@ -131,18 +132,19 @@ example_and_bench_runs() {
     done
     run_exit0 ../bench/bench_batch --instances 2 --reps 1 --batches 1,8 \
       --out BENCH_batch.json
+    run_exit0 ../bench/bench_fusion --reps 1 --out BENCH_fusion.json
   )
 }
 
 # A malformed command line is a usage error: exit 2 with a message, like
 # an unknown flag, never an abort or a table. So is a value no run can use:
 # a count or --n below 1, a rate outside (0, 100] percent, a negative gate
-# time. Each case is "<bench> <args>".
+# time. Each case is "<bench> <args>"; qfab_verify runs from tools/.
 figure_usage_errors() {
   local name="$1"
   local builddir="build-ci-${name}"
   echo "== ${name}: bench usage errors exit 2 =="
-  local bench args case rc
+  local bench args case dir rc
   local cases=("fig1_qfa_sweep foo" "bench_sweep --reps abc"
                "bench_sweep --reps 0" "bench_sweep --lanes 65"
                "bench_fusion --reps 0"
@@ -152,7 +154,8 @@ figure_usage_errors() {
                "ablation_add_depth --rate2q 200"
                "ablation_add_depth --rate2q -5" "ablation_add_depth --n 0"
                "ext_routing --n 0" "ext_thermal_readout --time1q -1"
-               "ablation_multiplier --shots 0" "ablation_estimator --shots 0")
+               "ablation_multiplier --shots 0" "ablation_estimator --shots 0"
+               "qfab_verify --cases 0" "qfab_verify --cases -1")
   for bench in fig1_qfa_sweep fig2_qfm_sweep; do
     for args in "--depths full" "--shots abc" "--n 8" "--precision half" \
                 "--instances 0" "--instances -3" "--traj 0" "--shots 0" \
@@ -164,9 +167,11 @@ figure_usage_errors() {
   for case in "${cases[@]}"; do
     bench="${case%% *}"
     args="${case#* }"
+    dir=bench
+    [[ "${bench}" == qfab_verify ]] && dir=tools
     set +e
     # shellcheck disable=SC2086
-    "./${builddir}/bench/${bench}" ${args} >/dev/null 2>&1
+    "./${builddir}/${dir}/${bench}" ${args} >/dev/null 2>&1
     rc=$?
     set -e
     if [[ "${rc}" -ne 2 ]]; then

@@ -9,6 +9,8 @@
 //
 // See DESIGN.md §8 for the engine matrix and invariants.
 #include <iostream>
+#include <limits>
+#include <string>
 
 #include "common/cli.h"
 #include "sim/batch.h"
@@ -22,7 +24,7 @@ int main(int argc, char** argv) try {
   const CliFlags flags(argc, argv);
   VerifyOptions opt;
   opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  opt.cases = static_cast<std::size_t>(flags.get_int("cases", 200));
+  const long cases = flags.get_int("cases", 200);
   opt.engines.f32_tol = flags.get_double("f32-tol", opt.engines.f32_tol);
   opt.engines.check_noisy = flags.get_bool("noisy", true);
   opt.failure_dir = flags.get_string("out", "results/verify_failures");
@@ -31,6 +33,12 @@ int main(int argc, char** argv) try {
   // flip) that the harness must catch; see sim/batch.h.
   const bool inject = flags.get_bool("inject-kernel-bug", false);
   if (!flags.validate()) return 2;
+  // A case count no run can use is a usage error, as for the benches'
+  // counts: 0 would check nothing, a negative count would wrap around.
+  if (cases < 1 || cases > std::numeric_limits<int>::max())
+    throw UsageError("--cases must be in [1, 2147483647], got " +
+                     std::to_string(cases));
+  opt.cases = static_cast<std::size_t>(cases);
 
   if (inject) detail::set_batch_fault_injection(true);
 
