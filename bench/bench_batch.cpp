@@ -81,7 +81,7 @@ void run_point(const Case& c, const QuantumCircuit& qc,
     const std::size_t i1 = std::min(i0 + B, instances.size());
     const std::vector<ArithInstance> group(instances.begin() + i0,
                                            instances.begin() + i1);
-    const InstanceBatch batch(qc, c.spec, group, run, plan);
+    const InstanceBatch batch(plan, c.spec, group, run);
     std::vector<std::vector<Pcg64>> rngs(1);
     rngs[0].reserve(group.size());
     for (std::size_t m = 0; m < group.size(); ++m)

@@ -156,10 +156,21 @@ BENCHMARK(BM_MarginalProbabilities);
 // (bytes/sec; 2 planes x read+write per update), so kernels are comparable
 // as bandwidth figures.
 
+/// Every lane of a `lanes`-lane vector holding H on every qubit of |0...0>:
+/// a dense state, so the walk skips no tile.
+template <typename Real>
+BatchedStateVectorT<Real> dense_lanes(int n, int lanes) {
+  StateVector sv(n);
+  for (int q = 0; q < n; ++q) sv.apply_gate(make_gate1(GateKind::kH, q));
+  BatchedStateVectorT<Real> bsv(n, lanes);
+  bsv.broadcast(sv);
+  return bsv;
+}
+
 template <typename Real>
 void bm_batched_plan(benchmark::State& state,
                      std::shared_ptr<const FusedPlan> plan, int n, int lanes) {
-  BatchedStateVectorT<Real> bsv(n, lanes);
+  BatchedStateVectorT<Real> bsv = dense_lanes<Real>(n, lanes);
   for (auto _ : state) {
     apply_plan(*plan, bsv);
     benchmark::DoNotOptimize(bsv.re());
@@ -173,16 +184,17 @@ void bm_batched_plan(benchmark::State& state,
       static_cast<std::int64_t>(updates * 4.0 * sizeof(Real)));
 }
 
-/// The kernels worth a row each: a 1q matrix stream (b_matrix1), a 1q
-/// diagonal stream (b_diag1), a 2q stream (b_matrix2), and the fused AQFT
+/// The streams worth a row each: one per transpiled gate kind that costs
+/// work — SX (b_gate's 2x2 body), RZ (its phase-on-bit pass) and CX (its
+/// row swap), each gate a kGate op of an unfused plan — and the fused AQFT
 /// mix the sweeps actually run.
 QuantumCircuit kernel_circuit(const std::string& kernel, int n, int gates) {
   QuantumCircuit qc(n);
   for (int i = 0; i < gates; ++i) {
     const int q = i % n;
-    if (kernel == "matrix1")
+    if (kernel == "sx")
       qc.append(make_gate1(GateKind::kSX, q));
-    else if (kernel == "diag1")
+    else if (kernel == "rz")
       qc.append(make_gate1(GateKind::kRZ, q, 0.3));
     else
       qc.append(make_gate2(GateKind::kCX, q, (q + 1) % n));
@@ -196,10 +208,10 @@ int register_batched_benches() {
   const int gates = 64;
   std::vector<std::pair<std::string, std::shared_ptr<const FusedPlan>>>
       plans;
-  // Per-kernel streams run unfused so every gate hits its own kernel.
+  // Per-gate streams run unfused so every gate runs as its own kGate op.
   FusionOptions unfused;
   unfused.enable = false;
-  for (const char* kernel : {"matrix1", "diag1", "matrix2"})
+  for (const char* kernel : {"sx", "rz", "cx"})
     plans.emplace_back(kernel, std::make_shared<const FusedPlan>(
                                    kernel_circuit(kernel, n, gates),
                                    unfused));
@@ -277,10 +289,7 @@ void bm_lane_span(benchmark::State& state, const BatchWalkStep& step) {
   constexpr std::size_t kRun = 16;
   const LaneSpanCase& c = lane_span_case();
   const int n = c.plan->circuit().num_qubits();
-  BatchedStateVector bsv(n, 8);
-  StateVector sv(n);
-  for (int q = 0; q < n; ++q) sv.apply_gate(make_gate1(GateKind::kH, q));
-  bsv.broadcast(sv);
+  BatchedStateVector bsv = dense_lanes<double>(n, 8);
   const std::vector<BatchWalkStep> run(kRun, step);
   for (auto _ : state) {
     apply_batch_walk(*c.plan, bsv, run.data(), run.size());

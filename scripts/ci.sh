@@ -107,10 +107,12 @@ run_exit0() {
 
 # Every example, the table, ablation and extension benches at default
 # flags, one small bench_batch run (its cross-check holds the batched
-# estimator to the scalar one) and one bench_fusion rep (its cross-check
-# holds the fused and unfused plans to the per-gate path) must exit 0. The
-# build compiles them, but no other step runs them, and QFAB_SKIP_PERF=1
-# skips the perf smoke's bench_batch run.
+# estimator to the scalar one), one bench_fusion rep (its cross-check
+# holds the fused and unfused plans to the per-gate path) and one short
+# micro_kernels pass (its setup checks that the QFA n=8 plan holds the ops
+# its lane-span rows time) must exit 0. The build compiles them, but no
+# other step runs them, and QFAB_SKIP_PERF=1 skips the perf smoke's
+# bench_batch run.
 example_and_bench_runs() {
   local name="$1"
   local outdir="build-ci-${name}/example_and_bench_runs"
@@ -133,6 +135,7 @@ example_and_bench_runs() {
     run_exit0 ../bench/bench_batch --instances 2 --reps 1 --batches 1,8 \
       --out BENCH_batch.json
     run_exit0 ../bench/bench_fusion --reps 1 --out BENCH_fusion.json
+    run_exit0 ../bench/micro_kernels --benchmark_min_time=0.01
   )
 }
 

@@ -75,6 +75,19 @@ bool gate_is_diagonal(GateKind kind) {
   }
 }
 
+bool is_basis_gate(GateKind kind) {
+  switch (kind) {
+    case GateKind::kId:
+    case GateKind::kX:
+    case GateKind::kSX:
+    case GateKind::kRZ:
+    case GateKind::kCX:
+      return true;
+    default:
+      return false;
+  }
+}
+
 Matrix Gate::matrix() const {
   switch (kind) {
     case GateKind::kId:   return gates::I();

@@ -49,6 +49,10 @@ const std::string& gate_name(GateKind kind);
 /// True for gates whose matrix is diagonal in the computational basis.
 bool gate_is_diagonal(GateKind kind);
 
+/// True for the IBM basis gates {Id, X, SX, RZ, CX}: what the transpiler
+/// emits, and the only gates a FusedPlan compiles.
+bool is_basis_gate(GateKind kind);
+
 struct Gate {
   GateKind kind{};
   std::array<int, 3> qubits{{-1, -1, -1}};

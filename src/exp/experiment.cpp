@@ -201,19 +201,13 @@ std::vector<std::vector<BasisTerm>> InstanceBatch::initial_terms(
   return terms;
 }
 
-InstanceBatch::InstanceBatch(const QuantumCircuit& transpiled,
+InstanceBatch::InstanceBatch(std::shared_ptr<const FusedPlan> plan,
                              const CircuitSpec& spec,
                              const std::vector<ArithInstance>& group,
-                             const RunOptions& run,
-                             std::shared_ptr<const FusedPlan> plan)
-    : clean_(plan ? std::move(plan)
-                  : std::make_shared<const FusedPlan>(transpiled),
-             initial_terms(spec, group), run.checkpoint_interval),
+                             const RunOptions& run)
+    : clean_(std::move(plan), initial_terms(spec, group),
+             run.checkpoint_interval),
       output_qubits_(output_qubits(spec)) {
-  // The shared plan must describe this exact circuit: trajectory
-  // injection addresses gates by index through it.
-  QFAB_CHECK(clean_.circuit().num_qubits() == transpiled.num_qubits());
-  QFAB_CHECK(clean_.plan().gate_count() == transpiled.gates().size());
   if (run.health_checks)
     throw_if_unhealthy(check_lane_norms(clean_.final_states(), kHealthTol),
                        "batched clean run final states");

@@ -174,9 +174,11 @@ class InstanceContext {
 /// no step of an evaluation builds a dense 2^n state.
 class InstanceBatch {
  public:
-  InstanceBatch(const QuantumCircuit& transpiled, const CircuitSpec& spec,
-                const std::vector<ArithInstance>& group, const RunOptions& run,
-                std::shared_ptr<const FusedPlan> plan = nullptr);
+  /// `plan` is the compiled transpiled circuit of `spec` (the plan owns its
+  /// circuit); trajectory injection addresses its gates by index.
+  InstanceBatch(std::shared_ptr<const FusedPlan> plan, const CircuitSpec& spec,
+                const std::vector<ArithInstance>& group,
+                const RunOptions& run);
 
   /// Evaluate every member at a cluster of noise points in batched passes
   /// (estimate_channel_marginals_shared): one shared trajectory set per

@@ -249,8 +249,8 @@ struct SweepExecution::Impl {
                         UnitResult& out) const {
     const std::vector<ArithInstance> group(instances.begin() + i0,
                                            instances.begin() + i1);
-    const InstanceBatch batch(circuits[d], spec_at(config.depths[d]), group,
-                              config.run, plans[d]);
+    const InstanceBatch batch(plans[d], spec_at(config.depths[d]), group,
+                              config.run);
     for (const RateCluster& cluster : clusters) {
       std::vector<std::vector<Pcg64>> rngs(cluster.columns.size());
       for (std::size_t c = 0; c < cluster.columns.size(); ++c) {

@@ -38,29 +38,21 @@ namespace {
 
 cplx expi(double t) { return {std::cos(t), std::sin(t)}; }
 
-/// One build of the batched kernels for one amplitude precision. All
-/// kernels take the chunk's global base row (diagonal key gathers need it),
-/// the full lane stride L and the active lane-group width G <= L.
+/// One build of the batched kernels for one amplitude precision: one entry
+/// per op kind a plan compiles, plus the single-lane Pauli. All kernels take
+/// the chunk's global base row (diagonal key gathers and cross-tile pairs
+/// need it), the full lane stride L and the active lane-group width
+/// G <= L, and each is correct at any qubit span relative to the chunk
+/// (batch_kernels.inc).
 template <typename Real>
 struct BatchKernelTable {
   void (*matrix1)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
-  void (*matrix2)(Real*, Real*, u64, u64, u64, u64, int, int, const cplx*);
   void (*diag1)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
   void (*diag)(Real*, Real*, u64, u64, u64, u64, const FusedOp::DiagShift*,
                int, const cplx*);
-  void (*phase_on_bit)(Real*, Real*, u64, u64, u64, u64, int, cplx);
   // Per-gate kernel of a kGate op: the gate plus its operands decoded at
   // plan compile (FusedOp::m).
   void (*gate)(Real*, Real*, u64, u64, u64, u64, const Gate&, const cplx*);
-  // Group-walk variants: correct at any qubit span relative to the chunk,
-  // pairing with XOR-sibling tiles through absolute row offsets (the walk
-  // in apply_batch_walk runs a cross-tile step on every tile of its
-  // group). Same row bodies as the contiguous kernels, so results are
-  // bitwise identical.
-  void (*matrix1g)(Real*, Real*, u64, u64, u64, u64, int, const cplx*);
-  void (*matrix2g)(Real*, Real*, u64, u64, u64, u64, int, int, const cplx*);
-  void (*gateg)(Real*, Real*, u64, u64, u64, u64, const Gate&,
-                const cplx*);
   // Single-lane Pauli: planes offset to the chunk and the lane; base, len,
   // L, Pauli, qubit.
   void (*pauli)(Real*, Real*, u64, u64, u64, Pauli, int);
@@ -649,67 +641,28 @@ void add_pending_span(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
   }
 }
 
+/// One op on the chunk at global row `base`: a compiled op is a kGate, a
+/// 2x2 or a phase table (FusedPlan::compile leaves no other kind).
 template <typename Real>
 void apply_chunk(const BatchKernelTable<Real>& K, const FusedPlan& plan,
                  Real* re, Real* im, u64 base, u64 len, u64 L, u64 G,
                  const FusedOp& op) {
-  switch (op.kind) {
-    case FusedOp::Kind::kMatrix1:
-      if (detail::batch_fault_injection()) {
-        // Emulated kernel regression (see batch.h): one flipped sign.
-        const cplx m[4] = {op.m[0], op.m[1], op.m[2], -op.m[3]};
-        K.matrix1(re, im, base, len, L, G, op.q0, m);
-        return;
-      }
-      K.matrix1(re, im, base, len, L, G, op.q0, op.m.data());
-      return;
-    case FusedOp::Kind::kMatrix2:
-      K.matrix2(re, im, base, len, L, G, op.q0, op.q1, op.m.data());
-      return;
-    case FusedOp::Kind::kDiagonal:
-      if (op.qubits.empty()) return;  // handled by add_pending_span
-      if (op.qubits.size() == 1)
-        K.diag1(re, im, base, len, L, G, op.qubits[0], op.phases.data());
-      else
-        K.diag(re, im, base, len, L, G, op.shifts.data(),
-               static_cast<int>(op.shifts.size()), op.phases.data());
-      return;
-    case FusedOp::Kind::kGate:
-      K.gate(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin],
-             op.m.data());
-      return;
-  }
-}
-
-/// Group-walk chunk dispatch for ops whose coupling mask reaches at or
-/// above the tile: routes through the *g kernel variants, which address
-/// the XOR-partner rows absolutely in the sibling tiles of the step's
-/// group. Diagonal ops never couple rows and stay on the ordinary
-/// global-keyed kernels.
-template <typename Real>
-void apply_chunk_group(const BatchKernelTable<Real>& K, const FusedPlan& plan,
-                       Real* re, Real* im, u64 base, u64 len, u64 L, u64 G,
-                       const FusedOp& op) {
-  switch (op.kind) {
-    case FusedOp::Kind::kMatrix1:
-      if (detail::batch_fault_injection()) {
-        // Emulated kernel regression (see batch.h): one flipped sign.
-        const cplx m[4] = {op.m[0], op.m[1], op.m[2], -op.m[3]};
-        K.matrix1g(re, im, base, len, L, G, op.q0, m);
-        return;
-      }
-      K.matrix1g(re, im, base, len, L, G, op.q0, op.m.data());
-      return;
-    case FusedOp::Kind::kMatrix2:
-      K.matrix2g(re, im, base, len, L, G, op.q0, op.q1, op.m.data());
-      return;
-    case FusedOp::Kind::kDiagonal:
-      apply_chunk(K, plan, re, im, base, len, L, G, op);
-      return;
-    case FusedOp::Kind::kGate:
-      K.gateg(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin],
-              op.m.data());
-      return;
+  if (op.kind == FusedOp::Kind::kGate) {
+    K.gate(re, im, base, len, L, G, plan.circuit().gates()[op.gate_begin],
+           op.m.data());
+  } else if (op.kind == FusedOp::Kind::kDiagonal) {
+    if (op.qubits.empty()) return;  // handled by add_pending_span
+    if (op.qubits.size() == 1)
+      K.diag1(re, im, base, len, L, G, op.qubits[0], op.phases.data());
+    else
+      K.diag(re, im, base, len, L, G, op.shifts.data(),
+             static_cast<int>(op.shifts.size()), op.phases.data());
+  } else if (detail::batch_fault_injection()) {
+    // Emulated kernel regression (see batch.h): one flipped sign.
+    const cplx m[4] = {op.m[0], op.m[1], op.m[2], -op.m[3]};
+    K.matrix1(re, im, base, len, L, G, op.q0, m);
+  } else {
+    K.matrix1(re, im, base, len, L, G, op.q0, op.m.data());
   }
 }
 
@@ -721,7 +674,6 @@ struct ResolvedStep {
   u64 width;   // op steps: lanes in the span
   u64 lanes;   // mask of the lanes the step touches
   u64 high;    // coupling bits at or above the tile
-  bool group;  // op steps: route through the group kernel variants
   Pauli pauli;
   int qubit;
 };
@@ -858,8 +810,8 @@ void BatchedStateVectorT<Real>::walk(int tb, const BatchWalkStep* steps,
   const u64 L = static_cast<u64>(lanes_);
   const u64 low = tile_rows() - 1;
 
-  // Resolve every step once (op, lane span, high coupling bits, kernel
-  // variant), so the tile loop below does no per-tile decode. A step
+  // Resolve every step once (op, lane span, high coupling bits), so the
+  // tile loop below does no per-tile decode. A step
   // couples row r only with rows r ^ m for m in the span of its coupling
   // mask (ops: FusedPlan::op_coupling_mask; lane X/Y: their qubit; Z/I
   // and diagonals: nothing); its bits at or above the tile are `high`.
@@ -878,17 +830,12 @@ void BatchedStateVectorT<Real>::walk(int tb, const BatchWalkStep* steps,
       r.high = s.pauli == Pauli::kX || s.pauli == Pauli::kY
                    ? (u64{1} << s.qubit) & ~low
                    : 0;
-      r.group = false;
     } else {
       r.op = &s.plan->ops()[s.op];
       r.lane = static_cast<u64>(s.lane_begin);
       r.width = static_cast<u64>(
           s.lane_count < 0 ? lanes_ - s.lane_begin : s.lane_count);
       r.high = s.plan->op_coupling_mask(s.op) & ~low;
-      // Group kernels whenever ANY op qubit is above the tile — not just
-      // coupled ones: a high CX control never pairs rows across tiles but
-      // still overruns the plain in-chunk kernel's index space.
-      r.group = r.op->kind != FusedOp::Kind::kDiagonal && r.op->max_qubit >= tb;
     }
     r.lanes = lane_bits(r.lane, r.width);
   }
@@ -904,9 +851,6 @@ void BatchedStateVectorT<Real>::walk(int tb, const BatchWalkStep* steps,
     Real* tim = im + tbase * L + r.lane;
     if (r.plan == nullptr)
       K.pauli(tre, tim, tbase, tile_rows(), L, r.pauli, r.qubit);
-    else if (r.group)
-      apply_chunk_group(K, *r.plan, tre, tim, tbase, tile_rows(), L, r.width,
-                        *r.op);
     else
       apply_chunk(K, *r.plan, tre, tim, tbase, tile_rows(), L, r.width,
                   *r.op);
@@ -929,8 +873,8 @@ void BatchedStateVectorT<Real>::walk(int tb, const BatchWalkStep* steps,
       continue;
     }
     // A cross-tile step runs alone, on every group of tiles it pairs (the
-    // subsets of its high bits) that holds data in its lanes. The group
-    // kernels write both sides of a pair from the clear tile.
+    // subsets of its high bits) that holds data in its lanes. The kernels
+    // write both sides of a pair from the clear tile.
     const ResolvedStep& r = rs[i];
     const u64 hb = r.high >> tb_;
     QFAB_CHECK(std::popcount(hb) <= 2);

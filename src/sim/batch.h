@@ -59,6 +59,9 @@
 // tile-local at any qubit span because their phase-key gather needs only
 // the global row index, which the tile walk supplies; ops and Paulis that
 // couple rows across tiles run alone, on the groups of tiles they pair.
+// A plan holds three op kinds (sim/fusion.h): 2x2s, phase tables and single
+// basis gates, so the kernel table has one entry for each of them and one
+// for the single-lane Pauli, and every entry is correct at any qubit span.
 #pragma once
 
 #include <cstddef>
@@ -445,10 +448,10 @@ void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
 /// one, applying the whole run to each while it is L1-resident and
 /// skipping a step on a tile where all of its lanes are clear. A step that
 /// couples rows across tiles runs alone, on the groups of tiles that hold
-/// its lanes, through the group kernel variants (dead group tiles are
-/// zero-filled first); a single-lane X/Y then moves its lane's mask bit to
-/// the partner tile, and any other such op ORs its lanes' bits across the
-/// group.
+/// its lanes (dead group tiles are zero-filled first), and its kernel pairs
+/// each tile with its sibling; a single-lane X/Y then moves its lane's mask
+/// bit to the partner tile, and any other such op ORs its lanes' bits
+/// across the group.
 ///
 /// Within one lane, per-amplitude arithmetic, kernel row bodies, and
 /// pending-phase accumulation order (once per op span, in step order) are

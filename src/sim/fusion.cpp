@@ -60,21 +60,24 @@ int gate_max_qubit(const Gate& g) {
 // ---------------------------------------------------------------------------
 // Compilation.
 //
-// Gates are converted 1:1 into ops, then rewritten to a fixpoint by three
-// passes:
+// A plan compiles basis circuits only ({Id, X, SX, RZ, CX}, what the
+// transpiler emits). Gates are converted 1:1 into ops — RZ and Id to
+// phase tables, X and SX to 2x2s, CX to a 4x4 — then rewritten to a
+// fixpoint by three passes:
 //  * merge:    cost-gated pairwise fusion of adjacent ops (the gate only
 //              accepts merges whose fused kernel is no more expensive than
-//              running the two ops separately — a dense 4x4 must not
-//              swallow a cheap CX quarter-swap and an RZ half-pass),
-//  * sandwich: detects runs on one qubit pair whose 4x4 product is
-//              *exactly* diagonal (CX·D·CX conjugation yields structural
-//              zeros, so each transpiled CP block collapses) and replaces
-//              them with a phase-table op — the one rewrite that has to
-//              pass through an intermediate more-expensive form,
-//  * simplify: converts dense ops with exactly zero off-diagonals to
+//              running the two ops separately; a CX merges with nothing),
+//  * sandwich: detects runs from a CX over up to three qubits whose
+//              product is *exactly* diagonal (CX·D·CX conjugation yields
+//              structural zeros, so each transpiled CP block collapses)
+//              and replaces them with a phase-table op — the one rewrite
+//              that has to pass through an intermediate dense 4x4 or 8x8,
+//  * simplify: converts 2x2s with exactly zero off-diagonals to
 //              kDiagonal, drops diagonal qubits the table does not depend
 //              on, and reduces constant tables to scalar (k = 0) ops that
 //              execute as pending global phase.
+// A CX no pass absorbed ends as a kGate op, so the batched walk runs three
+// op kinds: kGate over the five basis gates, kMatrix1 and kDiagonal.
 // All rewrites are exact: off-diagonals are dropped only when they are
 // IEEE zeros (products of permutation and diagonal factors), so fused
 // execution differs from the per-gate reference path by rounding only.
@@ -85,22 +88,14 @@ int gate_max_qubit(const Gate& g) {
 // FusedPlan.CompiledOpsMatchPinnedDigest (tests/test_fusion.cpp) pins them.
 // ---------------------------------------------------------------------------
 
-/// Relative kernel cost per amplitude of a fused op of the given kind
-/// (`diag_k` = table qubits, ignored for dense kinds).
+/// Relative kernel cost per amplitude of a multi-gate op: a phase table
+/// over `diag_k` qubits, or a fused 2x2 (the passes build no other
+/// multi-gate op).
 double kind_cost(FusedOp::Kind kind, std::size_t diag_k) {
-  switch (kind) {
-    case FusedOp::Kind::kDiagonal:
-      if (diag_k == 0) return 0.05;  // executes as pending global phase
-      if (diag_k == 1) return 0.7;
-      return 1.0 + 0.1 * static_cast<double>(diag_k);
-    case FusedOp::Kind::kMatrix1:
-      return 2.0;
-    case FusedOp::Kind::kMatrix2:
-      return 4.0;
-    case FusedOp::Kind::kGate:
-      return 1.0;  // CCX is the only multi-gate-incapable passthrough
-  }
-  return 1.0;
+  if (kind != FusedOp::Kind::kDiagonal) return 2.0;
+  if (diag_k == 0) return 0.05;  // executes as pending global phase
+  if (diag_k == 1) return 0.7;
+  return 1.0 + 0.1 * static_cast<double>(diag_k);
 }
 
 /// Relative kernel cost per amplitude of an op, used to gate merges.
@@ -111,17 +106,8 @@ double op_cost(const FusedOp& op, const std::vector<Gate>& gates) {
     switch (gates[op.gate_begin].kind) {
       case GateKind::kId:
         return 0.0;
-      case GateKind::kH:
       case GateKind::kSX:
-      case GateKind::kSXdg:
-      case GateKind::kRY:
-      case GateKind::kRX:
-      case GateKind::kU:
         return 2.0;  // dense 2x2
-      case GateKind::kCH:
-        return 4.0;  // dense 4x4
-      case GateKind::kCCX:
-        return 1.0;
       default:
         return 0.6;  // swap / phase strided kernels
     }
@@ -262,24 +248,11 @@ bool exactly_diagonal(const cplx* m, std::size_t d) {
   return true;
 }
 
-/// Convert a dense op with exactly zero off-diagonals to kDiagonal.
+/// Convert a 2x2 with exactly zero off-diagonals to kDiagonal.
 void dense_to_diagonal(FusedOp& op) {
-  if (op.kind == FusedOp::Kind::kMatrix1) {
-    op.kind = FusedOp::Kind::kDiagonal;
-    op.qubits = {op.q0};
-    op.phases = {op.m[0], op.m[3]};
-  } else {
-    QFAB_CHECK(op.kind == FusedOp::Kind::kMatrix2);
-    const int lo = std::min(op.q0, op.q1), hi = std::max(op.q0, op.q1);
-    op.kind = FusedOp::Kind::kDiagonal;
-    op.qubits = {lo, hi};
-    op.phases.assign(4, cplx{0.0, 0.0});
-    for (u64 d = 0; d < 4; ++d) {
-      // Local key d has bit 0 = q0; map to sorted (lo, hi) order.
-      const u64 key = op.q0 == lo ? d : ((d >> 1) | ((d & 1) << 1));
-      op.phases[key] = op.m[d * 4 + d];
-    }
-  }
+  op.kind = FusedOp::Kind::kDiagonal;
+  op.qubits = {op.q0};
+  op.phases = {op.m[0], op.m[3]};
   op.q0 = op.q1 = -1;
   op.m.clear();
 }
@@ -317,7 +290,6 @@ bool reduce_diagonal(FusedOp& op) {
 bool try_merge_ops(FusedOp& A, const FusedOp& B,
                    const std::vector<Gate>& gates) {
   using K = FusedOp::Kind;
-  if (A.kind == K::kGate || B.kind == K::kGate) return false;
   const double budget = op_cost(A, gates) + op_cost(B, gates) + 1e-9;
   const auto finish = [&](K kind) {
     A.kind = kind;
@@ -347,29 +319,10 @@ bool try_merge_ops(FusedOp& A, const FusedOp& B,
     return true;
   }
 
-  // Anything on a kMatrix2's pair folds into the dense 4x4.
-  if (A.kind == K::kMatrix2 || B.kind == K::kMatrix2) {
-    const FusedOp& m2 = A.kind == K::kMatrix2 ? A : B;
-    QubitSet pair;  // gate-local order: bit 0 = q0
-    pair.q[0] = m2.q0;
-    pair.q[1] = m2.q1;
-    pair.size = 2;
-    QubitSet both = pair;
-    if (!both.absorb(A) || !both.absorb(B) || both.size != 2) return false;
-    if (kind_cost(K::kMatrix2, 0) > budget) return false;
-    const int pq0 = m2.q0, pq1 = m2.q1;
-    Dense a, b;
-    embed_op(A, pair, a.data());
-    embed_op(B, pair, b.data());
-    A.m.resize(16);
-    matmul_flat(b.data(), a.data(), 4, A.m.data());
-    A.q0 = pq0;
-    A.q1 = pq1;
-    A.qubits.clear();
-    A.phases.clear();
-    finish(K::kMatrix2);
-    return true;
-  }
+  // A CX (the only kMatrix2) merges with nothing pairwise: a 4x4 would
+  // cost 4.0, more than a lone CX (0.6) and any other op (at most 2.0)
+  // together. Only the sandwich pass multiplies it.
+  if (A.kind == K::kMatrix2 || B.kind == K::kMatrix2) return false;
 
   // 1-qubit dense chains: kMatrix1 with kMatrix1 / single-qubit diagonal /
   // scalar diagonal, all on one qubit.
@@ -459,7 +412,7 @@ bool merge_pass(OpList& list, const std::vector<Gate>& gates) {
 }
 
 /// Collapse runs confined to a small qubit set (up to 3 qubits, greedily
-/// grown from a kMatrix2's pair) whose product is *exactly* diagonal
+/// grown from a CX's pair) whose product is *exactly* diagonal
 /// (CX·D·CX conjugation yields structural IEEE zeros) into a phase-table
 /// op. Each transpiled CP block collapses on its pair; transpiled CCP
 /// blocks, whose CX sandwiches straddle three qubits, collapse on a
@@ -479,9 +432,7 @@ bool sandwich_pass(OpList& list, const std::vector<Gate>& gates) {
     QubitSet set;
     set.absorb(ops[i]);
     std::size_t j = i + 1;
-    while (j < ops.size() && ops[j].kind != FusedOp::Kind::kGate &&
-           set.absorb(ops[j]))
-      ++j;
+    while (j < ops.size() && set.absorb(ops[j])) ++j;
     const std::size_t last = j < ops.size() ? j : j - 1;
     if (j < i + 2) {
       list.mark_tried(i, last);
@@ -535,17 +486,8 @@ bool sandwich_pass(OpList& list, const std::vector<Gate>& gates) {
 std::vector<cplx> gate_kernel_operands(const Gate& g) {
   switch (g.kind) {
     case GateKind::kRZ:
-    case GateKind::kP:
-    case GateKind::kCP:
-    case GateKind::kCCP:
       return {expi(g.params[0])};
-    case GateKind::kH:
     case GateKind::kSX:
-    case GateKind::kSXdg:
-    case GateKind::kRY:
-    case GateKind::kRX:
-    case GateKind::kU:
-    case GateKind::kCH:
       return to_flat(g.matrix());
     default:
       return {};
@@ -574,10 +516,9 @@ bool simplify_pass(OpList& list) {
   for (std::size_t k = 0; k < list.ops.size(); ++k) {
     FusedOp& op = list.ops[k];
     bool rewritten = false;
-    const bool dense = op.kind == FusedOp::Kind::kMatrix1 ||
-                       op.kind == FusedOp::Kind::kMatrix2;
-    const std::size_t d = op.kind == FusedOp::Kind::kMatrix1 ? 2 : 4;
-    if (dense && exactly_diagonal(op.m.data(), d)) {
+    // A CX is never diagonal, so only a 2x2 can become a phase table.
+    if (op.kind == FusedOp::Kind::kMatrix1 &&
+        exactly_diagonal(op.m.data(), 2)) {
       dense_to_diagonal(op);
       rewritten = true;
     }
@@ -592,9 +533,9 @@ bool simplify_pass(OpList& list) {
 
 /// Whether each qubit is superposed: some gate may put it into
 /// superposition. Every gate on a classical qubit is diagonal, uses it as
-/// a control, or is an X/Y/CX/CCX whose controls are all classical (a SWAP
-/// with a classical partner). Marking a control superposed can unclassify
-/// an earlier target, so the pass runs to a fixpoint.
+/// a control, or is an X or a CX whose control is classical; an SX
+/// superposes its qubit. Marking a control superposed can unclassify an
+/// earlier target, so the pass runs to a fixpoint.
 std::vector<bool> superposed_qubits(const QuantumCircuit& qc) {
   std::vector<bool> sup(static_cast<std::size_t>(qc.num_qubits()), false);
   bool changed = true;
@@ -607,28 +548,11 @@ std::vector<bool> superposed_qubits(const QuantumCircuit& qc) {
   while (changed) {
     changed = false;
     for (const Gate& g : qc.gates()) {
-      if (gate_is_diagonal(g.kind)) continue;
-      switch (g.kind) {
-        case GateKind::kX:
-        case GateKind::kY:
-          break;
-        case GateKind::kCX:
-          if (is_sup(g.qubits[1])) mark(g.qubits[0]);
-          break;
-        case GateKind::kCCX:
-          if (is_sup(g.qubits[1]) || is_sup(g.qubits[2])) mark(g.qubits[0]);
-          break;
-        case GateKind::kSWAP:
-          if (is_sup(g.qubits[0]) || is_sup(g.qubits[1])) {
-            mark(g.qubits[0]);
-            mark(g.qubits[1]);
-          }
-          break;
-        case GateKind::kCH:
-          mark(g.qubits[0]);
-          break;
-        default:
-          for (int b = 0; b < g.arity(); ++b) mark(g.qubits[b]);
+      if (gate_is_diagonal(g.kind) || g.kind == GateKind::kX) continue;
+      if (g.kind == GateKind::kCX) {
+        if (is_sup(g.qubits[1])) mark(g.qubits[0]);
+      } else {
+        mark(g.qubits[0]);  // SX
       }
     }
   }
@@ -653,10 +577,10 @@ std::shared_ptr<const RowLayout> derive_row_layout(const QuantumCircuit& qc) {
   return std::make_shared<const RowLayout>(std::move(phys));
 }
 
-/// `op` with its qubit fields mapped through `layout`; `gate` is the op's
-/// (already mapped) gate for kGate ops. Matrices keep their gate-local
-/// basis; a diagonal table keeps its values, re-indexed to the sorted
-/// mapped qubits, with its shift plan rebuilt.
+/// `op` (a compiled op: kGate, kMatrix1 or kDiagonal) with its qubit fields
+/// mapped through `layout`; `gate` is the op's (already mapped) gate for
+/// kGate ops. A 2x2 keeps its matrix; a diagonal table keeps its values,
+/// re-indexed to the sorted mapped qubits, with its shift plan rebuilt.
 FusedOp relabel_op(const FusedOp& op, const RowLayout& layout,
                    const Gate& gate) {
   FusedOp out = op;
@@ -664,11 +588,6 @@ FusedOp relabel_op(const FusedOp& op, const RowLayout& layout,
     case FusedOp::Kind::kMatrix1:
       out.q0 = layout.phys(op.q0);
       out.max_qubit = out.q0;
-      break;
-    case FusedOp::Kind::kMatrix2:
-      out.q0 = layout.phys(op.q0);
-      out.q1 = layout.phys(op.q1);
-      out.max_qubit = std::max(out.q0, out.q1);
       break;
     case FusedOp::Kind::kDiagonal: {
       if (op.qubits.empty()) break;
@@ -689,7 +608,7 @@ FusedOp relabel_op(const FusedOp& op, const RowLayout& layout,
       if (out.qubits.size() >= 2) build_diag_shifts(out);
       break;
     }
-    case FusedOp::Kind::kGate:
+    default:  // kGate
       out.max_qubit = gate_max_qubit(gate);
       break;
   }
@@ -867,30 +786,12 @@ const FusedPlan& SliceStore::twin(
 u64 FusedPlan::op_coupling_mask(std::size_t op_index) const {
   QFAB_CHECK(op_index < ops_.size());
   const FusedOp& op = ops_[op_index];
-  switch (op.kind) {
-    case FusedOp::Kind::kDiagonal:
-      return 0;
-    case FusedOp::Kind::kMatrix1:
-      return u64{1} << op.q0;
-    case FusedOp::Kind::kMatrix2:
-      return (u64{1} << op.q0) | (u64{1} << op.q1);
-    case FusedOp::Kind::kGate: {
-      const Gate& g = circuit_.gates()[op.gate_begin];
-      if (gate_is_diagonal(g.kind)) return 0;
-      switch (g.kind) {
-        case GateKind::kCX:
-        case GateKind::kCCX:
-          // qubits[0] is the target; controls only select rows.
-          return u64{1} << g.qubits[0];
-        case GateKind::kSWAP:
-        case GateKind::kCH:
-          return (u64{1} << g.qubits[0]) | (u64{1} << g.qubits[1]);
-        default:
-          return u64{1} << g.qubits[0];
-      }
-    }
-  }
-  return 0;
+  if (op.kind == FusedOp::Kind::kDiagonal) return 0;
+  if (op.kind == FusedOp::Kind::kMatrix1) return u64{1} << op.q0;
+  // kGate: RZ and Id couple nothing; X and SX couple their qubit, and a CX
+  // its target, qubits[0] (the control only selects rows).
+  const Gate& g = circuit_.gates()[op.gate_begin];
+  return gate_is_diagonal(g.kind) ? 0 : u64{1} << g.qubits[0];
 }
 
 std::size_t FusedPlan::op_of_gate(std::size_t gate_index) const {
@@ -907,6 +808,10 @@ void FusedPlan::compile() {
   // Convert gates 1:1 into ops; all fusion happens in the rewrite passes.
   for (std::size_t i = 0; i < gates.size(); ++i) {
     const Gate& g = gates[i];
+    QFAB_CHECK_MSG(is_basis_gate(g.kind),
+                   "FusedPlan compiles basis circuits only (id, x, sx, rz, "
+                   "cx; transpile_to_basis); gate "
+                       << i << " is " << g.to_string());
     const bool diag = gate_is_diagonal(g.kind);
     const int arity = g.arity();
 
@@ -935,13 +840,13 @@ void FusedPlan::compile() {
       op.kind = FusedOp::Kind::kMatrix1;
       op.q0 = g.qubits[0];
       op.m = to_flat(g.matrix());
-    } else if (arity == 2) {
+    } else {
+      // A CX enters the passes as a 4x4, so that sandwich_pass can
+      // multiply it; the demotion below turns it back into a kGate op.
       op.kind = FusedOp::Kind::kMatrix2;
       op.q0 = g.qubits[0];
       op.q1 = g.qubits[1];
       op.m = to_flat(g.matrix());
-    } else {
-      op.kind = FusedOp::Kind::kGate;  // CCX
     }
     ops.push_back(std::move(op));
   }
@@ -959,17 +864,21 @@ void FusedPlan::compile() {
   }
 
   // Ops that ended up covering a single gate run faster on the specialized
-  // per-gate kernels (a lone CX is a quarter-swap, not a dense 4x4).
-  for (FusedOp& op : ops)
+  // per-gate kernels (a lone CX is a quarter-swap, not a dense 4x4). Every
+  // 4x4 is a lone CX, so none survives: the batched walk has no 4x4
+  // kernel.
+  for (FusedOp& op : ops) {
     if (op.gate_count() == 1 && op.kind != FusedOp::Kind::kGate) {
       op.kind = FusedOp::Kind::kGate;
-      op.m.clear();
       op.qubits.clear();
       op.phases.clear();
     }
-  for (FusedOp& op : ops)
+    QFAB_CHECK_MSG(op.kind != FusedOp::Kind::kMatrix2,
+                   "a 4x4 op survived compile: gates [" << op.gate_begin
+                       << ", " << op.gate_end << ")");
     if (op.kind == FusedOp::Kind::kGate)
       op.m = gate_kernel_operands(gates[op.gate_begin]);
+  }
 
   for (FusedOp& op : ops)
     if (op.kind == FusedOp::Kind::kDiagonal && op.qubits.size() >= 2)

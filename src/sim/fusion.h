@@ -1,9 +1,12 @@
 // Fused gate execution plans.
 //
-// A FusedPlan is compiled once per (transpiled) circuit and replayed many
+// A FusedPlan is compiled once per transpiled circuit and replayed many
 // times — once per operand instance and again per error trajectory — so the
-// compile cost is amortized over thousands of 2^n-amplitude passes. The
-// plan collapses the gate stream into fewer, cheaper ops:
+// compile cost is amortized over thousands of 2^n-amplitude passes. It
+// compiles circuits over the IBM basis {Id, X, SX, RZ, CX} only, the
+// circuits every sweep runs (transpile_to_basis), and throws a CheckError
+// naming the first gate outside it. The plan collapses the gate stream
+// into fewer, cheaper ops:
 //
 //  * runs of consecutive 1q gates on the same qubit fuse into one 2x2
 //    matrix (the transpiled RZ·SX·RZ Euler chains),
@@ -11,16 +14,16 @@
 //    (CX·D·CX conjugation yields structural IEEE zeros) collapse into one
 //    phase-table op — each transpiled CP block (CX·RZ·CX·RZ) and CCP
 //    block becomes a single diagonal pass,
-//  * adjacent diagonal ops (Id/Z/RZ/P/CZ/CP/CCP and collapsed blocks)
-//    merge into one phase table over the union of their qubits (whole QFT
-//    ladders between Hadamard layers), applied with a precompiled
-//    shift/mask key gather.
+//  * adjacent diagonal ops (Id/RZ and collapsed blocks) merge into one
+//    phase table over the union of their qubits (whole QFT ladders between
+//    Hadamard layers), applied with a precompiled shift/mask key gather.
 //
 // Every rewrite is gated by a kernel cost model: at simulation sizes the
 // amplitude vector is cache-resident and the workload is flop-bound, so a
 // merge is accepted only when the fused pass is estimated no more
-// expensive than its parts (a dense 4x4 must not swallow a CX
-// quarter-swap plus an RZ half-pass).
+// expensive than its parts. A CX therefore merges with nothing pairwise
+// (a dense 4x4 must not swallow a CX quarter-swap), and every op a plan
+// holds is a kGate (one basis gate), a 2x2 or a phase table.
 //
 // A plan only compiles. Its one executor is the batched walk (sim/batch.h:
 // apply_plan, apply_plan_range and the noisy replay run_trajectories_batched
@@ -52,9 +55,9 @@
 namespace qfab {
 
 struct FusionOptions {
-  /// false compiles every gate as its own op, run on the batched per-gate
-  /// kernels: bench_fusion's unfused baseline and micro_kernels'
-  /// per-kernel streams.
+  /// false compiles every gate as its own kGate op, run on the batched
+  /// per-gate kernel: bench_fusion's unfused baseline and micro_kernels'
+  /// per-gate streams.
   bool enable = true;
   /// L1 budget of the batched walk's tiles: 2^tile_bits complex doubles
   /// (32 KiB at the default 11), shared out among a walk's lanes and
@@ -70,9 +73,10 @@ struct FusionOptions {
 /// [gate_begin, gate_end).
 struct FusedOp {
   enum class Kind : std::uint8_t {
-    kGate,      // single original gate, specialized per-kind kernel
+    kGate,      // single basis gate, specialized per-kind kernel
     kMatrix1,   // fused 2x2 on qubit q0
-    kMatrix2,   // fused 4x4 on (q0, q1); gate-local bit 0 = q0
+    kMatrix2,   // a CX as a 4x4 on (q0, q1), gate-local bit 0 = q0: only
+                // inside compile()'s passes, never in a compiled plan
     kDiagonal,  // fused phase table over `qubits` (sorted ascending)
   };
 
@@ -92,10 +96,10 @@ struct FusedOp {
   int q0 = -1;
   int q1 = -1;
   int max_qubit = -1;        // highest qubit touched (tiling eligibility)
-  /// kMatrix1: 4 entries row-major; kMatrix2: 16. kGate: the gate's
-  /// operands for the batched per-gate kernels, decoded once at compile —
-  /// its matrix for matrix gates, e^{i.theta} for RZ/P/CP/CCP, empty
-  /// otherwise — so no tile recomputes a matrix or a cos/sin.
+  /// kMatrix1: 4 entries row-major. kGate: the gate's operands for the
+  /// batched per-gate kernel, decoded once at compile — SX's matrix,
+  /// e^{i.theta} for RZ, empty otherwise — so no tile recomputes a matrix
+  /// or a cos/sin. A lone gate demoted to kGate keeps its q0 and q1.
   std::vector<cplx> m;
   std::vector<int> qubits;   // kDiagonal: sorted qubit list
   std::vector<cplx> phases;  // kDiagonal: 2^qubits.size() diagonal entries
@@ -197,11 +201,11 @@ class FusedPlan {
 
   /// Bitmask of qubits across which op `op_index` mixes amplitude rows:
   /// row r only ever combines with rows r ^ m for m in the span of this
-  /// mask. Diagonal ops (and diagonal kGates) couple nothing; a fused 2x2
-  /// couples its qubit; CX/CCX couple only their target (controls gate
-  /// participation but never pair rows across themselves); SWAP and kCH
-  /// couple both qubits. The batched walk uses this to tell steps that stay
-  /// inside their tile from those that pair tiles, and which tiles.
+  /// mask. Diagonal ops (and RZ/Id kGates) couple nothing; a fused 2x2, an
+  /// X and an SX couple their qubit; a CX couples only its target (the
+  /// control selects rows but never pairs them). The batched walk uses
+  /// this to tell steps that stay inside their tile from those that pair
+  /// tiles, and which tiles.
   u64 op_coupling_mask(std::size_t op_index) const;
 
   /// The fused plan of the original-gate subrange [gate_begin, gate_end),

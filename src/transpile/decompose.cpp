@@ -102,19 +102,6 @@ void emit_rz_ry_rz(QuantumCircuit& out, int q, double pre_rz, double gamma,
 
 }  // namespace
 
-bool is_basis_gate(GateKind kind) {
-  switch (kind) {
-    case GateKind::kId:
-    case GateKind::kX:
-    case GateKind::kSX:
-    case GateKind::kRZ:
-    case GateKind::kCX:
-      return true;
-    default:
-      return false;
-  }
-}
-
 bool is_basis_circuit(const QuantumCircuit& qc) {
   for (const Gate& g : qc.gates())
     if (!is_basis_gate(g.kind)) return false;

@@ -7,10 +7,8 @@
 
 namespace qfab {
 
-/// True when `kind` is one of the IBM basis gates.
-bool is_basis_gate(GateKind kind);
-
-/// True when every gate of `qc` is a basis gate.
+/// True when every gate of `qc` is a basis gate (is_basis_gate,
+/// circuit/gate.h).
 bool is_basis_circuit(const QuantumCircuit& qc);
 
 /// Append the basis-gate expansion of `g` (which may already be a basis

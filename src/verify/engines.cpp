@@ -46,6 +46,16 @@ EngineResult finish_pure(std::string name, const StateVector& sv,
   return r;
 }
 
+/// The case's split site in `transpiled`, the case circuit's transpiled
+/// form: the case's split scaled to the transpiled gate count.
+std::size_t transpiled_split(const VerifyCase& c,
+                             const QuantumCircuit& transpiled) {
+  const std::size_t gates = c.circuit.gates().size();
+  const std::size_t tgates = transpiled.gates().size();
+  if (gates == 0) return 0;
+  return std::min(c.split_gate, gates) * tgates / gates;
+}
+
 }  // namespace
 
 std::vector<int> marginal_qubits(int num_qubits) {
@@ -57,8 +67,7 @@ std::vector<int> marginal_qubits(int num_qubits) {
 std::vector<EngineResult> run_exact_engines(const VerifyCase& c) {
   const QuantumCircuit& qc = c.circuit;
   const int n = qc.num_qubits();
-  const std::size_t gates = qc.gates().size();
-  const std::size_t split = std::min(c.split_gate, gates);
+  const QuantumCircuit tqc = transpile_to_basis(qc);
   const std::vector<int> marg = marginal_qubits(n);
   std::vector<EngineResult> results;
 
@@ -79,24 +88,26 @@ std::vector<EngineResult> run_exact_engines(const VerifyCase& c) {
   // the unitary, global phase included).
   {
     StateVector sv(n);
-    sv.apply_circuit(transpile_to_basis(qc));
+    sv.apply_circuit(tqc);
     results.push_back(finish_pure("transpiled", sv, marg, kEngineTol, {}));
   }
 
-  // Batched engine (the fused plan's one executor) at the case's lane
-  // count, split at the case's site, where a mid-op split runs the walk's
-  // compiled slices. All lanes start |0...0>, so they must stay identical;
-  // one lane takes an X·X identity probe mid-circuit to exercise per-lane
-  // divergence bookkeeping.
+  // Batched engine (the fused plan's one executor) on the transpiled case,
+  // the circuit shape the sweeps run, at the case's lane count, split at
+  // the case's site scaled to the transpiled gate count, where a mid-op
+  // split runs the walk's compiled slices. All lanes start |0...0>, so
+  // they must stay identical; one lane takes an X·X identity probe
+  // mid-circuit to exercise per-lane divergence bookkeeping.
   {
-    const FusedPlan plan(qc);
+    const FusedPlan plan(tqc);
+    const std::size_t split = transpiled_split(c, tqc);
     BatchedStateVector bsv(n, c.lanes);
     apply_plan_range(plan, bsv, 0, split);
     std::string violation = check_lane_norms(bsv, kEngineTol);
     const int probe_lane = c.lanes - 1;
     bsv.apply_pauli(probe_lane, Pauli::kX, 0);
     bsv.apply_pauli(probe_lane, Pauli::kX, 0);
-    apply_plan_range(plan, bsv, split, gates);
+    apply_plan_range(plan, bsv, split, tqc.gates().size());
     if (violation.empty()) violation = check_lane_norms(bsv, kEngineTol);
 
     EngineResult r;
@@ -152,14 +163,14 @@ std::vector<EngineResult> run_exact_engines(const VerifyCase& c) {
 std::string check_float32_leg(const VerifyCase& c, const EngineOptions& opt) {
   const QuantumCircuit& qc = c.circuit;
   const int n = qc.num_qubits();
-  const std::size_t gates = qc.gates().size();
-  const std::size_t split = std::min(c.split_gate, gates);
+  const QuantumCircuit tqc = transpile_to_basis(qc);
+  const std::size_t split = transpiled_split(c, tqc);
   const std::vector<int> marg = marginal_qubits(n);
 
   StateVector ref(n);
   ref.apply_circuit(qc);
 
-  const FusedPlan plan(qc);
+  const FusedPlan plan(tqc);
   BatchedStateVectorF bsf(n, c.lanes);
   apply_plan_range(plan, bsf, 0, split);
   std::string violation = check_lane_norms(bsf, opt.f32_tol);
@@ -167,7 +178,7 @@ std::string check_float32_leg(const VerifyCase& c, const EngineOptions& opt) {
   const int probe_lane = c.lanes - 1;
   bsf.apply_pauli(probe_lane, Pauli::kX, 0);
   bsf.apply_pauli(probe_lane, Pauli::kX, 0);
-  apply_plan_range(plan, bsf, split, gates);
+  apply_plan_range(plan, bsf, split, tqc.gates().size());
   violation = check_lane_norms(bsf, opt.f32_tol);
   if (!violation.empty()) return "batched-f32: " + violation;
 

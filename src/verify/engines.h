@@ -7,11 +7,13 @@
 //   transpiled     transpile_to_basis(circuit) on the same reference path
 //                  (the transpiler is unitary-preserving, so the
 //                  distribution must survive decomposition + peephole)
-//   batched        the FusedPlan on BatchedStateVector at the case's lane
-//                  count, split at the case's site (a mid-op split runs
-//                  compiled slices, the trajectory walk's protocol), with
-//                  an X·X identity probe on one lane exercising per-lane
-//                  divergence
+//   batched        the FusedPlan of the transpiled case (the circuit shape
+//                  the sweeps run; a plan compiles basis circuits only) on
+//                  BatchedStateVector at the case's lane count, split at
+//                  the case's site scaled to the transpiled gate count (a
+//                  mid-op split runs compiled slices, the trajectory walk's
+//                  protocol), with an X·X identity probe on one lane
+//                  exercising per-lane divergence
 //   density        exact DensityMatrix evolution (trace and purity checked)
 //
 // plus a noisy leg: the depolarizing channel applied exactly by the
@@ -67,8 +69,9 @@ std::vector<EngineResult> run_exact_engines(const VerifyCase& c);
 /// replay). Returns "" or the first violation.
 std::string check_noisy_channel(const VerifyCase& c, const EngineOptions& opt);
 
-/// Float32 engine leg: the batched float32 engine through the same
-/// split + identity-probe protocol as the double batched leg, compared to
+/// Float32 engine leg: the batched float32 engine on the transpiled case
+/// through the same split + identity-probe protocol as the double batched
+/// leg, compared to
 /// the per-gate double reference at opt.f32_tol (see its doc for the
 /// tolerance rationale). Runs the fused kernels at whatever SIMD level is
 /// active, so an injected kernel fault (set_batch_fault_injection) is

@@ -33,8 +33,9 @@ struct VerifyCase {
   /// Lane count for the batched engine (1..8 when generated).
   int lanes = 1;
   /// Gate index splitting range execution (0..gate count); the batched
-  /// engines execute [0, split) then [split, end), which lands mid-op
-  /// often enough to exercise subrange_plan compilation.
+  /// engines run the transpiled case, split at this site scaled to its gate
+  /// count: [0, split) then [split, end), which lands mid-op often enough
+  /// to exercise subrange_plan compilation.
   std::size_t split_gate = 0;
   /// Depolarizing parameter (attached to every transpiled gate) of the
   /// exact-channel density-matrix run.

@@ -1,6 +1,6 @@
 // Batched-engine validation: BatchedStateVector must match the per-gate
-// StateVector path to <= 1e-12 on random circuits over every
-// fused op kind — including mid-plan per-lane Pauli injections at every
+// StateVector path to <= 1e-12 on transpiled random circuits over every
+// op kind — including mid-plan per-lane Pauli injections at every
 // gate index, ragged lane counts, and both double kernel builds (portable
 // and, on AVX2 hosts, AVX2, which must agree bit for bit). Float32 lanes
 // are pinned against double to a bounded drift, and the precision-policy
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "engine_helpers.h"
 #include "exp/experiment.h"
 #include "exp/instances.h"
 #include "exp/sweep.h"
@@ -30,68 +31,6 @@ namespace qfab {
 namespace {
 
 constexpr double kTol = 1e-12;
-
-std::vector<cplx> random_state(int n, Pcg64& rng) {
-  std::vector<cplx> amps(pow2(n));
-  double norm = 0.0;
-  for (cplx& a : amps) {
-    a = cplx{rng.uniform() - 0.5, rng.uniform() - 0.5};
-    norm += std::norm(a);
-  }
-  const double s = 1.0 / std::sqrt(norm);
-  for (cplx& a : amps) a *= s;
-  return amps;
-}
-
-double state_distance(const std::vector<cplx>& a, const std::vector<cplx>& b) {
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += std::norm(a[i] - b[i]);
-  return std::sqrt(d);
-}
-
-/// A random circuit drawing from every supported gate kind (fuses into
-/// every op kind: kGate, kMatrix1, kMatrix2, kDiagonal).
-QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
-  static const GateKind kKinds[] = {
-      GateKind::kId, GateKind::kX,    GateKind::kY,  GateKind::kZ,
-      GateKind::kH,  GateKind::kSX,   GateKind::kSXdg, GateKind::kRZ,
-      GateKind::kRY, GateKind::kRX,   GateKind::kP,  GateKind::kU,
-      GateKind::kCX, GateKind::kCZ,   GateKind::kCP, GateKind::kCH,
-      GateKind::kSWAP, GateKind::kCCP, GateKind::kCCX};
-  QuantumCircuit qc(n);
-  for (int i = 0; i < gates; ++i) {
-    const GateKind kind = kKinds[rng.uniform_int(std::size(kKinds))];
-    const int arity = gate_arity(kind);
-    int q[3];
-    q[0] = static_cast<int>(rng.uniform_int(n));
-    do q[1] = static_cast<int>(rng.uniform_int(n));
-    while (q[1] == q[0]);
-    do q[2] = static_cast<int>(rng.uniform_int(n));
-    while (q[2] == q[0] || q[2] == q[1]);
-    double p[3];
-    for (double& v : p) v = (rng.uniform() - 0.5) * 2.0 * M_PI;
-    if (arity == 1) {
-      qc.append(make_gate1(kind, q[0], p[0], p[1], p[2]));
-    } else if (arity == 2) {
-      qc.append(make_gate2(kind, q[0], q[1], p[0]));
-    } else {
-      qc.append(make_gate3(kind, q[0], q[1], q[2], p[0]));
-    }
-  }
-  return qc;
-}
-
-/// Run `body` on each double kernel build this host has: the portable one,
-/// then the AVX2 one where CPUID picked it. Float32 has one build, which
-/// every pass runs.
-template <typename Body>
-void for_each_kernel_tier(const Body& body) {
-  detail::set_portable_kernels(true);
-  body(kernel_tier_name<double>());
-  detail::set_portable_kernels(false);
-  if (std::strcmp(kernel_tier_name<double>(), "scalar") != 0)
-    body(kernel_tier_name<double>());
-}
 
 /// Cross-tier check: on the AVX2 build, `make()` run again on the portable
 /// double build gives `got`'s bits — the live masks, every live row of the
@@ -220,7 +159,7 @@ TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
     for (int lanes : {1, 3, 4, 8}) {
       for (int trial = 0; trial < 10; ++trial) {
         const int n = 3 + static_cast<int>(rng.uniform_int(3));  // 3..5
-        const QuantumCircuit qc = random_circuit(n, 40, rng);
+        const QuantumCircuit qc = random_basis_circuit(n, 40, rng);
         const FusedPlan plan(qc);
 
         BatchedStateVector bsv(n, lanes);
@@ -252,7 +191,7 @@ TEST(BatchedEngine, MatchesScalarWithSmallTiles) {
     FusionOptions options;
     options.tile_bits = 3;
     for (int trial = 0; trial < 5; ++trial) {
-      const QuantumCircuit qc = random_circuit(6, 60, rng);
+      const QuantumCircuit qc = random_basis_circuit(6, 60, rng);
       const FusedPlan plan(qc, options);
       const int lanes = 5;
       BatchedStateVector bsv(6, lanes);
@@ -279,7 +218,7 @@ TEST(BatchedEngine, PerLaneInjectionAtEveryGateIndex) {
   // with each lane getting a different Pauli on a different qubit.
   Pcg64 rng(20260805, 14);
   const int n = 4, lanes = 4;
-  const QuantumCircuit qc = random_circuit(n, 30, rng);
+  const QuantumCircuit qc = random_basis_circuit(n, 30, rng);
   const std::size_t total = qc.gates().size();
   const FusedPlan plan(qc);
   std::vector<std::vector<cplx>> inits;
@@ -349,7 +288,7 @@ TEST(BatchedTrajectories, MatchScalarRunTrajectory) {
   // Paulis) through run_trajectories_batched vs the scalar run_trajectory.
   Pcg64 rng(20260805, 15);
   const int n = 4, lanes = 5;
-  const QuantumCircuit qc = random_circuit(n, 40, rng);
+  const QuantumCircuit qc = random_basis_circuit(n, 40, rng);
   const std::size_t total = qc.gates().size();
   const FusedPlan plan(qc);
   const StateVector init = StateVector::from_amplitudes(random_state(n, rng));
@@ -396,7 +335,7 @@ TEST(BatchedCleanRunTest, LaneQueriesMatchScalarCleanRuns) {
   // and in between.
   Pcg64 rng(20260805, 16);
   const int n = 4, lanes = 3;
-  const QuantumCircuit qc = random_circuit(n, 50, rng);
+  const QuantumCircuit qc = random_basis_circuit(n, 50, rng);
   const auto plan = std::make_shared<const FusedPlan>(qc);
 
   std::vector<StateVector> initials;
@@ -607,7 +546,7 @@ TEST(Float32Engine, TracksDoubleWithinDriftBound) {
     Pcg64 rng(20260807, 21);
     for (int trial = 0; trial < 6; ++trial) {
       const int n = 4, lanes = 5;
-      const QuantumCircuit qc = random_circuit(n, 60, rng);
+      const QuantumCircuit qc = random_basis_circuit(n, 60, rng);
       const FusedPlan plan(qc);
       BatchedStateVector bsv(n, lanes);
       BatchedStateVectorF bsf(n, lanes);
@@ -729,11 +668,16 @@ struct SpanOp {
   std::string what;
 };
 
-/// Every kernel a walk op step can reach, on 12 qubits: each gate kind
+/// The five basis gates, the kinds a kGate op holds.
+constexpr GateKind kBasisKinds[] = {GateKind::kId, GateKind::kX,
+                                    GateKind::kSX, GateKind::kRZ,
+                                    GateKind::kCX};
+
+/// Every kernel a walk op step can reach, on 12 qubits: each basis gate
 /// alone (a kGate op) on in-tile qubits and with qubits above the tile,
-/// fused 2x2 and 4x4 matrices in the tile and above it (the group
-/// variants), and diagonals: multi-run, single-run in the tile and across
-/// its top, single-qubit, wholly above the tile, and phase-only.
+/// fused 2x2s in the tile and above it, and diagonals: multi-run,
+/// single-run in the tile and across its top, single-qubit, wholly above
+/// the tile, and phase-only.
 std::vector<SpanOp> span_ops() {
   std::vector<SpanOp> out;
   const int hi = kSpanQubits - 1;  // above every tile height used here
@@ -742,23 +686,14 @@ std::vector<SpanOp> span_ops() {
     for (std::size_t i = 0; i < plan->op_count(); ++i)
       out.push_back({plan, i, what + " op " + std::to_string(i)});
   };
-  static const GateKind kKinds[] = {
-      GateKind::kId, GateKind::kX,    GateKind::kY,  GateKind::kZ,
-      GateKind::kH,  GateKind::kSX,   GateKind::kSXdg, GateKind::kRZ,
-      GateKind::kRY, GateKind::kRX,   GateKind::kP,  GateKind::kU,
-      GateKind::kCX, GateKind::kCZ,   GateKind::kCP, GateKind::kCH,
-      GateKind::kSWAP, GateKind::kCCP, GateKind::kCCX};
-  for (GateKind kind : kKinds) {
-    const int arity = gate_arity(kind);
-    std::vector<std::vector<int>> places;
-    if (arity == 1) places = {{1}, {hi}};
-    else if (arity == 2) places = {{0, 3}, {hi, 2}, {1, hi}, {hi, hi - 1}};
-    else places = {{0, 2, 5}, {hi, 1, 3}, {1, hi, 4}, {2, 3, hi}};
+  for (GateKind kind : kBasisKinds) {
+    std::vector<std::vector<int>> places = {{1}, {hi}};
+    if (kind == GateKind::kCX)
+      places = {{0, 3}, {hi, 2}, {1, hi}, {hi, hi - 1}};
     for (const std::vector<int>& q : places) {
       QuantumCircuit qc(kSpanQubits);
-      if (arity == 1) qc.append(make_gate1(kind, q[0], 0.7, -0.4, 1.1));
-      else if (arity == 2) qc.append(make_gate2(kind, q[0], q[1], 0.7));
-      else qc.append(make_gate3(kind, q[0], q[1], q[2], 0.7));
+      if (kind == GateKind::kCX) qc.append(make_gate2(kind, q[0], q[1]));
+      else qc.append(make_gate1(kind, q[0], 0.7));
       add(qc, qc.gates()[0].to_string());
     }
   }
@@ -768,17 +703,12 @@ std::vector<SpanOp> span_ops() {
     return qc;
   };
   add(circuit({make_gate1(GateKind::kSX, 2),
-               make_gate1(GateKind::kRY, 2, 0.3)}), "2x2 in tile");
+               make_gate1(GateKind::kRZ, 2, 0.3)}), "2x2 in tile");
   add(circuit({make_gate1(GateKind::kSX, hi),
-               make_gate1(GateKind::kRX, hi, 0.9)}), "2x2 above tile");
-  add(circuit({make_gate2(GateKind::kCH, 1, 3),
-               make_gate2(GateKind::kCH, 3, 1)}), "4x4 in tile");
-  add(circuit({make_gate2(GateKind::kCH, 1, hi),
-               make_gate2(GateKind::kCH, hi, 1)}), "4x4 one qubit above");
-  add(circuit({make_gate2(GateKind::kCH, hi - 1, hi),
-               make_gate2(GateKind::kCH, hi, hi - 1)}), "4x4 above tile");
-  // A phase on every qubit of a set and a CP on every pair of it: enough
-  // diagonal work for the cost model to fuse one phase table over the set.
+               make_gate1(GateKind::kRZ, hi, 0.9)}), "2x2 above tile");
+  // A phase on every qubit of a set and a CP on every pair of it,
+  // transpiled: enough diagonal work for the cost model to fuse one phase
+  // table over the set.
   const auto ladder = [&](const std::vector<int>& qs) {
     QuantumCircuit qc(kSpanQubits);
     double theta = 0.3;
@@ -787,17 +717,18 @@ std::vector<SpanOp> span_ops() {
       for (std::size_t b = a + 1; b < qs.size(); ++b)
         qc.append(make_gate2(GateKind::kCP, qs[a], qs[b], theta += 0.11));
     }
-    return qc;
+    return transpile_to_basis(qc);
   };
   add(ladder({0, 1, 5, 9, 10}), "multi-run diagonal");
   add(ladder({2, 3, 4}), "in-tile diagonal");
   add(ladder({6, 7, 8, 9}), "straddling diagonal");
   add(ladder({hi - 1, hi}), "diagonal above tile");
   add(circuit({make_gate1(GateKind::kRZ, 3, 0.4),
-               make_gate1(GateKind::kP, 3, 0.9)}), "1-qubit diagonal");
+               make_gate1(GateKind::kRZ, 3, 0.9)}), "1-qubit diagonal");
   add(circuit({make_gate1(GateKind::kRZ, hi, 0.4),
-               make_gate1(GateKind::kP, hi, 0.9)}), "1-qubit high diagonal");
-  add(circuit({make_gate1(GateKind::kZ, 2), make_gate1(GateKind::kZ, 2)}),
+               make_gate1(GateKind::kRZ, hi, 0.9)}), "1-qubit high diagonal");
+  add(circuit({make_gate1(GateKind::kRZ, 2, 0.4),
+               make_gate1(GateKind::kRZ, 2, -0.4)}),
       "phase-only diagonal");
   return out;
 }
@@ -937,46 +868,42 @@ void expect_pauli_steps_exact(const char* mode) {
 
 TEST(LaneSpan, SpanOpsCoverEveryWalkKernel) {
   // The span tests below are only as good as this op list: it must reach
-  // every kernel body, including the group variants and each diagonal
-  // shape at both tile heights (2^8 rows double, 2^9 float at 8 lanes).
-  int m1_low = 0, m1_high = 0, m2_low = 0, m2_high = 0, diag1 = 0,
-      diag_multi = 0, diag_one_run = 0, diag_above = 0, diag_phase = 0;
-  std::vector<GateKind> gate_kinds;
+  // every kernel table entry — each basis kGate and the 2x2 both inside
+  // the tile and above it, and each diagonal shape at both tile heights
+  // (2^8 rows double, 2^9 float at 8 lanes).
+  int m1_low = 0, m1_high = 0, diag1 = 0, diag_multi = 0, diag_one_run = 0,
+      diag_above = 0, diag_phase = 0;
+  std::vector<GateKind> gates_low, gates_high;
   for (const SpanOp& c : span_ops()) {
     const FusedOp& op = c.plan->ops()[c.op];
-    switch (op.kind) {
-      case FusedOp::Kind::kMatrix1:
-        ++(op.q0 >= 9 ? m1_high : m1_low);
-        break;
-      case FusedOp::Kind::kMatrix2:
-        ++(op.max_qubit >= 9 ? m2_high : m2_low);
-        break;
-      case FusedOp::Kind::kDiagonal:
-        if (op.qubits.empty()) ++diag_phase;
-        else if (op.qubits.size() == 1) ++diag1;
-        else if (op.qubits.front() >= 10) ++diag_above;
-        else if (op.shifts.size() >= 2) ++diag_multi;
-        else ++diag_one_run;
-        break;
-      case FusedOp::Kind::kGate:
-        gate_kinds.push_back(c.plan->circuit().gates()[op.gate_begin].kind);
-        break;
+    if (op.kind == FusedOp::Kind::kMatrix1) {
+      ++(op.q0 >= 9 ? m1_high : m1_low);
+    } else if (op.kind == FusedOp::Kind::kDiagonal) {
+      if (op.qubits.empty()) ++diag_phase;
+      else if (op.qubits.size() == 1) ++diag1;
+      else if (op.qubits.front() >= 10) ++diag_above;
+      else if (op.shifts.size() >= 2) ++diag_multi;
+      else ++diag_one_run;
+    } else {
+      ASSERT_EQ(op.kind, FusedOp::Kind::kGate) << c.what;
+      const Gate& g = c.plan->circuit().gates()[op.gate_begin];
+      const bool high = std::max(g.qubits[0], g.qubits[1]) >= 9;
+      (high ? gates_high : gates_low).push_back(g.kind);
     }
   }
   EXPECT_GT(m1_low, 0);
   EXPECT_GT(m1_high, 0);
-  EXPECT_GT(m2_low, 0);
-  EXPECT_GE(m2_high, 2);
   EXPECT_GE(diag1, 2);
   EXPECT_GT(diag_multi, 0);
   EXPECT_GE(diag_one_run, 2);
   EXPECT_GT(diag_above, 0);
   EXPECT_GT(diag_phase, 0);
-  for (int k = 0; k <= static_cast<int>(GateKind::kCCX); ++k)
-    EXPECT_NE(std::count(gate_kinds.begin(), gate_kinds.end(),
-                         static_cast<GateKind>(k)),
-              0)
-        << "no kGate op of kind " << k;
+  for (GateKind kind : kBasisKinds) {
+    EXPECT_NE(std::count(gates_low.begin(), gates_low.end(), kind), 0)
+        << "no in-tile kGate op of kind " << gate_name(kind);
+    EXPECT_NE(std::count(gates_high.begin(), gates_high.end(), kind), 0)
+        << "no kGate op of kind " << gate_name(kind) << " above the tile";
+  }
 }
 
 TEST(LaneSpan, OpStepsMatchFullWidthBitwise) {
@@ -1218,7 +1145,7 @@ TEST(RowLayout, OperandRegistersTakeTheHighRowBits) {
   }
   // A circuit with no classical qubits keeps the identity layout.
   QuantumCircuit qc(3);
-  for (int q = 0; q < 3; ++q) qc.h(q);
+  for (int q = 0; q < 3; ++q) qc.sx(q);
   const FusedPlan plain(qc);
   EXPECT_EQ(plain.row_layout(), nullptr);
   EXPECT_EQ(&plain.relabelled(), &plain);

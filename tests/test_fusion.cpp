@@ -1,10 +1,11 @@
 // FusedPlan validation: the compiled ops (pinned bit for bit), the slice
-// store, and the plan's execution by its one executor, the batched walk
-// (apply_plan / apply_plan_range on a one-lane BatchedStateVector), which
-// must match the per-gate reference path (<= 1e-12), including when split
-// inside ops — the contract the trajectory noise-injection machinery relies
-// on. tests/test_batch.cpp runs the walk on random circuits over every gate
-// kind at several lane counts, small tiles and splits at every gate index.
+// store, the basis-only contract, and the plan's execution by its one
+// executor, the batched walk (apply_plan / apply_plan_range on a one-lane
+// BatchedStateVector), which must match the per-gate reference path
+// (<= 1e-12), including when split inside ops — the contract the
+// trajectory noise-injection machinery relies on. tests/test_batch.cpp
+// runs the walk on transpiled random circuits over every gate kind at
+// several lane counts, small tiles and splits at every gate index.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,9 +15,11 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
+#include "engine_helpers.h"
 #include "exp/experiment.h"
 #include "sim/batch.h"
 #include "sim/fusion.h"
@@ -25,55 +28,6 @@ namespace qfab {
 namespace {
 
 constexpr double kTol = 1e-12;
-
-std::vector<cplx> random_state(int n, Pcg64& rng) {
-  std::vector<cplx> amps(pow2(n));
-  double norm = 0.0;
-  for (cplx& a : amps) {
-    a = cplx{rng.uniform() - 0.5, rng.uniform() - 0.5};
-    norm += std::norm(a);
-  }
-  const double s = 1.0 / std::sqrt(norm);
-  for (cplx& a : amps) a *= s;
-  return amps;
-}
-
-double state_distance(const std::vector<cplx>& a, const std::vector<cplx>& b) {
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) d += std::norm(a[i] - b[i]);
-  return std::sqrt(d);
-}
-
-/// A random circuit drawing from every supported gate kind.
-QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
-  static const GateKind kKinds[] = {
-      GateKind::kId, GateKind::kX,    GateKind::kY,  GateKind::kZ,
-      GateKind::kH,  GateKind::kSX,   GateKind::kSXdg, GateKind::kRZ,
-      GateKind::kRY, GateKind::kRX,   GateKind::kP,  GateKind::kU,
-      GateKind::kCX, GateKind::kCZ,   GateKind::kCP, GateKind::kCH,
-      GateKind::kSWAP, GateKind::kCCP, GateKind::kCCX};
-  QuantumCircuit qc(n);
-  for (int i = 0; i < gates; ++i) {
-    const GateKind kind = kKinds[rng.uniform_int(std::size(kKinds))];
-    const int arity = gate_arity(kind);
-    int q[3];
-    q[0] = static_cast<int>(rng.uniform_int(n));
-    do q[1] = static_cast<int>(rng.uniform_int(n));
-    while (q[1] == q[0]);
-    do q[2] = static_cast<int>(rng.uniform_int(n));
-    while (q[2] == q[0] || q[2] == q[1]);
-    double p[3];
-    for (double& v : p) v = (rng.uniform() - 0.5) * 2.0 * M_PI;
-    if (arity == 1) {
-      qc.append(make_gate1(kind, q[0], p[0], p[1], p[2]));
-    } else if (arity == 2) {
-      qc.append(make_gate2(kind, q[0], q[1], p[0]));
-    } else {
-      qc.append(make_gate3(kind, q[0], q[1], q[2], p[0]));
-    }
-  }
-  return qc;
-}
 
 StateVector run_reference(const QuantumCircuit& qc,
                           const std::vector<cplx>& init) {
@@ -214,7 +168,7 @@ TEST(FusedPlan, DoubleSplitMatchesReference) {
   // each run by apply_plan_range (compiled slices inside ops), the shape a
   // multi-event trajectory takes.
   Pcg64 rng(20260805, 4);
-  const QuantumCircuit qc = random_circuit(5, 40, rng);
+  const QuantumCircuit qc = random_basis_circuit(5, 40, rng);
   const std::size_t total = qc.gates().size();
   const std::vector<cplx> init = random_state(5, rng);
   const FusedPlan plan(qc);
@@ -246,7 +200,7 @@ TEST(FusedPlan, DoubleSplitMatchesReference) {
 
 TEST(FusedPlan, OpsPartitionGateRange) {
   Pcg64 rng(20260805, 5);
-  const QuantumCircuit qc = random_circuit(5, 60, rng);
+  const QuantumCircuit qc = random_basis_circuit(5, 60, rng);
   const FusedPlan plan(qc);
   ASSERT_FALSE(plan.ops().empty());
   std::size_t expect = 0;
@@ -283,7 +237,7 @@ TEST(FusedPlan, DisabledPlanStillMatchesReference) {
   Pcg64 rng(20260805, 6);
   FusionOptions options;
   options.enable = false;
-  const QuantumCircuit qc = random_circuit(4, 40, rng);
+  const QuantumCircuit qc = random_basis_circuit(4, 40, rng);
   const std::vector<cplx> init = random_state(4, rng);
 
   const FusedPlan plan(qc, options);
@@ -293,18 +247,52 @@ TEST(FusedPlan, DisabledPlanStillMatchesReference) {
             kTol);
 }
 
+TEST(FusedPlan, RejectsGatesOutsideTheBasis) {
+  // A plan compiles transpiled circuits only: a CH, a SWAP or a CCX throws a
+  // CheckError naming the gate, wherever it sits and under either option.
+  const auto with = [](const Gate& g) {
+    QuantumCircuit qc(3);
+    qc.sx(0);
+    qc.cx(0, 1);
+    qc.append(g);
+    qc.rz(2, 0.3);
+    return qc;
+  };
+  FusionOptions unfused;
+  unfused.enable = false;
+  for (const Gate& g :
+       {make_gate2(GateKind::kCH, 1, 0), make_gate2(GateKind::kSWAP, 0, 2),
+        make_gate3(GateKind::kCCX, 2, 0, 1)}) {
+    const QuantumCircuit qc = with(g);
+    for (const FusionOptions& options : {FusionOptions{}, unfused}) {
+      try {
+        const FusedPlan plan(qc, options);
+        ADD_FAILURE() << g.to_string() << " compiled into "
+                      << plan.op_count() << " ops";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("gate 2 is " + g.to_string()),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    // Its transpiled form compiles.
+    EXPECT_GT(FusedPlan(transpile_to_basis(qc)).op_count(), 0u);
+  }
+}
+
 TEST(FusedPlan, SandwichRetriesAWindowWhoseStoppingOpChanged) {
-  // CX(0,1) X(1) | CZ(2,3) CZ(2,3) RZ(2) | X(1) CX(0,1) is exactly the RZ
-  // on qubit 2. The first pass merges the middle into one table over
+  // CX(0,1) X(1) | RZ(3, t) RZ(3, -t) RZ(2) | X(1) CX(0,1) is exactly the
+  // RZ on qubit 2. The first pass merges the middle into one table over
   // {2, 3}, which stops the sandwich window of the first CX (four qubits),
-  // and only then drops qubit 3 from it (the table ignores it). The next
-  // pass must try that window again although none of the ops before its
-  // stopping op changed: it now spans all seven gates and collapses them.
+  // and only then drops qubit 3 from it (the table ignores it: both of its
+  // q3 halves are the same products). The next pass must try that window
+  // again although none of the ops before its stopping op changed: it now
+  // spans all seven gates and collapses them.
   QuantumCircuit qc(4);
   qc.cx(0, 1);
   qc.x(1);
-  qc.cz(2, 3);
-  qc.cz(2, 3);
+  qc.rz(3, 0.7);
+  qc.rz(3, -0.7);
   qc.rz(2, 0.4);
   qc.x(1);
   qc.cx(0, 1);
@@ -402,7 +390,7 @@ TEST(SliceStore, SlicesDifferingInAKeyedFieldAreDistinct) {
   // over the RZ differ, those before it are shared.
   const auto rz_circuit = [](double angle) {
     QuantumCircuit qc(3);
-    qc.h(0);
+    qc.sx(0);
     qc.cx(0, 1);
     qc.rz(1, angle);
     qc.cx(0, 1);
@@ -428,18 +416,18 @@ TEST(SliceStore, SlicesDifferingInAKeyedFieldAreDistinct) {
   const FusedPlan tiled(rz_circuit(0.0), small_tiles, store);
   EXPECT_NE(&pos.subrange_plan(0, 2), &tiled.subrange_plan(0, 2));
 
-  // One logical slice in two row layouts: H on q1 makes q1 and q2
-  // superposed (q2 is the target of a CX under a superposed control), H on
-  // q2 only q2. The twin slices differ; a third circuit with q1's layout
-  // shares its twin slice with the first.
-  const auto layout_circuit = [](int h_qubit, bool tail) {
+  // One logical slice in two row layouts: SX on q1 makes q1 and q2
+  // superposed (q2 is the target of a CX under a superposed control), SX
+  // on q2 only q2. The twin slices differ; a third circuit with q1's
+  // layout shares its twin slice with the first.
+  const auto layout_circuit = [](int sx_qubit, bool tail) {
     QuantumCircuit qc(3);
-    qc.h(h_qubit);
+    qc.sx(sx_qubit);
     qc.rz(1, 0.3);
     qc.cx(1, 2);
     qc.rz(2, 0.2);
     qc.cx(1, 2);
-    if (tail) qc.z(0);
+    if (tail) qc.rz(0, 0.5);
     return qc;
   };
   const FusedPlan on1(layout_circuit(1, false), {}, store);
@@ -488,14 +476,15 @@ TEST(FusedPlan, SubrangePlanConcurrentHammer) {
   // extends the first, so the plans share every slice of the first's
   // gates. Every returned reference must stay valid and describe its range.
   Pcg64 rng(20260805, 7);
-  const QuantumCircuit qc = random_circuit(5, 60, rng);
-  const QuantumCircuit tail = random_circuit(5, 4, rng);
+  const QuantumCircuit qc = random_basis_circuit(5, 60, rng);
+  const QuantumCircuit tail = random_basis_circuit(5, 4, rng);
   QuantumCircuit longer = qc;
   for (const Gate& g : tail.gates()) longer.append(g);
   const auto store = std::make_shared<SliceStore>();
   const FusedPlan plan(qc, {}, store);
   const FusedPlan plan2(longer, {}, store);
   const std::size_t total = qc.gates().size();
+  const std::size_t extra = tail.gates().size();
 
   constexpr int kThreads = 8;
   constexpr int kRounds = 200;
@@ -512,7 +501,7 @@ TEST(FusedPlan, SubrangePlanConcurrentHammer) {
         const bool second = (r + t) % 2 != 0;
         const std::size_t begin = trng.uniform_int(8);
         const std::size_t end =
-            begin + 1 + trng.uniform_int(total - 8 + (second ? 4 : 0));
+            begin + 1 + trng.uniform_int(total - 8 + (second ? extra : 0));
         const FusedPlan& sub =
             (second ? plan2 : plan).subrange_plan(begin, end);
         if (sub.circuit().gates().size() != end - begin) failures.fetch_add(1);

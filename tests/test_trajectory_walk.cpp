@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "engine_helpers.h"
 #include "exp/experiment.h"
 #include "noise/trajectory.h"
 #include "sim/batch.h"
@@ -30,18 +31,6 @@
 namespace qfab {
 namespace {
 
-std::vector<cplx> random_state(int n, Pcg64& rng) {
-  std::vector<cplx> amps(pow2(n));
-  double norm = 0.0;
-  for (cplx& a : amps) {
-    a = cplx{rng.uniform() - 0.5, rng.uniform() - 0.5};
-    norm += std::norm(a);
-  }
-  const double s = 1.0 / std::sqrt(norm);
-  for (cplx& a : amps) a *= s;
-  return amps;
-}
-
 /// max |a_i - b_i| — zero iff the two states are bitwise equal (no NaNs
 /// occur in these circuits).
 double max_abs_diff(const std::vector<cplx>& a, const std::vector<cplx>& b) {
@@ -49,50 +38,6 @@ double max_abs_diff(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     d = std::max(d, std::abs(a[i] - b[i]));
   return d;
-}
-
-/// A random circuit drawing from every supported gate kind (fuses into
-/// every op kind: kGate, kMatrix1, kMatrix2, kDiagonal).
-QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
-  static const GateKind kKinds[] = {
-      GateKind::kId, GateKind::kX,    GateKind::kY,  GateKind::kZ,
-      GateKind::kH,  GateKind::kSX,   GateKind::kSXdg, GateKind::kRZ,
-      GateKind::kRY, GateKind::kRX,   GateKind::kP,  GateKind::kU,
-      GateKind::kCX, GateKind::kCZ,   GateKind::kCP, GateKind::kCH,
-      GateKind::kSWAP, GateKind::kCCP, GateKind::kCCX};
-  QuantumCircuit qc(n);
-  for (int i = 0; i < gates; ++i) {
-    const GateKind kind = kKinds[rng.uniform_int(std::size(kKinds))];
-    const int arity = gate_arity(kind);
-    int q[3];
-    q[0] = static_cast<int>(rng.uniform_int(n));
-    do q[1] = static_cast<int>(rng.uniform_int(n));
-    while (q[1] == q[0]);
-    do q[2] = static_cast<int>(rng.uniform_int(n));
-    while (q[2] == q[0] || q[2] == q[1]);
-    double p[3];
-    for (double& v : p) v = (rng.uniform() - 0.5) * 2.0 * M_PI;
-    if (arity == 1) {
-      qc.append(make_gate1(kind, q[0], p[0], p[1], p[2]));
-    } else if (arity == 2) {
-      qc.append(make_gate2(kind, q[0], q[1], p[0]));
-    } else {
-      qc.append(make_gate3(kind, q[0], q[1], q[2], p[0]));
-    }
-  }
-  return qc;
-}
-
-/// Run `body` on each double kernel build this host has: the portable one,
-/// then the AVX2 one where CPUID picked it. Float32 has one build, which
-/// every pass runs.
-template <typename Body>
-void for_each_kernel_tier(const Body& body) {
-  detail::set_portable_kernels(true);
-  body(kernel_tier_name<double>());
-  detail::set_portable_kernels(false);
-  if (std::strcmp(kernel_tier_name<double>(), "scalar") != 0)
-    body(kernel_tier_name<double>());
 }
 
 /// Random per-lane event lists over [0, total), arity-respecting Paulis;
@@ -169,7 +114,7 @@ double walk_vs_scalar(const FusedPlan& plan, const StateVector& initial,
 }
 
 TEST(TrajectoryWalk, DoubleLanesMatchScalarTrajectory) {
-  // Random circuits over every gate kind, lane counts spanning the replay
+  // Transpiled random circuits, lane counts spanning the replay
   // tiers, random schedules: every double walk lane must match its scalar
   // run_trajectory to 1e-12 with pending phases folded in. The deviation
   // is kernel rounding, invisible to the marginal-based Fig. 1/2 CSVs.
@@ -178,7 +123,7 @@ TEST(TrajectoryWalk, DoubleLanesMatchScalarTrajectory) {
     for (const int lanes : {2, 8, 16}) {
       for (int trial = 0; trial < 6; ++trial) {
         const int n = 4 + static_cast<int>(rng.uniform_int(2));  // 4..5
-        const QuantumCircuit qc = random_circuit(n, 40, rng);
+        const QuantumCircuit qc = random_basis_circuit(n, 40, rng);
         const FusedPlan plan(qc);
         std::vector<std::vector<ErrorEvent>> lane_events;
         const std::size_t g0 =
@@ -199,7 +144,7 @@ TEST(TrajectoryWalk, Float32LanesStayWithinReplayDrift) {
     Pcg64 rng(20260809, 2);
     for (const int lanes : {2, 8, 16}) {
       for (int trial = 0; trial < 4; ++trial) {
-        const QuantumCircuit qc = random_circuit(5, 40, rng);
+        const QuantumCircuit qc = random_basis_circuit(5, 40, rng);
         const FusedPlan plan(qc);
         std::vector<std::vector<ErrorEvent>> lane_events;
         const std::size_t g0 =
@@ -256,7 +201,7 @@ TEST(TrajectoryWalk, SitesOnEveryOpBoundary) {
   // Sites landing exactly on fused-op boundaries: the walk's segments are
   // whole-op runs with no subrange plans, alternating with Paulis.
   Pcg64 rng(20260809, 4);
-  const QuantumCircuit qc = random_circuit(4, 40, rng);
+  const QuantumCircuit qc = random_basis_circuit(4, 40, rng);
   const FusedPlan plan(qc);
   const int lanes = 8;
   std::vector<std::vector<ErrorEvent>> lane_events(lanes);
@@ -282,7 +227,7 @@ TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
   Pcg64 rng(20260809, 5);
   for (const int lanes : {2, 16}) {
     for (int trial = 0; trial < 4; ++trial) {
-      const QuantumCircuit qc = random_circuit(6, 50, rng);
+      const QuantumCircuit qc = random_basis_circuit(6, 50, rng);
       const FusedPlan plan(qc, options);
       // Sanity: the tiny tile actually puts some non-diagonal op's
       // qubits above the tile.
@@ -309,7 +254,7 @@ TEST(TrajectoryWalk, DenseSameSiteMultiLaneInjections) {
   // same-site runs, which the walk folds into a single tile pass per run.
   Pcg64 rng(20260809, 6);
   const int lanes = 16;
-  const QuantumCircuit qc = random_circuit(5, 40, rng);
+  const QuantumCircuit qc = random_basis_circuit(5, 40, rng);
   const std::size_t total = qc.gates().size();
   const FusedPlan plan(qc);
   std::vector<std::size_t> sites = {total / 4, total / 2, 3 * total / 4};
@@ -341,7 +286,7 @@ TEST(TrajectoryWalk, LaneReplayIsPackingInvariantBitwise) {
   Pcg64 rng(20260809, 9);
   const int lanes = 8;
   for (int trial = 0; trial < 4; ++trial) {
-    const QuantumCircuit qc = random_circuit(5, 40, rng);
+    const QuantumCircuit qc = random_basis_circuit(5, 40, rng);
     const FusedPlan plan(qc);
     std::vector<std::vector<ErrorEvent>> lane_events;
     const std::size_t g0 = random_lane_events(qc, lanes, 3, rng, lane_events);
@@ -376,7 +321,7 @@ TEST(ApplyPlanRange, EmptyRangeIsANoOp) {
   // gate_begin == gate_end must leave the batched state bitwise untouched,
   // at 0, at an interior gate, and at gate_count.
   Pcg64 rng(20260809, 7);
-  const QuantumCircuit qc = random_circuit(4, 30, rng);
+  const QuantumCircuit qc = random_basis_circuit(4, 30, rng);
   const FusedPlan plan(qc);
   const std::size_t total = qc.gates().size();
   BatchedStateVector bsv(4, 3);
@@ -399,7 +344,7 @@ TEST(ApplyPlanRange, SplitAtZeroAndGateCountMatchesSinglePass) {
   // Splitting at the extreme boundaries (0 and gate_count) must be
   // bitwise identical to one uninterrupted pass.
   Pcg64 rng(20260809, 8);
-  const QuantumCircuit qc = random_circuit(4, 30, rng);
+  const QuantumCircuit qc = random_basis_circuit(4, 30, rng);
   const FusedPlan plan(qc);
   const std::size_t total = qc.gates().size();
   const StateVector init = StateVector::from_amplitudes(random_state(4, rng));
