@@ -151,10 +151,11 @@ BENCHMARK(BM_MarginalProbabilities);
 // ---------------------------------------------------------------------------
 // Batched SIMD kernels: one row per (kernel, precision), each on the
 // kernel build the host runs for that precision (its name is in the row:
-// "avx2" or "scalar", the portable build). Each row reports amplitude-lane
-// updates per second (items/sec) and the effective plane traffic
-// (bytes/sec; 2 planes x read+write per update), so kernels are comparable
-// as bandwidth figures.
+// "avx2" or "scalar", the portable build). Each row reports op passes per
+// second (items/sec): one item is one plan op over one row of one lane.
+// That is not memory traffic: an RZ or CX op touches only half or a
+// quarter of the rows, and the fused AQFT runs far fewer ops than its
+// circuit has gates, so compare rows by time, not as bandwidth.
 
 /// Every lane of a `lanes`-lane vector holding H on every qubit of |0...0>:
 /// a dense state, so the walk skips no tile.
@@ -175,13 +176,11 @@ void bm_batched_plan(benchmark::State& state,
     apply_plan(*plan, bsv);
     benchmark::DoNotOptimize(bsv.re());
   }
-  const double updates = static_cast<double>(state.iterations()) *
-                         static_cast<double>(plan->gate_count()) *
-                         static_cast<double>(pow2(n)) *
-                         static_cast<double>(lanes);
-  state.SetItemsProcessed(static_cast<std::int64_t>(updates));
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(updates * 4.0 * sizeof(Real)));
+  const double passes = static_cast<double>(state.iterations()) *
+                        static_cast<double>(plan->op_count()) *
+                        static_cast<double>(pow2(n)) *
+                        static_cast<double>(lanes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(passes));
 }
 
 /// The streams worth a row each: one per transpiled gate kind that costs

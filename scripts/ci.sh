@@ -25,6 +25,10 @@ run_preset() {
 # from the checkpoint journal, and require the CSVs to match an
 # uninterrupted reference run byte for byte (the durability contract;
 # DESIGN.md §10). Exit 86 is the fault injector's distinctive crash code.
+# qfab_journal must read the crashed journal. A second run crashes inside
+# a journal append (a torn write); qfab_journal --repair must find and
+# rewrite the damaged tail, and the run resumed from the repaired journal
+# must match the reference too.
 # Optional arguments: the instance count (default 3) and a pool thread
 # count for the crash and the resume (QFAB_THREADS; the reference then
 # runs on one thread). With more work units per panel than threads, the
@@ -46,20 +50,42 @@ crash_resume_smoke() {
     cd "${smokedir}"
     env ${ref_threads} ../bench/fig1_qfa_sweep "${flags[@]}" --csv ref \
       >/dev/null
-    set +e
-    QFAB_FAULT=crash-after-unit=2 env ${run_threads} ../bench/fig1_qfa_sweep \
-      "${flags[@]}" --csv ckpt --checkpoint ckpt >/dev/null 2>&1
-    local crash_rc=$?
-    set -e
-    if [[ "${crash_rc}" -ne 86 ]]; then
-      echo "crash-resume smoke: expected injected-crash exit 86, got ${crash_rc}" >&2
+    # Run with the fault directive $1, writing CSVs and journals under the
+    # prefix $2; the run must die with the injected-crash exit code.
+    crash_with() {
+      set +e
+      QFAB_FAULT="$1" env ${run_threads} ../bench/fig1_qfa_sweep \
+        "${flags[@]}" --csv "$2" --checkpoint "$2" >/dev/null 2>&1
+      local crash_rc=$?
+      set -e
+      if [[ "${crash_rc}" -ne 86 ]]; then
+        echo "crash-resume smoke: expected $1 exit 86, got ${crash_rc}" >&2
+        exit 1
+      fi
+    }
+    # Resume the run under prefix $1; every CSV must equal the reference.
+    resume_matches_ref() {
+      env ${run_threads} ../bench/fig1_qfa_sweep "${flags[@]}" --csv "$1" \
+        --checkpoint "$1" --resume >/dev/null
+      for ref in ref_*.csv; do
+        cmp "${ref}" "$1${ref#ref}"
+      done
+    }
+    local journal report=""
+    crash_with crash-after-unit=2 ckpt
+    for journal in ckpt_*.journal; do
+      ../tools/qfab_journal "${journal}" --records >/dev/null
+    done
+    resume_matches_ref ckpt
+    crash_with torn-write=2 torn
+    for journal in torn_*.journal; do
+      report+="$(../tools/qfab_journal "${journal}" --repair)"
+    done
+    if [[ "${report}" != *"repaired:"* ]]; then
+      echo "crash-resume smoke: qfab_journal --repair found no torn tail" >&2
       exit 1
     fi
-    env ${run_threads} ../bench/fig1_qfa_sweep "${flags[@]}" --csv ckpt \
-      --checkpoint ckpt --resume >/dev/null
-    for ref in ref_*.csv; do
-      cmp "${ref}" "ckpt${ref#ref}"
-    done
+    resume_matches_ref torn
   )
   echo "== ${name}: crash-resume smoke: resumed CSVs match reference =="
 }

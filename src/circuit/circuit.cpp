@@ -94,28 +94,19 @@ QuantumCircuit QuantumCircuit::controlled_on(int control) const {
       case GateKind::kX:
         out.cx(control, g.qubits[0]);
         break;
-      case GateKind::kZ:
-        out.cz(control, g.qubits[0]);
-        break;
       case GateKind::kH:
         out.ch(control, g.qubits[0]);
         break;
       case GateKind::kP:
-        out.cp(control, g.qubits[0], g.params[0]);
+        out.cp(control, g.qubits[0], g.param);
         break;
       case GateKind::kRZ:
         // c-RZ(θ) = P(-θ/2) on control · CP(θ): RZ = e^{-iθ/2} P(θ).
-        out.p(control, -g.params[0] / 2);
-        out.cp(control, g.qubits[0], g.params[0]);
-        break;
-      case GateKind::kCX:
-        out.ccx(control, g.qubits[1], g.qubits[0]);
-        break;
-      case GateKind::kCZ:
-        out.ccp(control, g.qubits[1], g.qubits[0], 3.141592653589793);
+        out.p(control, -g.param / 2);
+        out.cp(control, g.qubits[0], g.param);
         break;
       case GateKind::kCP:
-        out.ccp(control, g.qubits[1], g.qubits[0], g.params[0]);
+        out.ccp(control, g.qubits[1], g.qubits[0], g.param);
         break;
       default:
         QFAB_CHECK_MSG(false,

@@ -58,23 +58,13 @@ class QuantumCircuit {
   void append(const Gate& g);
   void id(int q)              { append(make_gate1(GateKind::kId, q)); }
   void x(int q)               { append(make_gate1(GateKind::kX, q)); }
-  void y(int q)               { append(make_gate1(GateKind::kY, q)); }
-  void z(int q)               { append(make_gate1(GateKind::kZ, q)); }
   void h(int q)               { append(make_gate1(GateKind::kH, q)); }
   void sx(int q)              { append(make_gate1(GateKind::kSX, q)); }
   void sxdg(int q)            { append(make_gate1(GateKind::kSXdg, q)); }
   void rz(int q, double t)    { append(make_gate1(GateKind::kRZ, q, t)); }
-  void ry(int q, double t)    { append(make_gate1(GateKind::kRY, q, t)); }
-  void rx(int q, double t)    { append(make_gate1(GateKind::kRX, q, t)); }
   void p(int q, double l)     { append(make_gate1(GateKind::kP, q, l)); }
-  void u(int q, double t, double ph, double l) {
-    append(make_gate1(GateKind::kU, q, t, ph, l));
-  }
   void cx(int control, int target) {
     append(make_gate2(GateKind::kCX, target, control));
-  }
-  void cz(int control, int target) {
-    append(make_gate2(GateKind::kCZ, target, control));
   }
   void cp(int control, int target, double lambda) {
     append(make_gate2(GateKind::kCP, target, control, lambda));
@@ -85,9 +75,6 @@ class QuantumCircuit {
   void swap(int a, int b) { append(make_gate2(GateKind::kSWAP, a, b)); }
   void ccp(int c1, int c2, int target, double lambda) {
     append(make_gate3(GateKind::kCCP, target, c1, c2, lambda));
-  }
-  void ccx(int c1, int c2, int target) {
-    append(make_gate3(GateKind::kCCX, target, c1, c2));
   }
 
   /// Append every gate of `other` (same width required), including its
@@ -104,8 +91,8 @@ class QuantumCircuit {
 
   /// A circuit in which every gate of `this` is controlled on `control`
   /// (which must lie outside every gate's qubits). The global phase becomes
-  /// a P(phase) on the control. Supported kinds: the QFT/adder alphabet
-  /// {id, x, z, h, p, rz, cx, cz, cp} — others throw CheckError.
+  /// a P(phase) on the control. Supported kinds: {id, x, h, p, rz, cp},
+  /// which covers the QFT/adder alphabet — others throw CheckError.
   QuantumCircuit controlled_on(int control) const;
 
   // -- metrics --

@@ -10,25 +10,18 @@ int gate_arity(GateKind kind) {
   switch (kind) {
     case GateKind::kId:
     case GateKind::kX:
-    case GateKind::kY:
-    case GateKind::kZ:
     case GateKind::kH:
     case GateKind::kSX:
     case GateKind::kSXdg:
     case GateKind::kRZ:
-    case GateKind::kRY:
-    case GateKind::kRX:
     case GateKind::kP:
-    case GateKind::kU:
       return 1;
     case GateKind::kCX:
-    case GateKind::kCZ:
     case GateKind::kCP:
     case GateKind::kCH:
     case GateKind::kSWAP:
       return 2;
     case GateKind::kCCP:
-    case GateKind::kCCX:
       return 3;
   }
   QFAB_CHECK_MSG(false, "unknown gate kind");
@@ -38,23 +31,18 @@ int gate_arity(GateKind kind) {
 int gate_param_count(GateKind kind) {
   switch (kind) {
     case GateKind::kRZ:
-    case GateKind::kRY:
-    case GateKind::kRX:
     case GateKind::kP:
     case GateKind::kCP:
     case GateKind::kCCP:
       return 1;
-    case GateKind::kU:
-      return 3;
     default:
       return 0;
   }
 }
 
 const std::string& gate_name(GateKind kind) {
-  static const std::string names[] = {
-      "id", "x",  "y",  "z",  "h",  "sx",  "sxdg", "rz", "ry", "rx",
-      "p",  "u",  "cx", "cz", "cp", "ch",  "swap", "ccp", "ccx"};
+  static const std::string names[] = {"id", "x",  "h",  "sx", "sxdg", "rz",
+                                      "p",  "cx", "cp", "ch", "swap", "ccp"};
   const auto idx = static_cast<std::size_t>(kind);
   QFAB_CHECK(idx < std::size(names));
   return names[idx];
@@ -63,10 +51,8 @@ const std::string& gate_name(GateKind kind) {
 bool gate_is_diagonal(GateKind kind) {
   switch (kind) {
     case GateKind::kId:
-    case GateKind::kZ:
     case GateKind::kRZ:
     case GateKind::kP:
-    case GateKind::kCZ:
     case GateKind::kCP:
     case GateKind::kCCP:
       return true;
@@ -92,23 +78,16 @@ Matrix Gate::matrix() const {
   switch (kind) {
     case GateKind::kId:   return gates::I();
     case GateKind::kX:    return gates::X();
-    case GateKind::kY:    return gates::Y();
-    case GateKind::kZ:    return gates::Z();
     case GateKind::kH:    return gates::H();
     case GateKind::kSX:   return gates::SX();
     case GateKind::kSXdg: return gates::SXdg();
-    case GateKind::kRZ:   return gates::RZ(params[0]);
-    case GateKind::kRY:   return gates::RY(params[0]);
-    case GateKind::kRX:   return gates::RX(params[0]);
-    case GateKind::kP:    return gates::P(params[0]);
-    case GateKind::kU:    return gates::U(params[0], params[1], params[2]);
+    case GateKind::kRZ:   return gates::RZ(param);
+    case GateKind::kP:    return gates::P(param);
     case GateKind::kCX:   return gates::CX();
-    case GateKind::kCZ:   return gates::CZ();
-    case GateKind::kCP:   return gates::CP(params[0]);
+    case GateKind::kCP:   return gates::CP(param);
     case GateKind::kCH:   return gates::CH();
     case GateKind::kSWAP: return gates::SWAP();
-    case GateKind::kCCP:  return gates::CCP(params[0]);
-    case GateKind::kCCX:  return gates::CCX();
+    case GateKind::kCCP:  return gates::CCP(param);
   }
   QFAB_CHECK_MSG(false, "unknown gate kind");
   return {};
@@ -124,19 +103,13 @@ Gate Gate::inverse() const {
       inv.kind = GateKind::kSX;
       break;
     case GateKind::kRZ:
-    case GateKind::kRY:
-    case GateKind::kRX:
     case GateKind::kP:
     case GateKind::kCP:
     case GateKind::kCCP:
-      inv.params[0] = -params[0];
-      break;
-    case GateKind::kU:
-      // U(θ,φ,λ)^{-1} = U(-θ,-λ,-φ)
-      inv.params = {-params[0], -params[2], -params[1]};
+      inv.param = -param;
       break;
     default:
-      break;  // self-inverse: id, x, y, z, h, cx, cz, ch, swap, ccx
+      break;  // self-inverse: id, x, h, cx, ch, swap
   }
   return inv;
 }
@@ -144,15 +117,7 @@ Gate Gate::inverse() const {
 std::string Gate::to_string() const {
   std::ostringstream os;
   os << gate_name(kind);
-  const int np = gate_param_count(kind);
-  if (np > 0) {
-    os << '(';
-    for (int i = 0; i < np; ++i) {
-      if (i) os << ", ";
-      os << params[i];
-    }
-    os << ')';
-  }
+  if (gate_param_count(kind) > 0) os << '(' << param << ')';
   os << ' ';
   for (int i = 0; i < arity(); ++i) {
     if (i) os << ", ";
@@ -161,12 +126,12 @@ std::string Gate::to_string() const {
   return os.str();
 }
 
-Gate make_gate1(GateKind kind, int q, double p0, double p1, double p2) {
+Gate make_gate1(GateKind kind, int q, double p0) {
   QFAB_CHECK(gate_arity(kind) == 1);
   Gate g;
   g.kind = kind;
   g.qubits = {q, -1, -1};
-  g.params = {p0, p1, p2};
+  g.param = p0;
   return g;
 }
 
@@ -176,7 +141,7 @@ Gate make_gate2(GateKind kind, int target, int control, double p0) {
   Gate g;
   g.kind = kind;
   g.qubits = {target, control, -1};
-  g.params = {p0, 0.0, 0.0};
+  g.param = p0;
   return g;
 }
 
@@ -187,7 +152,7 @@ Gate make_gate3(GateKind kind, int target, int c1, int c2, double p0) {
   Gate g;
   g.kind = kind;
   g.qubits = {target, c1, c2};
-  g.params = {p0, 0.0, 0.0};
+  g.param = p0;
   return g;
 }
 

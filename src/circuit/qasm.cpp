@@ -63,49 +63,25 @@ void emit_gate(std::ostream& os, const Gate& g, const QubitNamer& name) {
   switch (g.kind) {
     case GateKind::kId:   os << "id " << name(t); break;
     case GateKind::kX:    os << "x " << name(t); break;
-    case GateKind::kY:    os << "y " << name(t); break;
-    case GateKind::kZ:    os << "z " << name(t); break;
     case GateKind::kH:    os << "h " << name(t); break;
     case GateKind::kSX:   os << "sx " << name(t); break;
     case GateKind::kSXdg: os << "sxdg " << name(t); break;
     case GateKind::kRZ:
       os << "rz(";
-      write_angle(os, g.params[0]);
-      os << ") " << name(t);
-      break;
-    case GateKind::kRY:
-      os << "ry(";
-      write_angle(os, g.params[0]);
-      os << ") " << name(t);
-      break;
-    case GateKind::kRX:
-      os << "rx(";
-      write_angle(os, g.params[0]);
+      write_angle(os, g.param);
       os << ") " << name(t);
       break;
     case GateKind::kP:
       os << "u1(";
-      write_angle(os, g.params[0]);
-      os << ") " << name(t);
-      break;
-    case GateKind::kU:
-      os << "u3(";
-      write_angle(os, g.params[0]);
-      os << ",";
-      write_angle(os, g.params[1]);
-      os << ",";
-      write_angle(os, g.params[2]);
+      write_angle(os, g.param);
       os << ") " << name(t);
       break;
     case GateKind::kCX:
       os << "cx " << name(c1) << "," << name(t);
       break;
-    case GateKind::kCZ:
-      os << "cz " << name(c1) << "," << name(t);
-      break;
     case GateKind::kCP:
       os << "cu1(";
-      write_angle(os, g.params[0]);
+      write_angle(os, g.param);
       os << ") " << name(c1) << "," << name(t);
       break;
     case GateKind::kCH:
@@ -114,12 +90,9 @@ void emit_gate(std::ostream& os, const Gate& g, const QubitNamer& name) {
     case GateKind::kSWAP:
       os << "swap " << name(t) << "," << name(c1);
       break;
-    case GateKind::kCCX:
-      os << "ccx " << name(c1) << "," << name(c2) << "," << name(t);
-      break;
     case GateKind::kCCP: {
       // Standard expansion (qelib1 has no doubly-controlled phase).
-      const double l = g.params[0];
+      const double l = g.param;
       os << "cu1(";
       write_angle(os, l / 2);
       os << ") " << name(c2) << "," << name(t) << ";\n";
@@ -337,35 +310,24 @@ class Parser {
     };
     if (name == "id") { need(1, 0); qc.id(qubits[0]); }
     else if (name == "x") { need(1, 0); qc.x(qubits[0]); }
-    else if (name == "y") { need(1, 0); qc.y(qubits[0]); }
-    else if (name == "z") { need(1, 0); qc.z(qubits[0]); }
     else if (name == "h") { need(1, 0); qc.h(qubits[0]); }
     else if (name == "sx") { need(1, 0); qc.sx(qubits[0]); }
     else if (name == "sxdg") { need(1, 0); qc.sxdg(qubits[0]); }
     else if (name == "rz") { need(1, 1); qc.rz(qubits[0], params[0]); }
-    else if (name == "ry") { need(1, 1); qc.ry(qubits[0], params[0]); }
-    else if (name == "rx") { need(1, 1); qc.rx(qubits[0], params[0]); }
     else if (name == "u1" || name == "p") {
       need(1, 1);
       qc.p(qubits[0], params[0]);
-    } else if (name == "u3" || name == "u") {
-      need(1, 3);
-      qc.u(qubits[0], params[0], params[1], params[2]);
     } else if (name == "s") { need(1, 0); qc.p(qubits[0], kPi / 2); }
     else if (name == "sdg") { need(1, 0); qc.p(qubits[0], -kPi / 2); }
     else if (name == "t") { need(1, 0); qc.p(qubits[0], kPi / 4); }
     else if (name == "tdg") { need(1, 0); qc.p(qubits[0], -kPi / 4); }
     else if (name == "cx") { need(2, 0); qc.cx(qubits[0], qubits[1]); }
-    else if (name == "cz") { need(2, 0); qc.cz(qubits[0], qubits[1]); }
     else if (name == "cu1" || name == "cp") {
       need(2, 1);
       qc.cp(qubits[0], qubits[1], params[0]);
     } else if (name == "ch") { need(2, 0); qc.ch(qubits[0], qubits[1]); }
     else if (name == "swap") { need(2, 0); qc.swap(qubits[0], qubits[1]); }
-    else if (name == "ccx") {
-      need(3, 0);
-      qc.ccx(qubits[0], qubits[1], qubits[2]);
-    } else {
+    else {
       fail("unsupported gate " + name);
     }
   }

@@ -1,7 +1,7 @@
 // OpenQASM 2.0 interoperability.
 //
-// Export targets the classic qelib1 alphabet (p -> u1, cp -> cu1, u -> u3,
-// CCP emitted as its standard 5-gate cu1/cx expansion), so the output loads
+// Export targets the classic qelib1 alphabet (p -> u1, cp -> cu1, CCP
+// emitted as its standard 5-gate cu1/cx expansion), so the output loads
 // in Qiskit/Aer directly — useful for cross-checking this library's
 // circuits against the paper's original toolchain. Import parses the same
 // subset (multiple qregs, angle expressions over pi, comments, barriers)

@@ -43,24 +43,8 @@ Matrix RZ(double theta) {
   return Matrix{{expi(-theta / 2), 0.0}, {0.0, expi(theta / 2)}};
 }
 
-Matrix RY(double theta) {
-  const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return Matrix{{c, -s}, {s, c}};
-}
-
-Matrix RX(double theta) {
-  const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return Matrix{{c, -kI * s}, {-kI * s, c}};
-}
-
 Matrix P(double lambda) {
   return Matrix{{1.0, 0.0}, {0.0, expi(lambda)}};
-}
-
-Matrix U(double theta, double phi, double lambda) {
-  const double c = std::cos(theta / 2), s = std::sin(theta / 2);
-  return Matrix{{c, -expi(lambda) * s},
-                {expi(phi) * s, expi(phi + lambda) * c}};
 }
 
 Matrix R_l(int l) {
@@ -78,12 +62,10 @@ Matrix controlled(const Matrix& u) {
 }
 
 Matrix CX() { return controlled(X()); }
-Matrix CZ() { return controlled(Z()); }
 Matrix CP(double lambda) { return controlled(P(lambda)); }
 Matrix CH() { return controlled(H()); }
 Matrix CRl(int l) { return controlled(R_l(l)); }
 Matrix CCP(double lambda) { return controlled(controlled(P(lambda))); }
-Matrix CCX() { return controlled(controlled(X())); }
 
 Matrix SWAP() {
   return Matrix{{1.0, 0.0, 0.0, 0.0},

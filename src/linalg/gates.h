@@ -21,10 +21,7 @@ Matrix H();
 Matrix SX();      // sqrt(X), IBM basis gate
 Matrix SXdg();
 Matrix RZ(double theta);   // exp(-i θ Z / 2)
-Matrix RY(double theta);   // exp(-i θ Y / 2)
-Matrix RX(double theta);   // exp(-i θ X / 2)
 Matrix P(double lambda);   // phase gate diag(1, e^{iλ})
-Matrix U(double theta, double phi, double lambda);  // generic 1q (Qiskit U)
 
 /// The paper's R_l: P(2π / 2^l).
 Matrix R_l(int l);
@@ -32,7 +29,6 @@ Matrix R_l(int l);
 // ---- two-qubit (gate-local bit 0 = target, bit 1 = control) ---------------
 
 Matrix CX();
-Matrix CZ();
 Matrix CP(double lambda);
 Matrix CH();
 Matrix SWAP();
@@ -41,7 +37,6 @@ Matrix CRl(int l);  // controlled R_l == CP(2π/2^l)
 // ---- three-qubit (bit 0 = target, bits 1,2 = controls) --------------------
 
 Matrix CCP(double lambda);
-Matrix CCX();
 
 /// Generic single-controlled version of a k-qubit unitary: control becomes
 /// the highest gate-local bit.

@@ -634,7 +634,7 @@ void add_pending_span(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
     const Gate& gate = plan.circuit().gates()[op.gate_begin];
     if (gate.kind != GateKind::kRZ) return;
     for (int l = lane_begin; l < lane_begin + lane_count; ++l)
-      bsv.apply_lane_global_phase(l, -gate.params[0] / 2);
+      bsv.apply_lane_global_phase(l, -gate.param / 2);
   } else if (op.kind == FusedOp::Kind::kDiagonal && op.qubits.empty()) {
     for (int l = lane_begin; l < lane_begin + lane_count; ++l)
       bsv.apply_lane_global_phase(l, std::arg(op.phases[0]));

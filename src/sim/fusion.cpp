@@ -486,7 +486,7 @@ bool sandwich_pass(OpList& list, const std::vector<Gate>& gates) {
 std::vector<cplx> gate_kernel_operands(const Gate& g) {
   switch (g.kind) {
     case GateKind::kRZ:
-      return {expi(g.params[0])};
+      return {expi(g.param)};
     case GateKind::kSX:
       return to_flat(g.matrix());
     default:
@@ -706,12 +706,9 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
 }
 
 bool same_gate(const Gate& a, const Gate& b) {
-  if (a.kind != b.kind || a.qubits != b.qubits) return false;
-  for (std::size_t p = 0; p < a.params.size(); ++p)
-    if (std::bit_cast<std::uint64_t>(a.params[p]) !=
-        std::bit_cast<std::uint64_t>(b.params[p]))
-      return false;
-  return true;
+  return a.kind == b.kind && a.qubits == b.qubits &&
+         std::bit_cast<std::uint64_t>(a.param) ==
+             std::bit_cast<std::uint64_t>(b.param);
 }
 
 }  // namespace
@@ -739,8 +736,7 @@ const FusedPlan& SliceStore::logical(const QuantumCircuit& source,
   for (std::size_t g = 0; g < count; ++g) {
     key = mix(key, static_cast<std::uint64_t>(gates[g].kind));
     for (int q : gates[g].qubits) key = mix(key, static_cast<std::uint64_t>(q));
-    for (double p : gates[g].params)
-      key = mix(key, std::bit_cast<std::uint64_t>(p));
+    key = mix(key, std::bit_cast<std::uint64_t>(gates[g].param));
   }
   const auto match = [&](const FusedPlan& plan) {
     if (plan.circuit_.num_qubits() != n || plan.gate_count() != count ||

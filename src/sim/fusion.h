@@ -261,7 +261,7 @@ class FusedPlan {
 };
 
 /// Compiled slice plans shared by content. A slice's compile reads only
-/// its gates (kind, qubits and the bit patterns of the params), its qubit
+/// its gates (kind, qubits and the bit pattern of the param), its qubit
 /// count and its FusionOptions, and its ops do not depend on where the
 /// slice sits: gate ranges are relative to the slice and kGate ops point
 /// into the slice's own circuit. So the store keys a slice by those fields

@@ -155,20 +155,14 @@ void StateVector::apply_gate(const Gate& g) {
     case GateKind::kX:
       apply_pauli(Pauli::kX, g.qubits[0]);
       return;
-    case GateKind::kY:
-      apply_pauli(Pauli::kY, g.qubits[0]);
-      return;
-    case GateKind::kZ:
-      apply_pauli(Pauli::kZ, g.qubits[0]);
-      return;
     case GateKind::kRZ:
       // diag(e^{-iθ/2}, e^{iθ/2}) = e^{-iθ/2} diag(1, e^{iθ}): the scalar
       // goes to the pending phase, halving the touched amplitudes.
-      pending_phase_ += -g.params[0] / 2;
-      apply_phase_on_bit(g.qubits[0], expi(g.params[0]));
+      pending_phase_ += -g.param / 2;
+      apply_phase_on_bit(g.qubits[0], expi(g.param));
       return;
     case GateKind::kP:
-      apply_phase_on_bit(g.qubits[0], expi(g.params[0]));
+      apply_phase_on_bit(g.qubits[0], expi(g.param));
       return;
     case GateKind::kCX: {
       const u64 cbit = u64{1} << g.qubits[1];
@@ -182,10 +176,8 @@ void StateVector::apply_gate(const Gate& g) {
       }
       return;
     }
-    case GateKind::kCZ:
     case GateKind::kCP: {
-      const cplx ph = g.kind == GateKind::kCZ ? cplx{-1.0, 0.0}
-                                              : expi(g.params[0]);
+      const cplx ph = expi(g.param);
       const int lo = std::min(g.qubits[0], g.qubits[1]);
       const int hi = std::max(g.qubits[0], g.qubits[1]);
       const u64 mask = (u64{1} << g.qubits[0]) | (u64{1} << g.qubits[1]);
@@ -195,7 +187,7 @@ void StateVector::apply_gate(const Gate& g) {
       return;
     }
     case GateKind::kCCP: {
-      const cplx ph = expi(g.params[0]);
+      const cplx ph = expi(g.param);
       int qs[3] = {g.qubits[0], g.qubits[1], g.qubits[2]};
       std::sort(qs, qs + 3);
       const u64 mask = (u64{1} << qs[0]) | (u64{1} << qs[1]) |
@@ -221,10 +213,7 @@ void StateVector::apply_gate(const Gate& g) {
     }
     case GateKind::kH:
     case GateKind::kSX:
-    case GateKind::kSXdg:
-    case GateKind::kRY:
-    case GateKind::kRX:
-    case GateKind::kU: {
+    case GateKind::kSXdg: {
       const Matrix m = g.matrix();
       const cplx m2[2][2] = {{m.at(0, 0), m.at(0, 1)},
                              {m.at(1, 0), m.at(1, 1)}};
@@ -233,13 +222,6 @@ void StateVector::apply_gate(const Gate& g) {
     }
     case GateKind::kCH: {
       apply_matrix2(g.matrix(), g.qubits[0], g.qubits[1]);
-      return;
-    }
-    case GateKind::kCCX: {
-      const u64 cmask = (u64{1} << g.qubits[1]) | (u64{1} << g.qubits[2]);
-      const u64 tbit = u64{1} << g.qubits[0];
-      for (u64 i = 0; i < n; ++i)
-        if ((i & cmask) == cmask && !(i & tbit)) std::swap(a[i], a[i | tbit]);
       return;
     }
   }

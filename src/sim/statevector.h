@@ -4,7 +4,7 @@
 // run_trajectory) replays a transpiled circuit (thousands of gates) on
 // these kernels gate by gate, and the batched engine is tested against it.
 // Each gate kind gets a dedicated in-place kernel; diagonal gates
-// (RZ/P/CP/CCP/Z/CZ) touch only phases and CX/X/SWAP only permute
+// (RZ/P/CP/CCP) touch only phases and CX/X/SWAP only permute
 // amplitudes. Generic dense application exists as a fallback and as the
 // reference the kernels are tested against.
 #pragma once

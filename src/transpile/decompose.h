@@ -18,9 +18,4 @@ void decompose_gate(const Gate& g, QuantumCircuit& out);
 /// Decompose a whole circuit. Registers and width are preserved.
 QuantumCircuit decompose_to_basis(const QuantumCircuit& qc);
 
-/// Append the two-CX "ABC" decomposition of controlled-U for an arbitrary
-/// 2x2 unitary `u` (Nielsen & Chuang 4.2), fully expanded to basis gates.
-void emit_controlled_unitary(const Matrix& u, int control, int target,
-                             QuantumCircuit& out);
-
 }  // namespace qfab

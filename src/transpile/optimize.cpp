@@ -44,7 +44,7 @@ OptimizeStats optimize_basis_circuit(QuantumCircuit& qc) {
           if (dead[j]) continue;
           const Gate& gj = gates[j];
           if (gj.kind == GateKind::kRZ && gj.qubits[0] == q) {
-            gi.params[0] += gj.params[0];
+            gi.param += gj.param;
             dead[j] = true;
             ++stats.rz_merged;
             changed = true;
@@ -55,13 +55,13 @@ OptimizeStats optimize_basis_circuit(QuantumCircuit& qc) {
         // Canonicalize the angle into (-π, π]; each 2π turn is a -1 phase.
         // ceil((θ-π)/2π) maps θ = π to k = 0 (stable fixed point — a
         // round() here would ping-pong ±π between passes forever).
-        const double k = std::ceil((gi.params[0] - kPi) / (2 * kPi));
+        const double k = std::ceil((gi.param - kPi) / (2 * kPi));
         if (k != 0.0) {
-          gi.params[0] -= 2 * kPi * k;
+          gi.param -= 2 * kPi * k;
           phase += kPi * k;
           changed = true;
         }
-        if (std::abs(gi.params[0]) < kEps) {
+        if (std::abs(gi.param) < kEps) {
           dead[i] = true;
           ++stats.rz_removed;
           changed = true;

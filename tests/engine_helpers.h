@@ -32,14 +32,12 @@ inline double state_distance(const std::vector<cplx>& a,
   return std::sqrt(d);
 }
 
-/// A random circuit drawing from all 19 gate kinds.
+/// A random circuit drawing from all 12 gate kinds.
 inline QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
   static const GateKind kKinds[] = {
-      GateKind::kId, GateKind::kX,    GateKind::kY,  GateKind::kZ,
-      GateKind::kH,  GateKind::kSX,   GateKind::kSXdg, GateKind::kRZ,
-      GateKind::kRY, GateKind::kRX,   GateKind::kP,  GateKind::kU,
-      GateKind::kCX, GateKind::kCZ,   GateKind::kCP, GateKind::kCH,
-      GateKind::kSWAP, GateKind::kCCP, GateKind::kCCX};
+      GateKind::kId,   GateKind::kX,  GateKind::kH,    GateKind::kSX,
+      GateKind::kSXdg, GateKind::kRZ, GateKind::kP,    GateKind::kCX,
+      GateKind::kCP,   GateKind::kCH, GateKind::kSWAP, GateKind::kCCP};
   QuantumCircuit qc(n);
   for (int i = 0; i < gates; ++i) {
     const GateKind kind = kKinds[rng.uniform_int(std::size(kKinds))];
@@ -50,14 +48,13 @@ inline QuantumCircuit random_circuit(int n, int gates, Pcg64& rng) {
     while (q[1] == q[0]);
     do q[2] = static_cast<int>(rng.uniform_int(n));
     while (q[2] == q[0] || q[2] == q[1]);
-    double p[3];
-    for (double& v : p) v = (rng.uniform() - 0.5) * 2.0 * M_PI;
+    const double p = (rng.uniform() - 0.5) * 2.0 * M_PI;
     if (arity == 1) {
-      qc.append(make_gate1(kind, q[0], p[0], p[1], p[2]));
+      qc.append(make_gate1(kind, q[0], p));
     } else if (arity == 2) {
-      qc.append(make_gate2(kind, q[0], q[1], p[0]));
+      qc.append(make_gate2(kind, q[0], q[1], p));
     } else {
-      qc.append(make_gate3(kind, q[0], q[1], q[2], p[0]));
+      qc.append(make_gate3(kind, q[0], q[1], q[2], p));
     }
   }
   return qc;

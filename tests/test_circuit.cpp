@@ -16,7 +16,6 @@ TEST(Gate, ArityAndNames) {
   EXPECT_EQ(gate_arity(GateKind::kCCP), 3);
   EXPECT_EQ(gate_name(GateKind::kCX), "cx");
   EXPECT_EQ(gate_name(GateKind::kCCP), "ccp");
-  EXPECT_EQ(gate_param_count(GateKind::kU), 3);
   EXPECT_EQ(gate_param_count(GateKind::kH), 0);
 }
 
@@ -32,7 +31,6 @@ TEST(Gate, InverseMatricesMultiplyToIdentity) {
       make_gate1(GateKind::kH, 0),
       make_gate1(GateKind::kSX, 0),
       make_gate1(GateKind::kRZ, 0, 0.7),
-      make_gate1(GateKind::kU, 0, 1.0, 0.4, -0.2),
       make_gate2(GateKind::kCP, 0, 1, 0.9),
       make_gate2(GateKind::kCH, 0, 1),
       make_gate3(GateKind::kCCP, 0, 1, 2, 1.1),
@@ -175,6 +173,27 @@ TEST(Circuit, ControlledOnRejectsOverlap) {
   qc.h(0);
   qc.h(1);
   EXPECT_THROW(qc.controlled_on(1), CheckError);
+}
+
+TEST(Circuit, ControlledOnRejectsUnsupportedGates) {
+  // Only {id, x, h, p, rz, cp} have a controlled form; any other gate
+  // throws a CheckError naming it.
+  for (const Gate& g :
+       {make_gate2(GateKind::kSWAP, 0, 1), make_gate1(GateKind::kSX, 1)}) {
+    QuantumCircuit qc(3);
+    qc.h(0);
+    qc.append(g);
+    try {
+      const QuantumCircuit controlled = qc.controlled_on(2);
+      ADD_FAILURE() << g.to_string() << " controlled into "
+                    << controlled.gates().size() << " gates";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported gate " +
+                                           g.to_string()),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Circuit, SameShapeCopiesRegisters) {

@@ -248,7 +248,7 @@ TEST(FusedPlan, DisabledPlanStillMatchesReference) {
 }
 
 TEST(FusedPlan, RejectsGatesOutsideTheBasis) {
-  // A plan compiles transpiled circuits only: a CH, a SWAP or a CCX throws a
+  // A plan compiles transpiled circuits only: a CH, a SWAP or a CCP throws a
   // CheckError naming the gate, wherever it sits and under either option.
   const auto with = [](const Gate& g) {
     QuantumCircuit qc(3);
@@ -262,7 +262,7 @@ TEST(FusedPlan, RejectsGatesOutsideTheBasis) {
   unfused.enable = false;
   for (const Gate& g :
        {make_gate2(GateKind::kCH, 1, 0), make_gate2(GateKind::kSWAP, 0, 2),
-        make_gate3(GateKind::kCCX, 2, 0, 1)}) {
+        make_gate3(GateKind::kCCP, 2, 0, 1, 0.7)}) {
     const QuantumCircuit qc = with(g);
     for (const FusionOptions& options : {FusionOptions{}, unfused}) {
       try {
@@ -363,8 +363,8 @@ TEST(SliceStore, DepthPlansShareSlicesWhoseGatesMatch) {
       const Gate& x = qc4.gates()[b + g];
       const Gate& y = qcf.gates()[b2 + g];
       if (x.kind != y.kind || x.qubits != y.qubits ||
-          std::bit_cast<std::array<std::uint64_t, 3>>(x.params) !=
-              std::bit_cast<std::array<std::uint64_t, 3>>(y.params))
+          std::bit_cast<std::uint64_t>(x.param) !=
+              std::bit_cast<std::uint64_t>(y.param))
         return false;
     }
     return true;

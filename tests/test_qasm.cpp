@@ -61,15 +61,15 @@ TEST(QasmImport, ParsesBasics) {
     rz(pi/4) a[1];
     u1(-pi/2) b[0];
     barrier a;
-    ccx a[0],a[1],b[0];
+    ch a[0],b[0];
   )";
   const QuantumCircuit qc = from_qasm(text);
   EXPECT_EQ(qc.num_qubits(), 3);
   EXPECT_EQ(qc.gates().size(), 5u);
   EXPECT_EQ(qc.gates()[0].kind, GateKind::kH);
   EXPECT_EQ(qc.gates()[2].kind, GateKind::kRZ);
-  EXPECT_NEAR(qc.gates()[2].params[0], kPi / 4, 1e-12);
-  EXPECT_EQ(qc.gates()[4].kind, GateKind::kCCX);
+  EXPECT_NEAR(qc.gates()[2].param, kPi / 4, 1e-12);
+  EXPECT_EQ(qc.gates()[4].kind, GateKind::kCH);
 }
 
 TEST(QasmImport, AngleExpressions) {
@@ -81,18 +81,18 @@ rz(-(pi/3)) q[0];
 rz(1.5) q[0];
 )";
   const QuantumCircuit qc = from_qasm(text);
-  EXPECT_NEAR(qc.gates()[0].params[0], kPi / 4, 1e-12);
-  EXPECT_NEAR(qc.gates()[1].params[0], 3 * kPi / 4, 1e-12);
-  EXPECT_NEAR(qc.gates()[2].params[0], -kPi / 3, 1e-12);
-  EXPECT_NEAR(qc.gates()[3].params[0], 1.5, 1e-12);
+  EXPECT_NEAR(qc.gates()[0].param, kPi / 4, 1e-12);
+  EXPECT_NEAR(qc.gates()[1].param, 3 * kPi / 4, 1e-12);
+  EXPECT_NEAR(qc.gates()[2].param, -kPi / 3, 1e-12);
+  EXPECT_NEAR(qc.gates()[3].param, 1.5, 1e-12);
 }
 
 TEST(QasmImport, SAndTShorthands) {
   const QuantumCircuit qc = from_qasm(
       "OPENQASM 2.0;\nqreg q[1];\ns q[0];\ntdg q[0];\n");
   EXPECT_EQ(qc.gates()[0].kind, GateKind::kP);
-  EXPECT_NEAR(qc.gates()[0].params[0], kPi / 2, 1e-12);
-  EXPECT_NEAR(qc.gates()[1].params[0], -kPi / 4, 1e-12);
+  EXPECT_NEAR(qc.gates()[0].param, kPi / 2, 1e-12);
+  EXPECT_NEAR(qc.gates()[1].param, -kPi / 4, 1e-12);
 }
 
 TEST(QasmImport, Diagnostics) {
@@ -102,6 +102,21 @@ TEST(QasmImport, Diagnostics) {
   EXPECT_THROW(from_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[3];"), CheckError);
   EXPECT_THROW(from_qasm("OPENQASM 2.0;\nqreg q[1];\nh r[0];"), CheckError);
   EXPECT_THROW(from_qasm("OPENQASM 2.0;\nqreg q[0];"), CheckError);
+  // qelib1 gates the circuit IR has no kind for get the unsupported-gate
+  // line diagnostic.
+  for (const std::string gate :
+       {"cz q[0],q[1]", "u3(0.1,0.2,0.3) q[0]", "ccx q[0],q[1],q[2]"}) {
+    const std::string name = gate.substr(0, gate.find_first_of(" ("));
+    try {
+      from_qasm("OPENQASM 2.0;\nqreg q[3];\n" + gate + ";\n");
+      ADD_FAILURE() << gate << " parsed";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("(line 3): unsupported gate " +
+                                           name),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 class QasmRoundTrip : public ::testing::TestWithParam<int> {};
@@ -118,11 +133,11 @@ TEST_P(QasmRoundTrip, PreservesUnitaryUpToPhase) {
     switch (rng.uniform_int(12)) {
       case 0: qc.h(q); break;
       case 1: qc.x(q); break;
-      case 2: qc.y(q); break;
+      case 2: qc.sxdg(q); break;
       case 3: qc.sx(q); break;
       case 4: qc.rz(q, rng.uniform() * 6 - 3); break;
       case 5: qc.p(q, rng.uniform() * 6); break;
-      case 6: qc.u(q, rng.uniform(), rng.uniform(), rng.uniform()); break;
+      case 6: qc.id(q); break;
       case 7: qc.cx(q, r); break;
       case 8: qc.cp(q, r, rng.uniform() * 3); break;
       case 9: qc.swap(q, r); break;
