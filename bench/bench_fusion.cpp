@@ -4,9 +4,11 @@
 // Times apply_plan of each circuit's fused plan against apply_plan of the
 // same circuit's unfused plan (FusionOptions::enable = false: one kGate op
 // per gate), on the transpiled QFA(n=8, d in 1..7 and full) and QFM(n=4)
-// circuits. Both run on a one-lane BatchedStateVector made dense
-// (make_dense), so every pass touches every amplitude row as an unmasked
-// engine would, and each is cross-checked against StateVector::apply_circuit
+// circuits. Both run on a one-lane BatchedStateVector in the plans' row
+// layout (the two plans derive the same one from their circuit), made
+// dense (make_dense), so every pass touches every amplitude row as an
+// unmasked engine would, and each is cross-checked against
+// StateVector::apply_circuit
 // (<= 1e-12 per amplitude). Each row also prices the compiler: compile_ms is
 // one cold compile of the plan, and slice_compile_us the mean cost of one
 // slice compile when every prefix [b, k) and suffix [k, e) slice of every
@@ -124,7 +126,7 @@ BenchRow run_case(const std::string& name, const CircuitSpec& spec,
 
   StateVector ref(qc.num_qubits());
   ref.apply_circuit(qc);
-  BatchedStateVector start(qc.num_qubits(), 1);
+  BatchedStateVector start(qc.num_qubits(), 1, plan.row_layout());
   start.make_dense();
   BatchedStateVector final = start;
   row.unfused = time_plan(unfused_plan, start, reps, final);

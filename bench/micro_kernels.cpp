@@ -157,13 +157,14 @@ BENCHMARK(BM_MarginalProbabilities);
 // quarter of the rows, and the fused AQFT runs far fewer ops than its
 // circuit has gates, so compare rows by time, not as bandwidth.
 
-/// Every lane of a `lanes`-lane vector holding H on every qubit of |0...0>:
-/// a dense state, so the walk skips no tile.
+/// Every lane of a `lanes`-lane vector in `plan`'s row layout holding H on
+/// every qubit of |0...0>: a dense state, so the walk skips no tile.
 template <typename Real>
-BatchedStateVectorT<Real> dense_lanes(int n, int lanes) {
+BatchedStateVectorT<Real> dense_lanes(const FusedPlan& plan, int lanes) {
+  const int n = plan.circuit().num_qubits();
   StateVector sv(n);
   for (int q = 0; q < n; ++q) sv.apply_gate(make_gate1(GateKind::kH, q));
-  BatchedStateVectorT<Real> bsv(n, lanes);
+  BatchedStateVectorT<Real> bsv(n, lanes, plan.row_layout());
   bsv.broadcast(sv);
   return bsv;
 }
@@ -171,7 +172,7 @@ BatchedStateVectorT<Real> dense_lanes(int n, int lanes) {
 template <typename Real>
 void bm_batched_plan(benchmark::State& state,
                      std::shared_ptr<const FusedPlan> plan, int n, int lanes) {
-  BatchedStateVectorT<Real> bsv = dense_lanes<Real>(n, lanes);
+  BatchedStateVectorT<Real> bsv = dense_lanes<Real>(*plan, lanes);
   for (auto _ : state) {
     apply_plan(*plan, bsv);
     benchmark::DoNotOptimize(bsv.re());
@@ -242,8 +243,11 @@ const int kBatchedBenchesRegistered = register_batched_benches();
 // Lane-span cost of one walk step: what a replay pays for a step that
 // touches `span` of the 8 double lanes (the fused walk's bystander spans and
 // single-lane slices, DESIGN.md §12). The steps come from the QFA n=8
-// full-depth plan (16 qubits, 65536 rows): its first 10-qubit diagonal, the
-// 2x2 on qubit 15, and a single-lane X on qubit 15. Each iteration is one
+// full-depth plan (16 qubits, 65536 rows), whose ops address row bits: its
+// first 10-qubit diagonal, the first of its 2x2s on the highest row bit any
+// 2x2 touches (row 7, the top of the superposed register, inside the tile),
+// and a single-lane X on row 15 (the top of the x register, across tiles).
+// Each iteration is one
 // apply_batch_walk of a run of 16 copies of the step, so every L1-sized
 // tile is loaded once and takes all 16 — the step's cost inside a tile
 // run, which is how a replay meets it, rather than the memory traffic of a
@@ -253,7 +257,7 @@ const int kBatchedBenchesRegistered = register_batched_benches();
 struct LaneSpanCase {
   std::shared_ptr<const FusedPlan> plan;
   std::size_t diag10 = 0;  // first 10-qubit kDiagonal op
-  std::size_t m1_q15 = 0;  // first kMatrix1 op on qubit 15
+  std::size_t m1_top = 0;  // first kMatrix1 op on the highest 2x2 row bit
 };
 
 const LaneSpanCase& lane_span_case() {
@@ -272,9 +276,9 @@ const LaneSpanCase& lane_span_case() {
         out.diag10 = i;
         have_diag = true;
       }
-      if (!have_m1 && ops[i].kind == FusedOp::Kind::kMatrix1 &&
-          ops[i].q0 == 15) {
-        out.m1_q15 = i;
+      if (ops[i].kind == FusedOp::Kind::kMatrix1 &&
+          (!have_m1 || ops[i].q0 > ops[out.m1_top].q0)) {
+        out.m1_top = i;
         have_m1 = true;
       }
     }
@@ -287,8 +291,7 @@ const LaneSpanCase& lane_span_case() {
 void bm_lane_span(benchmark::State& state, const BatchWalkStep& step) {
   constexpr std::size_t kRun = 16;
   const LaneSpanCase& c = lane_span_case();
-  const int n = c.plan->circuit().num_qubits();
-  BatchedStateVector bsv = dense_lanes<double>(n, 8);
+  BatchedStateVector bsv = dense_lanes<double>(*c.plan, 8);
   const std::vector<BatchWalkStep> run(kRun, step);
   for (auto _ : state) {
     apply_batch_walk(*c.plan, bsv, run.data(), run.size());
@@ -304,17 +307,19 @@ void bm_lane_span(benchmark::State& state, const BatchWalkStep& step) {
 int register_lane_span_benches() {
   const LaneSpanCase& c = lane_span_case();
   const FusedPlan* plan = c.plan.get();
+  const std::string m1_name =
+      "BM_LaneSpan/matrix1_q" + std::to_string(plan->ops()[c.m1_top].q0);
   for (int span : {8, 4, 1}) {
     const std::string suffix = "/lanes:8/span:" + std::to_string(span);
     const BatchWalkStep diag =
         BatchWalkStep::op_span_step(plan, c.diag10, 0, span);
     const BatchWalkStep m1 =
-        BatchWalkStep::op_span_step(plan, c.m1_q15, 0, span);
+        BatchWalkStep::op_span_step(plan, c.m1_top, 0, span);
     benchmark::RegisterBenchmark(
         ("BM_LaneSpan/diag10" + suffix).c_str(),
         [diag](benchmark::State& s) { bm_lane_span(s, diag); });
     benchmark::RegisterBenchmark(
-        ("BM_LaneSpan/matrix1_q15" + suffix).c_str(),
+        (m1_name + suffix).c_str(),
         [m1](benchmark::State& s) { bm_lane_span(s, m1); });
   }
   const BatchWalkStep x = BatchWalkStep::pauli_step(0, Pauli::kX, 15);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 
 namespace qfab {
 
@@ -42,6 +41,20 @@ bool parse_double(const std::string& s, double& out) {
   out = std::strtod(s.c_str(), &end);
   return end != s.c_str() && *end == '\0' && errno != ERANGE &&
          std::isfinite(out);  // "-inf" slips past the prefix rule
+}
+
+/// The comma-separated elements of a list flag's value, empty ones
+/// included: "1,,2" and "1," each hold an empty element, which no parser
+/// accepts.
+std::vector<std::string> list_items(const std::string& value) {
+  std::vector<std::string> items;
+  std::size_t begin = 0;
+  for (;;) {
+    const std::size_t comma = value.find(',', begin);
+    items.push_back(value.substr(begin, comma - begin));
+    if (comma == std::string::npos) return items;
+    begin = comma + 1;
+  }
 }
 
 }  // namespace
@@ -125,9 +138,7 @@ std::vector<double> CliFlags::get_double_list(const std::string& name,
     throw UsageError("--" + name + " expects a list, got an empty value " +
                      "(omit the flag for the default)");
   std::vector<double> out;
-  std::istringstream is(*v);
-  std::string item;
-  while (std::getline(is, item, ',')) {
+  for (const std::string& item : list_items(*v)) {
     double value = 0.0;
     if (!parse_double(item, value))
       throw UsageError("--" + name + ": bad list element \"" + item + '"');
@@ -144,9 +155,7 @@ std::vector<long> CliFlags::get_int_list(const std::string& name,
     throw UsageError("--" + name + " expects a list, got an empty value " +
                      "(omit the flag for the default)");
   std::vector<long> out;
-  std::istringstream is(*v);
-  std::string item;
-  while (std::getline(is, item, ',')) {
+  for (const std::string& item : list_items(*v)) {
     long value = 0;
     if (!parse_long(item, value))
       throw UsageError("--" + name + ": bad list element \"" + item + '"');

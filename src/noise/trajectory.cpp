@@ -344,14 +344,12 @@ std::vector<Injection> merge_schedule(
 
 template <typename Real>
 void run_trajectories_batched(
-    const FusedPlan& logical_plan, BatchedStateVectorT<Real>& bsv,
+    const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
     std::size_t start_gates,
     const std::vector<std::vector<ErrorEvent>>& lane_events) {
   QFAB_CHECK(lane_events.size() == static_cast<std::size_t>(bsv.lanes()));
-  // Steps address the vector's rows: a vector in the plan's row layout
-  // walks the relabelled twin, whose gates carry the physical qubits the
-  // Paulis land on.
-  const FusedPlan& plan = plan_for_layout(logical_plan, bsv.layout());
+  // Steps address the vector's rows, and so do the plan's gates: a Pauli
+  // lands on the row bit its gate names.
   const auto& gates = plan.circuit().gates();
   const std::size_t total = plan.gate_count();
   const std::vector<Injection> schedule =

@@ -14,7 +14,10 @@
 // gate on the StateVector kernels (StateVector::apply_circuit_range), so a
 // reference result depends on no fused op. BatchedCleanRun and
 // run_trajectories_batched run the same trajectories on the batched walk
-// over a compiled FusedPlan (sim/fusion.h, sim/batch.h).
+// over a compiled FusedPlan (sim/fusion.h, sim/batch.h), in the plan's row
+// layout. An ErrorEvent names a gate index and a Pauli per gate operand,
+// never a qubit, so one event list is the same trajectory in the caller's
+// labels and in the plan's row labels.
 #pragma once
 
 #include <cstdint>
@@ -164,6 +167,9 @@ class BatchedCleanRun {
 
   int lanes() const { return checkpoints_.front().lanes(); }
   const FusedPlan& plan() const { return *plan_; }
+  /// The plan's circuit, in row labels (FusedPlan::circuit): the caller's
+  /// gates at the same indices, so ErrorLocations built from it are those
+  /// of the caller's circuit.
   const QuantumCircuit& circuit() const { return plan_->circuit(); }
 
   /// All lanes' final states, batched, without extraction (lane pending
@@ -220,9 +226,10 @@ class BatchedCleanRun {
 /// one step sequence, and every maximal run of tile-local steps takes a
 /// single pass over the live amplitude tiles — so the replay cost no
 /// longer grows with the number of distinct injection sites (which is
-/// ~lanes × events/lane for a batched group). `plan` is the logical plan;
-/// a vector in its row layout (as BatchedCleanRun loads them) walks the
-/// relabelled twin. Op-interior sites decompose the host op per lane: the
+/// ~lanes × events/lane for a batched group). `bsv` must be in the plan's
+/// row layout (as BatchedCleanRun loads them; a CheckError otherwise), and
+/// each Pauli lands on the row bit of its gate's operand in the plan's
+/// circuit. Op-interior sites decompose the host op per lane: the
 /// lane whose event lands inside an op runs that op as the compiled slices
 /// on either side of its site, and every other lane takes the op whole, so
 /// a lane's arithmetic depends on its own trajectory only and its replay is

@@ -182,8 +182,9 @@ u64 index_of_row(const RowLayout* layout, u64 row) {
 }  // namespace
 
 template <typename Real>
-BatchedStateVectorT<Real>::BatchedStateVectorT(int num_qubits, int lanes) {
-  reset(num_qubits, lanes);
+BatchedStateVectorT<Real>::BatchedStateVectorT(
+    int num_qubits, int lanes, std::shared_ptr<const RowLayout> layout) {
+  reset(num_qubits, lanes, std::move(layout));
   zero_tile(0);
   for (int l = 0; l < lanes_; ++l) re_[static_cast<std::size_t>(l)] = Real{1};
   live_[0] = lane_bits(0, static_cast<u64>(lanes_));
@@ -228,8 +229,7 @@ void BatchedStateVectorT<Real>::reset(int num_qubits, int lanes,
   QFAB_CHECK(!layout || layout->num_qubits() == num_qubits);
   num_qubits_ = num_qubits;
   lanes_ = lanes;
-  tb_ = batched_tile_rows_log2(FusionOptions{}, lanes, num_qubits,
-                               sizeof(Real));
+  tb_ = batched_tile_rows_log2(lanes, num_qubits, sizeof(Real));
   packed_ = false;
   layout_ = std::move(layout);
   size_planes(dim() * static_cast<std::size_t>(lanes_));
@@ -261,27 +261,6 @@ void BatchedStateVectorT<Real>::make_dense() {
     if (live_[t] == 0) zero_tile(t);
     live_[t] = lane_bits(0, static_cast<u64>(lanes_));
   }
-}
-
-template <typename Real>
-void BatchedStateVectorT<Real>::retile(int tb) {
-  if (tb == tb_) return;
-  std::vector<u64> next(u64{1} << (num_qubits_ - tb), 0);
-  if (tb > tb_) {
-    const int d = tb - tb_;
-    for (u64 T = 0; T < next.size(); ++T) {
-      for (u64 s = 0; s < (u64{1} << d); ++s) next[T] |= live_[(T << d) + s];
-      if (next[T] == 0) continue;
-      for (u64 s = 0; s < (u64{1} << d); ++s)
-        if (live_[(T << d) + s] == 0) zero_tile((T << d) + s);
-    }
-  } else {
-    const int d = tb_ - tb;
-    for (u64 t = 0; t < live_.size(); ++t)
-      for (u64 s = 0; s < (u64{1} << d); ++s) next[(t << d) + s] = live_[t];
-  }
-  live_ = std::move(next);
-  tb_ = tb;
 }
 
 template <typename Real>
@@ -455,7 +434,7 @@ void BatchedStateVectorT<Real>::apply_pauli(int lane, Pauli p, int q) {
   QFAB_CHECK(q >= 0 && q < num_qubits_);
   const BatchWalkStep step =
       BatchWalkStep::pauli_step(lane, p, layout_ ? layout_->phys(q) : q);
-  walk(tb_, &step, 1);
+  walk(&step, 1);
 }
 
 template <typename Real>
@@ -502,25 +481,17 @@ void BatchedStateVectorT<Real>::accumulate_marginals(
   for (std::size_t b = 0; b < k; ++b)
     pos[b] = layout ? layout->phys(qubits[b]) : qubits[b];
   // A key's rows add in ascending row order. That is ascending logical
-  // order — the identity layout's, so the sums are bitwise equal — iff the
-  // qubits outside the key keep their relative order in the layout.
-  bool ordered = true;
-  if (layout) {
-    int last = -1;
-    for (int q = 0; q < num_qubits_ && ordered; ++q) {
-      if (std::find(qubits.begin(), qubits.end(), q) != qubits.end()) continue;
-      ordered = layout->phys(q) > last;
-      last = layout->phys(q);
-    }
-  }
+  // order, the identity layout's, when the qubits outside the key keep
+  // their relative order in the layout, as they do for every output
+  // register of the paper's circuits.
   bool contiguous = true;
   for (std::size_t b = 0; b < k; ++b)
     contiguous &= pos[b] == pos[0] + static_cast<int>(b);
   const u64 key_mask = pow2(static_cast<int>(k)) - 1;
-  const auto gather = [&](u64 x, const auto& bits) {
+  const auto gather = [&](u64 row) {
     u64 key = 0;
     for (std::size_t b = 0; b < k; ++b)
-      key |= static_cast<u64>(get_bit(x, bits[b])) << b;
+      key |= static_cast<u64>(get_bit(row, pos[b])) << b;
     return key;
   };
   const u64 L = static_cast<u64>(lanes_);
@@ -533,24 +504,12 @@ void BatchedStateVectorT<Real>::accumulate_marginals(
       a[l] += ar * ar + ai * ai;
     }
   };
-  if (!ordered) {
-    // Visit rows in logical order instead.
-    for (u64 i = 0; i < dim(); ++i) {
-      const u64 row = layout->to_row(i);
-      const u64 t = row >> tb_;
-      if (!(live_[t] & lanes)) continue;
-      const u64 off = tile_offset(t) + (row & (tile_rows() - 1)) * L +
-                      static_cast<u64>(lane_lo);
-      add_row(re_.data() + off, im_.data() + off, gather(i, qubits));
-    }
-    return;
-  }
   for (u64 t = 0; t < live_.size(); ++t) {
     if (!(live_[t] & lanes)) continue;
     const Real* r = re_.data() + tile_offset(t) + lane_lo;
     const Real* m = im_.data() + tile_offset(t) + lane_lo;
     for (u64 row = t << tb_; row < (t + 1) << tb_; ++row, r += L, m += L)
-      add_row(r, m, contiguous ? (row >> pos[0]) & key_mask : gather(row, pos));
+      add_row(r, m, contiguous ? (row >> pos[0]) & key_mask : gather(row));
   }
 }
 
@@ -586,9 +545,9 @@ void BatchedStateVectorT<Real>::all_lane_marginal_probabilities(
   // acc[key * L + lane]: per amplitude row the accumulation is one
   // unit-stride fused multiply-add over the lanes (always in double, so
   // the float tier loses precision only in the amplitudes themselves, not
-  // the reduction). Additions land per (lane, key) in ascending logical
-  // order — exactly the order lane_marginal_probabilities uses — so the
-  // results are bitwise equal; lanes clear in a live tile add exact zeros.
+  // the reduction). Additions land per (lane, key) in ascending row order
+  // — exactly the order lane_marginal_probabilities uses — so the results
+  // are bitwise equal; lanes clear in a live tile add exact zeros.
   scratch.assign(out_size * L, 0.0);
   accumulate_marginals(qubits, 0, lanes_, scratch.data());
   const double* acc = scratch.data();
@@ -690,20 +649,7 @@ std::vector<BatchWalkStep>& range_steps_scratch() {
   return steps;
 }
 
-bool same_layout(const RowLayout* a, const RowLayout* b) {
-  return a == b || (a != nullptr && b != nullptr && *a == *b);
-}
-
 }  // namespace
-
-const FusedPlan& plan_for_layout(
-    const FusedPlan& plan, const std::shared_ptr<const RowLayout>& layout) {
-  if (!layout) return plan;
-  const FusedPlan& twin = plan.relabelled();
-  QFAB_CHECK_MSG(same_layout(twin.row_layout().get(), layout.get()),
-                 "batched vector is not in the plan's row layout");
-  return twin;
-}
 
 namespace detail {
 
@@ -759,25 +705,21 @@ void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
 
 template <typename Real>
 void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv) {
-  QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
-  const FusedPlan& p = plan_for_layout(plan, bsv.layout());
   std::vector<BatchWalkStep>& steps = range_steps_scratch();
   steps.clear();
-  append_range_steps(p, 0, p.gate_count(), 0, -1, steps);
-  apply_batch_walk(p, bsv, steps.data(), steps.size());
-  bsv.apply_global_phase(p.circuit().global_phase());
-  detail::maybe_inject_nan(bsv, 0, p.gate_count());
+  append_range_steps(plan, 0, plan.gate_count(), 0, -1, steps);
+  apply_batch_walk(plan, bsv, steps.data(), steps.size());
+  bsv.apply_global_phase(plan.circuit().global_phase());
+  detail::maybe_inject_nan(bsv, 0, plan.gate_count());
 }
 
 template <typename Real>
 void apply_plan_range(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       std::size_t gate_begin, std::size_t gate_end) {
-  QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
-  const FusedPlan& p = plan_for_layout(plan, bsv.layout());
   std::vector<BatchWalkStep>& steps = range_steps_scratch();
   steps.clear();
-  append_range_steps(p, gate_begin, gate_end, 0, -1, steps);
-  apply_batch_walk(p, bsv, steps.data(), steps.size());
+  append_range_steps(plan, gate_begin, gate_end, 0, -1, steps);
+  apply_batch_walk(plan, bsv, steps.data(), steps.size());
   detail::maybe_inject_nan(bsv, gate_begin, gate_end);
 }
 
@@ -788,11 +730,10 @@ template void apply_plan_range<double>(const FusedPlan&, BatchedStateVector&,
 template void apply_plan_range<float>(const FusedPlan&, BatchedStateVectorF&,
                                       std::size_t, std::size_t);
 
-int batched_tile_rows_log2(const FusionOptions& options, int lanes,
-                           int num_qubits, std::size_t real_size) {
+int batched_tile_rows_log2(int lanes, int num_qubits, std::size_t real_size) {
   // Rows per tile: keep rows × lanes × 2 planes × sizeof(Real) equal to
-  // the scalar path's 2^tile_bits × sizeof(cplx) L1 budget.
-  int tb = options.tile_bits + 4 -
+  // the 2^kTileBits × sizeof(cplx) L1 budget.
+  int tb = kTileBits + 4 -
            ceil_log2(2 * static_cast<u64>(lanes) * static_cast<u64>(real_size));
   tb = std::max(tb, 4);
   tb = std::min(tb, num_qubits);
@@ -800,10 +741,9 @@ int batched_tile_rows_log2(const FusionOptions& options, int lanes,
 }
 
 template <typename Real>
-void BatchedStateVectorT<Real>::walk(int tb, const BatchWalkStep* steps,
+void BatchedStateVectorT<Real>::walk(const BatchWalkStep* steps,
                                      std::size_t count) {
   QFAB_CHECK(!packed_);
-  retile(tb);
   const BatchKernelTable<Real>& K = active_table<Real>();
   Real* re = re_.data();
   Real* im = im_.data();
@@ -912,9 +852,14 @@ template <typename Real>
 void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       const BatchWalkStep* steps, std::size_t count) {
   QFAB_CHECK(bsv.num_qubits() == plan.circuit().num_qubits());
-  bsv.walk(batched_tile_rows_log2(plan.options(), bsv.lanes(),
-                                  bsv.num_qubits(), sizeof(Real)),
-           steps, count);
+  // The plan's ops address row bits in its layout; equal layouts built
+  // apart (two plans of one circuit) are the same rows.
+  const RowLayout* want = plan.row_layout().get();
+  const RowLayout* got = bsv.layout().get();
+  QFAB_CHECK_MSG(got == want || (got != nullptr && want != nullptr &&
+                                 *got == *want),
+                 "batched vector is not in the plan's row layout");
+  bsv.walk(steps, count);
 }
 
 template void apply_batch_walk<double>(const FusedPlan&, BatchedStateVector&,

@@ -42,20 +42,23 @@
 // noise/trajectory.h for the batched trajectory driver built on top.
 //
 // Row layout and live tiles (DESIGN.md §14): a vector stores its rows in a
-// RowLayout (sim/fusion.h) — identity for vectors built here directly, the
-// plan's layout for vectors BatchedCleanRun loads — and keeps one lane
+// RowLayout (sim/fusion.h) — the layout its constructor or reset() names,
+// which must be the row layout of every plan it runs (FusedPlan::
+// row_layout(); a walk throws a CheckError otherwise) — and keeps one lane
 // mask per tile of 2^tile_log2() rows: bit l clear means lane l is exactly
 // zero in that tile, and a tile with mask 0 holds no data and is never
 // read. Operand registers are classical qubits in the paper's circuits, so
 // in the plan's layout a lane's data sits in a handful of tiles, and every
 // load, walk, copy and reduction touches those tiles only. Methods taking
-// qubits, basis terms or StateVectors speak logical qubits and translate.
+// qubits, basis terms or StateVectors speak logical qubits and translate;
+// plans and walk steps speak row bits.
 //
 // One execution loop: apply_plan, apply_plan_range and the noisy replay
 // driver (noise/trajectory.h) all compile their gate range into
 // BatchWalkStep sequences (append_range_steps) and run them through
-// apply_batch_walk over the live tiles, with the tile height shrunk by
-// lanes × sizeof(Real) so a tile is always L1-sized. Diagonal ops are
+// apply_batch_walk over the live tiles. A tile is L1-sized: kTileBits
+// fixes its budget, and its height shrinks by lanes × sizeof(Real), so a
+// vector and its walks always use one tile height. Diagonal ops are
 // tile-local at any qubit span because their phase-key gather needs only
 // the global row index, which the tile walk supplies; ops and Paulis that
 // couple rows across tiles run alone, on the groups of tiles they pair.
@@ -154,6 +157,18 @@ struct CacheLineAllocator {
 
 struct BatchWalkStep;
 
+/// L1 budget of the batched walk's tiles: 2^kTileBits complex doubles
+/// (32 KiB), shared out among a vector's lanes and planes by
+/// batched_tile_rows_log2.
+constexpr int kTileBits = 11;
+
+/// Rows-per-tile exponent of the lane-aware cache blocking at `lanes`
+/// lanes of `real_size`-byte amplitudes: 2^result rows × lanes × 2 planes
+/// matches the 2^kTileBits-amplitude L1 budget, clamped to [4,
+/// num_qubits]. A vector's live masks cut its rows into tiles of this
+/// height, and its walks tile with it.
+int batched_tile_rows_log2(int lanes, int num_qubits, std::size_t real_size);
+
 /// B state vectors advanced in lockstep through shared plan segments.
 /// `Real` is the amplitude scalar (double or float); the double
 /// instantiation matches the per-gate StateVector path to rounding (the
@@ -162,10 +177,11 @@ struct BatchWalkStep;
 template <typename Real>
 class BatchedStateVectorT {
  public:
-  /// Lanes start as |0...0>, in the identity row layout. 1 <= lanes <=
-  /// kMaxLanes; ragged final batches of a sweep simply construct with
-  /// fewer lanes.
-  BatchedStateVectorT(int num_qubits, int lanes);
+  /// Lanes start as |0...0>, in row layout `layout` (null = identity; pass
+  /// a plan's row_layout() to run the plan). 1 <= lanes <= kMaxLanes;
+  /// ragged final batches of a sweep simply construct with fewer lanes.
+  BatchedStateVectorT(int num_qubits, int lanes,
+                      std::shared_ptr<const RowLayout> layout = nullptr);
   /// Copies hold the source's live tiles only.
   BatchedStateVectorT(const BatchedStateVectorT& other);
   BatchedStateVectorT& operator=(const BatchedStateVectorT& other);
@@ -246,9 +262,9 @@ class BatchedStateVectorT {
   /// Marginal distribution of `qubits` for every lane in one pass over the
   /// live tiles (one key decode per amplitude row, unit-stride
   /// accumulation across lanes). Per lane, the sums are bitwise equal to
-  /// lane_marginal_probabilities, and each key adds its rows in ascending
-  /// logical order in every layout, so they are bitwise those of the
-  /// identity layout.
+  /// lane_marginal_probabilities: each key adds its rows in ascending row
+  /// order, which is ascending logical order when the qubits outside the
+  /// key keep their relative order under the layout.
   std::vector<std::vector<double>> all_lane_marginal_probabilities(
       const std::vector<int>& qubits) const;
   /// Allocation-reusing form: `out` is resized to lanes() (inner vectors
@@ -296,12 +312,9 @@ class BatchedStateVectorT {
   void size_planes(std::size_t total);
   /// Write exact zeros over every lane of tile t.
   void zero_tile(u64 t);
-  /// Re-cut the masks to tiles of 2^tb rows (a walk's tile height);
-  /// merging tiles zero-fills the dead parts of newly live ones.
-  void retile(int tb);
   /// The walk loop behind apply_batch_walk and apply_pauli: steps address
-  /// row bits, tiles are 2^tb rows.
-  void walk(int tb, const BatchWalkStep* steps, std::size_t count);
+  /// row bits.
+  void walk(const BatchWalkStep* steps, std::size_t count);
   /// Marginal sums of lanes [lane_lo, lane_lo + width) into acc[key *
   /// width + lane - lane_lo] (see all_lane_marginal_probabilities).
   void accumulate_marginals(const std::vector<int>& qubits, int lane_lo,
@@ -328,8 +341,8 @@ extern template class BatchedStateVectorT<double>;
 extern template class BatchedStateVectorT<float>;
 
 /// Apply the full plan to every lane, including the circuit's global phase
-/// (mirrors StateVector::apply_circuit). A vector in a non-identity layout
-/// runs the plan's relabelled twin (plan_for_layout), here and below.
+/// (mirrors StateVector::apply_circuit). The vector must be in the plan's
+/// row layout (a CheckError otherwise), here and below.
 template <typename Real>
 void apply_plan(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv);
 
@@ -352,12 +365,6 @@ extern template void apply_plan_range<float>(const FusedPlan&,
                                              BatchedStateVectorF&, std::size_t,
                                              std::size_t);
 
-/// The plan whose qubit fields address the rows of a vector in `layout`:
-/// `plan` itself for the identity layout (null), else its relabelled twin
-/// — the vector must then be in plan.row_layout().
-const FusedPlan& plan_for_layout(
-    const FusedPlan& plan, const std::shared_ptr<const RowLayout>& layout);
-
 namespace detail {
 /// QFAB_FAULT nan-at-gate hook of the batched engine, counterpart of
 /// StateVector::apply_circuit_range's: after a pass that executed the
@@ -372,22 +379,14 @@ extern template void maybe_inject_nan<float>(BatchedStateVectorF&,
                                              std::size_t, std::size_t);
 }  // namespace detail
 
-/// Rows-per-tile exponent of the lane-aware cache blocking at `lanes`
-/// lanes of `real_size`-byte amplitudes: 2^result rows × lanes × 2 planes
-/// matches the scalar path's 2^tile_bits-amplitude L1 budget, clamped to
-/// [4, num_qubits]. apply_batch_walk tiles with it, and a vector's live
-/// masks start at its value for the default FusionOptions.
-int batched_tile_rows_log2(const FusionOptions& options, int lanes,
-                           int num_qubits, std::size_t real_size);
-
 /// One step of a fused trajectory walk (see apply_batch_walk): either a
 /// fused op of some plan — the trajectory's root plan or one of its cached
 /// subrange plans — applied to a contiguous lane span, or a single-lane
 /// Pauli injection. Op steps keep `plan` non-null; the plan must outlive
 /// the walk (subrange plans are owned by their root plan's cache, so
 /// holding the root alive suffices). Qubits are row bits of the vector the
-/// walk runs on: steps on a vector in a non-identity layout reference
-/// relabelled plans (FusedPlan::relabelled) and physical Pauli qubits.
+/// walk runs on: op steps reference plans compiled in row labels (a root
+/// plan and its slices), and Pauli steps name row bits.
 ///
 /// The lane span is how the walk prices per-lane schedule divergence: in
 /// the amp-major lane-minor layout, "lanes [b, b+c) of every row" is just
@@ -437,8 +436,7 @@ struct BatchWalkStep {
 /// range-to-steps compiler: apply_plan_range and the batched noisy replay
 /// (noise/trajectory.cpp) both build their walks with it. The subrange
 /// plans live in the plan's SliceStore, and holding `plan` alive keeps the
-/// store, so every step, valid: a root plan holds its store, and a twin's
-/// store is held by the plan it relabels.
+/// store, so every step, valid.
 void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
                         std::size_t gate_end, int lane_begin, int lane_count,
                         std::vector<BatchWalkStep>& steps);
@@ -457,12 +455,12 @@ void append_range_steps(const FusedPlan& plan, std::size_t gate_begin,
 /// pending-phase accumulation order (once per op span, in step order) are
 /// exactly those of the step sequence scoped to that lane's spans — a
 /// lane's amplitudes never depend on which other lanes share the batch,
-/// nor on the row layout: skipped work only multiplies and adds exact
+/// nor on which tiles are live: skipped work only multiplies and adds exact
 /// zeros (the walk's determinism contract; see run_trajectories_batched
-/// for the per-lane schedule it builds on top). `plan` supplies the tiling
-/// options and qubit count; op steps may reference it or any plan compiled
-/// with the same options. Global phase is NOT applied (mirrors
-/// apply_plan_range).
+/// for the per-lane schedule it builds on top). `plan` is the walk's root
+/// plan: the vector must be in its row layout (a CheckError otherwise),
+/// and op steps reference it or its slices. Global phase is NOT applied
+/// (mirrors apply_plan_range).
 template <typename Real>
 void apply_batch_walk(const FusedPlan& plan, BatchedStateVectorT<Real>& bsv,
                       const BatchWalkStep* steps, std::size_t count);

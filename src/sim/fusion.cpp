@@ -559,6 +559,18 @@ std::vector<bool> superposed_qubits(const QuantumCircuit& qc) {
   return sup;
 }
 
+/// `qc`, after checking that every gate is in the basis a plan compiles.
+const QuantumCircuit& check_basis(const QuantumCircuit& qc) {
+  for (std::size_t i = 0; i < qc.gates().size(); ++i) {
+    const Gate& g = qc.gates()[i];
+    QFAB_CHECK_MSG(is_basis_gate(g.kind),
+                   "FusedPlan compiles basis circuits only (id, x, sx, rz, "
+                   "cx; transpile_to_basis); gate "
+                       << i << " is " << g.to_string());
+  }
+  return qc;
+}
+
 /// Superposed qubits low, classical high, each in logical order; null when
 /// that is the identity.
 std::shared_ptr<const RowLayout> derive_row_layout(const QuantumCircuit& qc) {
@@ -577,40 +589,14 @@ std::shared_ptr<const RowLayout> derive_row_layout(const QuantumCircuit& qc) {
   return std::make_shared<const RowLayout>(std::move(phys));
 }
 
-/// `op` (a compiled op: kGate, kMatrix1 or kDiagonal) with its qubit fields
-/// mapped through `layout`; `gate` is the op's (already mapped) gate for
-/// kGate ops. A 2x2 keeps its matrix; a diagonal table keeps its values,
-/// re-indexed to the sorted mapped qubits, with its shift plan rebuilt.
-FusedOp relabel_op(const FusedOp& op, const RowLayout& layout,
-                   const Gate& gate) {
-  FusedOp out = op;
-  switch (op.kind) {
-    case FusedOp::Kind::kMatrix1:
-      out.q0 = layout.phys(op.q0);
-      out.max_qubit = out.q0;
-      break;
-    case FusedOp::Kind::kDiagonal: {
-      if (op.qubits.empty()) break;
-      std::vector<int> mapped;
-      for (int q : op.qubits) mapped.push_back(layout.phys(q));
-      out.qubits = mapped;
-      std::sort(out.qubits.begin(), out.qubits.end());
-      std::vector<int> pos(mapped.size());  // old key bit -> new key bit
-      for (std::size_t b = 0; b < mapped.size(); ++b)
-        pos[b] = index_of(out.qubits, mapped[b]);
-      for (u64 key = 0; key < op.phases.size(); ++key) {
-        u64 nkey = 0;
-        for (std::size_t b = 0; b < pos.size(); ++b)
-          nkey |= ((key >> b) & u64{1}) << pos[b];
-        out.phases[nkey] = op.phases[key];
-      }
-      out.max_qubit = out.qubits.back();
-      if (out.qubits.size() >= 2) build_diag_shifts(out);
-      break;
-    }
-    default:  // kGate
-      out.max_qubit = gate_max_qubit(gate);
-      break;
+/// `qc` with every qubit mapped into `layout` (null: unchanged).
+QuantumCircuit in_rows(const QuantumCircuit& qc, const RowLayout* layout) {
+  if (layout == nullptr) return qc;
+  QuantumCircuit out = QuantumCircuit::same_shape(qc);
+  out.add_global_phase(qc.global_phase());
+  for (Gate g : qc.gates()) {
+    for (int b = 0; b < g.arity(); ++b) g.qubits[b] = layout->phys(g.qubits[b]);
+    out.append(g);
   }
   return out;
 }
@@ -639,12 +625,12 @@ FusedPlan::FusedPlan(const QuantumCircuit& qc, const FusionOptions& options)
 
 FusedPlan::FusedPlan(const QuantumCircuit& qc, const FusionOptions& options,
                      std::shared_ptr<SliceStore> store)
-    : circuit_(qc),
+    : layout_(derive_row_layout(check_basis(qc))),
+      circuit_(in_rows(qc, layout_.get())),
       options_(options),
       store_owner_(std::move(store)),
       store_(store_owner_.get()) {
   QFAB_CHECK(store_ != nullptr);
-  QFAB_CHECK(options_.tile_bits >= 2);
   compile();
 }
 
@@ -654,49 +640,10 @@ FusedPlan::FusedPlan(QuantumCircuit&& slice, const FusionOptions& options,
   compile();
 }
 
-FusedPlan::FusedPlan(const FusedPlan& logical,
-                     std::shared_ptr<const RowLayout> layout, RelabelTag)
-    : circuit_(QuantumCircuit::same_shape(logical.circuit_)),
-      options_(logical.options_),
-      op_of_gate_(logical.op_of_gate_),
-      store_(logical.store_),
-      layout_(std::move(layout)),
-      logical_(&logical) {
-  circuit_.add_global_phase(logical.circuit_.global_phase());
-  for (Gate g : logical.circuit_.gates()) {
-    for (int b = 0; b < g.arity(); ++b)
-      g.qubits[b] = layout_->phys(g.qubits[b]);
-    circuit_.append(g);
-  }
-  ops_.reserve(logical.ops_.size());
-  for (const FusedOp& op : logical.ops_)
-    ops_.push_back(
-        relabel_op(op, *layout_, circuit_.gates()[op.gate_begin]));
-}
-
-const FusedPlan& FusedPlan::relabelled() const {
-  if (logical_ != nullptr) return *this;
-  std::call_once(relabel_once_, [this] {
-    layout_ = derive_row_layout(circuit_);
-    if (layout_)
-      twin_.reset(new FusedPlan(*this, layout_, RelabelTag{}));
-  });
-  return twin_ ? *twin_ : *this;
-}
-
-const std::shared_ptr<const RowLayout>& FusedPlan::row_layout() const {
-  relabelled();
-  return layout_;
-}
-
 const FusedPlan& FusedPlan::subrange_plan(std::size_t gate_begin,
                                           std::size_t gate_end) const {
   QFAB_CHECK(gate_begin <= gate_end && gate_end <= gate_count());
-  // A twin's slice is its logical plan's slice, relabelled.
-  if (logical_ != nullptr)
-    return store_->twin(logical_->subrange_plan(gate_begin, gate_end),
-                        layout_);
-  return store_->logical(circuit_, gate_begin, gate_end, options_);
+  return store_->slice(circuit_, gate_begin, gate_end, options_);
 }
 
 namespace {
@@ -713,26 +660,16 @@ bool same_gate(const Gate& a, const Gate& b) {
 
 }  // namespace
 
-template <typename Match>
-const FusedPlan* SliceStore::find(const Slices& slices, std::uint64_t key,
-                                  const Match& match) {
-  const auto [lo, hi] = slices.equal_range(key);
-  for (auto it = lo; it != hi; ++it)
-    if (match(*it->second)) return it->second.get();
-  return nullptr;
-}
-
-const FusedPlan& SliceStore::logical(const QuantumCircuit& source,
-                                     std::size_t gate_begin,
-                                     std::size_t gate_end,
-                                     const FusionOptions& options) {
+const FusedPlan& SliceStore::slice(const QuantumCircuit& source,
+                                   std::size_t gate_begin,
+                                   std::size_t gate_end,
+                                   const FusionOptions& options) {
   const Gate* gates = source.gates().data() + gate_begin;
   const std::size_t count = gate_end - gate_begin;
   const int n = source.num_qubits();
   std::uint64_t key =
       mix(0xcbf29ce484222325ULL, static_cast<std::uint64_t>(n));
   key = mix(key, options.enable);
-  key = mix(key, static_cast<std::uint64_t>(options.tile_bits));
   for (std::size_t g = 0; g < count; ++g) {
     key = mix(key, static_cast<std::uint64_t>(gates[g].kind));
     for (int q : gates[g].qubits) key = mix(key, static_cast<std::uint64_t>(q));
@@ -746,37 +683,24 @@ const FusedPlan& SliceStore::logical(const QuantumCircuit& source,
       if (!same_gate(plan.circuit_.gates()[g], gates[g])) return false;
     return true;
   };
+  // The stored slice under `key` that `match` accepts, or null.
+  const auto find = [&]() -> const FusedPlan* {
+    const auto [lo, hi] = slices_.equal_range(key);
+    for (auto it = lo; it != hi; ++it)
+      if (match(*it->second)) return it->second.get();
+    return nullptr;
+  };
   {
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (const FusedPlan* hit = find(logical_, key, match)) return *hit;
+    if (const FusedPlan* hit = find()) return *hit;
   }
   QuantumCircuit sub(n);
   for (std::size_t g = 0; g < count; ++g) sub.append(gates[g]);
   std::unique_ptr<const FusedPlan> built(
       new FusedPlan(std::move(sub), options, *this, FusedPlan::SliceTag{}));
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (const FusedPlan* won = find(logical_, key, match)) return *won;
-  return *logical_.emplace(key, std::move(built))->second;
-}
-
-const FusedPlan& SliceStore::twin(
-    const FusedPlan& slice, const std::shared_ptr<const RowLayout>& layout) {
-  std::uint64_t key =
-      mix(0xcbf29ce484222325ULL, reinterpret_cast<std::uintptr_t>(&slice));
-  for (int q = 0; q < layout->num_qubits(); ++q)
-    key = mix(key, static_cast<std::uint64_t>(layout->phys(q)));
-  const auto match = [&](const FusedPlan& plan) {
-    return plan.logical_ == &slice && *plan.layout_ == *layout;
-  };
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (const FusedPlan* hit = find(twins_, key, match)) return *hit;
-  }
-  std::unique_ptr<const FusedPlan> built(
-      new FusedPlan(slice, layout, FusedPlan::RelabelTag{}));
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  if (const FusedPlan* won = find(twins_, key, match)) return *won;
-  return *twins_.emplace(key, std::move(built))->second;
+  if (const FusedPlan* won = find()) return *won;
+  return *slices_.emplace(key, std::move(built))->second;
 }
 
 u64 FusedPlan::op_coupling_mask(std::size_t op_index) const {
@@ -801,13 +725,10 @@ void FusedPlan::compile() {
   std::vector<FusedOp>& ops = list.ops;
   ops.reserve(gates.size());
 
-  // Convert gates 1:1 into ops; all fusion happens in the rewrite passes.
+  // Convert gates 1:1 into ops (the constructors admit basis gates only);
+  // all fusion happens in the rewrite passes.
   for (std::size_t i = 0; i < gates.size(); ++i) {
     const Gate& g = gates[i];
-    QFAB_CHECK_MSG(is_basis_gate(g.kind),
-                   "FusedPlan compiles basis circuits only (id, x, sx, rz, "
-                   "cx; transpile_to_basis); gate "
-                       << i << " is " << g.to_string());
     const bool diag = gate_is_diagonal(g.kind);
     const int arity = g.arity();
 

@@ -32,20 +32,26 @@
 // the circuit on the per-gate StateVector kernels, and the tests hold the
 // walk to it at 1e-12.
 //
+// The walk stores amplitude rows in a RowLayout that puts the classical
+// qubits high (DESIGN.md §14). A plan derives that layout from the caller's
+// circuit once, when it is built, and compiles its own copy of the circuit
+// with every qubit already in row labels: its one op list is the one the
+// walk runs, and it runs only on vectors in that layout.
+//
 // Noise compatibility is the load-bearing invariant: the ops partition the
 // original gate index range and `op_of_gate` maps every gate index to its
 // op, so an injection site addresses a gate, not an op. The walk runs a
 // range that starts or ends inside an op as the compiled plan of the
 // covered slice (subrange_plan), so Pauli injections land at exact gate
 // sites while fused ops run on either side. Slices come from a SliceStore
-// keyed by content: a sweep builds its depth plans over one store, so a
-// slice the AQFT depths have in common compiles once.
+// keyed by content (their row-labelled gates): a sweep builds its depth
+// plans over one store, so a slice the AQFT depths have in common compiles
+// once.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -59,13 +65,9 @@ struct FusionOptions {
   /// per-gate kernel: bench_fusion's unfused baseline and micro_kernels'
   /// per-gate streams.
   bool enable = true;
-  /// L1 budget of the batched walk's tiles: 2^tile_bits complex doubles
-  /// (32 KiB at the default 11), shared out among a walk's lanes and
-  /// planes by batched_tile_rows_log2 (sim/batch.h).
-  int tile_bits = 11;
 
   /// A SliceStore keys compiled slices by their options too: a field that
-  /// compile() reads must also enter SliceStore::logical's hash.
+  /// compile() reads must also enter SliceStore::slice's hash.
   bool operator==(const FusionOptions&) const = default;
 };
 
@@ -143,11 +145,11 @@ inline DiagTile diag_tile(const FusedOp::DiagShift* ss, int ns, u64 base,
 inline u64 next_submask(u64 s, u64 mask) { return (s - mask) & mask; }
 
 /// Row order of the batched engine's amplitude planes: logical qubit q is
-/// row bit phys[q]. A plan derives it from its circuit (row_layout): the
-/// superposed qubits take the low row bits and the classical ones — those
-/// no gate puts into superposition — the high bits, each group in logical
-/// order. Operand registers then select whole tiles, so a lane's data sits
-/// in a few tiles (DESIGN.md §14).
+/// row bit phys[q]. A plan derives it from the caller's circuit
+/// (row_layout): the superposed qubits take the low row bits and the
+/// classical ones — those no gate puts into superposition — the high bits,
+/// each group in logical order. Operand registers then select whole tiles,
+/// so a lane's data sits in a few tiles (DESIGN.md §14).
 class RowLayout {
  public:
   explicit RowLayout(std::vector<int> phys);
@@ -176,19 +178,23 @@ class SliceStore;
 
 class FusedPlan {
  public:
-  /// A plan with a private slice store.
+  /// A plan of `qc`, a basis circuit (a CheckError names the first gate
+  /// outside the basis), with a private slice store.
   explicit FusedPlan(const QuantumCircuit& qc,
                      const FusionOptions& options = {});
   /// A plan whose subrange plans come from `store`, shared by content with
   /// every other plan over it.
   FusedPlan(const QuantumCircuit& qc, const FusionOptions& options,
             std::shared_ptr<SliceStore> store);
-  /// Plans are held in place (shared_ptr or locals): a relabelled twin
-  /// points back at the plan it was built from.
+  /// Plans are held in place (shared_ptr or locals): walk steps point at
+  /// them, and a slice points at the store that owns it.
   FusedPlan(const FusedPlan&) = delete;
   FusedPlan& operator=(const FusedPlan&) = delete;
 
-  /// The compiled circuit (the plan owns a copy).
+  /// The compiled circuit: the plan's copy of the caller's circuit with
+  /// every qubit mapped into row_layout(). Gate indices are the caller's;
+  /// ops, their qubit fields and kGate gates address row bits. A caller
+  /// that needs logical qubits keeps its own circuit.
   const QuantumCircuit& circuit() const { return circuit_; }
   const FusionOptions& options() const { return options_; }
   const std::vector<FusedOp>& ops() const { return ops_; }
@@ -209,66 +215,53 @@ class FusedPlan {
   u64 op_coupling_mask(std::size_t op_index) const;
 
   /// The fused plan of the original-gate subrange [gate_begin, gate_end),
-  /// compiled on first use (thread-safe). It lives in the plan's slice
-  /// store, which keys it by content: every plan over the same store gets
-  /// the same object for a slice whose gates match, and the object lives
-  /// as long as the store. Noise injection splits the same few sites over
-  /// and over across a sweep's trajectories, so the walk runs the partial
-  /// slice of a big fused op as a handful of fused passes compiled once,
-  /// not as one amplitude pass per gate.
+  /// compiled on first use (thread-safe) from the row-labelled gates. It
+  /// lives in the plan's slice store, which keys it by content: every plan
+  /// over the same store gets the same object for a slice whose gates
+  /// match, and the object lives as long as the store. A slice has no
+  /// layout of its own (row_layout() is null): it runs on the rows of its
+  /// root plan's vectors, inside that plan's walks. Noise injection splits
+  /// the same few sites over and over across a sweep's trajectories, so
+  /// the walk runs the partial slice of a big fused op as a handful of
+  /// fused passes compiled once, not as one amplitude pass per gate.
   const FusedPlan& subrange_plan(std::size_t gate_begin,
                                  std::size_t gate_end) const;
 
   /// The batched engine's row layout for this plan's states (see
-  /// RowLayout); null when it is the identity. Derived on first use.
-  const std::shared_ptr<const RowLayout>& row_layout() const;
-
-  /// This plan with every qubit field mapped into row_layout(): the same
-  /// ops, matrices and phase values, diagonal tables re-indexed into the
-  /// mapped key order. Its subrange plans are the relabelled subrange
-  /// plans of this one — never a re-fusion of the relabelled circuit,
-  /// whose merge order would follow the new labels — so a batched lane
-  /// computes the same numbers in either layout. Built on first use and
-  /// cached (thread-safe); `*this` for identity layouts and for twins.
-  const FusedPlan& relabelled() const;
+  /// RowLayout): it maps the caller's qubit labels to the row labels of
+  /// circuit(). Null when it is the identity, and for slices.
+  const std::shared_ptr<const RowLayout>& row_layout() const {
+    return layout_;
+  }
 
  private:
   friend class SliceStore;
-  struct RelabelTag {};
   struct SliceTag {};
-  /// The relabelled twin of `logical` in `layout`, over its store.
-  FusedPlan(const FusedPlan& logical, std::shared_ptr<const RowLayout> layout,
-            RelabelTag);
-  /// A slice plan of `store`, which owns it: compiles `slice` in place.
+  /// A slice plan of `store`, which owns it: compiles `slice`, already in
+  /// row labels, in place.
   FusedPlan(QuantumCircuit&& slice, const FusionOptions& options,
             SliceStore& store, SliceTag);
   void compile();
 
-  QuantumCircuit circuit_;
+  std::shared_ptr<const RowLayout> layout_;  // null = identity
+  QuantumCircuit circuit_;                  // in row labels
   FusionOptions options_;
   std::vector<FusedOp> ops_;                // partition of [0, gate_count)
   std::vector<std::uint32_t> op_of_gate_;   // gate index -> op index
   // Subrange plans live in the store. Plans built on their own or over a
-  // sweep's store hold it; the store's own slices and the twins of plans
-  // only point at it.
+  // sweep's store hold it; the store's own slices only point at it.
   std::shared_ptr<SliceStore> store_owner_;
   SliceStore* store_ = nullptr;
-  // Row layout and relabelled twin, derived together on first use.
-  mutable std::once_flag relabel_once_;
-  mutable std::shared_ptr<const RowLayout> layout_;
-  mutable std::unique_ptr<const FusedPlan> twin_;
-  const FusedPlan* logical_ = nullptr;  // twins: the plan they relabel
 };
 
 /// Compiled slice plans shared by content. A slice's compile reads only
-/// its gates (kind, qubits and the bit pattern of the param), its qubit
-/// count and its FusionOptions, and its ops do not depend on where the
-/// slice sits: gate ranges are relative to the slice and kGate ops point
-/// into the slice's own circuit. So the store keys a slice by those fields
-/// (a 64-bit hash picks the bucket, a full comparison of the gates
-/// decides) and one object serves every plan over the store whose gates
-/// match. A relabelled twin's slice is keyed by its logical slice and its
-/// row layout, compared by value.
+/// its gates (kind, row-labelled qubits and the bit pattern of the param),
+/// its qubit count and its FusionOptions, and its ops do not depend on
+/// where the slice sits: gate ranges are relative to the slice and kGate
+/// ops point into the slice's own circuit. So the store keys a slice by
+/// those fields (a 64-bit hash picks the bucket, a full comparison of the
+/// gates decides) and one object serves every plan over the store whose
+/// row-labelled gates match, whatever their callers' labels were.
 ///
 /// A sweep builds its depth plans over one store, which then lives as long
 /// as they do (SweepExecution); plans built on their own get a private one.
@@ -284,24 +277,14 @@ class SliceStore {
 
  private:
   friend class FusedPlan;
-  using Slices =
-      std::unordered_multimap<std::uint64_t, std::unique_ptr<const FusedPlan>>;
-
-  /// The plan of gates [gate_begin, gate_end) of `source` under `options`.
-  const FusedPlan& logical(const QuantumCircuit& source,
-                           std::size_t gate_begin, std::size_t gate_end,
-                           const FusionOptions& options);
-  /// `slice`, a logical slice of this store, relabelled into `layout`.
-  const FusedPlan& twin(const FusedPlan& slice,
-                        const std::shared_ptr<const RowLayout>& layout);
-  /// The entry of `slices` under `key` that `match` accepts, or null.
-  template <typename Match>
-  static const FusedPlan* find(const Slices& slices, std::uint64_t key,
-                               const Match& match);
+  /// The plan of gates [gate_begin, gate_end) of `source` (a plan's
+  /// row-labelled circuit) under `options`.
+  const FusedPlan& slice(const QuantumCircuit& source, std::size_t gate_begin,
+                         std::size_t gate_end, const FusionOptions& options);
 
   std::shared_mutex mutex_;
-  Slices logical_;
-  Slices twins_;
+  std::unordered_multimap<std::uint64_t, std::unique_ptr<const FusedPlan>>
+      slices_;
 };
 
 }  // namespace qfab

@@ -101,7 +101,7 @@ std::vector<EngineResult> run_exact_engines(const VerifyCase& c) {
   {
     const FusedPlan plan(tqc);
     const std::size_t split = transpiled_split(c, tqc);
-    BatchedStateVector bsv(n, c.lanes);
+    BatchedStateVector bsv(n, c.lanes, plan.row_layout());
     apply_plan_range(plan, bsv, 0, split);
     std::string violation = check_lane_norms(bsv, kEngineTol);
     const int probe_lane = c.lanes - 1;
@@ -171,7 +171,7 @@ std::string check_float32_leg(const VerifyCase& c, const EngineOptions& opt) {
   ref.apply_circuit(qc);
 
   const FusedPlan plan(tqc);
-  BatchedStateVectorF bsf(n, c.lanes);
+  BatchedStateVectorF bsf(n, c.lanes, plan.row_layout());
   apply_plan_range(plan, bsf, 0, split);
   std::string violation = check_lane_norms(bsf, opt.f32_tol);
   if (!violation.empty()) return "batched-f32: " + violation;

@@ -8,12 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -162,7 +162,7 @@ TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
         const QuantumCircuit qc = random_basis_circuit(n, 40, rng);
         const FusedPlan plan(qc);
 
-        BatchedStateVector bsv(n, lanes);
+        BatchedStateVector bsv(n, lanes, plan.row_layout());
         std::vector<StateVector> refs;
         for (int l = 0; l < lanes; ++l) {
           const auto init = random_state(n, rng);
@@ -183,21 +183,20 @@ TEST(BatchedEngine, MatchesScalarOnRandomCircuits) {
   });
 }
 
-TEST(BatchedEngine, MatchesScalarWithSmallTiles) {
-  // tile_bits below the qubit count exercises the batched multi-tile path
-  // (whose effective tile also shrinks by log2(lanes)).
+TEST(BatchedEngine, MatchesScalarAcrossTiles) {
+  // Ten qubits at five lanes hold four tiles (2^8 rows each), so ops and
+  // their cross-tile groups run the batched multi-tile path.
   for_each_kernel_tier([](const char* mode) {
     Pcg64 rng(20260805, 13);
-    FusionOptions options;
-    options.tile_bits = 3;
+    const int n = 10, lanes = 5;
     for (int trial = 0; trial < 5; ++trial) {
-      const QuantumCircuit qc = random_basis_circuit(6, 60, rng);
-      const FusedPlan plan(qc, options);
-      const int lanes = 5;
-      BatchedStateVector bsv(6, lanes);
+      const QuantumCircuit qc = random_basis_circuit(n, 60, rng);
+      const FusedPlan plan(qc);
+      BatchedStateVector bsv(n, lanes, plan.row_layout());
+      ASSERT_EQ(bsv.live_masks().size(), 4u);
       std::vector<StateVector> refs;
       for (int l = 0; l < lanes; ++l) {
-        const auto init = random_state(6, rng);
+        const auto init = random_state(n, rng);
         bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(init)));
         refs.push_back(StateVector::from_amplitudes(init));
         refs.back().apply_circuit(qc);
@@ -232,7 +231,7 @@ TEST(BatchedEngine, PerLaneInjectionAtEveryGateIndex) {
       q[l] = static_cast<int>(rng.uniform_int(n));
     }
 
-    BatchedStateVector bsv(n, lanes);
+    BatchedStateVector bsv(n, lanes, plan.row_layout());
     for (int l = 0; l < lanes; ++l)
       bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(inits[l])));
     apply_plan_range(plan, bsv, 0, s);
@@ -269,7 +268,7 @@ TEST(BatchedEngine, SplitsInsideTranspiledQfaOpsMatchScalar) {
     StateVector ref = StateVector::from_amplitudes(init);
     ref.apply_circuit_range(qc, 0, total);
     for (std::size_t s = 0; s <= total; s += 3) {
-      BatchedStateVector bsv(qc.num_qubits(), 2);
+      BatchedStateVector bsv(qc.num_qubits(), 2, plan.row_layout());
       for (int l = 0; l < 2; ++l)
         bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(init)));
       apply_plan_range(plan, bsv, 0, s);
@@ -314,7 +313,7 @@ TEST(BatchedTrajectories, MatchScalarRunTrajectory) {
     }
     const std::size_t g0 = min_site == total ? 0 : min_site;
 
-    BatchedStateVector bsv(n, lanes);
+    BatchedStateVector bsv(n, lanes, plan.row_layout());
     bsv.broadcast(clean.state_at(g0));
     run_trajectories_batched(plan, bsv, g0, lane_events);
 
@@ -548,8 +547,8 @@ TEST(Float32Engine, TracksDoubleWithinDriftBound) {
       const int n = 4, lanes = 5;
       const QuantumCircuit qc = random_basis_circuit(n, 60, rng);
       const FusedPlan plan(qc);
-      BatchedStateVector bsv(n, lanes);
-      BatchedStateVectorF bsf(n, lanes);
+      BatchedStateVector bsv(n, lanes, plan.row_layout());
+      BatchedStateVectorF bsf(n, lanes, plan.row_layout());
       for (int l = 0; l < lanes; ++l) {
         const StateVector init =
             StateVector::from_amplitudes(random_state(n, rng));
@@ -677,14 +676,27 @@ constexpr GateKind kBasisKinds[] = {GateKind::kId, GateKind::kX,
 /// alone (a kGate op) on in-tile qubits and with qubits above the tile,
 /// fused 2x2s in the tile and above it, and diagonals: multi-run,
 /// single-run in the tile and across its top, single-qubit, wholly above
-/// the tile, and phase-only.
+/// the tile, and phase-only. Every plan is in the identity row layout, so
+/// its ops sit on the qubits its circuit names.
 std::vector<SpanOp> span_ops() {
   std::vector<SpanOp> out;
   const int hi = kSpanQubits - 1;  // above every tile height used here
-  const auto add = [&](const QuantumCircuit& qc, const std::string& what) {
+  // A plan puts the qubits an SX superposes in the low rows. An SX on each
+  // qubit below the highest such qubit keeps every qubit in place; the ops
+  // of that padding are not recorded.
+  const auto add = [&](const QuantumCircuit& body, const std::string& what) {
+    int top = -1;
+    for (const Gate& g : body.gates())
+      if (g.kind == GateKind::kSX) top = std::max(top, g.qubits[0]);
+    QuantumCircuit qc(kSpanQubits);
+    for (int q = 0; q < top; ++q) qc.sx(q);
+    const std::size_t pad = qc.gates().size();
+    for (const Gate& g : body.gates()) qc.append(g);
     const auto plan = std::make_shared<const FusedPlan>(qc);
+    EXPECT_EQ(plan->row_layout(), nullptr) << what;
     for (std::size_t i = 0; i < plan->op_count(); ++i)
-      out.push_back({plan, i, what + " op " + std::to_string(i)});
+      if (plan->ops()[i].gate_begin >= pad)
+        out.push_back({plan, i, what + " op " + std::to_string(i)});
   };
   for (GateKind kind : kBasisKinds) {
     std::vector<std::vector<int>> places = {{1}, {hi}};
@@ -941,30 +953,21 @@ std::vector<cplx> raw_logical_lane(const BatchedStateVectorT<Real>& bsv,
   return out;
 }
 
-/// The unmasked reference of `a`: an identity-layout vector with every
-/// tile live in every lane, holding a's lanes' logical amplitudes and
-/// pending phases.
+/// The unmasked reference of `a`: a copy in a's row layout with every tile
+/// live in every lane (make_dense), so its walks touch every row.
 template <typename Real>
 BatchedStateVectorT<Real> dense_reference(const BatchedStateVectorT<Real>& a) {
-  BatchedStateVectorT<Real> b(a.num_qubits(), a.lanes());
+  BatchedStateVectorT<Real> b = a;
   b.make_dense();
-  const u64 L = static_cast<u64>(a.lanes());
-  for (int j = 0; j < a.lanes(); ++j) {
-    const std::vector<cplx> v = raw_logical_lane(a, j);
-    for (u64 i = 0; i < v.size(); ++i) {
-      b.re()[i * L + static_cast<u64>(j)] = static_cast<Real>(v[i].real());
-      b.im()[i * L + static_cast<u64>(j)] = static_cast<Real>(v[i].imag());
-    }
-    b.apply_lane_global_phase(j, a.lane_pending_phase(j));
-  }
   return b;
 }
 
-/// `got` (masked, in a plan's layout) against `want` (its dense identity
-/// reference) after the same trajectories: per lane, the same pending
-/// phase, equal raw amplitudes and lane_state (zeros up to their sign: the
-/// masked walk never computes a dead row), bitwise-equal marginals, and
-/// every clear mask bit of `got` covering exact zeros of `want`.
+/// `got` (masked, in a plan's layout) against `want` (its dense reference
+/// in the same layout) after the same trajectories: per lane, the same
+/// pending phase, equal raw amplitudes and lane_state (zeros up to their
+/// sign: the masked walk never computes a dead row), bitwise-equal
+/// marginals, and every clear mask bit of `got` covering exact zeros of
+/// `want`.
 template <typename Real>
 void expect_walks_agree(const BatchedStateVectorT<Real>& got,
                         const BatchedStateVectorT<Real>& want,
@@ -997,17 +1000,14 @@ void expect_walks_agree(const BatchedStateVectorT<Real>& got,
               0)
         << what << " lane " << j << " marginal";
   // Mask soundness: a clear bit claims exact zeros.
-  const RowLayout* layout = got.layout().get();
   std::size_t unsound = 0;
   for (u64 t = 0; t < got.live_masks().size(); ++t)
     for (u64 j = 0; j < L; ++j) {
       if ((got.live_masks()[t] >> j) & 1) continue;
       for (u64 row = t << got.tile_log2(); row < (t + 1) << got.tile_log2();
-           ++row) {
-        const u64 i = layout ? layout->to_logical(row) : row;
-        unsound += want.re()[i * L + j] != Real{0} ||
-                   want.im()[i * L + j] != Real{0};
-      }
+           ++row)
+        unsound += want.re()[row * L + j] != Real{0} ||
+                   want.im()[row * L + j] != Real{0};
     }
   EXPECT_EQ(unsound, 0u) << what << ": clear mask bits over nonzero rows";
 }
@@ -1043,7 +1043,7 @@ BatchedStateVectorT<Real> replayed(
 }
 
 /// One trajectory group loaded from `clean` into the plan's layout, and
-/// its dense identity reference, through the same trajectories. Each
+/// its dense reference, through the same trajectories. Each
 /// loaded lane must hold its member's state after the group's resume gate
 /// as the scalar CleanRun `oracle[member]` computes it. Returns the
 /// replayed group.
@@ -1126,51 +1126,71 @@ std::vector<CleanRun> scalar_runs_for(const CircuitSpec& spec,
 
 TEST(RowLayout, OperandRegistersTakeTheHighRowBits) {
   // QFA's x and QFM's x and y registers are classical; the result registers
-  // are not. For QFA n=8 and QFM n=4 the layout is a rotation by 8 bits.
+  // are not. For QFA n=8 and QFM n=4 the layout is a rotation by 8 bits,
+  // and the plan's circuit is the caller's with every qubit mapped.
   CircuitSpec qfa;
   qfa.n = 8;
   CircuitSpec qfm;
   qfm.op = Operation::kMultiply;
   qfm.n = 4;
   for (const CircuitSpec& spec : {qfa, qfm}) {
-    const FusedPlan plan(build_transpiled_circuit(spec));
+    const QuantumCircuit qc = build_transpiled_circuit(spec);
+    const FusedPlan plan(qc);
     const auto& layout = plan.row_layout();
     ASSERT_TRUE(layout != nullptr);
     ASSERT_EQ(layout->num_qubits(), 16);
     for (int q = 0; q < 16; ++q) EXPECT_EQ(layout->phys(q), (q + 8) % 16);
-    const FusedPlan& twin = plan.relabelled();
-    EXPECT_EQ(&twin.relabelled(), &twin);
-    EXPECT_EQ(twin.row_layout(), layout);
-    ASSERT_EQ(twin.op_count(), plan.op_count());
+    ASSERT_EQ(plan.gate_count(), qc.gates().size());
+    EXPECT_EQ(plan.circuit().global_phase(), qc.global_phase());
+    std::size_t unmapped = 0;
+    for (std::size_t g = 0; g < qc.gates().size(); ++g) {
+      const Gate& logical = qc.gates()[g];
+      const Gate& row = plan.circuit().gates()[g];
+      ASSERT_EQ(row.kind, logical.kind);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(row.param),
+                std::bit_cast<std::uint64_t>(logical.param));
+      for (int b = 0; b < logical.arity(); ++b)
+        unmapped += row.qubits[b] != layout->phys(logical.qubits[b]);
+    }
+    EXPECT_EQ(unmapped, 0u) << "gates not in row labels";
   }
   // A circuit with no classical qubits keeps the identity layout.
   QuantumCircuit qc(3);
   for (int q = 0; q < 3; ++q) qc.sx(q);
   const FusedPlan plain(qc);
   EXPECT_EQ(plain.row_layout(), nullptr);
-  EXPECT_EQ(&plain.relabelled(), &plain);
 }
 
-TEST(RowLayout, TwinIsBuiltOnceUnderConcurrentFirstUse) {
-  // Eight threads race to the first relabelled() call of one plan: every
-  // one must get the same twin (the TSan preset checks the cache).
+TEST(RowLayout, WalksRejectAVectorOutsideThePlansLayout) {
+  // A plan's ops address row bits in its layout, so every walk entry point
+  // refuses a vector in another layout instead of running the ops on the
+  // wrong rows.
   CircuitSpec spec;
   spec.n = 8;
   const FusedPlan plan(build_transpiled_circuit(spec));
-  std::vector<const FusedPlan*> got(8, nullptr);
-  std::vector<std::thread> threads;
-  for (std::size_t k = 0; k < got.size(); ++k)
-    threads.emplace_back([&plan, &got, k] {
-      got[k] = &plan.relabelled();
-      (void)plan.row_layout();
-      (void)got[k]->subrange_plan(3, 9);
-    });
-  for (std::thread& t : threads) t.join();
-  for (const FusedPlan* p : got) EXPECT_EQ(p, got[0]);
-  EXPECT_NE(got[0], &plan);
+  ASSERT_TRUE(plan.row_layout() != nullptr);
+  const int n = plan.circuit().num_qubits();
+  BatchedStateVector identity(n, 2);
+  EXPECT_THROW(apply_plan(plan, identity), CheckError);
+  EXPECT_THROW(apply_plan_range(plan, identity, 0, plan.gate_count() / 2),
+               CheckError);
+  const std::vector<std::vector<ErrorEvent>> events = {
+      {event_at(5, Pauli::kX)}, {}};
+  EXPECT_THROW(run_trajectories_batched(plan, identity, 0, events),
+               CheckError);
+  BatchedStateVectorF identity_f(n, 2);
+  EXPECT_THROW(apply_plan(plan, identity_f), CheckError);
+  // The same calls run on a vector in the plan's layout.
+  BatchedStateVector rows(n, 2, plan.row_layout());
+  apply_plan_range(plan, rows, 0, plan.gate_count() / 2);
+  run_trajectories_batched(plan, rows, plan.gate_count() / 2,
+                           {{}, {event_at(plan.gate_count() - 1,
+                                          Pauli::kZ)}});
+  EXPECT_NEAR(rows.lane_norm(0), 1.0, 1e-12);
+  EXPECT_NEAR(rows.lane_norm(1), 1.0, 1e-12);
 }
 
-TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
+TEST(RowLayout, QfaGroupsMatchTheDenseWalkBitwise) {
   // QFA n=8: Paulis on the x register (controls of the CP blocks' CX) move
   // lanes across tiles — lanes 0 and 1 carry one member and move to
   // different tiles — alongside in-register errors, an interior split, an
@@ -1183,7 +1203,9 @@ TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
          {OperandOrders{1, 1}, OperandOrders{2, 2}}) {
       const BatchedCleanRun clean = clean_run_for(spec, orders, 4, 17);
       const std::vector<CleanRun> oracle = scalar_runs_for(spec, orders, 4, 17);
-      const QuantumCircuit& qc = clean.circuit();
+      // Register predicates read the caller's labels; the plan's circuit
+      // has the same gates at the same indices in row labels.
+      const QuantumCircuit qc = build_transpiled_circuit(spec);
       const std::size_t total = qc.gates().size();
       const auto x_cx = gates_where(qc, [&](const Gate& g) {
         return g.kind == GateKind::kCX && g.qubits[1] < spec.n;
@@ -1251,7 +1273,7 @@ TEST(RowLayout, QfaGroupsMatchTheDenseIdentityLayoutBitwise) {
   });
 }
 
-TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
+TEST(RowLayout, QfmGroupsMatchTheDenseWalkBitwise) {
   // QFM n=4: an error inside a CCP block leaves a slice whose CX couples
   // two classical qubits (x and y): a cross-tile op step.
   CircuitSpec spec;
@@ -1261,7 +1283,7 @@ TEST(RowLayout, QfmGroupsMatchTheDenseIdentityLayoutBitwise) {
   for_each_kernel_tier([&](const char* mode) {
     const BatchedCleanRun clean = clean_run_for(spec, {1, 2}, 4, 23);
     const std::vector<CleanRun> oracle = scalar_runs_for(spec, {1, 2}, 4, 23);
-    const QuantumCircuit& qc = clean.circuit();
+    const QuantumCircuit qc = build_transpiled_circuit(spec);
     const FusedPlan& plan = clean.plan();
     const int classical = 2 * spec.n;
     const auto xy_cx = gates_where(qc, [&](const Gate& g) {

@@ -520,6 +520,29 @@ TEST(Cli, RejectsBadListValues) {
   EXPECT_THROW(flags.get_double_list("c", {}), CheckError);
 }
 
+TEST(Cli, RejectsEmptyListElementsAnywhere) {
+  // An empty element is bad wherever it sits: a trailing one ("1,") used
+  // to be dropped, so `--depths 1,` ran one depth while `--depths 1,,2`
+  // was rejected.
+  const char* argv[] = {"prog", "--a=1,", "--b=0.4,", "--c=,2", "--d=,"};
+  CliFlags flags(5, argv);
+  for (const char* name : {"a", "c", "d"}) {
+    try {
+      flags.get_int_list(name, {});
+      ADD_FAILURE() << "--" << name << " parsed";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad list element \"\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(flags.get_double_list("b", {}), UsageError);
+  const char* ok[] = {"prog", "--a=1,2", "--b=0.4"};
+  CliFlags good(3, ok);
+  EXPECT_EQ(good.get_int_list("a", {}), (std::vector<long>{1, 2}));
+  EXPECT_EQ(good.get_double_list("b", {}), std::vector<double>{0.4});
+}
+
 // ---------- table ----------
 
 TEST(Table, AlignmentAndRows) {

@@ -1,11 +1,12 @@
 // FusedPlan validation: the compiled ops (pinned bit for bit), the slice
 // store, the basis-only contract, and the plan's execution by its one
 // executor, the batched walk (apply_plan / apply_plan_range on a one-lane
-// BatchedStateVector), which must match the per-gate reference path
-// (<= 1e-12), including when split inside ops — the contract the
-// trajectory noise-injection machinery relies on. tests/test_batch.cpp
-// runs the walk on transpiled random circuits over every gate kind at
-// several lane counts, small tiles and splits at every gate index.
+// BatchedStateVector in the plan's row layout), which must match the
+// per-gate reference path (<= 1e-12), including when split inside ops —
+// the contract the trajectory noise-injection machinery relies on.
+// tests/test_batch.cpp runs the walk on transpiled random circuits over
+// every gate kind at several lane counts, several tiles per state and
+// splits at every gate index.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -36,16 +37,17 @@ StateVector run_reference(const QuantumCircuit& qc,
   return sv;
 }
 
-/// A one-lane batched vector holding `init`.
-BatchedStateVector one_lane(const std::vector<cplx>& init) {
-  BatchedStateVector bsv(ceil_log2(init.size()), 1);
+/// A one-lane batched vector in `plan`'s row layout holding `init`.
+BatchedStateVector one_lane(const FusedPlan& plan,
+                            const std::vector<cplx>& init) {
+  BatchedStateVector bsv(ceil_log2(init.size()), 1, plan.row_layout());
   bsv.set_lane(0, nonzero_terms(StateVector::from_amplitudes(init)));
   return bsv;
 }
 
 /// `init` after the whole plan (global phase included), run by apply_plan.
 StateVector run_plan(const FusedPlan& plan, const std::vector<cplx>& init) {
-  BatchedStateVector bsv = one_lane(init);
+  BatchedStateVector bsv = one_lane(plan, init);
   apply_plan(plan, bsv);
   return bsv.lane_state(0);
 }
@@ -132,12 +134,20 @@ std::uint64_t plan_and_slices_digest(const FusedPlan& plan) {
   return f.h;
 }
 
-/// Gates [b, e) of `qc` as a circuit of their own, over the same qubits.
-QuantumCircuit slice_circuit(const QuantumCircuit& qc, std::size_t b,
-                             std::size_t e) {
-  QuantumCircuit sub(qc.num_qubits());
-  for (std::size_t g = b; g < e; ++g) sub.append(qc.gates()[g]);
-  return sub;
+/// Whether gates [b, e) of `a` and [b2, e2) of `b` are equal, kind, qubits
+/// and param bits.
+bool same_gates(const QuantumCircuit& a, std::size_t b, std::size_t e,
+                const QuantumCircuit& c, std::size_t b2, std::size_t e2) {
+  if (e - b != e2 - b2) return false;
+  for (std::size_t g = 0; g < e - b; ++g) {
+    const Gate& x = a.gates()[b + g];
+    const Gate& y = c.gates()[b2 + g];
+    if (x.kind != y.kind || x.qubits != y.qubits ||
+        std::bit_cast<std::uint64_t>(x.param) !=
+            std::bit_cast<std::uint64_t>(y.param))
+      return false;
+  }
+  return true;
 }
 
 /// The seven plans panelbench's workloads compile.
@@ -185,7 +195,7 @@ TEST(FusedPlan, DoubleSplitMatchesReference) {
     ref.apply_pauli(Pauli::kY, 1);
     ref.apply_circuit_range(qc, s2, total);
 
-    BatchedStateVector bsv = one_lane(init);
+    BatchedStateVector bsv = one_lane(plan, init);
     apply_plan_range(plan, bsv, 0, s1);
     bsv.apply_pauli(0, Pauli::kX, 0);
     apply_plan_range(plan, bsv, s1, s2);
@@ -304,39 +314,35 @@ TEST(FusedPlan, SandwichRetriesAWindowWhoseStoppingOpChanged) {
 
 TEST(FusedPlan, CompiledOpsMatchPinnedDigest) {
   // Pins the compiled ops bit for bit: any change to compile() that moves
-  // one bit of one op of the seven panel plans, their relabelled twins, or
-  // any prefix or suffix slice of an op of either moves a digest. The
-  // expected values depend on this toolchain's libm cos and sin, which
-  // produce the RZ/P/CP/CCP phases; a different libm may need new values,
-  // taken from a build whose ops are known good. The last check pins what
-  // the plan's one executor, the batched walk, makes of one plan (both
-  // kernel builds give the same bits).
-  constexpr std::uint64_t kExpected[][2] = {
-      // {plan and its slices, twin and its slices}
-      {0xcd93bd4ad9cd598dULL, 0xfcdb1b7b7a356ccULL},  // QFA n=8, depth 1
-      {0xd45d9f8a9e620038ULL, 0xd4d754d525077209ULL},  // QFA n=8, depth 2
-      {0xc4510e7e34eaac40ULL, 0xfe4829c7637fde45ULL},  // QFA n=8, depth 3
-      {0xdae945e02a7dea70ULL, 0x9ce24dcea3cb9f5ULL},  // QFA n=8, depth 4
-      {0x10fa4d759656fbafULL, 0xca840d31b4a73acaULL},  // QFA n=8, full depth
-      {0xd55693f34b6b4f54ULL, 0xc292c4fcbcd4743ULL},  // QFM n=4, depth 1
-      {0xa3e6b09caf67e625ULL, 0x72751f0bd106e021ULL},  // QFM n=4, full depth
+  // one bit of one op of the seven panel plans (compiled in their row
+  // layouts) or of any prefix or suffix slice of one of their ops moves a
+  // digest. The expected values depend on this toolchain's libm cos and
+  // sin, which produce the RZ/P/CP/CCP phases; a different libm may need
+  // new values, taken from a build whose ops are known good. The last
+  // check pins what the plan's one executor, the batched walk, makes of
+  // one plan (both kernel builds give the same bits).
+  constexpr std::uint64_t kExpected[] = {
+      // the plan and its slices
+      0xaedf78c986a951ecULL,  // QFA n=8, depth 1
+      0xf33acfdb7e235fa9ULL,  // QFA n=8, depth 2
+      0x130f652703297365ULL,  // QFA n=8, depth 3
+      0xc249612679d71175ULL,  // QFA n=8, depth 4
+      0x19a6a27f9164ef4aULL,  // QFA n=8, full depth
+      0xaaa110b2751ba2bULL,   // QFM n=4, depth 1
+      0xfa184e144c7dfba9ULL,  // QFM n=4, full depth
   };
   for (std::size_t p = 0; p < std::size(kPanelPlans); ++p) {
     const FusedPlan plan(panel_circuit(kPanelPlans[p]));
-    const FusedPlan& twin = plan.relabelled();
-    ASSERT_NE(&twin, &plan);
-    EXPECT_EQ(plan_and_slices_digest(plan), kExpected[p][0])
+    ASSERT_NE(plan.row_layout(), nullptr);
+    EXPECT_EQ(plan_and_slices_digest(plan), kExpected[p])
         << "plan " << p << std::hex << " digest 0x"
         << plan_and_slices_digest(plan);
-    EXPECT_EQ(plan_and_slices_digest(twin), kExpected[p][1])
-        << "twin " << p << std::hex << " digest 0x"
-        << plan_and_slices_digest(twin);
   }
 
   // apply_plan of the QFM n=4 full plan on one lane from basis
-  // |x=3, y=5, z=0>, in the identity row layout.
+  // |x=3, y=5, z=0>, in the plan's row layout.
   const FusedPlan qfm(panel_circuit(kPanelPlans[6]));
-  BatchedStateVector bsv(qfm.circuit().num_qubits(), 1);
+  BatchedStateVector bsv(qfm.circuit().num_qubits(), 1, qfm.row_layout());
   bsv.set_lane(0, {BasisTerm{3 | (5 << 4), 1.0}});
   apply_plan(qfm, bsv);
   Fnv1a f;
@@ -347,38 +353,21 @@ TEST(FusedPlan, CompiledOpsMatchPinnedDigest) {
 
 TEST(SliceStore, DepthPlansShareSlicesWhoseGatesMatch) {
   // The QFA n=8 depth-4 and full-depth plans over one store: every pair of
-  // op slices whose gates match, wherever they sit in their circuits, is
-  // one object, and so is the pair's twin slice (the QFA depth plans share
-  // one row layout).
+  // op slices whose row-labelled gates match, wherever they sit in their
+  // circuits, is one object (the QFA depth plans share one row layout).
   const auto store = std::make_shared<SliceStore>();
-  const QuantumCircuit qc4 = panel_circuit(kPanelPlans[3]);
-  const QuantumCircuit qcf = panel_circuit(kPanelPlans[4]);
-  const FusedPlan d4(qc4, {}, store), full(qcf, {}, store);
+  const FusedPlan d4(panel_circuit(kPanelPlans[3]), {}, store);
+  const FusedPlan full(panel_circuit(kPanelPlans[4]), {}, store);
   ASSERT_TRUE(d4.row_layout() && full.row_layout());
   ASSERT_TRUE(*d4.row_layout() == *full.row_layout());
-  const auto same_gates = [&](std::size_t b, std::size_t e, std::size_t b2,
-                              std::size_t e2) {
-    if (e - b != e2 - b2) return false;
-    for (std::size_t g = 0; g < e - b; ++g) {
-      const Gate& x = qc4.gates()[b + g];
-      const Gate& y = qcf.gates()[b2 + g];
-      if (x.kind != y.kind || x.qubits != y.qubits ||
-          std::bit_cast<std::uint64_t>(x.param) !=
-              std::bit_cast<std::uint64_t>(y.param))
-        return false;
-    }
-    return true;
-  };
   int pairs = 0, moved = 0;
   for (const auto& [b, e] : op_slices(d4))
     for (const auto& [b2, e2] : op_slices(full)) {
-      if (!same_gates(b, e, b2, e2)) continue;
+      if (!same_gates(d4.circuit(), b, e, full.circuit(), b2, e2)) continue;
       ++pairs;
       moved += b != b2;
       EXPECT_EQ(&d4.subrange_plan(b, e), &full.subrange_plan(b2, e2))
           << "[" << b << ", " << e << ") vs [" << b2 << ", " << e2 << ")";
-      EXPECT_EQ(&d4.relabelled().subrange_plan(b, e),
-                &full.relabelled().subrange_plan(b2, e2));
     }
   EXPECT_GT(pairs, 100);
   EXPECT_GT(moved, 0);  // some shared slices sit at different gate indices
@@ -411,58 +400,66 @@ TEST(SliceStore, SlicesDifferingInAKeyedFieldAreDistinct) {
   EXPECT_NE(&pos.subrange_plan(0, 2), &wider.subrange_plan(0, 2));
 
   // The same circuit under other FusionOptions.
-  FusionOptions small_tiles;
-  small_tiles.tile_bits = 2;
-  const FusedPlan tiled(rz_circuit(0.0), small_tiles, store);
-  EXPECT_NE(&pos.subrange_plan(0, 2), &tiled.subrange_plan(0, 2));
+  FusionOptions unfused;
+  unfused.enable = false;
+  const FusedPlan per_gate(rz_circuit(0.0), unfused, store);
+  EXPECT_NE(&pos.subrange_plan(0, 2), &per_gate.subrange_plan(0, 2));
 
-  // One logical slice in two row layouts: SX on q1 makes q1 and q2
-  // superposed (q2 is the target of a CX under a superposed control), SX
-  // on q2 only q2. The twin slices differ; a third circuit with q1's
-  // layout shares its twin slice with the first.
-  const auto layout_circuit = [](int sx_qubit, bool tail) {
+  // Slices are keyed by their row-labelled gates. SX on q1 makes q1 and q2
+  // superposed (q2 is the target of a CX under a superposed control), so
+  // rows are q1, q2, q0; SX on q2 makes only q2 superposed: rows q2, q0,
+  // q1. The same circuit with q0 in q1's place has on1's row-labelled
+  // gates: its logical gates differ, its slices are on1's objects. on1 and
+  // on2 have equal logical gates [1, 5) but different row-labelled ones,
+  // so those slices stay distinct, while their SX (row 0 in both) is one.
+  const auto layout_circuit = [](int sx_qubit, int control, int target) {
     QuantumCircuit qc(3);
     qc.sx(sx_qubit);
-    qc.rz(1, 0.3);
-    qc.cx(1, 2);
-    qc.rz(2, 0.2);
-    qc.cx(1, 2);
-    if (tail) qc.rz(0, 0.5);
+    qc.rz(control, 0.3);
+    qc.cx(control, target);
+    qc.rz(target, 0.2);
+    qc.cx(control, target);
     return qc;
   };
-  const FusedPlan on1(layout_circuit(1, false), {}, store);
-  const FusedPlan on2(layout_circuit(2, false), {}, store);
-  const FusedPlan on1_tail(layout_circuit(1, true), {}, store);
-  ASSERT_TRUE(on1.row_layout() && on2.row_layout() && on1_tail.row_layout());
+  const FusedPlan on1(layout_circuit(1, 1, 2), {}, store);
+  const FusedPlan on2(layout_circuit(2, 1, 2), {}, store);
+  const FusedPlan swapped(layout_circuit(0, 0, 2), {}, store);
+  ASSERT_TRUE(on1.row_layout() && on2.row_layout());
   ASSERT_FALSE(*on1.row_layout() == *on2.row_layout());
-  ASSERT_TRUE(*on1.row_layout() == *on1_tail.row_layout());
-  EXPECT_EQ(&on1.subrange_plan(1, 5), &on2.subrange_plan(1, 5));
-  EXPECT_NE(&on1.relabelled().subrange_plan(1, 5),
-            &on2.relabelled().subrange_plan(1, 5));
-  EXPECT_EQ(&on1.relabelled().subrange_plan(1, 5),
-            &on1_tail.relabelled().subrange_plan(1, 5));
+  ASSERT_TRUE(same_gates(on1.circuit(), 0, 5, swapped.circuit(), 0, 5));
+  for (std::size_t b = 0; b < 5; ++b)
+    for (std::size_t e = b + 1; e <= 5; ++e)
+      EXPECT_EQ(&on1.subrange_plan(b, e), &swapped.subrange_plan(b, e))
+          << "[" << b << ", " << e << ")";
+  EXPECT_NE(&on1.subrange_plan(1, 5), &on2.subrange_plan(1, 5));
+  EXPECT_EQ(&on1.subrange_plan(0, 1), &on2.subrange_plan(0, 1));
 }
 
 TEST(SliceStore, SharedSlicesEqualSlicesCompiledAlone) {
   // Every prefix and suffix slice of the five QFA n=8 plans, served from
-  // one store shared by all five, equals bit for bit a plan of the slice's
-  // circuit compiled on its own. The 3510 slices are 1207 distinct gate
-  // sequences, and the store compiles each once.
+  // one store shared by all five, holds its range's row-labelled gates and
+  // equals bit for bit the slice a plan of the same circuit compiles over
+  // a store of its own. The 3510 slices are 1207 distinct gate sequences,
+  // and the store compiles each once.
   const auto store = std::make_shared<SliceStore>();
-  std::vector<std::unique_ptr<const FusedPlan>> plans;
-  for (std::size_t p = 0; p < 5; ++p)
-    plans.push_back(std::make_unique<const FusedPlan>(
-        panel_circuit(kPanelPlans[p]), FusionOptions{}, store));
   long checked = 0, mismatched = 0;
   std::set<const FusedPlan*> distinct;
-  for (const auto& plan : plans)
-    for (const auto& [b, e] : op_slices(*plan)) {
-      const FusedPlan& shared = plan->subrange_plan(b, e);
-      const FusedPlan alone(slice_circuit(plan->circuit(), b, e));
-      mismatched += !same_ops_bitwise(shared, alone);
+  std::vector<std::unique_ptr<const FusedPlan>> plans;
+  for (std::size_t p = 0; p < 5; ++p) {
+    const QuantumCircuit qc = panel_circuit(kPanelPlans[p]);
+    plans.push_back(
+        std::make_unique<const FusedPlan>(qc, FusionOptions{}, store));
+    const FusedPlan& plan = *plans.back();
+    const FusedPlan alone(qc);
+    for (const auto& [b, e] : op_slices(plan)) {
+      const FusedPlan& shared = plan.subrange_plan(b, e);
+      mismatched += !same_gates(shared.circuit(), 0, shared.gate_count(),
+                                plan.circuit(), b, e) ||
+                    !same_ops_bitwise(shared, alone.subrange_plan(b, e));
       distinct.insert(&shared);
       ++checked;
     }
+  }
   EXPECT_EQ(checked, 3510);
   EXPECT_EQ(distinct.size(), 1207u);
   EXPECT_EQ(mismatched, 0);
@@ -513,13 +510,14 @@ TEST(FusedPlan, SubrangePlanConcurrentHammer) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(&plan.subrange_plan(3, total), &plan2.subrange_plan(3, total));
 
-  // The stored plans still produce correct states after the stampede.
+  // The stored slices still produce correct states after the stampede,
+  // run as a range of their root plan.
   const std::vector<cplx> init = random_state(5, rng);
   StateVector ref = StateVector::from_amplitudes(init);
   ref.apply_circuit_range(qc, 3, total);
-  EXPECT_LT(state_distance(run_plan(plan.subrange_plan(3, total), init)
-                               .amplitudes(),
-                           ref.amplitudes()),
+  BatchedStateVector bsv = one_lane(plan, init);
+  apply_plan_range(plan, bsv, 3, total);
+  EXPECT_LT(state_distance(bsv.lane_state(0).amplitudes(), ref.amplitudes()),
             kTol);
 }
 

@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -71,14 +72,15 @@ std::size_t random_lane_events(const QuantumCircuit& qc, int lanes,
 /// Largest per-amplitude difference between one lane of a batched state,
 /// with the lane's pending phase folded in (the raw planes alone are only
 /// defined up to that factor — see lane_pending_phase), and a scalar state.
-/// Reads the planes directly, so a float32 lane is compared as is instead
-/// of being renormalized into a StateVector; rows whose live-mask bit is
-/// clear are exact zeros (the vectors here are in the identity layout).
+/// Reads the planes directly, through the vector's row layout, so a
+/// float32 lane is compared as is instead of being renormalized into a
+/// StateVector; rows whose live-mask bit is clear are exact zeros.
 template <typename Real>
 double lane_vs_state(const BatchedStateVectorT<Real>& bsv, int lane,
                      const StateVector& sv) {
   const cplx phase = std::polar(1.0, bsv.lane_pending_phase(lane));
   const std::vector<cplx>& ref = sv.amplitudes();
+  const RowLayout* layout = bsv.layout().get();
   const u64 lanes = static_cast<u64>(bsv.lanes());
   double d = 0.0;
   for (u64 r = 0; r < bsv.dim(); ++r) {
@@ -87,21 +89,22 @@ double lane_vs_state(const BatchedStateVectorT<Real>& bsv, int lane,
     const cplx v = live ? phase * cplx{static_cast<double>(bsv.re()[i]),
                                        static_cast<double>(bsv.im()[i])}
                         : cplx{0.0, 0.0};
-    d = std::max(d, std::abs(v - ref[r]));
+    d = std::max(d, std::abs(v - ref[layout ? layout->to_logical(r) : r]));
   }
   return d;
 }
 
-/// Run the walk from the ideal state after `start_gates` gates of a
-/// CleanRun on `initial`, and return the largest amplitude difference
-/// between any walk lane and the scalar run_trajectory of that lane's own
-/// events from the same CleanRun.
+/// Run the walk of `qc`'s plan from the ideal state after `start_gates`
+/// gates of a CleanRun of `qc` on `initial`, and return the largest
+/// amplitude difference between any walk lane and the scalar
+/// run_trajectory of that lane's own events from the same CleanRun.
 template <typename Real>
-double walk_vs_scalar(const FusedPlan& plan, const StateVector& initial,
-                      int lanes, std::size_t start_gates,
+double walk_vs_scalar(const QuantumCircuit& qc, const FusedPlan& plan,
+                      const StateVector& initial, int lanes,
+                      std::size_t start_gates,
                       const std::vector<std::vector<ErrorEvent>>& lane_events) {
-  const CleanRun clean(plan.circuit(), initial, 64);
-  BatchedStateVectorT<Real> walk(plan.circuit().num_qubits(), lanes);
+  const CleanRun clean(qc, initial, 64);
+  BatchedStateVectorT<Real> walk(qc.num_qubits(), lanes, plan.row_layout());
   walk.broadcast(clean.state_at(start_gates));
   run_trajectories_batched(plan, walk, start_gates, lane_events);
   double d = 0.0;
@@ -128,7 +131,7 @@ TEST(TrajectoryWalk, DoubleLanesMatchScalarTrajectory) {
         std::vector<std::vector<ErrorEvent>> lane_events;
         const std::size_t g0 =
             random_lane_events(qc, lanes, 3, rng, lane_events);
-        EXPECT_LT(walk_vs_scalar<double>(plan, StateVector(n), lanes, g0,
+        EXPECT_LT(walk_vs_scalar<double>(qc, plan, StateVector(n), lanes, g0,
                                          lane_events),
                   1e-12)
             << mode << " lanes=" << lanes << " trial=" << trial;
@@ -149,7 +152,7 @@ TEST(TrajectoryWalk, Float32LanesStayWithinReplayDrift) {
         std::vector<std::vector<ErrorEvent>> lane_events;
         const std::size_t g0 =
             random_lane_events(qc, lanes, 3, rng, lane_events);
-        EXPECT_LT(walk_vs_scalar<float>(plan, StateVector(5), lanes, g0,
+        EXPECT_LT(walk_vs_scalar<float>(qc, plan, StateVector(5), lanes, g0,
                                         lane_events),
                   1e-4)
             << mode << " lanes=" << lanes << " trial=" << trial;
@@ -193,8 +196,10 @@ TEST(TrajectoryWalk, SitesInsideCollapsedDiagonalOps) {
                 return a.gate_index < b.gate_index;
               });
   const StateVector start(qc.num_qubits());
-  EXPECT_LT(walk_vs_scalar<double>(plan, start, lanes, 0, lane_events), 1e-12);
-  EXPECT_LT(walk_vs_scalar<float>(plan, start, lanes, 0, lane_events), 1e-4);
+  EXPECT_LT(walk_vs_scalar<double>(qc, plan, start, lanes, 0, lane_events),
+            1e-12);
+  EXPECT_LT(walk_vs_scalar<float>(qc, plan, start, lanes, 0, lane_events),
+            1e-4);
 }
 
 TEST(TrajectoryWalk, SitesOnEveryOpBoundary) {
@@ -214,24 +219,23 @@ TEST(TrajectoryWalk, SitesOnEveryOpBoundary) {
     lane_events[k++ % lanes].push_back(ev);
   }
   const StateVector start = StateVector::from_amplitudes(random_state(4, rng));
-  EXPECT_LT(walk_vs_scalar<double>(plan, start, lanes, 0, lane_events), 1e-12);
+  EXPECT_LT(walk_vs_scalar<double>(qc, plan, start, lanes, 0, lane_events),
+            1e-12);
 }
 
 TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
-  // A small tile puts non-diagonal ops on high qubits (and X/Y Paulis
-  // there) across tiles mid-walk, and cuts a sparse start state into live
-  // and dead tiles. tile_bits=3 with 6 qubits puts the tile well under the
-  // state size at every lane count.
-  FusionOptions options;
-  options.tile_bits = 3;
+  // A state four tiles tall puts non-diagonal ops on high row bits (and
+  // X/Y Paulis there) across tiles mid-walk, and cuts a sparse start state
+  // into live and dead tiles: 12 qubits at 2 lanes and 9 at 16 are four
+  // tiles each.
   Pcg64 rng(20260809, 5);
-  for (const int lanes : {2, 16}) {
+  for (const auto& [lanes, n] : {std::pair{2, 12}, std::pair{16, 9}}) {
     for (int trial = 0; trial < 4; ++trial) {
-      const QuantumCircuit qc = random_basis_circuit(6, 50, rng);
-      const FusedPlan plan(qc, options);
-      // Sanity: the tiny tile actually puts some non-diagonal op's
-      // qubits above the tile.
-      const int tb = batched_tile_rows_log2(options, lanes, 6, sizeof(double));
+      const QuantumCircuit qc = random_basis_circuit(n, 50, rng);
+      const FusedPlan plan(qc);
+      // Sanity: some non-diagonal op's row bits lie above the tile.
+      const int tb = batched_tile_rows_log2(lanes, n, sizeof(double));
+      ASSERT_EQ(n - tb, 2);
       bool any_non_tileable = false;
       for (const FusedOp& op : plan.ops())
         if (op.kind != FusedOp::Kind::kDiagonal && op.max_qubit >= tb)
@@ -241,7 +245,7 @@ TEST(TrajectoryWalk, NonTileableOpsBreakRunsCorrectly) {
       std::vector<std::vector<ErrorEvent>> lane_events;
       const std::size_t g0 =
           random_lane_events(qc, lanes, 4, rng, lane_events);
-      EXPECT_LT(walk_vs_scalar<double>(plan, StateVector(6), lanes, g0,
+      EXPECT_LT(walk_vs_scalar<double>(qc, plan, StateVector(n), lanes, g0,
                                        lane_events),
                 1e-12)
           << "lanes=" << lanes << " trial=" << trial;
@@ -271,8 +275,10 @@ TEST(TrajectoryWalk, DenseSameSiteMultiLaneInjections) {
     }
   }
   const StateVector start = StateVector::from_amplitudes(random_state(5, rng));
-  EXPECT_LT(walk_vs_scalar<double>(plan, start, lanes, 0, lane_events), 1e-12);
-  EXPECT_LT(walk_vs_scalar<float>(plan, start, lanes, 0, lane_events), 1e-4);
+  EXPECT_LT(walk_vs_scalar<double>(qc, plan, start, lanes, 0, lane_events),
+            1e-12);
+  EXPECT_LT(walk_vs_scalar<float>(qc, plan, start, lanes, 0, lane_events),
+            1e-4);
 }
 
 TEST(TrajectoryWalk, LaneReplayIsPackingInvariantBitwise) {
@@ -293,12 +299,12 @@ TEST(TrajectoryWalk, LaneReplayIsPackingInvariantBitwise) {
     StateVector start(5);
     start.apply_circuit_range(qc, 0, g0);
 
-    BatchedStateVector group(5, lanes);
+    BatchedStateVector group(5, lanes, plan.row_layout());
     group.broadcast(start);
     run_trajectories_batched(plan, group, g0, lane_events);
 
     for (int l = 0; l < lanes; ++l) {
-      BatchedStateVector solo(5, 1);
+      BatchedStateVector solo(5, 1, plan.row_layout());
       solo.broadcast(start);
       const std::vector<std::vector<ErrorEvent>> one = {
           lane_events[static_cast<std::size_t>(l)]};
@@ -324,7 +330,7 @@ TEST(ApplyPlanRange, EmptyRangeIsANoOp) {
   const QuantumCircuit qc = random_basis_circuit(4, 30, rng);
   const FusedPlan plan(qc);
   const std::size_t total = qc.gates().size();
-  BatchedStateVector bsv(4, 3);
+  BatchedStateVector bsv(4, 3, plan.row_layout());
   for (int l = 0; l < 3; ++l)
     bsv.set_lane(l, nonzero_terms(StateVector::from_amplitudes(
                         random_state(4, rng))));
@@ -349,12 +355,12 @@ TEST(ApplyPlanRange, SplitAtZeroAndGateCountMatchesSinglePass) {
   const std::size_t total = qc.gates().size();
   const StateVector init = StateVector::from_amplitudes(random_state(4, rng));
 
-  BatchedStateVector ref(4, 2);
+  BatchedStateVector ref(4, 2, plan.row_layout());
   ref.broadcast(init);
   apply_plan_range(plan, ref, 0, total);
 
   for (const std::size_t s : {std::size_t{0}, total}) {
-    BatchedStateVector bsv(4, 2);
+    BatchedStateVector bsv(4, 2, plan.row_layout());
     bsv.broadcast(init);
     apply_plan_range(plan, bsv, 0, s);
     apply_plan_range(plan, bsv, s, total);
