@@ -253,8 +253,11 @@ BatchedCleanRun::BatchedCleanRun(
   checkpoints_.reserve(total / interval_ + 2);
   boundaries_.reserve(total / interval_ + 2);
   // The ideal run advances one vector in the plan's row layout; each
-  // checkpoint keeps its live tiles only.
-  BatchedStateVector cur(nq, 1);
+  // checkpoint, the final state too, keeps its live tiles only. The full
+  // planes are one per thread and reset from run to run: planes freed per
+  // run come back from the allocator with other runs' rows resident, so
+  // the process's resident set would depend on how it reuses them.
+  thread_local BatchedStateVector cur(1, 1);
   cur.reset(nq, lanes, plan_->row_layout());
   for (std::size_t l = 0; l < initials.size(); ++l)
     cur.set_lane(static_cast<int>(l), initials[l]);
@@ -274,7 +277,7 @@ BatchedCleanRun::BatchedCleanRun(
     applied = next;
     boundaries_.push_back(applied);
   }
-  checkpoints_.push_back(std::move(cur));
+  checkpoints_.push_back(cur.packed());
 }
 
 std::vector<double> BatchedCleanRun::lane_ideal_marginal(

@@ -208,7 +208,7 @@ class BatchedCleanRun {
   /// Checkpoints land on fused-op boundaries at (or just past) every
   /// `interval_` gates, so building and resuming from them never splits an
   /// op. boundaries_[k] is the gate count of checkpoints_[k]; the last
-  /// checkpoint is the final state, unpacked; the others are packed.
+  /// checkpoint is the final state. Every checkpoint is packed.
   std::vector<std::size_t> boundaries_;
   std::vector<BatchedStateVector> checkpoints_;
 };

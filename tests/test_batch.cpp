@@ -1390,10 +1390,14 @@ TEST(BatchedCleanRunTest, TermsRunIsBitwiseTheDenseStatesRun) {
                   from_dense.checkpoints().size())
             << what;
         ASSERT_GT(from_terms.checkpoints().size(), 2u) << what;
-        for (std::size_t k = 0; k < from_terms.checkpoints().size(); ++k)
+        for (std::size_t k = 0; k < from_terms.checkpoints().size(); ++k) {
+          // The final state is packed like the others: a run keeps no
+          // full planes.
+          EXPECT_TRUE(from_terms.checkpoints()[k].is_packed()) << what;
           expect_same_bits(from_terms.checkpoints()[k],
                            from_dense.checkpoints()[k],
                            what + " checkpoint " + std::to_string(k));
+        }
       }
     }
   }
